@@ -443,7 +443,8 @@ pub fn multiclient_table(points: &[MultiClientPoint]) -> String {
         out.push_str("\nWait attribution — per client, ms blocked\n");
         out.push_str(
             "('commit wait' is pure queue wait on the log-writer; 'force' is time this\n \
-             client's own thread spent inside a physical log force, e.g. steal guards)\n",
+             client's own thread spent inside a physical log force: zero, the log-writer\n \
+             does every force)\n",
         );
         out.push_str(&format!(
             "{:<12}{:>9}{:>9}{:>12}{:>12}{:>12}{:>12}{:>9}{:>12}{:>10}{:>10}\n",

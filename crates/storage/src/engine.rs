@@ -235,11 +235,19 @@ impl Engine {
         }
         let stats = Arc::new(StorageStats::default());
         let file = Arc::new(PageFile::create(&vfs, &data_path, stats.clone())?);
+        let wal = if profile.wal {
+            Some(Arc::new(Wal::create(&vfs, &wal_path, stats.clone(), opts.group_commit_window)?))
+        } else {
+            None
+        };
+        // The pool gets the log at construction: every page write it
+        // ever makes passes the write-ahead gate.
         let pool = Arc::new(BufferPool::new(
             file.clone(),
             stats.clone(),
             opts.buffer_pages,
             profile.count_swizzles,
+            wal.clone(),
         ));
         let heap = Heap::new(
             pool.clone(),
@@ -250,12 +258,6 @@ impl Engine {
             profile.extra_header,
             profile.align,
         );
-        let wal = if profile.wal {
-            Some(Arc::new(Wal::create(&vfs, &wal_path, stats.clone(), opts.group_commit_window)?))
-        } else {
-            None
-        };
-        Self::wire_steal_guard(&pool, &wal);
         let locks = if profile.single_user {
             None
         } else {
@@ -312,11 +314,23 @@ impl Engine {
         }
         let stats = Arc::new(StorageStats::default());
         let file = Arc::new(PageFile::open(&vfs, &data_path, stats.clone())?);
+        // Read the log before opening it for append, and open it before
+        // building the pool, which takes it at construction. Recovery's
+        // own page writes pass the gate freely: the handle's marks start
+        // at zero, and redo appends nothing.
+        let (replayed, wal) = if profile.wal {
+            let replayed = Wal::replay(&vfs, &wal_path)?;
+            let wal = Wal::open(&vfs, &wal_path, stats.clone(), opts.group_commit_window)?;
+            (Some(replayed), Some(Arc::new(wal)))
+        } else {
+            (None, None)
+        };
         let pool = Arc::new(BufferPool::new(
             file.clone(),
             stats.clone(),
             opts.buffer_pages,
             profile.count_swizzles,
+            wal.clone(),
         ));
         let heap = Heap::new(
             pool.clone(),
@@ -340,18 +354,13 @@ impl Engine {
         // error — degraded, never silently wrong.
         Self::verify_pages(&file, &heap)?;
 
-        let wal = if profile.wal {
-            let replayed = Wal::replay(&vfs, &wal_path)?;
+        if let Some(replayed) = replayed {
             StorageStats::bump(&stats.wal_bytes_truncated, replayed.bytes_truncated);
             if Self::log_matches_checkpoint(&replayed.records, meta_epoch)? {
                 Self::recover(&heap, &replayed.records)?;
                 StorageStats::bump(&stats.wal_frames_replayed, replayed.frames);
             }
-            Some(Arc::new(Wal::open(&vfs, &wal_path, stats.clone(), opts.group_commit_window)?))
-        } else {
-            None
-        };
-        Self::wire_steal_guard(&pool, &wal);
+        }
         let locks = if profile.single_user {
             None
         } else {
@@ -410,17 +419,6 @@ impl Engine {
             heap.demote_pages(&bad);
         }
         Ok(bad)
-    }
-
-    /// Install the write-ahead steal guard: before the pool writes a
-    /// dirty (possibly uncommitted) frame to the data file, the log —
-    /// including the before-images that can undo that frame — must be
-    /// durable.
-    fn wire_steal_guard(pool: &Arc<BufferPool>, wal: &Option<Arc<Wal>>) {
-        if let Some(wal) = wal {
-            let wal = wal.clone();
-            pool.set_steal_guard(Box::new(move || wal.force(true)));
-        }
     }
 
     /// Decide whether the log on disk describes the checkpoint on disk.
@@ -720,7 +718,20 @@ impl Engine {
             // races the sweep; versions pinned by open snapshots are
             // protected by the low-water mark.
             self.heap.collect_garbage(self.snapshot_floor());
+            // The flush passes the write-ahead gate like every page
+            // write: it first has the log synced up to the newest dirty
+            // frame's stamp, so a crash in the middle of it leaves no
+            // page image (GC-freed slots included) ahead of the durable
+            // log — under `sync_commit: false` too.
             self.pool.flush_all()?;
+            // Writers are quiesced, so the flush left nothing dirty. A
+            // frame dirtied since would lose its log records to the
+            // truncation below.
+            if self.pool.dirty_frames() != 0 {
+                return Err(StorageError::Corrupt(
+                    "a page was dirtied during a quiesced checkpoint".into(),
+                ));
+            }
             self.file.sync()?;
             let next_epoch = (self.epoch.load(Ordering::Acquire) + 1).max(floor);
             let (_, meta_path, _) = Self::paths(&self.dir);
@@ -869,6 +880,14 @@ impl StorageManager for Engine {
         data: &[u8],
     ) -> Result<Oid> {
         self.require_txn(txn)?;
+        // Unlike `update`/`free`, the heap mutates *before* the record is
+        // appended (the record carries the oid the heap assigns), so the
+        // page's stamp does not cover the `Alloc` record and its image
+        // may reach the data file first. That is harmless: an allocation
+        // only fills a slot no committed object occupies, and recovery
+        // starts from the checkpoint's object table and redoes into
+        // fresh slots — at worst the image leaves an unreferenced slot
+        // (`unlogged_allocation_image_is_harmless`).
         let oid = self.heap.alloc(seg, hint, data, txn.raw())?;
         self.lock(txn, oid, LockMode::Exclusive)?;
         self.touch(txn, oid);
@@ -896,8 +915,9 @@ impl StorageManager for Engine {
         self.lock(txn, oid, LockMode::Exclusive)?;
         if self.profile.wal {
             // Write-ahead: the record (with its before-image) enters the
-            // log buffer before the heap mutates, so a steal of the
-            // mutated page can never outrun its undo information.
+            // log buffer before the heap mutates, so the stamp the pool
+            // puts on the mutated page covers it and the page can never
+            // reach the data file ahead of its undo information.
             // Recovery keys loser undo off the *first* logged image per
             // (txn, oid), which `read_for` makes the last committed
             // value on the first touch; later touches log this
@@ -1179,7 +1199,7 @@ impl TexasTc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vfs::SimVfs;
+    use crate::vfs::{FaultPlan, SimVfs};
 
     fn tmpdir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -1483,5 +1503,195 @@ mod tests {
         let vfs2: Arc<dyn Vfs> = Arc::new(after);
         let store2 = OStore::open_with(vfs2, &dir, opts).unwrap();
         assert_eq!(store2.read(oid).unwrap(), b"survives");
+    }
+    #[test]
+    fn durable_commits_on_a_small_pool_never_force_on_a_client_thread() {
+        // Two clients, durable commits, a 64-page pool, well over four
+        // pools' worth of data: most faults need a dirty frame written,
+        // and every one of those writes waits on the log. None of that
+        // waiting may be a force on the client's own thread — the
+        // log-writer does every physical force — and nothing may be lost.
+        const TXNS: u32 = 320;
+        let dir = tmpdir("gate-2c");
+        let opts = Options { buffer_pages: 64, sync_commit: true, ..Options::default() };
+        let store = Arc::new(OStore::create(&dir, opts).unwrap());
+        let payload = |t: u8, i: u32, rev: u8| -> Vec<u8> {
+            (0..1800u32).map(|b| (b as u8) ^ t ^ (i as u8) ^ rev.wrapping_mul(31)).collect()
+        };
+        let start = Arc::new(std::sync::Barrier::new(2));
+        let mut clients = Vec::new();
+        for t in 0..2u8 {
+            let (store, start) = (store.clone(), start.clone());
+            clients.push(std::thread::spawn(move || {
+                start.wait();
+                let before = crate::waits::snapshot();
+                let mut oids = Vec::new();
+                for i in 0..TXNS {
+                    let txn = store.begin().unwrap();
+                    oids.push(
+                        store
+                            .allocate(txn, SegmentId(t), ClusterHint::NONE, &payload(t, i, 0))
+                            .unwrap(),
+                    );
+                    // Rewrite an old object too, so old pages come back
+                    // through the pool and get dirtied again.
+                    if i >= 100 {
+                        let old = i - 100;
+                        store.update(txn, oids[old as usize], &payload(t, old, 1)).unwrap();
+                    }
+                    store.commit(txn).unwrap();
+                }
+                (oids, crate::waits::snapshot().delta(&before))
+            }));
+        }
+        let written: Vec<_> = clients.into_iter().map(|c| c.join().unwrap()).collect();
+        let s = store.stats();
+        assert!(
+            s.bytes_allocated >= 4 * 64 * PAGE_SIZE as u64,
+            "the run must write at least four pools' worth"
+        );
+        assert!(s.page_writes > 64, "dirty frames must have been written to make room");
+        // The serial reference: what each object must hold, computed
+        // here from the same deterministic rule the clients followed.
+        for (t, (oids, waits)) in written.iter().enumerate() {
+            assert_eq!(
+                waits.commit_force_nanos, 0,
+                "client {t} performed a physical log force on its own thread"
+            );
+            assert!(waits.commit_wait_nanos > 0, "durable commits wait on the log-writer");
+            for (i, &oid) in oids.iter().enumerate() {
+                let rev = u8::from(i as u32 + 100 < TXNS);
+                assert_eq!(
+                    store.read(oid).unwrap(),
+                    payload(t as u8, i as u32, rev),
+                    "client {t}, object {i}"
+                );
+            }
+        }
+        drop(store);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `txns` transactions, each rewriting every one of `oids` to its own
+    /// number; commits are not synced.
+    fn rewrite_all(store: &Engine, oids: &[Oid], txns: std::ops::Range<u8>) -> Result<()> {
+        for i in txns {
+            let txn = store.begin()?;
+            for &oid in oids {
+                store.update(txn, oid, &[i; 700])?;
+            }
+            store.commit(txn)?;
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn crash_inside_checkpoint_flush_leaves_no_page_ahead_of_the_log() {
+        // `sync_commit: false`: commits are written out, not synced. A
+        // checkpoint flush that went to the data file without first
+        // having the log synced could, on a crash inside it, leave page
+        // images — GC-freed slots included — whose log records never
+        // became durable. Sweep the plug-pull across every file
+        // operation of the checkpoint; each recovered image must be some
+        // committed prefix, whole, and scrub clean.
+        const LAST: u8 = 6;
+        let dir = PathBuf::from("/sim/ckpt-gate");
+        let opts = Options { buffer_pages: 16, ..Options::default() };
+        let build = |seed: u64| -> (SimVfs, Arc<dyn Vfs>, Engine, Vec<Oid>) {
+            let sim = SimVfs::new(seed);
+            let vfs: Arc<dyn Vfs> = Arc::new(sim.clone());
+            let store = OStore::create_with(vfs.clone(), &dir, opts.clone()).unwrap();
+            let txn = store.begin().unwrap();
+            let oids: Vec<Oid> = (0..40)
+                .map(|_| store.allocate(txn, SegmentId(0), ClusterHint::NONE, &[0; 700]).unwrap())
+                .collect();
+            store.commit(txn).unwrap();
+            store.checkpoint().unwrap();
+            rewrite_all(&store, &oids, 1..LAST + 1).unwrap();
+            (sim, vfs, store, oids)
+        };
+        for seed in 0..2u64 {
+            let (sim, _vfs, store, _oids) = build(seed);
+            let first = sim.op_count();
+            store.checkpoint().unwrap();
+            let ops = sim.op_count() - first;
+            drop(store);
+            assert!(ops > 10, "the checkpoint must have pages to flush");
+            for k in 0..ops {
+                let (sim, vfs, store, oids) = build(seed);
+                sim.set_plan(FaultPlan {
+                    crash_at_op: Some(sim.op_count() + k),
+                    writeback: true,
+                    ..FaultPlan::default()
+                });
+                let finished = store.checkpoint().is_ok();
+                drop(store);
+                sim.power_loss();
+                let ctx = format!("seed {seed}, checkpoint op {k}");
+                let store = OStore::open_with(vfs.clone(), &dir, opts.clone())
+                    .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
+                let seen: Vec<Vec<u8>> = oids.iter().map(|&o| store.read(o).unwrap()).collect();
+                let v = seen[0][0];
+                assert!(v <= LAST, "{ctx}: object holds a value nobody wrote");
+                assert!(
+                    seen.iter().all(|d| d == &vec![v; 700]),
+                    "{ctx}: recovered objects disagree about the last committed transaction"
+                );
+                if finished {
+                    assert_eq!(v, LAST, "{ctx}: a finished checkpoint lost commits");
+                }
+                drop(store);
+                let report = crate::scrub::scrub_store(&vfs, &dir).unwrap();
+                assert!(report.clean(), "{ctx}: scrub found damage: {:?}", report.corrupt);
+            }
+        }
+    }
+
+    #[test]
+    fn unlogged_allocation_image_is_harmless() {
+        // `allocate` places the object before it appends the `Alloc`
+        // record (the record carries the oid the heap assigns), so the
+        // page's stamp does not cover that record and the gate may let
+        // the image out first. That is safe, and this is why: an
+        // allocation only ever fills a slot no committed object
+        // occupies, the object table recovery starts from is the
+        // checkpoint's, and redo places into fresh slots — so a crash
+        // leaves at worst an unreferenced slot, never a wrong object.
+        let sim = SimVfs::new(11);
+        let vfs: Arc<dyn Vfs> = Arc::new(sim.clone());
+        let dir = PathBuf::from("/sim/alloc-stamp");
+        let opts = Options::default();
+        let store = OStore::create_with(vfs.clone(), &dir, opts.clone()).unwrap();
+        let txn = store.begin().unwrap();
+        let kept = store.allocate(txn, SegmentId(0), ClusterHint::NONE, b"committed").unwrap();
+        store.commit(txn).unwrap();
+        store.checkpoint().unwrap();
+
+        let txn = store.begin().unwrap();
+        let wal = store.wal.as_ref().unwrap();
+        wal.wait_synced(wal.appended()).unwrap(); // `Begin` is durable...
+        let lost = store.allocate(txn, SegmentId(0), ClusterHint::NONE, b"unlogged").unwrap();
+        assert!(wal.appended() > wal.synced(), "...the `Alloc` record is not");
+        // The page shared with `kept` passes the gate without a sync.
+        let before = store.stats();
+        store.pool.flush_all().unwrap();
+        store.file.sync().unwrap();
+        let d = store.stats().delta(&before);
+        assert!(d.page_writes > 0, "the allocation's page image must reach the disk");
+        assert_eq!(d.wal_syncs, 0, "no force: the stamp predates the `Alloc` record");
+        drop(store);
+        sim.power_loss();
+
+        let store = OStore::open_with(vfs.clone(), &dir, opts).unwrap();
+        assert_eq!(store.read(kept).unwrap(), b"committed");
+        assert!(!store.exists(lost), "an allocation whose record was lost does not exist");
+        let txn = store.begin().unwrap();
+        let next = store.allocate(txn, SegmentId(0), ClusterHint::NONE, b"after").unwrap();
+        store.commit(txn).unwrap();
+        assert_eq!(store.read(next).unwrap(), b"after");
+        assert_eq!(store.read(kept).unwrap(), b"committed");
+        store.checkpoint().unwrap();
+        drop(store);
+        assert!(crate::scrub::scrub_store(&vfs, &dir).unwrap().clean());
     }
 }

@@ -1531,7 +1531,7 @@ mod tests {
         let vfs = crate::vfs::RealVfs::arc();
         let stats = Arc::new(StorageStats::default());
         let file = Arc::new(PageFile::create(&vfs, &dir.join("d.pg"), stats.clone()).unwrap());
-        let pool = Arc::new(BufferPool::new(file.clone(), stats.clone(), cap, false));
+        let pool = Arc::new(BufferPool::new(file.clone(), stats.clone(), cap, false, None));
         (Heap::new(pool, file, stats.clone(), placement, segs, 0, 1), stats)
     }
 
@@ -1690,7 +1690,7 @@ mod tests {
         let vfs = crate::vfs::RealVfs::arc();
         let stats = Arc::new(StorageStats::default());
         let file = Arc::new(PageFile::create(&vfs, &dir.join("d.pg"), stats.clone()).unwrap());
-        let pool = Arc::new(BufferPool::new(file.clone(), stats.clone(), 16, false));
+        let pool = Arc::new(BufferPool::new(file.clone(), stats.clone(), 16, false, None));
         let fat = Heap::new(pool, file, stats, Placement::AddressOrder, 1, 24, 16);
         assert_eq!(fat.stored_len(100), 144); // 5+24+100=129, aligned up to 144
         let oid = fat.alloc(SegmentId(0), ClusterHint::NONE, &[9u8; 100], 0).unwrap();

@@ -26,7 +26,8 @@
 //! | 29   | `Heap` epoch state (readers/condemned) |
 //! | 30   | `Heap` object-table shard              |
 //! | 32   | `Heap` segment placement state         |
-//! | 40   | `BufferPool::inner`                    |
+//! | 40   | `BufferPool::table` (page table)       |
+//! | 42   | `BufferPool` frame latch               |
 //! | 45   | `PageFile::file`                       |
 //! | 50   | `Wal::writer`                          |
 //! | 55   | `Wal::queue` (log-writer request queue)|
@@ -84,8 +85,18 @@ pub const HEAP_TABLE: LockRank = LockRank { rank: 30, name: "heap.object_table" 
 /// One segment's placement state (open page, page list, free list,
 /// chunk map).
 pub const HEAP_SEGMENT: LockRank = LockRank { rank: 32, name: "heap.segment" };
-/// The buffer pool's frame table.
-pub const BUFFER_POOL: LockRank = LockRank { rank: 40, name: "buffer_pool.frames" };
+/// The buffer pool's page table: which page lives in which frame, the
+/// free list and the clock hand. A short leaf-style section — it is
+/// never held across a page-file call or a WAL wait (the analyzer's
+/// blocking rule checks that), only across taking a frame latch that is
+/// known to be free.
+pub const BUFFER_POOL: LockRank = LockRank { rank: 40, name: "buffer_pool.table" };
+/// One buffer-pool frame's latch: guards the frame's bytes and dirty
+/// state, and is what page-file I/O for that frame runs under. Ranked
+/// above the page table (a frame is latched under the table only when
+/// unpinned, hence free) and below the page file it reads and writes.
+/// At most one is held per thread.
+pub const BUFFER_FRAME: LockRank = LockRank { rank: 42, name: "buffer_pool.frame" };
 /// The page file handle.
 pub const PAGE_FILE: LockRank = LockRank { rank: 45, name: "page_file.file" };
 /// The WAL append buffer / writer.

@@ -23,6 +23,12 @@
 //! restarts. The trailing checksum makes the meta file as self-checking
 //! as the pages it describes — a bit flipped at rest surfaces as a typed
 //! [`StorageError::Corrupt`], never as a silently wrong object table.
+//!
+//! Version 4 keeps the layout and changes what every checksum in the
+//! store computes (see [`crate::checksum`]): a version-3 store's pages,
+//! log frames and seal no longer verify, so it is refused by version,
+//! typed, before anything else is looked at. There is no compatibility
+//! reader.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -33,7 +39,7 @@ use crate::heap::Heap;
 use crate::vfs::{OpenMode, Vfs};
 
 const MAGIC: &[u8; 8] = b"LABFLOW1";
-const VERSION: u32 = 3;
+const VERSION: u32 = 4;
 
 /// The verification state a checkpoint persists alongside the heap dump.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -103,9 +109,8 @@ pub fn parse_meta_header(data: &[u8]) -> Result<(MetaState, &[u8])> {
     let (sealed, crc_bytes) =
         data.split_at_checked(data.len().saturating_sub(4)).ok_or_else(|| corrupt("too short"))?;
     let crc_arr: [u8; 4] = crc_bytes.try_into().map_err(|_| corrupt("too short"))?;
-    if fnv1a(sealed) != u32::from_le_bytes(crc_arr) {
-        return Err(corrupt("whole-file checksum mismatch (damaged at rest)"));
-    }
+    // Magic and version come first: another version seals with another
+    // checksum, and "unsupported version" is the accurate report.
     let (magic, rest) = sealed.split_at_checked(8).ok_or_else(|| corrupt("bad magic"))?;
     if magic != MAGIC {
         return Err(corrupt("bad magic"));
@@ -113,6 +118,9 @@ pub fn parse_meta_header(data: &[u8]) -> Result<(MetaState, &[u8])> {
     let (version, rest) = take_u32(rest, "short header")?;
     if version != VERSION {
         return Err(corrupt(&format!("unsupported version {version}")));
+    }
+    if fnv1a(sealed) != u32::from_le_bytes(crc_arr) {
+        return Err(corrupt("whole-file checksum mismatch (damaged at rest)"));
     }
     let (epoch, rest) = take_u64(rest, "short header")?;
     let (nquar, mut rest) = take_u32(rest, "short quarantine table")?;
@@ -162,7 +170,7 @@ mod tests {
         let vfs = RealVfs::arc();
         let stats = Arc::new(StorageStats::default());
         let file = Arc::new(PageFile::create(&vfs, &dir.join("d.pg"), stats.clone()).unwrap());
-        let pool = Arc::new(BufferPool::new(file.clone(), stats.clone(), 16, false));
+        let pool = Arc::new(BufferPool::new(file.clone(), stats.clone(), 16, false, None));
         (vfs, Heap::new(pool, file, stats, Placement::Segments, 2, 0, 1), dir.join("store.meta"))
     }
 
@@ -208,6 +216,31 @@ mod tests {
         data.extend_from_slice(&crc.to_le_bytes());
         std::fs::write(&path, &data).unwrap();
         assert!(matches!(read_meta(&vfs, &path, &heap), Err(StorageError::Corrupt(_))));
+    }
+
+    #[test]
+    fn version_3_store_is_refused_by_version() {
+        // A well-formed version-3 file, sealed the way version 3 sealed:
+        // byte-wise FNV-1a. It must be refused for its version, not
+        // reported as bit rot.
+        let (vfs, heap, path) = mk("v3");
+        let mut data = Vec::new();
+        data.extend_from_slice(MAGIC);
+        data.extend_from_slice(&3u32.to_le_bytes());
+        data.extend_from_slice(&7u64.to_le_bytes());
+        data.extend_from_slice(&0u32.to_le_bytes());
+        data.extend_from_slice(&0u32.to_le_bytes());
+        let old_seal = data
+            .iter()
+            .fold(0x811c_9dc5u32, |h, &b| (h ^ u32::from(b)).wrapping_mul(0x0100_0193));
+        data.extend_from_slice(&old_seal.to_le_bytes());
+        std::fs::write(&path, &data).unwrap();
+        match read_meta(&vfs, &path, &heap) {
+            Err(StorageError::Corrupt(detail)) => {
+                assert!(detail.contains("unsupported version 3"), "got {detail:?}");
+            }
+            other => panic!("expected a typed refusal, got {other:?}"),
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! header stamped on write and verified on read:
 //!
 //! ```text
-//! magic u32 | page id u32 | lsn u64 | fnv1a(pid ‖ lsn ‖ payload) u32 | reserved u32
+//! magic u32 | page id u32 | lsn u64 | fnv1a(pid ‖ lsn ‖ reserved ‖ payload) u32 | reserved u32
 //! ```
 //!
 //! The header answers three questions no raw read can: *is this the
@@ -65,6 +65,10 @@ pub enum PageRead {
 /// buffer for header assembly, and the verification state.
 struct FileState {
     handle: Box<dyn VfsFile>,
+    /// Physical length of the file in bytes. Only this type extends or
+    /// truncates the file, so the length is read once at open and kept
+    /// here instead of being asked of the handle on every page I/O.
+    len: u64,
     scratch: Vec<u8>,
     /// Per-page LSN floor: the LSN each page carried at the last
     /// checkpoint (0 = no written image expected). A durable image
@@ -141,6 +145,7 @@ impl PageFile {
         Ok(PageFile {
             file: Mutex::new(FileState {
                 handle: file,
+                len: 0,
                 scratch: vec![0u8; PAGE_SIZE],
                 versions: Vec::new(),
                 quarantined: BTreeSet::new(),
@@ -161,6 +166,7 @@ impl PageFile {
         Ok(PageFile {
             file: Mutex::new(FileState {
                 handle: file,
+                len,
                 scratch: vec![0u8; PAGE_SIZE],
                 versions: Vec::new(),
                 quarantined: BTreeSet::new(),
@@ -223,10 +229,9 @@ impl PageFile {
     /// sense that transient errors are retried; returns the verdict.
     fn load_and_verify(&self, st: &mut FileState, pid: PageId) -> Result<Verified> {
         let offset = pid.0 as u64 * PAGE_SIZE as u64;
-        let FileState { handle, scratch, versions, .. } = st;
+        let FileState { handle, len, scratch, versions, .. } = st;
         let floor = versions.get(pid.0 as usize).copied().unwrap_or(0);
-        let file_len =
-            with_retries(|| handle.len(), || StorageStats::bump(&self.stats.io_retries, 1))?;
+        let file_len = *len;
         if offset >= file_len {
             if floor > 0 {
                 return Ok(Verified::Bad(StorageError::PageChecksum {
@@ -357,16 +362,15 @@ impl PageFile {
         let mut guard = self.file.lock();
         let st = &mut *guard;
         let offset = pid.0 as u64 * PAGE_SIZE as u64;
-        let FileState { handle, scratch, versions, quarantined } = st;
-        let file_len =
-            with_retries(|| handle.len(), || StorageStats::bump(&self.stats.io_retries, 1))?;
-        if offset > file_len {
+        let FileState { handle, len, scratch, versions, quarantined } = st;
+        if offset > *len {
             // Keep the file dense in whole pages so read_page's bounds
             // logic stays simple.
             with_retries(
                 || handle.set_len(offset),
                 || StorageStats::bump(&self.stats.io_retries, 1),
             )?;
+            *len = offset;
         }
         let lsn = self.lsn.fetch_add(1, Ordering::AcqRel) + 1;
         let crc = page_crc(pid.0, lsn, 0, buf);
@@ -387,6 +391,7 @@ impl PageFile {
             || handle.write_at(offset, scratch),
             || StorageStats::bump(&self.stats.io_retries, 1),
         )?;
+        *len = (*len).max(offset + PAGE_SIZE as u64);
         if versions.len() <= pid.0 as usize {
             versions.resize(pid.0 as usize + 1, 0);
         }
@@ -411,7 +416,7 @@ impl PageFile {
 
     /// Current physical size of the file in bytes.
     pub fn len_bytes(&self) -> Result<u64> {
-        self.file.lock().handle.len()
+        Ok(self.file.lock().len)
     }
 }
 

@@ -3,14 +3,14 @@
 //! A handful of thread-local nanosecond counters, cheap enough to keep
 //! on in release builds: time spent blocked in the lock manager, time
 //! spent parked in `Wal::group_commit` waiting for the log-writer to
-//! cover a ticket, time spent *performing* a physical log force on this
-//! thread (the log-writer itself, or a buffer-pool steal guard forcing
-//! on a client thread), and time spent blocked on heap metadata locks
-//! (object-table shards, segment placement state). Worker threads —
-//! which the multi-client driver maps 1:1 to clients — snapshot the
-//! counters around a span of work and report the delta, so throughput
-//! tables can say not just *how fast* but *what each client was
-//! waiting on*.
+//! cover a ticket (a commit, or a page write the write-ahead gate is
+//! holding back), time spent *performing* a physical log force on this
+//! thread (only the log-writer does), and time spent blocked on heap
+//! metadata locks (object-table shards, segment placement state).
+//! Worker threads — which the multi-client driver maps 1:1 to clients —
+//! snapshot the counters around a span of work and report the delta, so
+//! throughput tables can say not just *how fast* but *what each client
+//! was waiting on*.
 
 use std::cell::Cell;
 
@@ -30,14 +30,15 @@ pub struct WaitSnapshot {
     /// waits that ended in a lock timeout).
     pub lock_wait_nanos: u64,
     /// Nanoseconds spent parked in WAL group commit, waiting for the
-    /// log-writer thread to cover this thread's ticket. Pure queue
-    /// wait: the physical force runs elsewhere and is charged to
-    /// `commit_force_nanos` on whichever thread performs it.
+    /// log-writer thread to cover this thread's ticket — a commit's, or
+    /// that of a page fault that found every evictable frame dirty and
+    /// ahead of the durable log. Pure queue wait: the physical force
+    /// runs elsewhere and is charged to `commit_force_nanos` on
+    /// whichever thread performs it.
     pub commit_wait_nanos: u64,
     /// Nanoseconds this thread spent *inside* a physical log force
-    /// (write-out or sync). Zero for ordinary clients — the log-writer
-    /// does their forcing — and nonzero when a buffer-pool steal guard
-    /// forces the log on a client thread mid-transaction.
+    /// (write-out or sync). Zero on every client thread: the log-writer
+    /// does all the forcing.
     pub commit_force_nanos: u64,
     /// Nanoseconds spent blocked on contended heap metadata locks
     /// (object-table shards and segment placement state). Uncontended

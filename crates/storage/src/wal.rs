@@ -350,6 +350,10 @@ struct WalWriter {
     /// dropping acknowledged commits) or at offset zero with no reset
     /// frame (recovery rejects the log as corrupt).
     pending_reset: Option<u64>,
+    /// The append mark ([`WalShared::appended`]) every byte below which
+    /// has been written out to the file (or discarded by a truncation
+    /// that made it redundant).
+    flushed_mark: u64,
 }
 
 impl WalWriter {
@@ -376,7 +380,10 @@ impl WalWriter {
         Ok(())
     }
 
-    fn flush(&mut self) -> Result<()> {
+    /// Write the buffered bodies out. `appended` is the append mark,
+    /// read by the caller under the writer lock it holds: the buffer is
+    /// drained whole, so on success everything below it is in the file.
+    fn flush(&mut self, appended: u64) -> Result<()> {
         self.repair_head()?;
         if !self.buf.is_empty() {
             // Assemble the batch now that each body's offset is final.
@@ -395,6 +402,7 @@ impl WalWriter {
             self.flushed += batch.len() as u64;
             self.buf.clear();
         }
+        self.flushed_mark = appended;
         Ok(())
     }
 }
@@ -480,6 +488,19 @@ struct WalShared {
     /// Bodies appended but not yet written out. Advisory — it only
     /// gates the idle-flush wakeup; the writer mutex owns the truth.
     buffered: AtomicU64,
+    /// The append mark: bytes ever appended through this handle. Unlike
+    /// the file offsets it never rewinds at a truncation, so a value
+    /// read once (a buffer-pool frame's stamp) stays comparable for the
+    /// life of the log. Advanced only under the writer lock (Release),
+    /// in buffer order; loaded lock-free (Acquire) by the buffer pool
+    /// when it stamps a frame.
+    appended: AtomicU64,
+    /// The synced watermark, in append marks: every record appended
+    /// below it is durable. Only ever advanced under the writer lock —
+    /// by a completed sync to the mark that was flushed when the sync
+    /// began, or by a truncation — and loaded lock-free (Acquire) by
+    /// the buffer pool's write gate.
+    synced: AtomicU64,
     /// Test hook: make the writer thread panic at its next claim, to
     /// prove committers get a typed error instead of a hang.
     #[cfg(test)]
@@ -664,7 +685,8 @@ impl WalShared {
         let started = Instant::now();
         let result = {
             let mut w = self.writer_lock();
-            w.flush().map(|()| self.buffered.store(0, Ordering::Relaxed))
+            w.flush(self.appended.load(Ordering::Acquire))
+                .map(|()| self.buffered.store(0, Ordering::Relaxed))
         };
         self.note_force(started);
         if result.is_ok() {
@@ -679,31 +701,26 @@ impl WalShared {
         let started = Instant::now();
         let result = {
             let mut w = self.writer_lock();
+            let covered = w.flushed_mark;
             let stats = self.stats.clone();
-            with_retries(|| w.file.sync(), || StorageStats::bump(&stats.io_retries, 1))
+            let synced =
+                with_retries(|| w.file.sync(), || StorageStats::bump(&stats.io_retries, 1));
+            if synced.is_ok() {
+                self.synced.fetch_max(covered, Ordering::Release);
+            }
+            synced
         };
         self.note_force(started);
         result
     }
 
     /// Attribute time spent inside a physical force: to the calling
-    /// thread's profile (meaningful for steal-guard forces on client
-    /// threads) and to the store-wide counter (the log-writer's work).
+    /// thread's profile (only the log-writer forces, so client threads
+    /// always read zero) and to the store-wide counter.
     fn note_force(&self, started: Instant) {
         let nanos = started.elapsed().as_nanos() as u64;
         waits::add_commit_force(nanos);
         StorageStats::bump(&self.stats.wal_force_nanos, nanos);
-    }
-
-    /// Synchronous force on the calling thread (steal guard, tests):
-    /// write out, and sync when `durable`. Queue watermarks are not
-    /// advanced — committers wait for the writer's own batches.
-    fn force(&self, durable: bool) -> Result<()> {
-        self.flush_batch()?;
-        if durable {
-            self.sync_batch()?;
-        }
-        Ok(())
     }
 
     /// Best-effort background write-out of appended records once the
@@ -712,7 +729,7 @@ impl WalShared {
     /// at the next real force.
     fn flush_idle(&self) {
         let mut w = self.writer_lock();
-        if w.flush().is_ok() {
+        if w.flush(self.appended.load(Ordering::Acquire)).is_ok() {
             self.buffered.store(0, Ordering::Relaxed);
         }
     }
@@ -777,6 +794,7 @@ impl Wal {
                 buf: Vec::new(),
                 stats: stats.clone(),
                 pending_reset: None,
+                flushed_mark: 0,
             }),
             queue: StdMutex::new(LogQueue::default()),
             work: Condvar::new(),
@@ -784,6 +802,8 @@ impl Wal {
             stats,
             window,
             buffered: AtomicU64::new(0),
+            appended: AtomicU64::new(0),
+            synced: AtomicU64::new(0),
             #[cfg(test)]
             panic_next_claim: std::sync::atomic::AtomicBool::new(false),
         });
@@ -799,7 +819,14 @@ impl Wal {
     pub fn append(&self, rec: &WalRecord) -> Result<()> {
         let body = encode_body(rec);
         let frame_len = (body.len() + 8) as u64;
-        self.writer_lock().buf.push(body);
+        {
+            // The mark moves under the lock that orders the buffer, so a
+            // thread that reads it after its own append reads a value
+            // covering that record and every record queued before it.
+            let mut w = self.writer_lock();
+            w.buf.push(body);
+            self.shared.appended.fetch_add(frame_len, Ordering::Release);
+        }
         self.shared.buffered.fetch_add(1, Ordering::Relaxed);
         self.written.fetch_add(frame_len, Ordering::Relaxed);
         StorageStats::bump(&self.shared.stats.wal_bytes, frame_len);
@@ -835,13 +862,48 @@ impl Wal {
         result
     }
 
-    /// Write out and sync the log unconditionally when `durable`, on
-    /// the calling thread. Crate visibility: the buffer pool's steal
-    /// guard forces the log before a dirty page may be written to the
-    /// data file (the write-ahead rule — without it a stolen page could
-    /// carry effects whose undo images are not yet durable).
-    pub(crate) fn force(&self, durable: bool) -> Result<()> {
-        self.shared.force(durable)
+    /// The append mark: bytes ever appended through this handle,
+    /// buffered or not. The buffer pool stamps a frame with it whenever
+    /// the frame is dirtied; because `update`/`free` append their record
+    /// (with its undo image) before the heap mutates, the stamp covers
+    /// every record describing the frame's contents. Monotone — it does
+    /// not rewind at [`Wal::truncate`].
+    pub(crate) fn appended(&self) -> u64 {
+        self.shared.appended.load(Ordering::Acquire)
+    }
+
+    /// The synced watermark: every record appended below this mark is
+    /// durable. The buffer pool may write a dirty frame to the data
+    /// file iff the frame's stamp is at or below it (the write-ahead
+    /// rule).
+    pub(crate) fn synced(&self) -> u64 {
+        self.shared.synced.load(Ordering::Acquire)
+    }
+
+    /// Ask the log-writer for a sync without waiting for it: the next
+    /// batch it claims writes out and syncs, advancing [`Wal::synced`]
+    /// past everything appended so far. Takes no ticket — a commit that
+    /// arrives before the claim shares the batch.
+    pub(crate) fn request_sync(&self) {
+        {
+            let _rank = lock_order::acquire(lock_order::WAL_QUEUE);
+            let mut q = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
+            q.pending_syncs += 1;
+        }
+        self.shared.work.notify_one();
+    }
+
+    /// Block until [`Wal::synced`] has reached `mark` (which must have
+    /// been read from [`Wal::appended`]). The sync itself runs on the
+    /// log-writer; the caller parks on the ticket queue like a durable
+    /// committer and is charged commit *wait*, not force time.
+    pub(crate) fn wait_synced(&self, mark: u64) -> Result<()> {
+        if self.synced() >= mark {
+            return Ok(());
+        }
+        // A durable ticket taken now is covered by a batch that writes
+        // out everything appended so far — `mark` included — and syncs.
+        self.group_commit(true)
     }
 
     /// Read every intact record from the start of the log.
@@ -928,6 +990,12 @@ impl Wal {
         let stats = self.shared.stats.clone();
         with_retries(|| w.file.sync(), || StorageStats::bump(&stats.io_retries, 1))?;
         self.written.store(w.flushed, Ordering::Relaxed);
+        // The checkpoint behind this truncation wrote every dirty page
+        // through the gate, so nothing below the current append mark is
+        // still owed to the log: the three marks move together.
+        let appended = self.shared.appended.load(Ordering::Acquire);
+        w.flushed_mark = appended;
+        self.shared.synced.fetch_max(appended, Ordering::Release);
         Ok(())
     }
 
@@ -1345,16 +1413,99 @@ mod tests {
     }
 
     #[test]
-    fn steal_guard_force_charges_the_forcing_thread() {
-        let path = tmp("force-attr");
+    fn gate_wait_is_queue_wait_not_force_time() {
+        // A page write blocked on the write-ahead gate parks on the
+        // ticket queue like a durable committer. The physical force runs
+        // on the log-writer, so the blocked thread is charged wait time
+        // and no force time.
+        let path = tmp("gate-attr");
+        let vfs = RealVfs::arc();
+        let stats = Arc::new(StorageStats::default());
+        let wal = Wal::create(&vfs, &path, stats.clone(), None).unwrap();
+        wal.append(&WalRecord::Begin(1)).unwrap();
+        let mark = wal.appended();
+        assert!(wal.synced() < mark, "an appended record is not durable until a sync");
+        let before = crate::waits::snapshot();
+        wal.wait_synced(mark).unwrap();
+        let d = crate::waits::snapshot().delta(&before);
+        assert!(wal.synced() >= mark, "the wait returns only once the mark is covered");
+        assert!(d.commit_wait_nanos > 0, "a blocked gate is queue wait");
+        assert_eq!(d.commit_force_nanos, 0, "the force ran on the log-writer, not here");
+        assert!(stats.snapshot().wal_force_nanos > 0);
+        // A mark already covered costs nothing: no ticket, no wait.
+        let forces = stats.snapshot().wal_syncs;
+        let before = crate::waits::snapshot();
+        wal.wait_synced(mark).unwrap();
+        assert_eq!(crate::waits::snapshot().delta(&before).commit_wait_nanos, 0);
+        assert_eq!(stats.snapshot().wal_syncs, forces);
+    }
+
+    #[test]
+    fn requested_sync_advances_the_watermark_without_a_waiter() {
+        let path = tmp("gate-async");
         let vfs = RealVfs::arc();
         let stats = Arc::new(StorageStats::default());
         let wal = Wal::create(&vfs, &path, stats, None).unwrap();
         wal.append(&WalRecord::Begin(1)).unwrap();
-        let before = crate::waits::snapshot();
-        wal.force(true).unwrap();
-        let d = crate::waits::snapshot().delta(&before);
-        assert!(d.commit_force_nanos > 0, "a synchronous force is charged to its caller");
+        wal.append(&WalRecord::Commit(1)).unwrap();
+        let mark = wal.appended();
+        wal.request_sync();
+        // Nobody parks on this request; the only way to observe it is
+        // the watermark itself.
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while wal.synced() < mark {
+            assert!(Instant::now() < deadline, "the log-writer never served the request");
+            std::thread::yield_now();
+        }
+        let replayed = Wal::replay(&vfs, &path).unwrap();
+        assert_eq!(replayed.records, vec![WalRecord::Begin(1), WalRecord::Commit(1)]);
+    }
+
+    #[test]
+    fn append_marks_survive_a_truncation() {
+        // File offsets rewind at a checkpoint; append marks must not —
+        // a frame stamp read before the truncation has to stay
+        // comparable with the watermark after it.
+        let path = tmp("gate-trunc");
+        let vfs = RealVfs::arc();
+        let stats = Arc::new(StorageStats::default());
+        let wal = Wal::create(&vfs, &path, stats, None).unwrap();
+        for rec in sample_records() {
+            wal.append(&rec).unwrap();
+        }
+        let before = wal.appended();
+        assert!(wal.synced() < before);
+        wal.truncate(4).unwrap();
+        assert_eq!(wal.appended(), before, "truncation appends nothing and rewinds nothing");
+        assert_eq!(wal.synced(), before, "a checkpoint leaves nothing owed to the log");
+        assert!(wal.flushed_lsn() < before, "the file offset space did rewind");
+        wal.append(&WalRecord::Begin(9)).unwrap();
+        assert!(wal.appended() > wal.synced());
+        wal.wait_synced(wal.appended()).unwrap();
+        assert_eq!(wal.synced(), wal.appended());
+    }
+
+    #[test]
+    fn any_single_bit_flip_in_a_frame_changes_its_checksum() {
+        let body = encode_body(&WalRecord::Update {
+            txn: 3,
+            oid: Oid::from_raw(77),
+            data: (0..200u8).collect(),
+            old: (0..=255u8).rev().collect(),
+        });
+        let offset = 12_345u64;
+        let clean = frame_crc(offset, &body);
+        let mut rotted = body.clone();
+        for bit in 0..rotted.len() * 8 {
+            rotted[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(frame_crc(offset, &rotted), clean, "body bit {bit}");
+            rotted[bit / 8] ^= 1 << (bit % 8);
+        }
+        // The offset is part of the sum: the same body one byte along
+        // (or one bit away) is a different frame.
+        for bit in 0..64 {
+            assert_ne!(frame_crc(offset ^ (1 << bit), &body), clean, "offset bit {bit}");
+        }
     }
 
     #[test]

@@ -639,7 +639,7 @@ mod tests {
         let findings = analyze(&[load_fixture("lock_nesting.rs")]);
         assert!(
             findings.iter().any(|f| f.pass == "lock-order"
-                && f.msg.contains("buffer-pool frame table (rank 40)")
+                && f.msg.contains("buffer-pool page table (rank 40)")
                 && f.msg.contains("WAL append buffer (rank 50)")),
             "WAL_WRITER -> BUFFER_POOL inversion must be flagged"
         );
@@ -702,7 +702,7 @@ mod tests {
         // increase rank.
         assert!(
             !findings.iter().any(|f| f.pass == "lock-order"
-                && f.msg.starts_with("acquires buffer-pool frame table")
+                && f.msg.starts_with("acquires buffer-pool page table")
                 && f.msg.contains("heap object-table shard (rank 30)")),
             "correctly ordered nesting must not be flagged"
         );
@@ -716,7 +716,7 @@ mod tests {
         assert!(
             !findings.iter().any(|f| f.pass == "lock-order"
                 && f.msg.starts_with("acquires heap object-table shard")
-                && f.msg.contains("buffer-pool frame table (rank 40)")),
+                && f.msg.contains("buffer-pool page table (rank 40)")),
             "allow(lock_order) marker must suppress the per-edge finding"
         );
     }
@@ -828,6 +828,48 @@ mod tests {
                 && f.msg.starts_with("acquires replication follower state")
                 && f.msg.contains("replication ack table (rank 76)")),
             "acks -> follower is the documented order and must not be flagged"
+        );
+    }
+
+    #[test]
+    fn fixture_pool_table_lock_across_io_is_flagged() {
+        // The buffer pool's rule: the page table is never held across
+        // page-file I/O or a wait on the log. All three seeded sites
+        // must be flagged, each naming the page table; the pool's real
+        // shape (I/O under the frame latch alone, with its marker) must
+        // stay silent.
+        let findings = analyze(&[load_fixture("pool_latches.rs")]);
+        for callee in ["read_page", "write_page", "wait_synced"] {
+            assert!(
+                findings.iter().any(|f| f.pass == "blocking"
+                    && f.msg.contains("buffer-pool page table")
+                    && f.msg.contains(&format!("`{callee}(..)`"))),
+                "page table held across `{callee}` must be flagged"
+            );
+        }
+        let blocking = findings.iter().filter(|f| f.pass == "blocking").count();
+        assert_eq!(blocking, 3, "the marked I/O under a frame latch must not be flagged");
+    }
+
+    #[test]
+    fn fixture_frame_latch_inversions_are_flagged() {
+        let findings = analyze(&[load_fixture("pool_latches.rs")]);
+        assert!(
+            findings.iter().any(|f| f.pass == "lock-order"
+                && f.msg.starts_with("acquires buffer-pool page table (rank 40)")
+                && f.msg.contains("buffer-pool frame latch (rank 42)")),
+            "BUFFER_FRAME -> BUFFER_POOL inversion must be flagged"
+        );
+        assert!(
+            findings.iter().any(|f| f.pass == "lock-order"
+                && f.msg.starts_with("acquires heap segment placement state (rank 32)")
+                && f.msg.contains("buffer-pool frame latch (rank 42)")),
+            "BUFFER_FRAME -> HEAP_SEGMENT inversion must be flagged"
+        );
+        assert!(
+            !findings.iter().any(|f| f.pass == "lock-order"
+                && f.msg.starts_with("acquires buffer-pool frame latch")),
+            "page table, then frame latch is the documented order"
         );
     }
 

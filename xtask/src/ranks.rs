@@ -22,7 +22,8 @@ pub const RANK_CONSTS: &[(&str, u16, &str)] = &[
     ("HEAP_EPOCH", 29, "heap version-reclamation epoch state"),
     ("HEAP_TABLE", 30, "heap object-table shard"),
     ("HEAP_SEGMENT", 32, "heap segment placement state"),
-    ("BUFFER_POOL", 40, "buffer-pool frame table"),
+    ("BUFFER_POOL", 40, "buffer-pool page table"),
+    ("BUFFER_FRAME", 42, "buffer-pool frame latch"),
     ("PAGE_FILE", 45, "page file handle"),
     ("WAL_WRITER", 50, "WAL append buffer"),
     ("WAL_QUEUE", 55, "WAL log-writer request queue"),
@@ -76,7 +77,7 @@ pub fn name_of_rank(rank: u16) -> String {
 /// How an acquisition site is recognised.
 pub enum RuleKind {
     /// A zero-argument method whose name alone identifies the lock
-    /// (rank-wrapping helpers like `pool_lock()`).
+    /// (rank-wrapping helpers like `table_lock()`).
     Helper(&'static str),
     /// `recv.method()` where `recv` is the lock field's name and
     /// `method` is a zero-argument `lock`/`read`/`write`.
@@ -110,7 +111,10 @@ pub fn rules() -> Vec<LockRule> {
         LockRule { crate_dir: "storage", kind: Helper("global_write"), rank: 28 },
         LockRule { crate_dir: "storage", kind: Helper("table_read"), rank: 30 },
         LockRule { crate_dir: "storage", kind: Helper("table_write"), rank: 30 },
-        LockRule { crate_dir: "storage", kind: Helper("pool_lock"), rank: 40 },
+        // The buffer pool's two locks: the page table, and a frame's
+        // latch (`frame.latch()`), which is what page-file I/O runs under.
+        LockRule { crate_dir: "storage", kind: Helper("table_lock"), rank: 40 },
+        LockRule { crate_dir: "storage", kind: Helper("latch"), rank: 42 },
         LockRule { crate_dir: "storage", kind: Helper("writer_lock"), rank: 50 },
         LockRule { crate_dir: "storage", kind: Helper("sim_lock"), rank: 60 },
         // Engine's active-table accessor and Shard::lock are helpers too.
@@ -175,6 +179,12 @@ pub fn rules() -> Vec<LockRule> {
 /// across one of these is a violation unless the guard IS the thing
 /// being waited on / synced (receiver-root and first-argument
 /// exemptions in the checker), or an `allow(blocking)` marker applies.
+///
+/// `read_page` / `write_page` are the page file's I/O: listing them is
+/// what makes "no file I/O under the buffer pool's page-table lock"
+/// machine-checked. The two sites that run them under a *frame latch*
+/// (the I/O latch, by design) carry the marker; `wait_synced` is the
+/// pool's wait on the log.
 pub const BLOCKING_FNS: &[&str] = &[
     "wait",
     "wait_timeout",
@@ -185,6 +195,9 @@ pub const BLOCKING_FNS: &[&str] = &[
     "flush",
     "force",
     "group_commit",
+    "wait_synced",
+    "read_page",
+    "write_page",
     "join",
     "recv",
     "recv_timeout",
