@@ -1585,38 +1585,44 @@ mod tests {
         Ok(())
     }
 
-    #[test]
-    fn crash_inside_checkpoint_flush_leaves_no_page_ahead_of_the_log() {
-        // `sync_commit: false`: commits are written out, not synced. A
-        // checkpoint flush that went to the data file without first
-        // having the log synced could, on a crash inside it, leave page
-        // images — GC-freed slots included — whose log records never
-        // became durable. Sweep the plug-pull across every file
-        // operation of the checkpoint; each recovered image must be some
-        // committed prefix, whole, and scrub clean.
-        const LAST: u8 = 6;
-        let dir = PathBuf::from("/sim/ckpt-gate");
-        let opts = Options { buffer_pages: 16, ..Options::default() };
-        let build = |seed: u64| -> (SimVfs, Arc<dyn Vfs>, Engine, Vec<Oid>) {
-            let sim = SimVfs::new(seed);
-            let vfs: Arc<dyn Vfs> = Arc::new(sim.clone());
-            let store = OStore::create_with(vfs.clone(), &dir, opts.clone()).unwrap();
-            let txn = store.begin().unwrap();
-            let oids: Vec<Oid> = (0..40)
-                .map(|_| store.allocate(txn, SegmentId(0), ClusterHint::NONE, &[0; 700]).unwrap())
-                .collect();
-            store.commit(txn).unwrap();
-            store.checkpoint().unwrap();
-            rewrite_all(&store, &oids, 1..LAST + 1).unwrap();
-            (sim, vfs, store, oids)
-        };
-        for seed in 0..2u64 {
-            let (sim, _vfs, store, _oids) = build(seed);
+    /// What a crash sweep runs against: forty 700-byte objects committed
+    /// and checkpointed, then whatever `more` adds.
+    type Built = (SimVfs, Arc<dyn Vfs>, Engine, Vec<Oid>);
+
+    fn build_forty(dir: &Path, opts: &Options, seed: u64, more: impl Fn(&Engine, &[Oid])) -> Built {
+        let sim = SimVfs::new(seed);
+        let vfs: Arc<dyn Vfs> = Arc::new(sim.clone());
+        let store = OStore::create_with(vfs.clone(), dir, opts.clone()).unwrap();
+        let txn = store.begin().unwrap();
+        let oids: Vec<Oid> = (0..40)
+            .map(|_| store.allocate(txn, SegmentId(0), ClusterHint::NONE, &[0; 700]).unwrap())
+            .collect();
+        store.commit(txn).unwrap();
+        store.checkpoint().unwrap();
+        more(&store, &oids);
+        (sim, vfs, store, oids)
+    }
+
+    /// Pull the plug at every file operation of `phase`, on a fresh
+    /// `build` each time, and recover. Each recovered image must be
+    /// some committed prefix, whole — every object holds the same
+    /// transaction's bytes, one of `values`, the last of them if `phase`
+    /// finished — and scrub clean.
+    fn crash_sweep(
+        seeds: std::ops::Range<u64>,
+        dir: &Path,
+        opts: &Options,
+        build: impl Fn(u64) -> Built,
+        phase: impl Fn(&Engine, &[Oid]) -> Result<()>,
+        values: std::ops::RangeInclusive<u8>,
+    ) {
+        for seed in seeds {
+            let (sim, _vfs, store, oids) = build(seed);
             let first = sim.op_count();
-            store.checkpoint().unwrap();
+            phase(&store, &oids).unwrap();
             let ops = sim.op_count() - first;
             drop(store);
-            assert!(ops > 10, "the checkpoint must have pages to flush");
+            assert!(ops > 10, "the phase must have pages to write");
             for k in 0..ops {
                 let (sim, vfs, store, oids) = build(seed);
                 sim.set_plan(FaultPlan {
@@ -1624,27 +1630,109 @@ mod tests {
                     writeback: true,
                     ..FaultPlan::default()
                 });
-                let finished = store.checkpoint().is_ok();
+                let finished = phase(&store, &oids).is_ok();
                 drop(store);
                 sim.power_loss();
-                let ctx = format!("seed {seed}, checkpoint op {k}");
-                let store = OStore::open_with(vfs.clone(), &dir, opts.clone())
+                let ctx = format!("seed {seed}, op {k}");
+                let store = OStore::open_with(vfs.clone(), dir, opts.clone())
                     .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
                 let seen: Vec<Vec<u8>> = oids.iter().map(|&o| store.read(o).unwrap()).collect();
                 let v = seen[0][0];
-                assert!(v <= LAST, "{ctx}: object holds a value nobody wrote");
+                assert!(values.contains(&v), "{ctx}: object holds a value nobody committed");
                 assert!(
                     seen.iter().all(|d| d == &vec![v; 700]),
                     "{ctx}: recovered objects disagree about the last committed transaction"
                 );
                 if finished {
-                    assert_eq!(v, LAST, "{ctx}: a finished checkpoint lost commits");
+                    assert_eq!(v, *values.end(), "{ctx}: a finished phase lost commits");
                 }
+                assert_eq!(store.object_count(), oids.len(), "{ctx}");
                 drop(store);
-                let report = crate::scrub::scrub_store(&vfs, &dir).unwrap();
+                let report = crate::scrub::scrub_store(&vfs, dir).unwrap();
                 assert!(report.clean(), "{ctx}: scrub found damage: {:?}", report.corrupt);
             }
         }
+    }
+
+    #[test]
+    fn crash_inside_checkpoint_flush_leaves_no_page_ahead_of_the_log() {
+        // `sync_commit: false`: commits are written out, not synced. A
+        // checkpoint flush that went to the data file without first
+        // having the log synced could, on a crash inside it, leave page
+        // images — GC-freed slots included — whose log records never
+        // became durable. Sweep the plug-pull across every file
+        // operation of the checkpoint.
+        const LAST: u8 = 6;
+        let dir = PathBuf::from("/sim/ckpt-gate");
+        let opts = Options { buffer_pages: 16, ..Options::default() };
+        let build = |seed| {
+            build_forty(&dir, &opts, seed, |store, oids| {
+                rewrite_all(store, oids, 1..LAST + 1).unwrap()
+            })
+        };
+        crash_sweep(0..2, &dir, &opts, build, |store, _| store.checkpoint(), 0..=LAST);
+    }
+
+    #[test]
+    fn steady_state_updates_keep_the_file_flat() {
+        // One object, 10,000 committed updates, a checkpoint every 100.
+        // Each interval leaves a hundred dead versions; checkpoint GC
+        // frees them and the pages they emptied must be what the next
+        // interval writes to. Append-only placement grew this file by
+        // ~18 pages per interval, forever.
+        let opts = Options { sync_commit: false, ..Options::default() };
+        for profile in [Profile::ostore(), Profile::texas(), Profile::texas_tc()] {
+            let name = profile.name;
+            let vfs: Arc<dyn Vfs> = Arc::new(SimVfs::new(3));
+            let store =
+                Engine::create_with(vfs, Path::new("/sim/steady"), profile, opts.clone()).unwrap();
+            let t = store.begin().unwrap();
+            let oid = store.allocate(t, SegmentId(0), ClusterHint::NONE, &[0; 700]).unwrap();
+            store.commit(t).unwrap();
+            let mut warm = 0;
+            for i in 1..=10_000u32 {
+                let t = store.begin().unwrap();
+                store.update(t, oid, &[(i % 251) as u8; 700]).unwrap();
+                store.commit(t).unwrap();
+                if i % 100 == 0 {
+                    store.checkpoint().unwrap();
+                }
+                if i == 1_000 {
+                    warm = store.data_pages();
+                }
+            }
+            assert_eq!(store.read(oid).unwrap(), vec![(10_000 % 251) as u8; 700]);
+            assert_eq!(store.data_pages(), warm, "{name}: the file grew after warm-up");
+            assert!(warm < 50, "{name}: 100 versions of 700 bytes need ~20 pages, took {warm}");
+            assert!(store.stats().pages_recycled > 1_000, "{name}: {:?}", store.stats());
+        }
+    }
+
+    #[test]
+    fn crash_after_gc_emptied_pages_were_reused_recovers_exactly() {
+        // Checkpoint k's GC empties the pages the first versions lived
+        // on and its meta flip records them as free. The next
+        // transactions are written onto those pages, unread, and through
+        // a 16-page pool the new images are stolen to disk early. Sweep
+        // the plug-pull from there to the end of checkpoint k+1.
+        const LAST: u8 = 4;
+        let dir = PathBuf::from("/sim/reuse-crash");
+        let opts = Options { buffer_pages: 16, ..Options::default() };
+        let build = |seed| {
+            build_forty(&dir, &opts, seed, |store, oids| {
+                rewrite_all(store, oids, 1..2).unwrap();
+                store.checkpoint().unwrap(); // checkpoint k
+                assert!(store.stats().pages_recycled >= 7, "GC must have emptied the first pages");
+            })
+        };
+        let after_k = |store: &Engine, oids: &[Oid]| {
+            let pages = store.data_pages();
+            rewrite_all(store, oids, 2..LAST + 1)?;
+            // 24 pages of new versions, 8 of them onto the recycled pages.
+            assert!(store.data_pages() <= pages + 16, "the freed pages were not reused");
+            store.checkpoint()
+        };
+        crash_sweep(0..8, &dir, &opts, build, after_k, 1..=LAST);
     }
 
     #[test]

@@ -5,12 +5,12 @@
 //! The heap is policy-parameterized so one implementation serves both
 //! storage-manager personalities:
 //!
-//! * **segment placement** (ObjectStore-like): each [`SegmentId`] appends
-//!   to its own run of pages, so co-segment objects share pages;
+//! * **segment placement** (ObjectStore-like): each [`SegmentId`] fills
+//!   its own pages, so co-segment objects share pages;
 //! * **address-order placement** (Texas-like): a single segment, every
-//!   allocation appended to the current end of the heap — interleaving
-//!   whatever the client happens to allocate next, which is exactly the
-//!   locality problem the paper measures;
+//!   allocation placed on the one open page — interleaving whatever the
+//!   client happens to allocate next, which is exactly the locality
+//!   problem the paper measures;
 //! * **client chunks** (Texas+TC): the client-code clustering of the
 //!   paper's "Texas+TC" version — the client routes each allocation to a
 //!   per-type chunk (keyed on the segment id the storage manager itself
@@ -20,6 +20,24 @@
 //! Per-object overhead (`extra_header` + `align`) models the handle /
 //! swizzle-entry / alignment cost that made the paper's Texas databases
 //! ~48% larger than ObjectStore's.
+//!
+//! # Space management
+//!
+//! Every update writes a fresh record and leaves the old version to be
+//! freed later (a pending one at once, a committed one by checkpoint
+//! GC), so the heap has to write freed space again or the file grows
+//! with the update count. Three rules, all in [`Heap::placement_page`]
+//! and [`Heap::free_slot`] (DESIGN.md, "Space management"):
+//!
+//! * the fit test is [`page::fits`], the predicate `page::insert`
+//!   itself decides by, so dead bytes on the open page count as room;
+//! * a page whose last live record is freed goes back to its segment's
+//!   free list and is rewritten wholesale, unread, by the next
+//!   [`Heap::take_page`] — unless it is the open page, a chunk target
+//!   or quarantined;
+//! * under [`Placement::Segments`], a page a free leaves at least
+//!   [`ROOMY_BYTES`] reclaimable is remembered, and remembered pages
+//!   are reopened in page order before the file is extended.
 //!
 //! # Sharding
 //!
@@ -58,7 +76,7 @@
 //! shard is hot.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -94,6 +112,10 @@ const OVERFLOW_HDR: usize = 13;
 const OVERFLOW_CAP: usize = PAGE_PAYLOAD - 8;
 /// "No next page" sentinel in overflow chains.
 const NO_PAGE: u32 = 0xFFFF_FFFF;
+
+/// A page with at least this much reclaimable after a free is worth
+/// reopening for placement: a quarter of the payload.
+const ROOMY_BYTES: usize = PAGE_PAYLOAD / 4;
 
 /// Physical location of an object.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -216,14 +238,22 @@ pub enum Placement {
 /// segment needs, and nothing any other segment touches.
 struct SegPlace {
     open_page: Option<PageId>,
-    pages: Vec<PageId>,
+    /// The segment's slotted pages (overflow chunk pages are reachable
+    /// only through their header records).
+    pages: BTreeSet<PageId>,
     /// Client-chunk targets (used only on segment 0 under
     /// [`Placement::ClientChunks`]; a placement cache, safe to drop).
     chunks: HashMap<u64, PageId>,
-    /// Pages reclaimed from freed overflow chains, awaiting reuse by
-    /// this segment. Reuse rewrites a page wholesale without reading it,
-    /// which also heals quarantined pages.
+    /// Pages awaiting reuse by this segment: freed overflow chains, and
+    /// slotted pages whose last live record was freed. Reuse rewrites a
+    /// page wholesale without reading it.
     free_pages: Vec<PageId>,
+    /// Pages of `pages` that a free left with [`ROOMY_BYTES`] or more
+    /// reclaimable, reopened lowest page first (an ordered set, so one
+    /// op stream always grows the same file). A placement cache like
+    /// `chunks`: an entry may be stale, so placement re-tests the page,
+    /// and the set is not persisted.
+    roomy: BTreeSet<PageId>,
 }
 
 struct SegShard {
@@ -239,9 +269,10 @@ impl SegShard {
     fn empty() -> Self {
         SegShard::new(SegPlace {
             open_page: None,
-            pages: Vec::new(),
+            pages: BTreeSet::new(),
             chunks: HashMap::new(),
             free_pages: Vec::new(),
+            roomy: BTreeSet::new(),
         })
     }
 }
@@ -268,6 +299,29 @@ pub struct HeapContention {
     pub table_shards: Vec<u64>,
     /// Contended acquisitions per segment placement lock.
     pub segments: Vec<u64>,
+}
+
+/// Where one segment's bytes are, from [`Heap::space_report`]. For the
+/// slotted pages, `live + dead + gap + dir` is exactly `pages` payloads.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SegmentSpace {
+    /// Slotted pages the segment owns.
+    pub pages: u64,
+    /// Bytes of live records as stored (record header and per-object
+    /// overhead included).
+    pub live_bytes: u64,
+    /// Bytes of freed records not yet compacted away.
+    pub dead_bytes: u64,
+    /// Bytes between slot directories and records.
+    pub gap_bytes: u64,
+    /// Page-header and slot-directory bytes.
+    pub dir_bytes: u64,
+    /// Slotted pages holding no live record.
+    pub empty_pages: u64,
+    /// Overflow chunk pages behind the segment's live header records.
+    pub overflow_pages: u64,
+    /// Pages on the segment's free list.
+    pub free_pages: u64,
 }
 
 /// The object heap. Thread-safe; metadata sharded by oid (object table)
@@ -563,8 +617,9 @@ impl Heap {
         place.free_pages.pop().unwrap_or_else(|| self.file.allocate_page())
     }
 
-    /// Pick the page an allocation of `need` stored bytes should go to,
-    /// opening a new page if necessary. Returns `(page, fresh)`.
+    /// Pick the page an allocation of `need` stored bytes should go to:
+    /// the segment's target page if the record fits it, else a roomy
+    /// page, else a free or new one. Returns `(page, fresh)`.
     fn placement_page(
         &self,
         place: &mut SegPlace,
@@ -572,30 +627,34 @@ impl Heap {
         hint: ClusterHint,
         need: usize,
     ) -> Result<(PageId, bool)> {
-        if self.placement == Placement::ClientChunks {
-            let _ = hint; // advisory only; the TC policy clusters by type
-            let key = 1 + seg.0 as u64;
-            if let Some(&pid) = place.chunks.get(&key) {
-                let fits = self.pool.with_page(pid, |buf| page::free_space(buf) >= need)?;
-                if fits {
-                    return Ok((pid, false));
-                }
+        let _ = hint; // advisory only; the TC policy clusters by type
+        let chunk = (self.placement == Placement::ClientChunks).then_some(1 + seg.0 as u64);
+        let target = match chunk {
+            Some(key) => place.chunks.get(&key).copied(),
+            None => place.open_page,
+        };
+        if let Some(pid) = target {
+            if self.pool.with_page(pid, |buf| page::fits(buf, need))? {
+                return Ok((pid, false));
             }
-            let pid = self.take_page(place);
-            place.chunks.insert(key, pid);
-            place.pages.push(pid);
-            return Ok((pid, true));
         }
-
-        if let Some(pid) = place.open_page {
-            let fits = self.pool.with_page(pid, |buf| page::free_space(buf) >= need)?;
-            if fits {
+        // Empty unless placement is by segment. A stale entry (the page
+        // was refilled since, or can no longer be read) costs one look.
+        while let Some(pid) = place.roomy.pop_first() {
+            if matches!(self.pool.with_page(pid, |buf| page::fits(buf, need)), Ok(true)) {
+                place.open_page = Some(pid);
+                StorageStats::bump(&self.stats.pages_refilled, 1);
                 return Ok((pid, false));
             }
         }
         let pid = self.take_page(place);
-        place.open_page = Some(pid);
-        place.pages.push(pid);
+        match chunk {
+            Some(key) => {
+                place.chunks.insert(key, pid);
+            }
+            None => place.open_page = Some(pid),
+        }
+        place.pages.insert(pid);
         Ok((pid, true))
     }
 
@@ -1202,6 +1261,10 @@ impl Heap {
         // No lock held across the wait; see `epoch_sync`.
         self.epoch_sync();
         let n = condemned.len() as u64;
+        // The sweep above collected in hash order. Freeing in page order
+        // makes which pages end up recycled or roomy, and in what order,
+        // a function of the op stream alone — and visits each page once.
+        condemned.sort_unstable_by_key(|loc| (loc.page, loc.slot.0));
         let g = self.global_read();
         for loc in condemned {
             self.free_slot(&g, loc);
@@ -1209,25 +1272,52 @@ impl Heap {
         n
     }
 
-    /// Physically free one unlinked record: return its overflow chain
-    /// (if any) to the segment free list and clear the slot. Best
-    /// effort — damaged or quarantined pages are leaked, matching the
-    /// recovery paths' policy.
+    /// Physically free one unlinked record: clear the slot, return its
+    /// overflow chain (if any) to the segment free list, and note what
+    /// the free left behind for placement. Best effort — damaged or
+    /// quarantined pages are leaked, matching the recovery paths' policy.
+    ///
+    /// One pool access; the segment lock is taken only when there is
+    /// something to tell placement, not per freed record.
     fn free_slot(&self, g: &HeapGlobal, loc: Loc) {
-        let stored = match self
-            .pool
-            .with_page(loc.page, |buf| page::read(buf, loc.slot).map(|s| s.to_vec()))
-        {
-            Ok(Some(s)) => s,
-            _ => return,
-        };
-        if Self::is_overflow(&stored) {
-            if let Ok(seg_idx) = self.resolve_seg(g, loc.seg) {
-                let mut place = self.seg_lock(g, seg_idx);
-                let _ = self.free_overflow(&mut place, &stored);
-            }
+        let freed = self.pool.with_page_mut(loc.page, |buf| {
+            let rec = page::read(buf, loc.slot)?;
+            let chain = Self::is_overflow(rec).then(|| rec.to_vec());
+            page::remove(buf, loc.slot);
+            Some((chain, page::is_empty(buf), page::reclaimable(buf)))
+        });
+        let Ok(Some((chain, emptied, reclaimable))) = freed else { return };
+        let roomy = self.placement == Placement::Segments && reclaimable >= ROOMY_BYTES;
+        if chain.is_none() && !emptied && !roomy {
+            return;
         }
-        let _ = self.pool.with_page_mut(loc.page, |buf| page::remove(buf, loc.slot));
+        let Ok(seg_idx) = self.resolve_seg(g, loc.seg) else { return };
+        let mut place = self.seg_lock(g, seg_idx);
+        if let Some(header) = chain {
+            let _ = self.free_overflow(&mut place, &header);
+        }
+        // A page placement is writing to stays where it is.
+        let pid = loc.page;
+        if place.open_page == Some(pid)
+            || place.chunks.values().any(|&p| p == pid)
+            || !place.pages.contains(&pid)
+        {
+            return;
+        }
+        // `emptied` was measured before the lock, and the page may have
+        // been reopened and refilled since. Inserts happen only under
+        // this lock, so what it reads now stands.
+        if emptied
+            && !self.file.is_quarantined(pid)
+            && matches!(self.pool.with_page(pid, page::is_empty), Ok(true))
+        {
+            place.pages.remove(&pid);
+            place.roomy.remove(&pid);
+            place.free_pages.push(pid);
+            StorageStats::bump(&self.stats.pages_recycled, 1);
+        } else if roomy {
+            place.roomy.insert(pid);
+        }
     }
 
     /// Whether an object exists (newest committed version is data).
@@ -1295,11 +1385,43 @@ impl Heap {
         (0..g.segs.len()).map(|i| self.seg_lock(&g, i).pages.len()).collect()
     }
 
+    /// Read every slotted page and say where each segment's bytes are.
+    /// Read-only; meant for an offline image (`cargo xtask scrub
+    /// --space`), since it reads through the pool like any scan.
+    pub fn space_report(&self) -> Result<Vec<SegmentSpace>> {
+        let g = self.global_read();
+        let mut report = Vec::with_capacity(g.segs.len());
+        for i in 0..g.segs.len() {
+            let (pages, free_pages) = {
+                let place = self.seg_lock(&g, i);
+                (place.pages.clone(), place.free_pages.len() as u64)
+            };
+            let mut seg =
+                SegmentSpace { pages: pages.len() as u64, free_pages, ..SegmentSpace::default() };
+            for pid in pages {
+                self.pool.with_page(pid, |buf| {
+                    seg.live_bytes += page::live_bytes(buf) as u64;
+                    seg.dead_bytes += page::dead_bytes(buf) as u64;
+                    seg.gap_bytes += page::gap(buf) as u64;
+                    seg.dir_bytes += page::dir_bytes(buf) as u64;
+                    seg.empty_pages += u64::from(page::is_empty(buf));
+                    seg.overflow_pages += page::records(buf)
+                        .filter(|rec| Self::is_overflow(rec))
+                        .map(|rec| u64::from(le_u32_at(rec, 9).unwrap_or(0)))
+                        .sum::<u64>();
+                })?;
+            }
+            report.push(seg);
+        }
+        Ok(report)
+    }
+
     /// Stop routing placement through any of `bad` pages: clear them
-    /// from segment open pages and chunk targets. The recovery verify
-    /// pass calls this for quarantined pages so allocation never faults
-    /// on a damaged image (quarantined pages on the free list are fine —
-    /// reuse rewrites them wholesale without a read, which heals them).
+    /// from segment open pages, chunk targets and roomy sets. The
+    /// recovery verify pass calls this for quarantined pages so
+    /// allocation never faults on a damaged image (quarantined pages on
+    /// the free list are fine — reuse rewrites them wholesale without a
+    /// read, which heals them).
     pub fn demote_pages(&self, bad: &[PageId]) {
         if bad.is_empty() {
             return;
@@ -1311,6 +1433,7 @@ impl Heap {
                 place.open_page = None;
             }
             place.chunks.retain(|_, p| !bad.contains(p));
+            place.roomy.retain(|p| !bad.contains(p));
         }
     }
 
@@ -1419,14 +1542,16 @@ impl Heap {
             let open = cur.u32()?;
             let open_page = if open == NO_PAGE { None } else { Some(PageId(open)) };
             let npages = cur.u32()? as usize;
-            let mut pages = Vec::with_capacity(npages);
+            let mut pages = BTreeSet::new();
             for _ in 0..npages {
-                pages.push(PageId(cur.u32()?));
+                pages.insert(PageId(cur.u32()?));
             }
             places.push(SegPlace {
                 open_page,
                 pages,
-                chunks: HashMap::new(), // chunks are a placement cache; safe to drop
+                // Placement caches, safe to drop.
+                chunks: HashMap::new(),
+                roomy: BTreeSet::new(),
                 free_pages: Vec::new(),
             });
         }
@@ -1550,6 +1675,328 @@ mod tests {
     /// Free-list length of one segment (test-only spelunking).
     fn seg_free_pages(h: &Heap, idx: usize) -> Vec<PageId> {
         h.global.read().segs[idx].place.lock().free_pages.clone()
+    }
+
+    /// What placement must keep true of every segment, whatever was
+    /// freed and reused: a page is owned or free, never both; the open
+    /// page, chunk targets and roomy pages are owned; no free page is
+    /// quarantined by a recycle; every live object sits on an owned page.
+    fn assert_placement_sound(h: &Heap) {
+        let g = h.global.read();
+        for (i, sh) in g.segs.iter().enumerate() {
+            let place = sh.place.lock();
+            let free: BTreeSet<PageId> = place.free_pages.iter().copied().collect();
+            assert_eq!(free.len(), place.free_pages.len(), "seg {i}: a page is free twice");
+            assert!(free.is_disjoint(&place.pages), "seg {i}: a page is both owned and free");
+            assert!(place.roomy.is_subset(&place.pages), "seg {i}: roomy page not owned");
+            for target in place.open_page.iter().chain(place.chunks.values()) {
+                assert!(place.pages.contains(target), "seg {i}: target {target} not owned");
+            }
+        }
+        for sh in &h.table {
+            for (&oid, chain) in sh.map.read().iter() {
+                let Ok(loc) = Heap::visible_loc(chain, Vis::Latest, Oid::from_raw(oid)) else {
+                    continue;
+                };
+                let seg = h.resolve_seg(&g, loc.seg).unwrap();
+                assert!(
+                    g.segs[seg].place.lock().pages.contains(&loc.page),
+                    "object {oid} lives on page {} that its segment does not own",
+                    loc.page
+                );
+            }
+        }
+    }
+
+    /// Allocate `n` committed objects of `len` bytes in `seg`.
+    fn fill(h: &Heap, seg: u8, n: usize, len: usize) -> Vec<Oid> {
+        (0..n)
+            .map(|i| h.alloc(SegmentId(seg), ClusterHint::NONE, &vec![i as u8; len], 0).unwrap())
+            .collect()
+    }
+
+    fn page_of(h: &Heap, oid: Oid) -> PageId {
+        let shard = h.table_read(oid.raw());
+        Heap::visible_loc(shard.get(&oid.raw()).unwrap(), Vis::Latest, oid).unwrap().page
+    }
+
+    #[test]
+    fn emptied_page_is_recycled_and_rewritten_without_growing_the_file() {
+        let (h, stats) = heap("recycle", Placement::Segments, 1, 32);
+        // 900-byte records, four to a page: three full pages and an
+        // open fourth.
+        let oids = fill(&h, 0, 13, 900);
+        let first = page_of(&h, oids[0]);
+        assert!(oids[..4].iter().all(|&o| page_of(&h, o) == first));
+        for &oid in &oids[..4] {
+            h.free(oid, 0).unwrap();
+        }
+        assert!(seg_free_pages(&h, 0).is_empty(), "nothing is freed before GC");
+        h.collect_garbage(u64::MAX);
+        assert_eq!(seg_free_pages(&h, 0), vec![first]);
+        assert_eq!(stats.snapshot().pages_recycled, 1);
+        assert_placement_sound(&h);
+
+        // The next page the segment opens is the recycled one.
+        let before = h.file.page_count();
+        let more = fill(&h, 0, 7, 900); // 3 finish the open page, 4 fill the recycled one
+        assert_eq!(h.file.page_count(), before, "a free page is taken before the file grows");
+        assert!(more.iter().any(|&o| page_of(&h, o) == first));
+        for (i, &oid) in more.iter().enumerate() {
+            assert_eq!(h.read(oid).unwrap(), vec![i as u8; 900]);
+        }
+        for (i, &oid) in oids.iter().enumerate().skip(4) {
+            assert_eq!(h.read(oid).unwrap(), vec![i as u8; 900]);
+        }
+        assert_placement_sound(&h);
+    }
+
+    #[test]
+    fn open_page_chunk_target_and_quarantined_page_are_never_recycled() {
+        // The open page: emptied, it stays open and takes the next record.
+        let (h, _) = heap("norecycle-open", Placement::Segments, 1, 32);
+        let oids = fill(&h, 0, 2, 900);
+        let open = page_of(&h, oids[0]);
+        for &oid in &oids {
+            h.free(oid, 0).unwrap();
+        }
+        h.collect_garbage(u64::MAX);
+        assert!(seg_free_pages(&h, 0).is_empty(), "the open page must not be recycled");
+        let next = fill(&h, 0, 1, 900);
+        assert_eq!(page_of(&h, next[0]), open);
+        assert_placement_sound(&h);
+
+        // A chunk target, likewise.
+        let (h, _) = heap("norecycle-chunk", Placement::ClientChunks, 1, 32);
+        let a = h.alloc(SegmentId(1), ClusterHint::NONE, &[1u8; 900], 0).unwrap();
+        let b = h.alloc(SegmentId(3), ClusterHint::NONE, &[2u8; 900], 0).unwrap();
+        assert_ne!(page_of(&h, a), page_of(&h, b), "one chunk per client segment");
+        h.free(a, 0).unwrap();
+        h.collect_garbage(u64::MAX);
+        assert!(seg_free_pages(&h, 0).is_empty(), "a chunk target must not be recycled");
+        assert_placement_sound(&h);
+
+        // A quarantined page is leaked, as `free_overflow` leaks one.
+        let (h, _) = heap("norecycle-quarantine", Placement::Segments, 1, 32);
+        let oids = fill(&h, 0, 5, 900);
+        let bad = page_of(&h, oids[0]);
+        h.file.quarantine(bad);
+        h.demote_pages(&[bad]);
+        for &oid in &oids[..4] {
+            h.free(oid, 0).unwrap();
+        }
+        h.collect_garbage(u64::MAX);
+        assert!(seg_free_pages(&h, 0).is_empty(), "a quarantined page must not be recycled");
+        assert_eq!(h.read(oids[4]).unwrap(), vec![4u8; 900]);
+    }
+
+    #[test]
+    fn roomy_pages_are_refilled_before_the_file_grows() {
+        let (h, stats) = heap("roomy", Placement::Segments, 1, 32);
+        let oids = fill(&h, 0, 17, 900); // four full pages and an open fifth
+        // Free two records on each of the first three pages: half of
+        // each page becomes reclaimable, none is emptied.
+        let holes: Vec<Oid> = (0..3).flat_map(|p| [oids[4 * p], oids[4 * p + 2]]).collect();
+        for &oid in &holes {
+            h.free(oid, 0).unwrap();
+        }
+        h.collect_garbage(u64::MAX);
+        assert!(seg_free_pages(&h, 0).is_empty());
+        let before = h.file.page_count();
+        let refill = fill(&h, 0, 9, 900); // 3 finish the open page, 6 fill the holes
+        assert_eq!(h.file.page_count(), before, "roomy pages are refilled first");
+        assert_eq!(stats.snapshot().pages_refilled, 3);
+        // Lowest page first, whatever order the frees came in.
+        assert_eq!(page_of(&h, refill[3]), page_of(&h, oids[1]));
+        assert_eq!(page_of(&h, refill[8]), page_of(&h, oids[9]));
+        for (i, &oid) in refill.iter().enumerate() {
+            assert_eq!(h.read(oid).unwrap(), vec![i as u8; 900]);
+        }
+        for (i, &oid) in oids.iter().enumerate() {
+            if !holes.contains(&oid) {
+                assert_eq!(h.read(oid).unwrap(), vec![i as u8; 900]);
+            }
+        }
+        assert_placement_sound(&h);
+
+        // Address order has no such memory: it only ever appends or
+        // takes a whole free page.
+        let (h, stats) = heap("roomy-ao", Placement::AddressOrder, 1, 32);
+        let oids = fill(&h, 0, 9, 900);
+        h.free(oids[0], 0).unwrap();
+        h.free(oids[2], 0).unwrap();
+        h.collect_garbage(u64::MAX);
+        let before = h.file.page_count();
+        fill(&h, 0, 4, 900);
+        assert!(h.file.page_count() > before);
+        assert_eq!(stats.snapshot().pages_refilled, 0);
+    }
+
+    #[test]
+    fn same_transaction_rewrite_lands_back_on_the_open_page() {
+        // A transaction that rewrites one object over and over frees its
+        // own pending record each time. Those dead bytes are room on the
+        // open page, so the segment must not walk through the file.
+        let (h, _) = heap("rewrite", Placement::Segments, 1, 32);
+        let oid = h.alloc(SegmentId(0), ClusterHint::NONE, &[0u8; 2800], 7).unwrap();
+        let pages = h.file.page_count();
+        for i in 1..=50u8 {
+            h.update(oid, &[i; 2800], 7).unwrap();
+        }
+        h.commit_version(oid, 7, 1, u64::MAX);
+        assert_eq!(h.read(oid).unwrap(), vec![50u8; 2800]);
+        assert!(
+            h.file.page_count() <= pages + 1,
+            "50 rewrites of one 2.8 KB record took {} pages",
+            h.file.page_count() - pages
+        );
+        assert_placement_sound(&h);
+    }
+
+    #[test]
+    fn recycled_pages_survive_the_meta_round_trip() {
+        let (h, _) = heap("meta-recycle", Placement::Segments, 2, 32);
+        let a = fill(&h, 0, 13, 900);
+        let b = fill(&h, 1, 13, 900);
+        for &oid in a[..8].iter().chain(&b[4..8]) {
+            h.free(oid, 0).unwrap();
+        }
+        h.collect_garbage(u64::MAX);
+        let free: usize = (0..2).map(|i| seg_free_pages(&h, i).len()).sum();
+        assert_eq!(free, 3);
+        let owned = h.segment_pages();
+
+        let mut meta = Vec::new();
+        h.dump_meta(&mut meta);
+        assert_eq!(h.load_meta(&meta).unwrap(), meta.len());
+        assert_eq!(h.segment_pages(), owned, "recycled pages stay off the page lists");
+        let free_after: usize = (0..2).map(|i| seg_free_pages(&h, i).len()).sum();
+        assert_eq!(free_after, free);
+        assert_placement_sound(&h);
+        for (i, &oid) in a.iter().enumerate().skip(8) {
+            assert_eq!(h.read(oid).unwrap(), vec![i as u8; 900]);
+        }
+        // The loaded free list is what new pages come from.
+        let before = h.file.page_count();
+        fill(&h, 0, 10, 900);
+        assert_eq!(h.file.page_count(), before);
+        assert_placement_sound(&h);
+    }
+
+    #[test]
+    fn one_op_stream_always_grows_the_same_file() {
+        // GC sweeps the object table in hash order, and two heaps hash
+        // differently. Which pages end up free or roomy, and in what
+        // order they are reused, must not depend on that — `space_amp`
+        // repeats exactly for a seed only if this does.
+        let run = |name: &str| {
+            let (h, _) = heap(name, Placement::Segments, 2, 64);
+            let mut oids = Vec::new();
+            for i in 0..400usize {
+                let len = 200 + 37 * (i % 23);
+                oids.push(
+                    h.alloc(SegmentId((i % 2) as u8), ClusterHint::NONE, &vec![i as u8; len], 0)
+                        .unwrap(),
+                );
+            }
+            for round in 0..6usize {
+                for (i, &oid) in oids.iter().enumerate() {
+                    if (i + round) % 3 == 0 {
+                        h.update(oid, &vec![round as u8; 150 + 41 * ((i + round) % 19)], 0).unwrap();
+                    } else if (i + round) % 7 == 0 && h.exists(oid) {
+                        h.free(oid, 0).unwrap();
+                    }
+                }
+                oids.retain(|&o| h.exists(o));
+                h.collect_garbage(u64::MAX);
+                assert_placement_sound(&h);
+            }
+            let mut meta = Vec::new();
+            h.dump_meta(&mut meta);
+            (h.file.page_count(), meta)
+        };
+        let (pages_a, meta_a) = run("det-a");
+        let (pages_b, meta_b) = run("det-b");
+        assert_eq!(pages_a, pages_b, "page count must repeat exactly");
+        assert!(meta_a == meta_b, "placement metadata must repeat exactly");
+    }
+
+    #[test]
+    fn two_writers_in_one_segment_with_gc_running() {
+        // Writers rewrite their own objects and churn short-lived ones
+        // while a third thread keeps collecting: pages are emptied,
+        // recycled, refilled and reopened under both writers' feet.
+        const PER: usize = 24;
+        let (h, stats) = heap("gc-writers", Placement::Segments, 1, 64);
+        let oids = fill(&h, 0, 2 * PER, 700);
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let writers: Vec<_> = (0..2usize)
+                .map(|t| {
+                    let (h, mine) = (&h, &oids[t * PER..(t + 1) * PER]);
+                    scope.spawn(move || {
+                        for round in 0..120usize {
+                            for (j, &oid) in mine.iter().enumerate() {
+                                let len = 300 + 50 * ((round + j) % 9);
+                                h.update(oid, &vec![(round % 251) as u8; len], 0).unwrap();
+                            }
+                            let extra = fill(h, 0, 3, 1200);
+                            for oid in extra {
+                                h.free(oid, 0).unwrap();
+                            }
+                        }
+                    })
+                })
+                .collect();
+            let collector = scope.spawn(|| {
+                while !stop.load(Ordering::Acquire) {
+                    h.collect_garbage(u64::MAX);
+                }
+            });
+            for w in writers {
+                w.join().unwrap();
+            }
+            stop.store(true, Ordering::Release);
+            collector.join().unwrap();
+        });
+        h.collect_garbage(u64::MAX);
+        for (i, &oid) in oids.iter().enumerate() {
+            let len = 300 + 50 * ((119 + i % PER) % 9);
+            assert_eq!(h.read(oid).unwrap(), vec![119u8; len]);
+        }
+        assert_eq!(h.object_count(), oids.len());
+        assert_placement_sound(&h);
+        let s = stats.snapshot();
+        assert!(s.pages_recycled > 0 && s.pages_refilled > 0, "the run must exercise reuse: {s:?}");
+    }
+
+    #[test]
+    fn space_report_accounts_for_every_payload_byte() {
+        let (h, _) = heap("space", Placement::Segments, 2, 32);
+        let a = fill(&h, 0, 9, 900);
+        fill(&h, 1, 3, 100);
+        let big = h.alloc(SegmentId(1), ClusterHint::NONE, &vec![1u8; 10_000], 0).unwrap();
+        for &oid in &a[..5] {
+            h.free(oid, 0).unwrap();
+        }
+        h.collect_garbage(u64::MAX);
+        let report = h.space_report().unwrap();
+        assert_eq!(report.len(), 2);
+        for seg in &report {
+            assert_eq!(
+                seg.live_bytes + seg.dead_bytes + seg.gap_bytes + seg.dir_bytes,
+                seg.pages * PAGE_PAYLOAD as u64
+            );
+        }
+        assert_eq!(report[0].pages, 2);
+        assert_eq!(report[0].free_pages, 1);
+        assert_eq!(report[0].live_bytes, 4 * h.stored_len(900) as u64);
+        assert_eq!(report[0].dead_bytes, h.stored_len(900) as u64, "one hole on the second page");
+        assert_eq!(report[1].overflow_pages, 3);
+        assert_eq!(report[1].live_bytes, 3 * h.stored_len(100) as u64 + OVERFLOW_HDR as u64);
+        let accounted: u64 = report.iter().map(|s| s.pages + s.overflow_pages + s.free_pages).sum();
+        assert_eq!(accounted, u64::from(h.file.page_count()));
+        assert_eq!(h.read(big).unwrap(), vec![1u8; 10_000]);
     }
 
     #[test]

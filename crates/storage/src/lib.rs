@@ -75,12 +75,12 @@ mod wal;
 
 pub use checksum::{fnv1a, fnv1a_multi};
 pub use engine::{Engine, OStore, Options, Profile, Texas, TexasTc};
-pub use heap::HeapContention;
+pub use heap::{HeapContention, SegmentSpace};
 pub use error::{RecoveryError, Result, StorageError};
 pub use ids::{ClusterHint, Oid, PageId, SegmentId, Slot, TxnId};
 pub use memstore::MemStore;
 pub use pagefile::{PageRead, PAGE_HDR};
-pub use scrub::{scrub_store, ScrubReport};
+pub use scrub::{scrub_store, space_report, ScrubReport, SpaceReport};
 pub use stats::{StatsSnapshot, StorageStats};
 pub use traits::{SegmentInfo, Snapshot, StorageManager};
 pub use vfs::{FaultPlan, OpenMode, RealVfs, SimVfs, Vfs, VfsFile};
@@ -111,7 +111,7 @@ pub mod wal_testing {
 #[doc(hidden)]
 pub mod page_testing {
     pub use crate::page::{
-        compact, dead_bytes, free_space, init, insert, live_bytes, read, remove, update,
+        compact, dead_bytes, fits, init, insert, live_bytes, read, reclaimable, remove, update,
     };
 
     /// Construct a slot id from its raw index.

@@ -13,8 +13,12 @@
 //! ```
 //!
 //! Records grow downward from the end of the buffer; the slot directory
-//! grows upward after the header. Deleting a record frees its slot for
-//! reuse; the record bytes are reclaimed lazily by [`compact`]. All
+//! grows upward after the header. Deleting a record frees its slot
+//! index for the next [`insert`] *on this page*; the record bytes are
+//! reclaimed lazily, when an insert that would otherwise not fit
+//! [`compact`]s the page. Whether a page is ever offered another insert
+//! is the heap's decision ("Space management" in DESIGN.md), and
+//! [`fits`] is the one predicate both layers use to make it. All
 //! decoding is bounds-checked: a malformed directory yields `None`s and
 //! no-ops, never a panic — corrupt payloads are caught upstream by the
 //! page file's checksums, and this layer must stay total even on bytes
@@ -82,11 +86,34 @@ fn dir_end(buf: &[u8]) -> usize {
     HEADER + slot_count(buf) as usize * SLOT_BYTES
 }
 
-/// Contiguous free bytes available for one more record of unknown size
-/// (conservatively assumes a new slot entry is needed).
-pub fn free_space(buf: &[u8]) -> usize {
-    let gap = free_end(buf).saturating_sub(dir_end(buf));
-    gap.saturating_sub(SLOT_BYTES)
+/// Unused bytes between the slot directory and the records.
+pub fn gap(buf: &[u8]) -> usize {
+    free_end(buf).saturating_sub(dir_end(buf))
+}
+
+/// Bytes an insert could use once the page is compacted: the gap plus
+/// the dead record bytes. A new slot entry, if one is needed, comes out
+/// of this too.
+pub fn reclaimable(buf: &[u8]) -> usize {
+    gap(buf) + dead_bytes(buf)
+}
+
+/// The live records on the page, in slot order.
+pub fn records(buf: &[u8]) -> impl Iterator<Item = &[u8]> {
+    (0..slot_count(buf)).filter_map(|s| read(buf, Slot(s)))
+}
+
+/// Whether the page holds no live record (its directory may still list
+/// freed slots).
+pub fn is_empty(buf: &[u8]) -> bool {
+    records(buf).next().is_none()
+}
+
+/// Bytes taken by the page header and the slot directory (live and
+/// freed entries alike). With [`live_bytes`], [`dead_bytes`] and
+/// [`gap`] this accounts for every byte of the payload.
+pub fn dir_bytes(buf: &[u8]) -> usize {
+    dir_end(buf)
 }
 
 /// Total live payload bytes on the page.
@@ -115,24 +142,43 @@ fn find_free_slot(buf: &[u8]) -> Option<u16> {
     (0..n).find(|&s| slot_entry(buf, s).0 == FREE_SLOT)
 }
 
-/// Insert `data` into the page, returning the slot, or `None` if it does
-/// not fit even after compaction.
-pub fn insert(buf: &mut [u8], data: &[u8]) -> Option<Slot> {
-    if data.len() > MAX_RECORD {
+/// Where an insert of `n` bytes would go: the freed slot it would take
+/// over (if any) and whether the page must be compacted first. `None`
+/// if the record does not fit even then. [`fits`] and [`insert`] both
+/// decide through this, so they cannot disagree.
+fn room(buf: &[u8], n: usize) -> Option<(Option<u16>, bool)> {
+    if n > MAX_RECORD {
         return None;
     }
     let reuse = find_free_slot(buf);
-    let slot_cost = if reuse.is_some() { 0 } else { SLOT_BYTES };
-    let gap = free_end(buf).saturating_sub(dir_end(buf));
-    if gap < data.len() + slot_cost {
-        if dead_bytes(buf) + gap >= data.len() + slot_cost {
-            compact(buf);
-        } else {
-            return None;
-        }
+    let need = n + if reuse.is_some() { 0 } else { SLOT_BYTES };
+    let gap = gap(buf);
+    if gap >= need {
+        Some((reuse, false))
+    } else if gap + dead_bytes(buf) >= need {
+        Some((reuse, true))
+    } else {
+        None
     }
-    let gap = free_end(buf).saturating_sub(dir_end(buf));
-    if gap < data.len() + slot_cost {
+}
+
+/// Whether [`insert`] would accept a record of `n` bytes, counting the
+/// dead bytes it can compact away and the slot entry it may need.
+pub fn fits(buf: &[u8], n: usize) -> bool {
+    room(buf, n).is_some()
+}
+
+/// Insert `data` into the page, returning the slot, or `None` if it does
+/// not fit even after compaction.
+pub fn insert(buf: &mut [u8], data: &[u8]) -> Option<Slot> {
+    let (reuse, squeeze) = room(buf, data.len())?;
+    if squeeze {
+        compact(buf);
+    }
+    let slot_cost = if reuse.is_some() { 0 } else { SLOT_BYTES };
+    // Compaction recovers exactly the dead bytes of a well-formed page;
+    // on a malformed one this keeps the layer total.
+    if gap(buf) < data.len() + slot_cost {
         return None;
     }
     let new_end = free_end(buf) - data.len();
@@ -335,7 +381,8 @@ mod tests {
             count += 1;
         }
         assert!(count >= 35, "expected ~39 inserts of 104B, got {count}");
-        assert!(free_space(&p) < 104);
+        assert!(reclaimable(&p) < 104);
+        assert!(!fits(&p, 100));
         assert_eq!(live_bytes(&p), count * 100);
     }
 

@@ -72,6 +72,12 @@ pub struct StorageStats {
     /// Committed object versions reclaimed by version GC (chain trims at
     /// commit plus the checkpoint low-water sweep).
     pub versions_gced: AtomicU64,
+    /// Slotted pages whose last live record was freed and which went
+    /// back to a segment free list, to be rewritten wholesale.
+    pub pages_recycled: AtomicU64,
+    /// Roomy pages (a quarter or more reclaimable) reopened for
+    /// placement instead of extending the file.
+    pub pages_refilled: AtomicU64,
 }
 
 impl StorageStats {
@@ -110,6 +116,8 @@ impl StorageStats {
             snapshots_opened: self.snapshots_opened.load(Ordering::Relaxed),
             snapshot_reads: self.snapshot_reads.load(Ordering::Relaxed),
             versions_gced: self.versions_gced.load(Ordering::Relaxed),
+            pages_recycled: self.pages_recycled.load(Ordering::Relaxed),
+            pages_refilled: self.pages_refilled.load(Ordering::Relaxed),
         }
     }
 }
@@ -169,6 +177,10 @@ pub struct StatsSnapshot {
     pub snapshot_reads: u64,
     /// See [`StorageStats::versions_gced`].
     pub versions_gced: u64,
+    /// See [`StorageStats::pages_recycled`].
+    pub pages_recycled: u64,
+    /// See [`StorageStats::pages_refilled`].
+    pub pages_refilled: u64,
 }
 
 impl StatsSnapshot {
@@ -205,6 +217,8 @@ impl StatsSnapshot {
             snapshots_opened: self.snapshots_opened.saturating_sub(earlier.snapshots_opened),
             snapshot_reads: self.snapshot_reads.saturating_sub(earlier.snapshot_reads),
             versions_gced: self.versions_gced.saturating_sub(earlier.versions_gced),
+            pages_recycled: self.pages_recycled.saturating_sub(earlier.pages_recycled),
+            pages_refilled: self.pages_refilled.saturating_sub(earlier.pages_refilled),
         }
     }
 

@@ -86,6 +86,49 @@ proptest! {
         }
     }
 
+    /// The heap picks a page with `fits` and then calls `insert` on it;
+    /// a "yes" that `insert` refuses is a corrupt-store error, and a "no"
+    /// that `insert` would have taken is a page abandoned with room on
+    /// it. After any op sequence the two agree for every size — around
+    /// the page's exact room in particular, where the slot entry an
+    /// insert may or may not need decides.
+    #[test]
+    fn fits_agrees_with_insert(
+        ops in proptest::collection::vec(op_strategy(), 1..120),
+        probes in proptest::collection::vec(0usize..4200, 8..9),
+    ) {
+        let mut buf = vec![0u8; labflow_storage::PAGE_PAYLOAD];
+        page::init(&mut buf);
+        let mut live: Vec<u16> = Vec::new();
+        for op in &ops {
+            match op {
+                Op::Insert { size, fill } => {
+                    if let Some(slot) = page::insert(&mut buf, &vec![*fill; *size]) {
+                        live.push(slot.0);
+                    }
+                }
+                Op::Update { pick, size, fill } => {
+                    if let Some(&slot) = live.get(pick % live.len().max(1)) {
+                        page::update(&mut buf, page::slot(slot), &vec![*fill; *size]);
+                    }
+                }
+                Op::Remove { pick } => {
+                    if !live.is_empty() {
+                        let slot = live.swap_remove(pick % live.len());
+                        prop_assert!(page::remove(&mut buf, page::slot(slot)));
+                    }
+                }
+            }
+            let room = page::reclaimable(&buf);
+            let edge = room.saturating_sub(6)..room + 3;
+            for n in probes.iter().copied().chain(edge) {
+                let mut trial = buf.clone();
+                let took = page::insert(&mut trial, &vec![0u8; n]).is_some();
+                prop_assert_eq!(page::fits(&buf, n), took, "{} bytes into {} reclaimable", n, room);
+            }
+        }
+    }
+
     /// A page never accepts more payload than physically fits, and after
     /// filling up, removing everything restores (almost) full capacity.
     #[test]

@@ -91,7 +91,7 @@ const INDEX_BUDGETS: &[(&str, u32)] = &[
 /// lock-free read path); the model-checker harness itself needs none.
 const UNSAFE_BUDGETS: &[(&str, u32)] = &[("mrv", 13)];
 
-const USAGE: &str = "usage: cargo xtask analyze [--root DIR]\n       cargo xtask modelcheck\n       cargo xtask crashtest [--seeds N] [--first-seed S] [--corrupt]\n       cargo xtask failover [--seeds N] [--first-seed S]\n       cargo xtask failover-smoke [--dir PATH]\n       cargo xtask scrub --dir PATH [--demo]\n       cargo xtask server-smoke [--dir PATH]";
+const USAGE: &str = "usage: cargo xtask analyze [--root DIR]\n       cargo xtask modelcheck\n       cargo xtask crashtest [--seeds N] [--first-seed S] [--corrupt]\n       cargo xtask failover [--seeds N] [--first-seed S]\n       cargo xtask failover-smoke [--dir PATH]\n       cargo xtask scrub --dir PATH [--demo] [--space]\n       cargo xtask server-smoke [--dir PATH]";
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -101,6 +101,7 @@ fn main() {
     let mut first_seed: u64 = 0;
     let mut corrupt = false;
     let mut demo = false;
+    let mut space = false;
     let mut dir: Option<PathBuf> = None;
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -127,6 +128,7 @@ fn main() {
             },
             "--corrupt" => corrupt = true,
             "--demo" => demo = true,
+            "--space" => space = true,
             "--dir" => match args.next() {
                 Some(d) => dir = Some(PathBuf::from(d)),
                 None => {
@@ -157,7 +159,7 @@ fn main() {
                 std::process::exit(2);
             }
         }
-        std::process::exit(scrubcmd::run(&dir));
+        std::process::exit(if space { scrubcmd::run_space(&dir) } else { scrubcmd::run(&dir) });
     }
     if cmd.as_deref() == Some("server-smoke") {
         std::process::exit(server_smoke::run(dir.as_deref()));

@@ -6,10 +6,13 @@
 //! LSN floor, and every WAL frame against its position-bound checksum,
 //! then prints the report. Exit 0 = clean, 1 = unquarantined damage
 //! found, 2 = the image is too damaged to audit (or unreadable).
+//!
+//! `--space` prints instead where the image's bytes are, per heap
+//! segment ([`labflow_storage::space_report`]): the "byte diet" ledger.
 
 use std::path::Path;
 
-use labflow_storage::{scrub_store, RealVfs};
+use labflow_storage::{scrub_store, space_report, RealVfs, PAGE_SIZE};
 
 /// Build a small crashed-and-recovered store at `dir`, wiping whatever
 /// was there. CI uses this (`--demo`) to hand the scrubber a real
@@ -75,4 +78,48 @@ pub fn run(dir: &Path) -> i32 {
             2
         }
     }
+}
+
+/// `scrub --space`: one row per heap segment, then the files.
+pub fn run_space(dir: &Path) -> i32 {
+    let report = match space_report(&RealVfs::arc(), dir) {
+        Ok(report) => report,
+        Err(e) => {
+            eprintln!("scrub --space {}: cannot read image: {e}", dir.display());
+            return 2;
+        }
+    };
+    println!("space {} (bytes unless marked pages):", dir.display());
+    println!(
+        "{:>4} {:>8} {:>12} {:>12} {:>12} {:>10} {:>8} {:>9} {:>10}",
+        "seg", "pages", "live", "dead", "gap", "slot-dir", "empty-pg", "ovfl-pg", "free-list",
+    );
+    let mut accounted = 0;
+    for (i, seg) in report.segments.iter().enumerate() {
+        println!(
+            "{:>4} {:>8} {:>12} {:>12} {:>12} {:>10} {:>8} {:>9} {:>10}",
+            i,
+            seg.pages,
+            seg.live_bytes,
+            seg.dead_bytes,
+            seg.gap_bytes,
+            seg.dir_bytes,
+            seg.empty_pages,
+            seg.overflow_pages,
+            seg.free_pages,
+        );
+        accounted += seg.pages + seg.overflow_pages + seg.free_pages;
+    }
+    let live: u64 = report.segments.iter().map(|s| s.live_bytes).sum();
+    println!(
+        "data.pg    {:>12} ({} pages of {PAGE_SIZE}; {} in no segment, overflow chain or \
+         free list; {:.1} % live records)",
+        report.data_bytes,
+        report.data_pages,
+        u64::from(report.data_pages).saturating_sub(accounted),
+        100.0 * live as f64 / report.data_bytes.max(1) as f64,
+    );
+    println!("store.meta {:>12}", report.meta_bytes);
+    println!("wal.log    {:>12}", report.wal_bytes);
+    0
 }
