@@ -748,6 +748,8 @@ impl Engine {
                 versions: self.file.version_table(),
             };
             meta::write_meta(&self.vfs, &meta_path, &self.heap, &state)?;
+            // Only now does no meta on disk name an emptied page slotted.
+            self.heap.release_parked();
             if let Some(wal) = &self.wal {
                 wal.truncate(next_epoch)?;
             }
@@ -1727,12 +1729,72 @@ mod tests {
         };
         let after_k = |store: &Engine, oids: &[Oid]| {
             let pages = store.data_pages();
+            // Two of the recycled pages become overflow chunks first,
+            // and slotted pages again once the chain is freed.
+            let txn = store.begin()?;
+            let long = store.allocate(txn, SegmentId(0), ClusterHint::NONE, &[0xFF; 6000])?;
+            store.free(txn, long)?;
+            store.commit(txn)?;
+            assert_eq!(store.data_pages(), pages, "the chain was not written on freed pages");
             rewrite_all(store, oids, 2..LAST + 1)?;
             // 24 pages of new versions, 8 of them onto the recycled pages.
             assert!(store.data_pages() <= pages + 16, "the freed pages were not reused");
             store.checkpoint()
         };
         crash_sweep(0..8, &dir, &opts, build, after_k, 1..=LAST);
+    }
+
+    #[test]
+    fn crash_after_a_checkpointed_open_page_was_emptied_recovers() {
+        // An aborted transaction leaves the open page empty, and the
+        // checkpoint's meta names it the open page. The next transaction
+        // fills it, moves on and frees what it put there: the page is
+        // empty, and not open any more. Were it handed out before the
+        // next meta flip, the overflow object below would be written
+        // over it, and recovery — which starts from the checkpoint's
+        // meta — would place its first record onto a chunk of 0xFF.
+        let vfs: Arc<dyn Vfs> = Arc::new(SimVfs::new(5));
+        let dir = PathBuf::from("/sim/parked");
+        let opts = Options { buffer_pages: 16, ..Options::default() };
+        let store = OStore::create_with(vfs.clone(), &dir, opts.clone()).unwrap();
+        let alloc = |txn, data: &[u8]| {
+            store.allocate(txn, SegmentId(0), ClusterHint::NONE, data).unwrap()
+        };
+        let txn = store.begin().unwrap();
+        // A thousand pages, so that the chunk's next-page word reads as
+        // a slot directory too long for compaction to make room under.
+        let mut kept: Vec<Oid> = (0..5_000).map(|_| alloc(txn, &[1; 700])).collect();
+        store.commit(txn).unwrap();
+        let txn = store.begin().unwrap();
+        alloc(txn, &[2; 700]);
+        store.abort(txn).unwrap();
+        store.checkpoint().unwrap();
+
+        let txn = store.begin().unwrap();
+        let six: Vec<Oid> = (0..6).map(|_| alloc(txn, &[3; 700])).collect();
+        for &oid in &six[..5] {
+            store.free(txn, oid).unwrap();
+        }
+        assert_eq!(store.stats().pages_recycled, 1, "the checkpointed open page was emptied");
+        let big = alloc(txn, &[0xFF; 6000]);
+        kept.push(six[5]);
+        // Enough to push every image above through the 16-page pool.
+        kept.extend((0..300).map(|_| alloc(txn, &[4; 700])));
+        store.commit(txn).unwrap();
+        let want: Vec<Vec<u8>> = kept.iter().map(|&o| store.read(o).unwrap()).collect();
+        // The process dies, the machine does not: every stolen image,
+        // the overwritten page among them, is what recovery reads.
+        drop(store);
+
+        let store = OStore::open_with(vfs.clone(), &dir, opts).unwrap();
+        assert_eq!(store.read(big).unwrap(), vec![0xFF; 6000]);
+        for (&oid, want) in kept.iter().zip(&want) {
+            assert_eq!(&store.read(oid).unwrap(), want);
+        }
+        assert_eq!(store.object_count(), kept.len() + 1);
+        store.checkpoint().unwrap();
+        drop(store);
+        assert!(crate::scrub::scrub_store(&vfs, &dir).unwrap().clean());
     }
 
     #[test]

@@ -31,13 +31,16 @@
 //!
 //! * the fit test is [`page::fits`], the predicate `page::insert`
 //!   itself decides by, so dead bytes on the open page count as room;
-//! * a page whose last live record is freed goes back to its segment's
-//!   free list and is rewritten wholesale, unread, by the next
-//!   [`Heap::take_page`] — unless it is the open page, a chunk target
-//!   or quarantined;
+//! * a page whose last live record is freed — unless it is the open
+//!   page, a chunk target or quarantined — leaves its segment's pages
+//!   to be rewritten wholesale, unread, by the next
+//!   [`Heap::take_page`]: as a slotted page at once, as an overflow
+//!   chunk only after a meta flip has recorded it free
+//!   ([`Heap::release_parked`]);
 //! * under [`Placement::Segments`], a page a free leaves at least
-//!   [`ROOMY_BYTES`] reclaimable is remembered, and remembered pages
-//!   are reopened in page order before the file is extended.
+//!   [`ROOMY_BYTES`] reclaimable is remembered with its room, and the
+//!   lowest remembered page a record fits is reopened before the file
+//!   is extended.
 //!
 //! # Sharding
 //!
@@ -76,7 +79,7 @@
 //! shard is hot.
 
 use std::cell::RefCell;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -245,15 +248,23 @@ struct SegPlace {
     /// [`Placement::ClientChunks`]; a placement cache, safe to drop).
     chunks: HashMap<u64, PageId>,
     /// Pages awaiting reuse by this segment: freed overflow chains, and
-    /// slotted pages whose last live record was freed. Reuse rewrites a
-    /// page wholesale without reading it.
+    /// released `parked` pages. Reuse rewrites a page wholesale without
+    /// reading it, in either format.
     free_pages: Vec<PageId>,
+    /// Slotted pages emptied since the last meta flip, out of `pages`
+    /// and not yet in `free_pages`. The meta on disk may still name one
+    /// a slotted page, even the open page, and recovery starts from
+    /// that meta. So until a flip has recorded it free
+    /// ([`Heap::release_parked`]) a parked page is rewritten only as a
+    /// slotted page, never as an overflow chunk.
+    parked: Vec<PageId>,
     /// Pages of `pages` that a free left with [`ROOMY_BYTES`] or more
-    /// reclaimable, reopened lowest page first (an ordered set, so one
-    /// op stream always grows the same file). A placement cache like
-    /// `chunks`: an entry may be stale, so placement re-tests the page,
-    /// and the set is not persisted.
-    roomy: BTreeSet<PageId>,
+    /// reclaimable, with that figure; the lowest page a record fits is
+    /// reopened (an ordered map, so one op stream always grows the same
+    /// file). A placement cache like `chunks`: the figure is as of the
+    /// page's last free, so placement re-tests the page, and the map is
+    /// not persisted.
+    roomy: BTreeMap<PageId, usize>,
 }
 
 struct SegShard {
@@ -272,7 +283,8 @@ impl SegShard {
             pages: BTreeSet::new(),
             chunks: HashMap::new(),
             free_pages: Vec::new(),
-            roomy: BTreeSet::new(),
+            parked: Vec::new(),
+            roomy: BTreeMap::new(),
         })
     }
 }
@@ -320,7 +332,7 @@ pub struct SegmentSpace {
     pub empty_pages: u64,
     /// Overflow chunk pages behind the segment's live header records.
     pub overflow_pages: u64,
-    /// Pages on the segment's free list.
+    /// Pages on the segment's free list, or parked on their way to it.
     pub free_pages: u64,
 }
 
@@ -613,8 +625,11 @@ impl Heap {
 
     // ---- page placement ---------------------------------------------------
 
-    fn take_page(&self, place: &mut SegPlace) -> PageId {
-        place.free_pages.pop().unwrap_or_else(|| self.file.allocate_page())
+    /// A page to rewrite wholesale, unread. A parked page is taken only
+    /// to stay slotted.
+    fn take_page(&self, place: &mut SegPlace, slotted: bool) -> PageId {
+        let parked = if slotted { place.parked.pop() } else { None };
+        parked.or_else(|| place.free_pages.pop()).unwrap_or_else(|| self.file.allocate_page())
     }
 
     /// Pick the page an allocation of `need` stored bytes should go to:
@@ -638,16 +653,31 @@ impl Heap {
                 return Ok((pid, false));
             }
         }
-        // Empty unless placement is by segment. A stale entry (the page
-        // was refilled since, or can no longer be read) costs one look.
-        while let Some(pid) = place.roomy.pop_first() {
-            if matches!(self.pool.with_page(pid, |buf| page::fits(buf, need)), Ok(true)) {
-                place.open_page = Some(pid);
-                StorageStats::bump(&self.stats.pages_refilled, 1);
-                return Ok((pid, false));
+        // Empty unless placement is by segment. Pages with too little
+        // room for this record are passed over unread and stay. A look
+        // that fails found a stale entry: it is corrected (fits said no,
+        // so the true figure is below `need` plus a slot entry and the
+        // scan cannot pick the page again), or dropped if the page is
+        // no longer roomy or cannot be read.
+        let enough = need + page::SLOT_BYTES;
+        let lowest_fit = |roomy: &BTreeMap<PageId, usize>| {
+            roomy.iter().find_map(|(&pid, &room)| (room >= enough).then_some(pid))
+        };
+        while let Some(pid) = lowest_fit(&place.roomy) {
+            place.roomy.remove(&pid);
+            match self.pool.with_page(pid, |buf| (page::fits(buf, need), page::reclaimable(buf))) {
+                Ok((true, _)) => {
+                    place.open_page = Some(pid);
+                    StorageStats::bump(&self.stats.pages_refilled, 1);
+                    return Ok((pid, false));
+                }
+                Ok((false, room)) if room >= ROOMY_BYTES => {
+                    place.roomy.insert(pid, room);
+                }
+                _ => {}
             }
         }
-        let pid = self.take_page(place);
+        let pid = self.take_page(place, true);
         match chunk {
             Some(key) => {
                 place.chunks.insert(key, pid);
@@ -689,7 +719,7 @@ impl Heap {
         let mut chunk_pages: Vec<PageId> = Vec::new();
         let n = payload.len().div_ceil(OVERFLOW_CAP).max(1);
         for _ in 0..n {
-            chunk_pages.push(self.take_page(place));
+            chunk_pages.push(self.take_page(place, false));
         }
         for (i, (chunk, &pid)) in payload.chunks(OVERFLOW_CAP).zip(&chunk_pages).enumerate() {
             let next = chunk_pages.get(i + 1).map_or(NO_PAGE, |p| p.0);
@@ -1313,10 +1343,24 @@ impl Heap {
         {
             place.pages.remove(&pid);
             place.roomy.remove(&pid);
-            place.free_pages.push(pid);
+            place.parked.push(pid);
             StorageStats::bump(&self.stats.pages_recycled, 1);
         } else if roomy {
-            place.roomy.insert(pid);
+            place.roomy.insert(pid, reclaimable);
+        }
+    }
+
+    /// The meta just flipped recorded every parked page free
+    /// ([`Heap::dump_meta`]), so no meta on disk names one slotted any
+    /// more: move them to the free lists, where overflow chains may
+    /// take them. The engine calls this after a successful flip, still
+    /// quiesced — a page parked between the dump and the flip would be
+    /// released unrecorded.
+    pub fn release_parked(&self) {
+        let g = self.global_read();
+        for i in 0..g.segs.len() {
+            let place = &mut *self.seg_lock(&g, i);
+            place.free_pages.append(&mut place.parked);
         }
     }
 
@@ -1394,7 +1438,7 @@ impl Heap {
         for i in 0..g.segs.len() {
             let (pages, free_pages) = {
                 let place = self.seg_lock(&g, i);
-                (place.pages.clone(), place.free_pages.len() as u64)
+                (place.pages.clone(), (place.free_pages.len() + place.parked.len()) as u64)
             };
             let mut seg =
                 SegmentSpace { pages: pages.len() as u64, free_pages, ..SegmentSpace::default() };
@@ -1433,7 +1477,7 @@ impl Heap {
                 place.open_page = None;
             }
             place.chunks.retain(|_, p| !bad.contains(p));
-            place.roomy.retain(|p| !bad.contains(p));
+            place.roomy.retain(|p, _| !bad.contains(p));
         }
     }
 
@@ -1503,6 +1547,7 @@ impl Heap {
                 out.extend_from_slice(&p.0.to_le_bytes());
             }
             free_all.extend_from_slice(&place.free_pages);
+            free_all.extend_from_slice(&place.parked);
         }
         out.extend_from_slice(&(free_all.len() as u32).to_le_bytes());
         for p in &free_all {
@@ -1551,8 +1596,9 @@ impl Heap {
                 pages,
                 // Placement caches, safe to drop.
                 chunks: HashMap::new(),
-                roomy: BTreeSet::new(),
+                roomy: BTreeMap::new(),
                 free_pages: Vec::new(),
+                parked: Vec::new(),
             });
         }
         let nfree = cur.u32()? as usize;
@@ -1677,18 +1723,31 @@ mod tests {
         h.global.read().segs[idx].place.lock().free_pages.clone()
     }
 
+    /// What a checkpoint does to the heap: collect, then — the meta
+    /// flip having recorded the emptied pages free — release them.
+    fn gc_and_flip(h: &Heap) {
+        h.collect_garbage(u64::MAX);
+        h.release_parked();
+    }
+
     /// What placement must keep true of every segment, whatever was
-    /// freed and reused: a page is owned or free, never both; the open
-    /// page, chunk targets and roomy pages are owned; no free page is
-    /// quarantined by a recycle; every live object sits on an owned page.
+    /// freed and reused: a page is owned, parked or free, never two of
+    /// them; the open page, chunk targets and roomy pages are owned; no
+    /// free page is quarantined by a recycle; every live object sits on
+    /// an owned page.
     fn assert_placement_sound(h: &Heap) {
         let g = h.global.read();
         for (i, sh) in g.segs.iter().enumerate() {
             let place = sh.place.lock();
-            let free: BTreeSet<PageId> = place.free_pages.iter().copied().collect();
-            assert_eq!(free.len(), place.free_pages.len(), "seg {i}: a page is free twice");
+            let unowned = place.free_pages.len() + place.parked.len();
+            let free: BTreeSet<PageId> =
+                place.free_pages.iter().chain(&place.parked).copied().collect();
+            assert_eq!(free.len(), unowned, "seg {i}: a page is free or parked twice");
             assert!(free.is_disjoint(&place.pages), "seg {i}: a page is both owned and free");
-            assert!(place.roomy.is_subset(&place.pages), "seg {i}: roomy page not owned");
+            assert!(
+                place.roomy.keys().all(|p| place.pages.contains(p)),
+                "seg {i}: roomy page not owned"
+            );
             for target in place.open_page.iter().chain(place.chunks.values()) {
                 assert!(place.pages.contains(target), "seg {i}: target {target} not owned");
             }
@@ -1733,8 +1792,22 @@ mod tests {
         }
         assert!(seg_free_pages(&h, 0).is_empty(), "nothing is freed before GC");
         h.collect_garbage(u64::MAX);
-        assert_eq!(seg_free_pages(&h, 0), vec![first]);
         assert_eq!(stats.snapshot().pages_recycled, 1);
+        assert_eq!(h.segment_pages(), [3], "an emptied page leaves the segment at once");
+        assert_placement_sound(&h);
+        // Until a meta flip records it free, the meta on disk may name
+        // it the open page: an overflow chain must not be written on it.
+        let before = h.file.page_count();
+        let long = h.alloc(SegmentId(0), ClusterHint::NONE, &[9u8; 5000], 0).unwrap();
+        assert_eq!(h.file.page_count(), before + 2, "the chain took the parked page");
+        let mut meta = Vec::new();
+        h.dump_meta(&mut meta);
+        h.release_parked();
+        assert_eq!(seg_free_pages(&h, 0), vec![first]);
+        let mut flipped = Vec::new();
+        h.dump_meta(&mut flipped);
+        assert!(meta == flipped, "the flip had already recorded the parked page free");
+        assert_eq!(h.read(long).unwrap(), vec![9u8; 5000]);
         assert_placement_sound(&h);
 
         // The next page the segment opens is the recycled one.
@@ -1760,7 +1833,7 @@ mod tests {
         for &oid in &oids {
             h.free(oid, 0).unwrap();
         }
-        h.collect_garbage(u64::MAX);
+        gc_and_flip(&h);
         assert!(seg_free_pages(&h, 0).is_empty(), "the open page must not be recycled");
         let next = fill(&h, 0, 1, 900);
         assert_eq!(page_of(&h, next[0]), open);
@@ -1772,7 +1845,7 @@ mod tests {
         let b = h.alloc(SegmentId(3), ClusterHint::NONE, &[2u8; 900], 0).unwrap();
         assert_ne!(page_of(&h, a), page_of(&h, b), "one chunk per client segment");
         h.free(a, 0).unwrap();
-        h.collect_garbage(u64::MAX);
+        gc_and_flip(&h);
         assert!(seg_free_pages(&h, 0).is_empty(), "a chunk target must not be recycled");
         assert_placement_sound(&h);
 
@@ -1785,7 +1858,7 @@ mod tests {
         for &oid in &oids[..4] {
             h.free(oid, 0).unwrap();
         }
-        h.collect_garbage(u64::MAX);
+        gc_and_flip(&h);
         assert!(seg_free_pages(&h, 0).is_empty(), "a quarantined page must not be recycled");
         assert_eq!(h.read(oids[4]).unwrap(), vec![4u8; 900]);
     }
@@ -1800,15 +1873,22 @@ mod tests {
         for &oid in &holes {
             h.free(oid, 0).unwrap();
         }
-        h.collect_garbage(u64::MAX);
+        gc_and_flip(&h);
         assert!(seg_free_pages(&h, 0).is_empty());
+        fill(&h, 0, 3, 900); // finish the open page
+        // A record too long for any of the holes opens a new page. The
+        // roomy pages are passed over, not forgotten.
         let before = h.file.page_count();
-        let refill = fill(&h, 0, 9, 900); // 3 finish the open page, 6 fill the holes
-        assert_eq!(h.file.page_count(), before, "roomy pages are refilled first");
+        let long = h.alloc(SegmentId(0), ClusterHint::NONE, &[7u8; 2800], 0).unwrap();
+        assert_eq!(h.file.page_count(), before + 1);
+        assert_eq!(stats.snapshot().pages_refilled, 0);
+        let refill = fill(&h, 0, 7, 900); // 1 beside the long record, 6 fill the holes
+        assert_eq!(h.file.page_count(), before + 1, "roomy pages are refilled first");
         assert_eq!(stats.snapshot().pages_refilled, 3);
         // Lowest page first, whatever order the frees came in.
-        assert_eq!(page_of(&h, refill[3]), page_of(&h, oids[1]));
-        assert_eq!(page_of(&h, refill[8]), page_of(&h, oids[9]));
+        assert_eq!(page_of(&h, refill[0]), page_of(&h, long));
+        assert_eq!(page_of(&h, refill[1]), page_of(&h, oids[1]));
+        assert_eq!(page_of(&h, refill[6]), page_of(&h, oids[9]));
         for (i, &oid) in refill.iter().enumerate() {
             assert_eq!(h.read(oid).unwrap(), vec![i as u8; 900]);
         }
@@ -1825,7 +1905,7 @@ mod tests {
         let oids = fill(&h, 0, 9, 900);
         h.free(oids[0], 0).unwrap();
         h.free(oids[2], 0).unwrap();
-        h.collect_garbage(u64::MAX);
+        gc_and_flip(&h);
         let before = h.file.page_count();
         fill(&h, 0, 4, 900);
         assert!(h.file.page_count() > before);
@@ -1861,7 +1941,7 @@ mod tests {
         for &oid in a[..8].iter().chain(&b[4..8]) {
             h.free(oid, 0).unwrap();
         }
-        h.collect_garbage(u64::MAX);
+        gc_and_flip(&h);
         let free: usize = (0..2).map(|i| seg_free_pages(&h, i).len()).sum();
         assert_eq!(free, 3);
         let owned = h.segment_pages();
@@ -1908,7 +1988,7 @@ mod tests {
                     }
                 }
                 oids.retain(|&o| h.exists(o));
-                h.collect_garbage(u64::MAX);
+                gc_and_flip(&h);
                 assert_placement_sound(&h);
             }
             let mut meta = Vec::new();
@@ -1950,7 +2030,7 @@ mod tests {
                 .collect();
             let collector = scope.spawn(|| {
                 while !stop.load(Ordering::Acquire) {
-                    h.collect_garbage(u64::MAX);
+                    gc_and_flip(&h);
                 }
             });
             for w in writers {
@@ -1959,7 +2039,7 @@ mod tests {
             stop.store(true, Ordering::Release);
             collector.join().unwrap();
         });
-        h.collect_garbage(u64::MAX);
+        gc_and_flip(&h);
         for (i, &oid) in oids.iter().enumerate() {
             let len = 300 + 50 * ((119 + i % PER) % 9);
             assert_eq!(h.read(oid).unwrap(), vec![119u8; len]);

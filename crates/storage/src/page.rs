@@ -27,7 +27,8 @@
 use crate::ids::Slot;
 
 const HEADER: usize = 4;
-const SLOT_BYTES: usize = 4;
+/// Bytes one slot-directory entry takes.
+pub const SLOT_BYTES: usize = 4;
 const FREE_SLOT: u16 = 0xFFFF;
 
 /// Largest record payload a single page can hold.
@@ -82,20 +83,24 @@ fn set_slot_entry(buf: &mut [u8], slot: u16, offset: u16, len: u16) {
     put_u16(buf, at + 2, len);
 }
 
-fn dir_end(buf: &[u8]) -> usize {
+/// Bytes taken by the page header and the slot directory (live and
+/// freed entries alike). With [`live_bytes`], [`dead_bytes`] and
+/// [`gap`] this accounts for every byte of the payload.
+pub fn dir_bytes(buf: &[u8]) -> usize {
     HEADER + slot_count(buf) as usize * SLOT_BYTES
 }
 
 /// Unused bytes between the slot directory and the records.
 pub fn gap(buf: &[u8]) -> usize {
-    free_end(buf).saturating_sub(dir_end(buf))
+    free_end(buf).saturating_sub(dir_bytes(buf))
 }
 
-/// Bytes an insert could use once the page is compacted: the gap plus
-/// the dead record bytes. A new slot entry, if one is needed, comes out
-/// of this too.
+/// The gap [`compact`] would leave: everything but the directory and
+/// the live records, which on a well-formed page is the gap plus the
+/// dead bytes. A new slot entry, if one is needed, comes out of this
+/// too.
 pub fn reclaimable(buf: &[u8]) -> usize {
-    gap(buf) + dead_bytes(buf)
+    buf.len().saturating_sub(dir_bytes(buf) + live_bytes(buf))
 }
 
 /// The live records on the page, in slot order.
@@ -107,13 +112,6 @@ pub fn records(buf: &[u8]) -> impl Iterator<Item = &[u8]> {
 /// freed slots).
 pub fn is_empty(buf: &[u8]) -> bool {
     records(buf).next().is_none()
-}
-
-/// Bytes taken by the page header and the slot directory (live and
-/// freed entries alike). With [`live_bytes`], [`dead_bytes`] and
-/// [`gap`] this accounts for every byte of the payload.
-pub fn dir_bytes(buf: &[u8]) -> usize {
-    dir_end(buf)
 }
 
 /// Total live payload bytes on the page.
@@ -152,10 +150,9 @@ fn room(buf: &[u8], n: usize) -> Option<(Option<u16>, bool)> {
     }
     let reuse = find_free_slot(buf);
     let need = n + if reuse.is_some() { 0 } else { SLOT_BYTES };
-    let gap = gap(buf);
-    if gap >= need {
+    if gap(buf) >= need {
         Some((reuse, false))
-    } else if gap + dead_bytes(buf) >= need {
+    } else if reclaimable(buf) >= need {
         Some((reuse, true))
     } else {
         None
@@ -239,13 +236,13 @@ pub fn update(buf: &mut [u8], slot: Slot, data: &[u8]) -> bool {
         return true;
     }
     // Relocate: the slot keeps its index, so callers' object table stays valid.
-    let gap = free_end(buf).saturating_sub(dir_end(buf));
+    let gap = free_end(buf).saturating_sub(dir_bytes(buf));
     let reclaimable = dead_bytes(buf) + len as usize;
     if gap + reclaimable < data.len() {
         return false;
     }
     set_slot_entry(buf, slot.0, FREE_SLOT, 0);
-    if free_end(buf).saturating_sub(dir_end(buf)) < data.len() {
+    if free_end(buf).saturating_sub(dir_bytes(buf)) < data.len() {
         compact(buf);
     }
     let new_end = free_end(buf) - data.len();
@@ -263,7 +260,7 @@ pub fn compact(buf: &mut [u8]) {
     for s in 0..n {
         let (off, len) = slot_entry(buf, s);
         if off != FREE_SLOT {
-            if let Some(rec) = buf.get(off as usize..(off + len) as usize) {
+            if let Some(rec) = buf.get(off as usize..off as usize + len as usize) {
                 live.push((s, rec.to_vec()));
             }
         }

@@ -129,6 +129,25 @@ proptest! {
         }
     }
 
+    /// Recovery may place onto a page that is not slotted at all (the
+    /// checkpoint's meta can outlive a page's format), so the two agree
+    /// on any bytes, not only on what the ops above can produce.
+    #[test]
+    fn fits_agrees_with_insert_on_any_bytes(
+        slot_count in 0u16..1100,
+        free_end in 0u16..4200,
+        fill in prop_oneof![Just(0xFFu8), Just(0u8), any::<u8>()],
+        n in 0usize..4200,
+    ) {
+        // 0xFF reads as freed slots, 0 as empty live ones.
+        let mut buf = vec![fill; labflow_storage::PAGE_PAYLOAD];
+        buf[0..2].copy_from_slice(&slot_count.to_le_bytes());
+        buf[2..4].copy_from_slice(&free_end.to_le_bytes());
+        let mut trial = buf.clone();
+        let took = page::insert(&mut trial, &vec![0u8; n]).is_some();
+        prop_assert_eq!(page::fits(&buf, n), took);
+    }
+
     /// A page never accepts more payload than physically fits, and after
     /// filling up, removing everything restores (almost) full capacity.
     #[test]
