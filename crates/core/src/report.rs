@@ -442,7 +442,8 @@ pub fn multiclient_table(points: &[MultiClientPoint]) -> String {
     if !attributed.is_empty() {
         out.push_str("\nWait attribution — per client, ms blocked\n");
         out.push_str(
-            "('commit wait' is pure queue wait on the log-writer; 'force' is time this\n \
+            "('commit wait' is time inside the commit's log step: writing the log tail out,\n \
+             or, for a durable commit, queue wait on the log-writer; 'force' is time this\n \
              client's own thread spent inside a physical log force: zero, the log-writer\n \
              does every force)\n",
         );

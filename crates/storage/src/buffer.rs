@@ -501,17 +501,20 @@ impl BufferPool {
 
     /// Write every frame that is dirty now back to the file (checkpoint
     /// support): one wait for the log to cover the highest stamp among
-    /// them, then the writes. With writers quiesced no frame is dirty
-    /// on return.
+    /// them, then the writes, in page order — ascending file offsets.
+    /// With writers quiesced no frame is dirty on return.
     pub fn flush_all(&self) -> Result<()> {
-        let picked: Vec<FramePin<'_>> = {
-            let _table = self.table_lock();
+        let mut picked: Vec<(Option<PageId>, FramePin<'_>)> = {
+            let table = self.table_lock();
             self.frames
                 .iter()
-                .filter(|frame| frame.dirty.load(Ordering::Acquire))
-                .map(|frame| self.pin(frame))
+                .zip(&table.slots)
+                .filter(|(frame, _)| frame.dirty.load(Ordering::Acquire))
+                .map(|(frame, slot)| (slot.page, self.pin(frame)))
                 .collect()
         };
+        picked.sort_unstable_by_key(|(page, _)| *page);
+        let picked: Vec<FramePin<'_>> = picked.into_iter().map(|(_, pin)| pin).collect();
         self.write_pinned(&picked, Want::All)
     }
 

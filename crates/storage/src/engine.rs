@@ -16,7 +16,7 @@ use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::buffer::BufferPool;
 use crate::error::{RecoveryError, Result, StorageError};
@@ -205,6 +205,10 @@ pub struct Engine {
     /// [`lock_order::ENGINE_SNAPSHOTS`]).
     snapshots: StdMutex<HashMap<u64, u64>>,
     next_snap: AtomicU64,
+    /// The meta file's write side (rank [`lock_order::ENGINE_META`]).
+    /// Checkpoints are serialised by the quiesce flag; the lock is the
+    /// data's formal owner.
+    meta: StdMutex<meta::MetaLog>,
 }
 
 impl Engine {
@@ -283,6 +287,7 @@ impl Engine {
             last_visible: AtomicU64::new(0),
             snapshots: StdMutex::new(HashMap::new()),
             next_snap: AtomicU64::new(1),
+            meta: StdMutex::new(meta::MetaLog::new(meta_path)),
         };
         // Establish a valid empty checkpoint so reopen works immediately.
         engine.checkpoint()?;
@@ -341,10 +346,12 @@ impl Engine {
             profile.extra_header,
             profile.align,
         );
-        let meta_state = meta::read_meta(&vfs, &meta_path, &heap)?.unwrap_or_default();
-        let meta_epoch = meta_state.epoch;
-        file.set_version_floors(meta_state.versions);
-        file.set_quarantined(&meta_state.quarantined);
+        let image = meta::read_meta(&vfs, &meta_path)?
+            .ok_or_else(|| StorageError::BadPath(format!("no store at {}", dir.display())))?;
+        let meta_epoch = image.state.epoch;
+        file.set_version_floors(image.state.versions);
+        file.set_quarantined(&image.state.quarantined);
+        heap.load(image.state.places, image.table)?;
         // Startup verify pass: every page image is read and checked
         // against its header and LSN floor *before* any of it is
         // trusted. Damage is quarantined and demoted out of allocation
@@ -386,6 +393,7 @@ impl Engine {
             last_visible: AtomicU64::new(0),
             snapshots: StdMutex::new(HashMap::new()),
             next_snap: AtomicU64::new(1),
+            meta: StdMutex::new(meta::MetaLog::new(meta_path)),
         };
         if engine.profile.wal {
             // Fold the recovered state into a fresh checkpoint; this also
@@ -685,12 +693,22 @@ impl Engine {
         Ok(())
     }
 
+    /// The meta file's write side (rank [`lock_order::ENGINE_META`]).
+    fn meta_lock(&self) -> lock_order::Ranked<MutexGuard<'_, meta::MetaLog>> {
+        lock_order::ranked(lock_order::ENGINE_META, || {
+            self.meta.lock().unwrap_or_else(|e| e.into_inner())
+        })
+    }
+
     /// Checkpoint with an epoch floor: the sealed meta file's epoch
     /// advances to at least `floor` (normally it just increments). The
     /// promotion path uses this to fence a deposed primary — the
     /// promoted follower re-seals at an epoch above every epoch the old
     /// primary could have stamped, and its replication endpoints refuse
     /// chunks tagged with anything older.
+    ///
+    /// Every phase but the page flush costs what changed since the last
+    /// checkpoint, not what exists (DESIGN.md, "Checkpoint").
     pub fn checkpoint_with_floor(&self, floor: u64) -> Result<()> {
         // A wounded engine's in-memory state may disagree with its log;
         // persisting it as a checkpoint would make the disagreement
@@ -698,6 +716,7 @@ impl Engine {
         if self.is_wounded() {
             return Err(StorageError::Wounded("a logged operation failed mid-apply"));
         }
+        let started = Instant::now();
         // Quiesce: block new transactions and drain the active ones so
         // the snapshot and the WAL truncation are transaction-consistent.
         // Callers must not hold an open transaction on this thread.
@@ -714,10 +733,24 @@ impl Engine {
             }
         }
         let result = (|| {
+            // The flush below waits for the log to be durable up to the
+            // newest dirty frame's stamp. Ask for that sync now: the
+            // log-writer runs it while this thread collects and encodes.
+            if let Some(wal) = &self.wal {
+                wal.request_sync();
+            }
             // Version GC: the system is quiesced, so no pending flip
-            // races the sweep; versions pinned by open snapshots are
-            // protected by the low-water mark.
-            self.heap.collect_garbage(self.snapshot_floor());
+            // races it; versions pinned by open snapshots are protected
+            // by the low-water mark. The oids it drains are the ones the
+            // meta segment must record, so nothing fallible may come
+            // between the two calls: `begin` takes the file handle, and
+            // only a durable segment puts it back — a checkpoint that
+            // fails from here on is followed by a full base.
+            let changed = self.heap.collect_garbage(self.snapshot_floor());
+            let segment = {
+                let mut meta = self.meta_lock();
+                meta.begin(&self.heap, &changed)
+            };
             // The flush passes the write-ahead gate like every page
             // write: it first has the log synced up to the newest dirty
             // frame's stamp, so a crash in the middle of it leaves no
@@ -734,20 +767,24 @@ impl Engine {
             }
             self.file.sync()?;
             let next_epoch = (self.epoch.load(Ordering::Acquire) + 1).max(floor);
-            let (_, meta_path, _) = Self::paths(&self.dir);
-            // The meta flip records, alongside the heap, each page's LSN
-            // as of the image just synced (so a later lost or misdirected
-            // write is detectable as a stale page) and the quarantine
-            // set. write_meta syncs the containing directory before
-            // returning, so by the time the WAL is truncated the rename
-            // is durable — no crash window can pair the old meta with the
-            // truncated log.
+            // The meta flip records, alongside the object table, each
+            // page's LSN as of the image just synced (so a later lost or
+            // misdirected write is detectable as a stale page), the
+            // quarantine set and the placement state. The segment is
+            // durable when `finish` returns — a base through its rename
+            // and directory sync, a delta through its own sync — so by
+            // the time the WAL is truncated no crash window can pair the
+            // old meta with the truncated log.
             let state = meta::MetaState {
                 epoch: next_epoch,
                 quarantined: self.file.quarantined_pages(),
                 versions: self.file.version_table(),
+                places: self.heap.places(),
             };
-            meta::write_meta(&self.vfs, &meta_path, &self.heap, &state)?;
+            self.meta_lock().finish(&self.vfs, &state, segment, &self.stats)?;
+            if cfg!(debug_assertions) {
+                self.check_meta_fold(&state)?;
+            }
             // Only now does no meta on disk name an emptied page slotted.
             self.heap.release_parked();
             if let Some(wal) = &self.wal {
@@ -755,11 +792,27 @@ impl Engine {
             }
             self.epoch.store(next_epoch, Ordering::Release);
             StorageStats::bump(&self.stats.checkpoints, 1);
+            StorageStats::bump(&self.stats.checkpoint_nanos, started.elapsed().as_nanos() as u64);
             Ok(())
         })();
         self.active().quiescing = false;
         self.active_changed.notify_all();
         result
+    }
+
+    /// The checkpoint oracle (debug builds): the meta file as recovery
+    /// would read it — base and deltas folded — must be, byte for byte,
+    /// the base a full dump of the heap seals to.
+    fn check_meta_fold(&self, state: &meta::MetaState) -> Result<()> {
+        let (_, meta_path, _) = Self::paths(&self.dir);
+        let folded = meta::read_meta(&self.vfs, &meta_path)?.unwrap_or_default();
+        let fresh = meta::base_of(state, self.heap.table().into_iter());
+        debug_assert!(
+            meta::base_of(&folded.state, folded.table.into_iter()) == fresh,
+            "the meta file's {} segments do not fold to the heap's table",
+            folded.segments
+        );
+        Ok(())
     }
 }
 
@@ -1574,6 +1627,53 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    #[test]
+    fn acknowledged_no_sync_commits_survive_a_drop_without_checkpoint() {
+        // `sync_commit: false`: a commit is acknowledged once its
+        // records are written out, by the committing thread itself. Two
+        // of them race; the process then dies with no checkpoint, the
+        // machine stays up, and recovery must find every commit.
+        const TXNS: u8 = 200;
+        let dir = tmpdir("nosync");
+        let store = Arc::new(OStore::create(&dir, Options::default()).unwrap());
+        let clients: Vec<_> = (0..2u8)
+            .map(|t| {
+                let store = store.clone();
+                std::thread::spawn(move || {
+                    let mut oids = Vec::new();
+                    for i in 0..TXNS {
+                        let txn = store.begin().unwrap();
+                        let data = [t, i, 0];
+                        oids.push(
+                            store.allocate(txn, SegmentId(t), ClusterHint::NONE, &data).unwrap(),
+                        );
+                        if let Some(&prev) = oids.iter().rev().nth(1) {
+                            store.update(txn, prev, &[t, i, 1]).unwrap();
+                        }
+                        store.commit(txn).unwrap();
+                    }
+                    oids
+                })
+            })
+            .collect();
+        let written: Vec<Vec<Oid>> = clients.into_iter().map(|c| c.join().unwrap()).collect();
+        assert_eq!(store.stats().commits, 2 * u64::from(TXNS));
+        drop(store);
+
+        let store = OStore::open(&dir, Options::default()).unwrap();
+        assert!(store.stats().wal_frames_replayed > 0);
+        for (t, oids) in written.iter().enumerate() {
+            for (i, &oid) in oids.iter().enumerate() {
+                let rewritten = i + 1 < oids.len();
+                let want = [t as u8, i as u8 + u8::from(rewritten), u8::from(rewritten)];
+                assert_eq!(store.read(oid).unwrap(), want, "client {t}, object {i}");
+            }
+        }
+        assert_eq!(store.object_count(), 2 * usize::from(TXNS));
+        drop(store);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     /// `txns` transactions, each rewriting every one of `oids` to its own
     /// number; commits are not synced.
     fn rewrite_all(store: &Engine, oids: &[Oid], txns: std::ops::Range<u8>) -> Result<()> {
@@ -1609,7 +1709,8 @@ mod tests {
     /// `build` each time, and recover. Each recovered image must be
     /// some committed prefix, whole — every object holds the same
     /// transaction's bytes, one of `values`, the last of them if `phase`
-    /// finished — and scrub clean.
+    /// finished — read the same when opened a second time, and scrub
+    /// clean.
     fn crash_sweep(
         seeds: std::ops::Range<u64>,
         dir: &Path,
@@ -1650,6 +1751,14 @@ mod tests {
                 }
                 assert_eq!(store.object_count(), oids.len(), "{ctx}");
                 drop(store);
+                // Recovery checkpointed what it found: opening again
+                // finds the same.
+                let store = OStore::open_with(vfs.clone(), dir, opts.clone())
+                    .unwrap_or_else(|e| panic!("{ctx}: second open failed: {e}"));
+                let again: Vec<Vec<u8>> = oids.iter().map(|&o| store.read(o).unwrap()).collect();
+                assert!(again == seen, "{ctx}: reopening the recovered store changed it");
+                assert_eq!(store.object_count(), oids.len(), "{ctx}");
+                drop(store);
                 let report = crate::scrub::scrub_store(&vfs, dir).unwrap();
                 assert!(report.clean(), "{ctx}: scrub found damage: {:?}", report.corrupt);
             }
@@ -1673,6 +1782,127 @@ mod tests {
             })
         };
         crash_sweep(0..2, &dir, &opts, build, |store, _| store.checkpoint(), 0..=LAST);
+    }
+
+    /// Sweep the plug-pull across a checkpoint whose meta segment is a
+    /// delta (`compacts == 0`) or a base replacing outgrown deltas
+    /// (`compacts == 1`), taken while a snapshot pins the versions the
+    /// transaction before it replaced.
+    fn crash_sweep_across_a_meta_segment(dir: &str, compacts: u64) {
+        let dir = PathBuf::from(dir);
+        let opts = Options { buffer_pages: 16, ..Options::default() };
+        // The forty objects, rewritten and checkpointed until the file
+        // is a base (their allocation made the first delta, which
+        // outgrew the empty store's base) with `compacts` deltas behind.
+        let last = 2 + compacts as u8;
+        let build = |seed| {
+            build_forty(&dir, &opts, seed, |store, oids| {
+                for i in 1..last {
+                    rewrite_all(store, oids, i..i + 1).unwrap();
+                    store.checkpoint().unwrap();
+                }
+                assert_eq!(store.stats().checkpoints, 2 + u64::from(last - 1));
+                assert_eq!(store.stats().meta_compactions, 2, "create, then once outgrown");
+            })
+        };
+        let phase = |store: &Engine, oids: &[Oid]| {
+            let before = store.stats();
+            let snap = store.begin_snapshot()?;
+            rewrite_all(store, oids, last..last + 1)?;
+            store.checkpoint()?;
+            let d = store.stats().delta(&before);
+            assert_eq!(d.meta_compactions, compacts, "the sweep is across the wrong segment kind");
+            assert!(d.meta_bytes_written > 0 && d.checkpoint_nanos > 0);
+            // The collection kept what the snapshot pins.
+            assert_eq!(store.read_at(&snap, oids[0])?, vec![last - 1; 700]);
+            store.release_snapshot(snap);
+            Ok(())
+        };
+        crash_sweep(0..8, &dir, &opts, build, phase, last - 1..=last);
+    }
+
+    #[test]
+    fn crash_at_every_op_across_a_delta_append_recovers_exactly() {
+        crash_sweep_across_a_meta_segment("/sim/meta-delta", 0);
+    }
+
+    #[test]
+    fn crash_at_every_op_across_a_meta_compaction_recovers_exactly() {
+        crash_sweep_across_a_meta_segment("/sim/meta-compact", 1);
+    }
+
+    #[test]
+    fn torn_final_delta_opens_as_the_previous_checkpoint_plus_its_log() {
+        // A delta long enough to cross sector boundaries, so that a
+        // plug-pull inside its write leaves a proper prefix of it on
+        // disk. The file must then read as the checkpoint before — the
+        // one whose log the crashed checkpoint had not yet truncated —
+        // and recovery must land on the last commit all the same.
+        const N: usize = 1_500;
+        let dir = PathBuf::from("/sim/meta-torn");
+        let meta_path = dir.join("store.meta");
+        let opts = Options::default();
+        let build = |seed| {
+            let sim = SimVfs::new(seed);
+            let vfs: Arc<dyn Vfs> = Arc::new(sim.clone());
+            let store = OStore::create_with(vfs.clone(), &dir, opts.clone()).unwrap();
+            let txn = store.begin().unwrap();
+            let oids: Vec<Oid> = (0..N)
+                .map(|_| store.allocate(txn, SegmentId(0), ClusterHint::NONE, &[0; 40]).unwrap())
+                .collect();
+            store.commit(txn).unwrap();
+            store.checkpoint().unwrap();
+            store.checkpoint().unwrap(); // the allocations' delta outgrew the empty base
+            assert_eq!(store.stats().meta_compactions, 2);
+            let txn = store.begin().unwrap();
+            for &oid in &oids {
+                store.update(txn, oid, &[1; 40]).unwrap();
+            }
+            store.commit(txn).unwrap();
+            (sim, vfs, store, oids)
+        };
+        let mut torn = 0;
+        for seed in 0..4 {
+            let (sim, _vfs, store, _) = build(seed);
+            let first = sim.op_count();
+            store.checkpoint().unwrap();
+            let ops = sim.op_count() - first;
+            let epoch = store.store_epoch();
+            assert_eq!(store.stats().meta_compactions, 2, "the checkpoint appended a delta");
+            drop(store);
+            // The last operations: the delta's write and sync, then the
+            // log's truncation.
+            for k in ops - 6..ops {
+                let (sim, vfs, store, oids) = build(seed);
+                sim.set_plan(FaultPlan {
+                    crash_at_op: Some(sim.op_count() + k),
+                    writeback: true,
+                    ..FaultPlan::default()
+                });
+                let finished = store.checkpoint().is_ok();
+                drop(store);
+                sim.power_loss();
+                let ctx = format!("seed {seed}, op {k}");
+                let image = meta::read_meta(&vfs, &meta_path).unwrap().unwrap();
+                let size = vfs.size(&meta_path).unwrap().unwrap();
+                if size > image.base_bytes + image.delta_bytes {
+                    torn += 1;
+                    assert!(!finished, "{ctx}");
+                    assert_eq!((image.segments, image.state.epoch), (1, epoch - 1), "{ctx}");
+                }
+                let store = OStore::open_with(vfs.clone(), &dir, opts.clone())
+                    .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
+                assert!(oids.iter().all(|&o| store.read(o).unwrap() == [1; 40]), "{ctx}");
+                assert_eq!(store.object_count(), N, "{ctx}");
+                drop(store);
+                // The checkpoint recovery ends with wrote a base: no
+                // torn tail outlives an open.
+                let image = meta::read_meta(&vfs, &meta_path).unwrap().unwrap();
+                assert_eq!(vfs.size(&meta_path).unwrap(), Some(image.base_bytes), "{ctx}");
+                assert!(crate::scrub::scrub_store(&vfs, &dir).unwrap().clean(), "{ctx}");
+            }
+        }
+        assert!(torn > 0, "no plug-pull left a torn delta behind");
     }
 
     #[test]

@@ -49,12 +49,16 @@
 //!
 //! * a **global shard** (rank 28), held *shared* by every operation for
 //!   its full duration and *exclusive* only by the checkpoint quiesce
-//!   ([`Heap::dump_meta`] / [`Heap::load_meta`]);
+//!   ([`Heap::places`] / [`Heap::load`]);
 //! * [`TABLE_SHARDS`] **object-table shards** (rank 30), oid-hashed like
 //!   the lock manager's 32-way split — taken only by writers and by
 //!   transactional own-write reads; committed-state readers resolve
 //!   version chains through the lock-free most-recent view instead
-//!   (see below) and never touch these shards;
+//!   (see below) and never touch these shards. Each shard also lists
+//!   the oids whose newest committed version moved since the last
+//!   collection: checkpoint GC trims those chains and the meta delta
+//!   records those oids, so a checkpoint costs what changed, not what
+//!   exists;
 //! * one **placement shard per segment** (rank 32): open page, page
 //!   list, free list, and chunk map, so writers in different segments
 //!   allocate without touching each other's locks.
@@ -289,14 +293,40 @@ impl SegShard {
     }
 }
 
+/// What one object-table shard's lock guards.
+#[derive(Default)]
+struct Table {
+    chains: HashMap<u64, Vec<Version>>,
+    /// Oids whose newest committed version moved since the last
+    /// [`Heap::collect_garbage`] — every path that moves one pushes here,
+    /// under the write lock it already holds. Checkpoint GC trims exactly
+    /// these chains and the checkpoint's meta delta records exactly these
+    /// oids, so neither walks the table. Duplicates are fine.
+    changed: Vec<u64>,
+}
+
+impl Table {
+    /// Record that `oid`'s newest committed version moved.
+    fn note_changed(&mut self, oid: u64) {
+        // With checkpoints held off the list would grow with the commit
+        // count; deduplicated when it is about to grow, it is bounded by
+        // the shard's object count.
+        if self.changed.len() == self.changed.capacity() && self.changed.len() >= 1024 {
+            self.changed.sort_unstable();
+            self.changed.dedup();
+        }
+        self.changed.push(oid);
+    }
+}
+
 struct TableShard {
-    map: RwLock<HashMap<u64, Vec<Version>>>,
+    map: RwLock<Table>,
     waits: AtomicU64,
 }
 
 /// State owned by the global shard: the segment roster. Held shared by
 /// every heap operation, exclusive only by the checkpoint quiesce and
-/// roster replacement in [`Heap::load_meta`].
+/// roster replacement in [`Heap::load`].
 struct HeapGlobal {
     segs: Vec<SegShard>,
 }
@@ -334,6 +364,19 @@ pub struct SegmentSpace {
     pub overflow_pages: u64,
     /// Pages on the segment's free list, or parked on their way to it.
     pub free_pages: u64,
+}
+
+/// The heap's placement state as a checkpoint persists it. A few bytes
+/// per page, so every meta segment carries it whole.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Places {
+    /// The oid allocator.
+    pub next_oid: u64,
+    /// Per segment: the open page, and the slotted pages it owns in
+    /// ascending order.
+    pub segs: Vec<(Option<PageId>, Vec<PageId>)>,
+    /// Free and parked pages, concatenated in segment order.
+    pub free: Vec<PageId>,
 }
 
 /// The object heap. Thread-safe; metadata sharded by oid (object table)
@@ -386,7 +429,7 @@ impl Heap {
     ) -> Self {
         let segs = (0..segments.max(1)).map(|_| SegShard::empty()).collect();
         let table = (0..TABLE_SHARDS)
-            .map(|_| TableShard { map: RwLock::new(HashMap::new()), waits: AtomicU64::new(0) })
+            .map(|_| TableShard { map: RwLock::new(Table::default()), waits: AtomicU64::new(0) })
             .collect();
         Heap {
             pool,
@@ -439,7 +482,7 @@ impl Heap {
     /// rank-checked: the guard may be held across buffer-pool and
     /// page-file acquisitions (higher ranks) but never the other way
     /// around.
-    fn table_read(&self, oid: u64) -> Ranked<RwLockReadGuard<'_, HashMap<u64, Vec<Version>>>> {
+    fn table_read(&self, oid: u64) -> Ranked<RwLockReadGuard<'_, Table>> {
         let sh = self.table_shard(oid);
         lock_order::ranked(lock_order::HEAP_TABLE, || {
             contended(&self.stats, &sh.waits, || sh.map.try_read(), || sh.map.read())
@@ -447,7 +490,7 @@ impl Heap {
     }
 
     /// Exclusive access to the object-table shard owning `oid`.
-    fn table_write(&self, oid: u64) -> Ranked<RwLockWriteGuard<'_, HashMap<u64, Vec<Version>>>> {
+    fn table_write(&self, oid: u64) -> Ranked<RwLockWriteGuard<'_, Table>> {
         let sh = self.table_shard(oid);
         lock_order::ranked(lock_order::HEAP_TABLE, || {
             contended(&self.stats, &sh.waits, || sh.map.try_write(), || sh.map.write())
@@ -883,11 +926,12 @@ impl Heap {
         let ver = Version { body: VersionBody::Data(Loc { page: pid, slot, seg }), lsn: 0, txn };
         {
             let mut shard = self.table_write(oid.raw());
-            shard.insert(oid.raw(), vec![ver]);
+            shard.chains.insert(oid.raw(), vec![ver]);
             // A pending-only chain has no committed version to publish;
             // the view slot stays empty until `commit_version`.
             if txn == 0 {
                 self.publish_view(oid.raw(), &[ver]);
+                shard.note_changed(oid.raw());
             }
         }
         StorageStats::bump(&self.stats.allocs, 1);
@@ -926,16 +970,17 @@ impl Heap {
         let ver = Version { body: VersionBody::Data(Loc { page: pid, slot, seg }), lsn: 0, txn };
         {
             let mut shard = self.table_write(oid.raw());
-            if shard.contains_key(&oid.raw()) {
+            if shard.chains.contains_key(&oid.raw()) {
                 return Err(StorageError::Corrupt(format!(
                     "replica alloc: oid {oid} is already bound"
                 )));
             }
-            shard.insert(oid.raw(), vec![ver]);
+            shard.chains.insert(oid.raw(), vec![ver]);
             // Pending-only chain: the view slot stays empty until
             // `commit_version` flips it, same as `alloc`.
             if txn == 0 {
                 self.publish_view(oid.raw(), &[ver]);
+                shard.note_changed(oid.raw());
             }
         }
         StorageStats::bump(&self.stats.allocs, 1);
@@ -968,7 +1013,7 @@ impl Heap {
         let seg = seg
             .or_else(|| {
                 let m = self.table_read(oid.raw());
-                m.get(&oid.raw())
+                m.chains.get(&oid.raw())
                     .and_then(|c| Self::visible_loc(c, Vis::Latest, oid).ok())
                     .map(|l| l.seg)
             })
@@ -984,8 +1029,9 @@ impl Heap {
         let ver = Version { body: VersionBody::Data(Loc { page: pid, slot, seg }), lsn: 0, txn: 0 };
         {
             let mut shard = self.table_write(oid.raw());
-            shard.insert(oid.raw(), vec![ver]);
+            shard.chains.insert(oid.raw(), vec![ver]);
             self.publish_view(oid.raw(), &[ver]);
+            shard.note_changed(oid.raw());
         }
         self.next_oid.fetch_max(oid.raw() + 1, Ordering::Relaxed);
         Ok(())
@@ -997,8 +1043,9 @@ impl Heap {
     pub fn recover_free(&self, oid: Oid) {
         let _g = self.global_read();
         let mut shard = self.table_write(oid.raw());
-        shard.remove(&oid.raw());
+        shard.chains.remove(&oid.raw());
         self.clear_view(oid.raw());
+        shard.note_changed(oid.raw());
     }
 
     /// Raise the oid allocator so no future allocation hands out an id
@@ -1038,7 +1085,7 @@ impl Heap {
             // which lives only in the locked table.
             Vis::For(_) => {
                 let shard = self.table_read(oid.raw());
-                let chain = shard.get(&oid.raw()).ok_or(StorageError::UnknownObject(oid))?;
+                let chain = shard.chains.get(&oid.raw()).ok_or(StorageError::UnknownObject(oid))?;
                 Self::visible_loc(chain, vis, oid)?
             }
             // Committed-state reads resolve through the lock-free view:
@@ -1078,7 +1125,7 @@ impl Heap {
         // Resolve existence + segment under a momentary shard read.
         let seg = {
             let shard = self.table_read(oid.raw());
-            let chain = shard.get(&oid.raw()).ok_or(StorageError::UnknownObject(oid))?;
+            let chain = shard.chains.get(&oid.raw()).ok_or(StorageError::UnknownObject(oid))?;
             Self::visible_loc(chain, Vis::For(txn), oid)?.seg
         };
         StorageStats::bump(&self.stats.updates, 1);
@@ -1094,7 +1141,7 @@ impl Heap {
         let mut condemned: Option<Loc> = None;
         {
             let mut shard = self.table_write(oid.raw());
-            let chain = shard.get_mut(&oid.raw()).ok_or(StorageError::UnknownObject(oid))?;
+            let chain = shard.chains.get_mut(&oid.raw()).ok_or(StorageError::UnknownObject(oid))?;
             if txn != 0 {
                 if let Some(head) = chain.first_mut().filter(|v| v.txn == txn) {
                     // Second write by the same transaction: swap the
@@ -1122,6 +1169,7 @@ impl Heap {
                 // Pending writes leave the committed suffix untouched,
                 // so only the immediate-commit arm republishes.
                 self.publish_view(oid.raw(), chain);
+                shard.note_changed(oid.raw());
             }
         }
         if let Some(loc) = replaced_pending {
@@ -1143,7 +1191,7 @@ impl Heap {
         let mut condemned: Vec<Loc> = Vec::new();
         {
             let mut shard = self.table_write(oid.raw());
-            let chain = shard.get_mut(&oid.raw()).ok_or(StorageError::UnknownObject(oid))?;
+            let chain = shard.chains.get_mut(&oid.raw()).ok_or(StorageError::UnknownObject(oid))?;
             // Deleting an object the caller cannot see is an error.
             Self::visible_loc(chain, Vis::For(txn), oid)?;
             if txn != 0 {
@@ -1158,13 +1206,14 @@ impl Heap {
                     chain.insert(0, Version { body: VersionBody::Tombstone, lsn: 0, txn });
                 }
             } else {
-                let dropped = shard.remove(&oid.raw()).unwrap_or_default();
+                let dropped = shard.chains.remove(&oid.raw()).unwrap_or_default();
                 for v in dropped {
                     if let VersionBody::Data(l) = v.body {
                         condemned.push(l);
                     }
                 }
                 self.clear_view(oid.raw());
+                shard.note_changed(oid.raw());
             }
         }
         if let Some(loc) = replaced_pending {
@@ -1195,12 +1244,12 @@ impl Heap {
         let mut trimmed = 0;
         {
             let mut shard = self.table_write(oid.raw());
-            if let Some(chain) = shard.get_mut(&oid.raw()) {
-                if let Some(head) = chain.first_mut() {
-                    if head.txn == txn {
-                        head.txn = 0;
-                        head.lsn = lsn;
-                    }
+            let mut flipped = false;
+            if let Some(chain) = shard.chains.get_mut(&oid.raw()) {
+                if let Some(head) = chain.first_mut().filter(|head| head.txn == txn) {
+                    head.txn = 0;
+                    head.lsn = lsn;
+                    flipped = true;
                 }
                 if chain.len() > MAX_CHAIN {
                     trimmed = Self::trim_chain(chain, keep_floor, &mut condemned);
@@ -1209,8 +1258,11 @@ impl Heap {
                 // (new head, or a trim): publish the new cut.
                 self.publish_view(oid.raw(), chain);
                 if chain.is_empty() {
-                    shard.remove(&oid.raw());
+                    shard.chains.remove(&oid.raw());
                 }
+            }
+            if flipped {
+                shard.note_changed(oid.raw());
             }
         }
         if trimmed > 0 {
@@ -1230,7 +1282,7 @@ impl Heap {
         let mut freed: Option<Loc> = None;
         {
             let mut shard = self.table_write(oid.raw());
-            if let Some(chain) = shard.get_mut(&oid.raw()) {
+            if let Some(chain) = shard.chains.get_mut(&oid.raw()) {
                 if chain.first().is_some_and(|v| v.txn == txn) {
                     let v = chain.remove(0);
                     if let VersionBody::Data(l) = v.body {
@@ -1238,7 +1290,7 @@ impl Heap {
                     }
                 }
                 if chain.is_empty() {
-                    shard.remove(&oid.raw());
+                    shard.chains.remove(&oid.raw());
                 }
             }
         }
@@ -1247,87 +1299,131 @@ impl Heap {
         }
     }
 
+    /// Trim the chains on the changed lists: unlink every committed
+    /// version of theirs no snapshot at or below `low_water` can reach.
+    /// Returns the oids drained, ascending, each with its newest
+    /// committed location (`None`: the object no longer exists), and the
+    /// unlinked locations.
+    ///
+    /// No other chain has anything to trim: a chain gains a second
+    /// committed version, or a tombstone, only in
+    /// [`Heap::commit_version`], which queues it; and one a trim cannot
+    /// settle — an open snapshot still pins an older version, or its
+    /// tombstone — is queued again for the next call.
+    fn trim_changed(&self, low_water: u64) -> (Vec<(u64, Option<Loc>)>, Vec<Loc>) {
+        let mut drained: Vec<(u64, Option<Loc>)> = Vec::new();
+        let mut condemned: Vec<Loc> = Vec::new();
+        let mut trimmed = 0u64;
+        let _g = self.global_read();
+        for sh in &self.table {
+            let table = &mut *lock_order::ranked(lock_order::HEAP_TABLE, || sh.map.write());
+            let mut changed = std::mem::take(&mut table.changed);
+            changed.sort_unstable();
+            changed.dedup();
+            for oid in changed {
+                let Some(chain) = table.chains.get_mut(&oid) else {
+                    drained.push((oid, None));
+                    continue;
+                };
+                let n = Self::trim_chain(chain, low_water, &mut condemned);
+                trimmed += n;
+                // Republish only what changed (a fully-trimmed chain
+                // publishes an empty cut, clearing the slot).
+                if n > 0 {
+                    self.publish_view(oid, chain);
+                }
+                let newest = Self::visible_loc(chain, Vis::Latest, Oid::from_raw(oid));
+                drained.push((oid, newest.ok()));
+                match chain.as_slice() {
+                    [] => {
+                        table.chains.remove(&oid);
+                    }
+                    [Version { body: VersionBody::Data(_), .. }] => {}
+                    _ => table.changed.push(oid),
+                }
+            }
+        }
+        if trimmed > 0 {
+            StorageStats::bump(&self.stats.versions_gced, trimmed);
+        }
+        drained.sort_unstable_by_key(|&(oid, _)| oid);
+        (drained, condemned)
+    }
+
     /// Version GC: unlink every committed version no snapshot at or
     /// below `low_water` can reach, synchronise the reader epoch, and
     /// physically free the unlinked (plus previously condemned) records.
-    /// Returns the number of locations freed.
+    /// The work is proportional to what changed since the last call, not
+    /// to the table ([`Heap::trim_changed`]). Returns, ascending, the
+    /// oids whose newest committed version may have moved since the last
+    /// call, each with where that version is now (`None`: the object no
+    /// longer exists) — what the checkpoint's meta delta must record.
     ///
     /// Runs at checkpoint (callers pass the minimum open-snapshot LSN,
     /// or `u64::MAX` when none is open). Safe concurrent with readers —
     /// the epoch sync is exactly what makes their latch-free access
     /// sound — but assumes no *pending* version's transaction is racing
     /// it for the same oids (the engine quiesces writers first).
-    pub fn collect_garbage(&self, low_water: u64) -> u64 {
-        let mut condemned: Vec<Loc> = Vec::new();
-        let mut trimmed = 0u64;
-        {
-            let _g = self.global_read();
-            for sh in &self.table {
-                let mut m = lock_order::ranked(lock_order::HEAP_TABLE, || sh.map.write());
-                m.retain(|&oid, chain| {
-                    let n = Self::trim_chain(chain, low_water, &mut condemned);
-                    trimmed += n;
-                    // Republish only what changed (a fully-trimmed
-                    // chain publishes an empty cut, clearing the slot).
-                    if n > 0 {
-                        self.publish_view(oid, chain);
-                    }
-                    !chain.is_empty()
-                });
-            }
-        }
+    pub fn collect_garbage(&self, low_water: u64) -> Vec<(u64, Option<Loc>)> {
+        let (changed, mut condemned) = self.trim_changed(low_water);
         // A good moment to age out displaced view chains either way.
         self.view.sync_reclaim();
-        if trimmed > 0 {
-            StorageStats::bump(&self.stats.versions_gced, trimmed);
-        }
-        {
-            let mut es = self.epoch_lock();
-            condemned.append(&mut es.condemned);
-        }
+        condemned.append(&mut self.epoch_lock().condemned);
         if condemned.is_empty() {
-            return 0;
+            return changed;
         }
         // No lock held across the wait; see `epoch_sync`.
         self.epoch_sync();
-        let n = condemned.len() as u64;
-        // The sweep above collected in hash order. Freeing in page order
-        // makes which pages end up recycled or roomy, and in what order,
-        // a function of the op stream alone — and visits each page once.
+        // Freeing in page order makes which pages end up recycled or
+        // roomy, and in what order, a function of the op stream alone —
+        // and takes each page from the pool once.
         condemned.sort_unstable_by_key(|loc| (loc.page, loc.slot.0));
         let g = self.global_read();
-        for loc in condemned {
-            self.free_slot(&g, loc);
+        for on_page in condemned.chunk_by(|a, b| a.page == b.page) {
+            self.free_slots(&g, on_page);
         }
-        n
+        changed
     }
 
-    /// Physically free one unlinked record: clear the slot, return its
-    /// overflow chain (if any) to the segment free list, and note what
-    /// the free left behind for placement. Best effort — damaged or
-    /// quarantined pages are leaked, matching the recovery paths' policy.
-    ///
-    /// One pool access; the segment lock is taken only when there is
-    /// something to tell placement, not per freed record.
+    /// Physically free one unlinked record ([`Heap::free_slots`]).
     fn free_slot(&self, g: &HeapGlobal, loc: Loc) {
-        let freed = self.pool.with_page_mut(loc.page, |buf| {
-            let rec = page::read(buf, loc.slot)?;
-            let chain = Self::is_overflow(rec).then(|| rec.to_vec());
-            page::remove(buf, loc.slot);
-            Some((chain, page::is_empty(buf), page::reclaimable(buf)))
+        self.free_slots(g, &[loc]);
+    }
+
+    /// Physically free unlinked records that share a page: clear the
+    /// slots, return their overflow chains (if any) to the segment free
+    /// list, and note what the frees left behind for placement. Best
+    /// effort — damaged or quarantined pages are leaked, matching the
+    /// recovery paths' policy.
+    ///
+    /// One pool access for the page; the segment lock is taken only when
+    /// there is something to tell placement, not per freed record.
+    fn free_slots(&self, g: &HeapGlobal, on_page: &[Loc]) {
+        let Some(&Loc { page: pid, seg, .. }) = on_page.first() else { return };
+        let freed = self.pool.with_page_mut(pid, |buf| {
+            let mut chains: Vec<Vec<u8>> = Vec::new();
+            let mut any = false;
+            for loc in on_page {
+                let Some(rec) = page::read(buf, loc.slot) else { continue };
+                if Self::is_overflow(rec) {
+                    chains.push(rec.to_vec());
+                }
+                page::remove(buf, loc.slot);
+                any = true;
+            }
+            any.then(|| (chains, page::is_empty(buf), page::reclaimable(buf)))
         });
-        let Ok(Some((chain, emptied, reclaimable))) = freed else { return };
+        let Ok(Some((chains, emptied, reclaimable))) = freed else { return };
         let roomy = self.placement == Placement::Segments && reclaimable >= ROOMY_BYTES;
-        if chain.is_none() && !emptied && !roomy {
+        if chains.is_empty() && !emptied && !roomy {
             return;
         }
-        let Ok(seg_idx) = self.resolve_seg(g, loc.seg) else { return };
+        let Ok(seg_idx) = self.resolve_seg(g, seg) else { return };
         let mut place = self.seg_lock(g, seg_idx);
-        if let Some(header) = chain {
-            let _ = self.free_overflow(&mut place, &header);
+        for header in &chains {
+            let _ = self.free_overflow(&mut place, header);
         }
         // A page placement is writing to stays where it is.
-        let pid = loc.page;
         if place.open_page == Some(pid)
             || place.chunks.values().any(|&p| p == pid)
             || !place.pages.contains(&pid)
@@ -1351,11 +1447,11 @@ impl Heap {
     }
 
     /// The meta just flipped recorded every parked page free
-    /// ([`Heap::dump_meta`]), so no meta on disk names one slotted any
+    /// ([`Heap::places`]), so no meta on disk names one slotted any
     /// more: move them to the free lists, where overflow chains may
     /// take them. The engine calls this after a successful flip, still
-    /// quiesced — a page parked between the dump and the flip would be
-    /// released unrecorded.
+    /// quiesced — a page parked between [`Heap::places`] and the flip
+    /// would be released unrecorded.
     pub fn release_parked(&self) {
         let g = self.global_read();
         for i in 0..g.segs.len() {
@@ -1383,7 +1479,7 @@ impl Heap {
         match vis {
             Vis::For(_) => {
                 let shard = self.table_read(oid.raw());
-                shard.get(&oid.raw()).is_some_and(|c| Self::visible_loc(c, vis, oid).is_ok())
+                shard.chains.get(&oid.raw()).is_some_and(|c| Self::visible_loc(c, vis, oid).is_ok())
             }
             Vis::Latest | Vis::At(_) => self
                 .view
@@ -1399,6 +1495,7 @@ impl Heap {
         for sh in &self.table {
             let m = lock_order::ranked(lock_order::HEAP_TABLE, || sh.map.read());
             n += m
+                .chains
                 .iter()
                 .filter(|(&k, c)| Self::visible_loc(c, Vis::Latest, Oid::from_raw(k)).is_ok())
                 .count();
@@ -1414,7 +1511,7 @@ impl Heap {
         for sh in &self.table {
             let m = lock_order::ranked(lock_order::HEAP_TABLE, || sh.map.read());
             v.extend(
-                m.iter()
+                m.chains.iter()
                     .filter(|(&k, c)| Self::visible_loc(c, Vis::Latest, Oid::from_raw(k)).is_ok())
                     .map(|(&k, _)| Oid::from_raw(k)),
             );
@@ -1490,7 +1587,7 @@ impl Heap {
         for sh in &self.table {
             let m = lock_order::ranked(lock_order::HEAP_TABLE, || sh.map.read());
             v.extend(
-                m.iter()
+                m.chains.iter()
                     .filter(|(&k, c)| {
                         Self::visible_loc(c, Vis::Latest, Oid::from_raw(k))
                             .is_ok_and(|loc| pages.contains(&loc.page))
@@ -1503,128 +1600,106 @@ impl Heap {
     }
 
     // ---- metadata (de)hydration for checkpointing -------------------------
+    //
+    // Only the newest committed version of each object is persisted;
+    // older versions exist solely for in-flight snapshots, which do not
+    // survive a restart. Callers quiesce transactions first, so no
+    // pending version is in flight. The byte format is `crate::meta`'s.
 
-    /// Serialize the heap metadata (object table, segment page lists,
-    /// free list, oid counter) for the meta file.
-    ///
-    /// Taking the global shard exclusively is a full quiesce — every
-    /// operation holds it shared for its whole duration — so the image
-    /// is a consistent cut. The per-shard locks below are then taken one
-    /// at a time purely as the data's formal owners; nothing can race
-    /// them. The byte format is unchanged from the single-lock heap:
-    /// per-segment free lists are concatenated in segment order.
-    pub fn dump_meta(&self, out: &mut Vec<u8>) {
-        let g = self.global_write();
-        out.extend_from_slice(&self.next_oid.load(Ordering::Relaxed).to_le_bytes());
-        // Only the newest committed version of each object is persisted
-        // (the format predates version chains and stays unchanged);
-        // older versions exist solely for in-flight snapshots, which do
-        // not survive a restart. Callers quiesce transactions first, so
-        // no pending version should be in flight here.
+    /// The newest committed location of every live object, ascending by
+    /// oid: the object table as a base meta segment records it.
+    pub fn table(&self) -> Vec<(u64, Loc)> {
+        let _g = self.global_read();
         let mut entries: Vec<(u64, Loc)> = Vec::new();
         for sh in &self.table {
             let m = lock_order::ranked(lock_order::HEAP_TABLE, || sh.map.read());
-            entries.extend(m.iter().filter_map(|(&k, c)| {
+            entries.extend(m.chains.iter().filter_map(|(&k, c)| {
                 Self::visible_loc(c, Vis::Latest, Oid::from_raw(k)).ok().map(|loc| (k, loc))
             }));
         }
         entries.sort_unstable_by_key(|&(k, _)| k);
-        out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
-        for (oid, loc) in &entries {
-            out.extend_from_slice(&oid.to_le_bytes());
-            out.extend_from_slice(&loc.page.0.to_le_bytes());
-            out.extend_from_slice(&loc.slot.0.to_le_bytes());
-            out.push(loc.seg.0);
-        }
-        out.extend_from_slice(&(g.segs.len() as u32).to_le_bytes());
-        let mut free_all: Vec<PageId> = Vec::new();
-        for i in 0..g.segs.len() {
-            let place = self.seg_lock(&g, i);
-            let open = place.open_page.map_or(NO_PAGE, |p| p.0);
-            out.extend_from_slice(&open.to_le_bytes());
-            out.extend_from_slice(&(place.pages.len() as u32).to_le_bytes());
-            for p in &place.pages {
-                out.extend_from_slice(&p.0.to_le_bytes());
-            }
-            free_all.extend_from_slice(&place.free_pages);
-            free_all.extend_from_slice(&place.parked);
-        }
-        out.extend_from_slice(&(free_all.len() as u32).to_le_bytes());
-        for p in &free_all {
-            out.extend_from_slice(&p.0.to_le_bytes());
-        }
+        entries
     }
 
-    /// Restore heap metadata from [`Heap::dump_meta`] output. Returns the
-    /// number of bytes consumed. Free pages are distributed round-robin
-    /// across the segments: any free page is usable by any segment, so
-    /// the split only spreads reuse.
-    pub fn load_meta(&self, data: &[u8]) -> Result<usize> {
-        let mut cur = Cursor { data, at: 0 };
-        let next_oid = cur.u64()?;
-        let n = cur.u64()? as usize;
-        let mut maps: Vec<HashMap<u64, Vec<Version>>> =
-            (0..TABLE_SHARDS).map(|_| HashMap::new()).collect();
-        for _ in 0..n {
-            let oid = cur.u64()?;
-            let page = PageId(cur.u32()?);
-            let slot = Slot(cur.u16()?);
-            let seg = SegmentId(cur.u8()?);
-            // Checkpoint-era versions are pre-history: LSN 0, visible to
-            // every snapshot a later run might open.
-            let ver =
-                Version { body: VersionBody::Data(Loc { page, slot, seg }), lsn: 0, txn: 0 };
-            if let Some(m) = maps.get_mut((oid % TABLE_SHARDS as u64) as usize) {
-                m.insert(oid, vec![ver]);
-            }
+    /// The placement state a checkpoint persists.
+    ///
+    /// Taking the global shard exclusively is a full quiesce — every
+    /// operation holds it shared for its whole duration — so the image
+    /// is a consistent cut. The per-segment locks below are then taken
+    /// one at a time purely as the data's formal owners; nothing can
+    /// race them.
+    pub fn places(&self) -> Places {
+        let g = self.global_write();
+        let mut places = Places {
+            next_oid: self.next_oid.load(Ordering::Relaxed),
+            segs: Vec::with_capacity(g.segs.len()),
+            free: Vec::new(),
+        };
+        for i in 0..g.segs.len() {
+            let place = self.seg_lock(&g, i);
+            places.segs.push((place.open_page, place.pages.iter().copied().collect()));
+            places.free.extend_from_slice(&place.free_pages);
+            places.free.extend_from_slice(&place.parked);
         }
-        let nsegs = cur.u32()? as usize;
+        places
+    }
+
+    /// Replace the heap's metadata with a checkpoint's: `places` and the
+    /// object `table` as [`Heap::places`] and [`Heap::table`] gave them.
+    /// Free pages are distributed round-robin across the segments: any
+    /// free page is usable by any segment, so the split only spreads
+    /// reuse.
+    pub fn load(&self, places: Places, table: impl IntoIterator<Item = (u64, Loc)>) -> Result<()> {
+        let nsegs = places.segs.len();
         if nsegs == 0 {
             return Err(StorageError::Corrupt("heap metadata has no segments".into()));
         }
-        let mut places = Vec::with_capacity(nsegs);
-        for _ in 0..nsegs {
-            let open = cur.u32()?;
-            let open_page = if open == NO_PAGE { None } else { Some(PageId(open)) };
-            let npages = cur.u32()? as usize;
-            let mut pages = BTreeSet::new();
-            for _ in 0..npages {
-                pages.insert(PageId(cur.u32()?));
+        let mut tables: Vec<Table> = (0..TABLE_SHARDS).map(|_| Table::default()).collect();
+        for (oid, loc) in table {
+            // Checkpoint-era versions are pre-history: LSN 0, visible to
+            // every snapshot a later run might open.
+            let ver = Version { body: VersionBody::Data(loc), lsn: 0, txn: 0 };
+            if let Some(t) = tables.get_mut((oid % TABLE_SHARDS as u64) as usize) {
+                t.chains.insert(oid, vec![ver]);
             }
-            places.push(SegPlace {
+        }
+        let mut segs: Vec<SegPlace> = places
+            .segs
+            .into_iter()
+            .map(|(open_page, pages)| SegPlace {
                 open_page,
-                pages,
+                pages: pages.into_iter().collect(),
                 // Placement caches, safe to drop.
                 chunks: HashMap::new(),
                 roomy: BTreeMap::new(),
                 free_pages: Vec::new(),
                 parked: Vec::new(),
-            });
-        }
-        let nfree = cur.u32()? as usize;
-        for i in 0..nfree {
-            let p = PageId(cur.u32()?);
-            places[i % nsegs].free_pages.push(p);
+            })
+            .collect();
+        for (i, p) in places.free.into_iter().enumerate() {
+            if let Some(seg) = segs.get_mut(i % nsegs) {
+                seg.free_pages.push(p);
+            }
         }
         let mut g = self.global_write();
-        g.segs = places.into_iter().map(SegShard::new).collect();
-        self.next_oid.store(next_oid, Ordering::Relaxed);
+        g.segs = segs.into_iter().map(SegShard::new).collect();
+        self.next_oid.store(places.next_oid, Ordering::Relaxed);
         // Replace the view wholesale along with the table. Latch-free
         // readers are not excluded by the global quiesce, but load only
         // runs at open/recovery, before any reader exists; the swaps
         // below are atomic either way.
         self.view.clear_all();
-        for (sh, m) in self.table.iter().zip(maps) {
+        for (sh, t) in self.table.iter().zip(tables) {
             let mut w = lock_order::ranked(lock_order::HEAP_TABLE, || sh.map.write());
-            for (&oid, chain) in &m {
+            for (&oid, chain) in &t.chains {
                 self.publish_view(oid, chain);
             }
-            *w = m;
+            *w = t;
         }
         // Locations condemned in the pre-load world must not be freed
         // against the loaded one.
         self.epoch_lock().condemned.clear();
-        Ok(cur.at)
+        Ok(())
     }
 }
 
@@ -1659,39 +1734,6 @@ fn le_u32_at(buf: &[u8], at: usize) -> Result<u32> {
         .ok_or_else(|| StorageError::Corrupt("truncated binary field".into()))
 }
 
-struct Cursor<'a> {
-    data: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.at + n > self.data.len() {
-            return Err(StorageError::Corrupt("truncated heap metadata".into()));
-        }
-        let s = &self.data[self.at..self.at + n];
-        self.at += n;
-        Ok(s)
-    }
-    fn arr<const N: usize>(&mut self) -> Result<[u8; N]> {
-        self.take(N)?
-            .try_into()
-            .map_err(|_| StorageError::Corrupt("truncated heap metadata".into()))
-    }
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.arr()?))
-    }
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.arr()?))
-    }
-    fn u16(&mut self) -> Result<u16> {
-        Ok(u16::from_le_bytes(self.arr()?))
-    }
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.arr::<1>()?[0])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1710,7 +1752,8 @@ mod tests {
     /// (test-only spelunking).
     fn stored_of(h: &Heap, oid: Oid) -> Vec<u8> {
         let shard = h.table[(oid.raw() % TABLE_SHARDS as u64) as usize].map.read();
-        let loc = Heap::visible_loc(shard.get(&oid.raw()).unwrap(), Vis::Latest, oid).unwrap();
+        let chain = shard.chains.get(&oid.raw()).unwrap();
+        let loc = Heap::visible_loc(chain, Vis::Latest, oid).unwrap();
         drop(shard);
         h.pool
             .with_page(loc.page, |buf| page::read(buf, loc.slot).map(|s| s.to_vec()))
@@ -1721,6 +1764,17 @@ mod tests {
     /// Free-list length of one segment (test-only spelunking).
     fn seg_free_pages(h: &Heap, idx: usize) -> Vec<PageId> {
         h.global.read().segs[idx].place.lock().free_pages.clone()
+    }
+
+    /// What a checkpoint persists of the heap.
+    fn dump(h: &Heap) -> (Places, Vec<(u64, Loc)>) {
+        (h.places(), h.table())
+    }
+
+    /// Round-trip the heap's metadata through a checkpoint's view of it.
+    fn reload(h: &Heap) {
+        let (places, table) = dump(h);
+        h.load(places, table).unwrap();
     }
 
     /// What a checkpoint does to the heap: collect, then — the meta
@@ -1753,7 +1807,7 @@ mod tests {
             }
         }
         for sh in &h.table {
-            for (&oid, chain) in sh.map.read().iter() {
+            for (&oid, chain) in sh.map.read().chains.iter() {
                 let Ok(loc) = Heap::visible_loc(chain, Vis::Latest, Oid::from_raw(oid)) else {
                     continue;
                 };
@@ -1776,7 +1830,7 @@ mod tests {
 
     fn page_of(h: &Heap, oid: Oid) -> PageId {
         let shard = h.table_read(oid.raw());
-        Heap::visible_loc(shard.get(&oid.raw()).unwrap(), Vis::Latest, oid).unwrap().page
+        Heap::visible_loc(shard.chains.get(&oid.raw()).unwrap(), Vis::Latest, oid).unwrap().page
     }
 
     #[test]
@@ -1800,13 +1854,10 @@ mod tests {
         let before = h.file.page_count();
         let long = h.alloc(SegmentId(0), ClusterHint::NONE, &[9u8; 5000], 0).unwrap();
         assert_eq!(h.file.page_count(), before + 2, "the chain took the parked page");
-        let mut meta = Vec::new();
-        h.dump_meta(&mut meta);
+        let meta = dump(&h);
         h.release_parked();
         assert_eq!(seg_free_pages(&h, 0), vec![first]);
-        let mut flipped = Vec::new();
-        h.dump_meta(&mut flipped);
-        assert!(meta == flipped, "the flip had already recorded the parked page free");
+        assert!(meta == dump(&h), "the flip had already recorded the parked page free");
         assert_eq!(h.read(long).unwrap(), vec![9u8; 5000]);
         assert_placement_sound(&h);
 
@@ -1946,9 +1997,7 @@ mod tests {
         assert_eq!(free, 3);
         let owned = h.segment_pages();
 
-        let mut meta = Vec::new();
-        h.dump_meta(&mut meta);
-        assert_eq!(h.load_meta(&meta).unwrap(), meta.len());
+        reload(&h);
         assert_eq!(h.segment_pages(), owned, "recycled pages stay off the page lists");
         let free_after: usize = (0..2).map(|i| seg_free_pages(&h, i).len()).sum();
         assert_eq!(free_after, free);
@@ -1991,9 +2040,7 @@ mod tests {
                 gc_and_flip(&h);
                 assert_placement_sound(&h);
             }
-            let mut meta = Vec::new();
-            h.dump_meta(&mut meta);
-            (h.file.page_count(), meta)
+            (h.file.page_count(), dump(&h))
         };
         let (pages_a, meta_a) = run("det-a");
         let (pages_b, meta_b) = run("det-b");
@@ -2335,12 +2382,7 @@ mod tests {
         }
         let freed = *oids.get(7).unwrap();
         h.free(freed, 0).unwrap();
-        let mut meta = Vec::new();
-        h.dump_meta(&mut meta);
-
-        // Fresh heap over the same pool/file state.
-        let consumed = h.load_meta(&meta).unwrap();
-        assert_eq!(consumed, meta.len());
+        reload(&h);
         for (i, &oid) in oids.iter().enumerate() {
             if i == 7 {
                 assert!(!h.exists(oid));
@@ -2374,10 +2416,7 @@ mod tests {
         let free_before: usize = (0..4).map(|i| seg_free_pages(&h, i).len()).sum();
         assert!(free_before > 0);
 
-        let mut meta = Vec::new();
-        h.dump_meta(&mut meta);
-        let consumed = h.load_meta(&meta).unwrap();
-        assert_eq!(consumed, meta.len());
+        reload(&h);
 
         for &(oid, i) in &live {
             assert_eq!(h.read(oid).unwrap(), i.to_le_bytes());
@@ -2393,13 +2432,12 @@ mod tests {
     }
 
     #[test]
-    fn load_meta_rejects_truncated_input() {
-        let (h, _) = heap("trunc", Placement::Segments, 1, 8);
-        h.alloc(SegmentId(0), ClusterHint::NONE, b"x", 0).unwrap();
-        let mut meta = Vec::new();
-        h.dump_meta(&mut meta);
-        let err = h.load_meta(&meta[..meta.len() - 3]).unwrap_err();
+    fn load_rejects_a_roster_with_no_segments() {
+        let (h, _) = heap("noseg", Placement::Segments, 1, 8);
+        let oid = h.alloc(SegmentId(0), ClusterHint::NONE, b"x", 0).unwrap();
+        let err = h.load(Places::default(), dump(&h).1).unwrap_err();
         assert!(matches!(err, StorageError::Corrupt(_)));
+        assert_eq!(h.read(oid).unwrap(), b"x", "a refused load changes nothing");
     }
 
     #[test]
@@ -2631,6 +2669,116 @@ mod tests {
         assert_eq!(h.object_count(), 0);
     }
 
+    /// What the full-table sweep this GC replaced would unlink at
+    /// `low_water`: every chain trimmed, none changed.
+    fn full_sweep(h: &Heap, low_water: u64) -> Vec<Loc> {
+        let mut condemned = Vec::new();
+        for sh in &h.table {
+            for chain in sh.map.read().chains.values() {
+                Heap::trim_chain(&mut chain.clone(), low_water, &mut condemned);
+            }
+        }
+        condemned.sort_unstable_by_key(|loc| (loc.page, loc.slot.0));
+        condemned
+    }
+
+    #[test]
+    fn changed_list_gc_condemns_exactly_what_a_full_sweep_would() {
+        // Random transactions — allocate, update, free, then commit or
+        // abort — and immediate (txn 0) writes, with snapshots opened
+        // and released in between. At every collection the chains on the
+        // changed lists must yield exactly the locations a sweep of the
+        // whole table yields: no chain with something to trim is ever
+        // off the lists, whatever was pinned when it was last looked at.
+        for seed in 0..6u64 {
+            let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+            let mut rand = move |n: u64| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x.wrapping_mul(0x2545_f491_4f6c_dd1d) % n
+            };
+            let (h, stats) = heap(&format!("gc-prop-{seed}"), Placement::Segments, 2, 64);
+            let mut live: Vec<Oid> = Vec::new();
+            let mut snapshots: Vec<u64> = Vec::new();
+            let (mut lsn, mut collections, mut pinned_rounds) = (0u64, 0, 0);
+            for txn in 1..=1_500u64 {
+                let floor = snapshots.iter().copied().min().unwrap_or(u64::MAX);
+                match rand(10) {
+                    0 => snapshots.push(lsn),
+                    1 if !snapshots.is_empty() => {
+                        snapshots.swap_remove(rand(snapshots.len() as u64) as usize);
+                    }
+                    2 => {
+                        let want = full_sweep(&h, floor);
+                        let (_, mut got) = h.trim_changed(floor);
+                        got.sort_unstable_by_key(|loc| (loc.page, loc.slot.0));
+                        assert_eq!(got, want, "seed {seed}, txn {txn}, floor {floor}");
+                        assert!(full_sweep(&h, floor).is_empty());
+                        h.epoch_lock().condemned.append(&mut got);
+                        h.collect_garbage(floor);
+                        assert_placement_sound(&h);
+                        collections += 1;
+                        pinned_rounds += usize::from(floor != u64::MAX);
+                    }
+                    3 if !live.is_empty() => {
+                        let oid = live[rand(live.len() as u64) as usize];
+                        h.update(oid, &vec![txn as u8; 40 + rand(400) as usize], 0).unwrap();
+                    }
+                    _ => {
+                        let mut touched: Vec<Oid> = Vec::new();
+                        let mut born: Vec<Oid> = Vec::new();
+                        let mut freed: Vec<Oid> = Vec::new();
+                        for _ in 0..1 + rand(4) {
+                            let data = vec![txn as u8; 40 + rand(400) as usize];
+                            let pick = rand(10);
+                            if pick < 4 || live.is_empty() {
+                                let seg = SegmentId(rand(2) as u8);
+                                born.push(h.alloc(seg, ClusterHint::NONE, &data, txn).unwrap());
+                                touched.extend(born.last());
+                                continue;
+                            }
+                            // One of this transaction's own, now and then.
+                            let own = born.last().filter(|_| pick == 9).copied();
+                            let oid = own.unwrap_or(live[rand(live.len() as u64) as usize]);
+                            if freed.contains(&oid) {
+                                continue;
+                            }
+                            if pick < 8 {
+                                h.update(oid, &data, txn).unwrap();
+                            } else {
+                                h.free(oid, txn).unwrap();
+                                freed.push(oid);
+                            }
+                            touched.push(oid);
+                        }
+                        if rand(5) == 0 {
+                            for &oid in touched.iter().rev() {
+                                h.discard_txn(oid, txn);
+                            }
+                        } else {
+                            lsn += 1;
+                            for &oid in &touched {
+                                h.commit_version(oid, txn, lsn, floor);
+                            }
+                            live.extend(born);
+                            live.retain(|oid| !freed.contains(oid));
+                        }
+                    }
+                }
+            }
+            // Everything unpinned and collected, one version each is left.
+            h.collect_garbage(u64::MAX);
+            assert!(full_sweep(&h, u64::MAX).is_empty());
+            assert_eq!(h.object_count(), live.len());
+            let chains: usize = h.table.iter().map(|sh| sh.map.read().chains.len()).sum();
+            assert_eq!(chains, live.len(), "seed {seed}: a dead tombstone was left behind");
+            assert!(h.table.iter().all(|sh| sh.map.read().changed.is_empty()));
+            assert!(collections > 50 && pinned_rounds > 10, "seed {seed}: {collections} rounds");
+            assert!(stats.snapshot().versions_gced > 500, "seed {seed}: {:?}", stats.snapshot());
+        }
+    }
+
     #[test]
     fn commit_trims_chains_past_the_soft_bound() {
         let (h, _) = heap("mvcc-trim", Placement::Segments, 1, 32);
@@ -2642,7 +2790,7 @@ mod tests {
         }
         let len = {
             let shard = h.table[(oid.raw() % TABLE_SHARDS as u64) as usize].map.read();
-            shard.get(&oid.raw()).unwrap().len()
+            shard.chains.get(&oid.raw()).unwrap().len()
         };
         assert!(len <= MAX_CHAIN + 1, "commit-time trim bounds the chain, got {len}");
         // With a floor pinning everything, commits must NOT trim.
@@ -2678,7 +2826,7 @@ mod tests {
         }
         let len = {
             let shard = h.table[(oid.raw() % TABLE_SHARDS as u64) as usize].map.read();
-            shard.get(&oid.raw()).unwrap().len()
+            shard.chains.get(&oid.raw()).unwrap().len()
         };
         assert_eq!(len, 2, "the final commit must have trimmed the chain");
         // A snapshot pinned at the pre-flip LSN of the latest commit

@@ -20,6 +20,7 @@
 //! | 10   | `Engine::active` (txn table / quiesce) |
 //! | 12   | `Engine::vis` (commit-visibility flip) |
 //! | 14   | `Engine::snapshots` (snapshot registry)|
+//! | 16   | `Engine::meta` (meta file writer)      |
 //! | 20   | `LockManager` shard `states`           |
 //! | 25   | `LockManager::held`                    |
 //! | 28   | `Heap::global` (quiesce / seg roster)  |
@@ -30,6 +31,7 @@
 //! | 42   | `BufferPool` frame latch               |
 //! | 45   | `PageFile::file`                       |
 //! | 50   | `Wal::writer`                          |
+//! | 52   | `Wal::log_file` (the log's file handle)|
 //! | 55   | `Wal::queue` (log-writer request queue)|
 //! | 60   | `SimVfs` state (simulated disk)        |
 //! | 70   | server tenant registry                 |
@@ -68,13 +70,17 @@ pub const ENGINE_COMMIT_VIS: LockRank = LockRank { rank: 12, name: "engine.visib
 /// `Engine::snapshots`: the registry of open snapshot read timestamps
 /// that feeds the version-GC low-water mark.
 pub const ENGINE_SNAPSHOTS: LockRank = LockRank { rank: 14, name: "engine.snapshots" };
+/// `Engine::meta`: the meta file's write side. Taken by a checkpoint,
+/// holding nothing, twice: across the heap reads that encode a segment's
+/// object-table part, and across the file I/O that makes it durable.
+pub const ENGINE_META: LockRank = LockRank { rank: 16, name: "engine.meta" };
 /// One `LockManager` shard's lock-state map.
 pub const LOCK_SHARD: LockRank = LockRank { rank: 20, name: "lock_manager.shard" };
 /// The `LockManager` per-transaction held-locks map.
 pub const LOCK_HELD: LockRank = LockRank { rank: 25, name: "lock_manager.held" };
 /// The heap's global shard: shared-held by every heap operation for its
 /// duration, exclusive-held only by the checkpoint quiesce
-/// (`dump_meta`/`load_meta`) and segment-roster changes.
+/// (`places`/`load`) and segment-roster changes.
 pub const HEAP_GLOBAL: LockRank = LockRank { rank: 28, name: "heap.global" };
 /// The heap's epoch state: the reader-slot registry plus the condemned
 /// version list awaiting an epoch-synchronised free. Readers never take
@@ -101,6 +107,10 @@ pub const BUFFER_FRAME: LockRank = LockRank { rank: 42, name: "buffer_pool.frame
 pub const PAGE_FILE: LockRank = LockRank { rank: 45, name: "page_file.file" };
 /// The WAL append buffer / writer.
 pub const WAL_WRITER: LockRank = LockRank { rank: 50, name: "wal.writer" };
+/// The log's file handle. Taken under the writer lock for a write-out,
+/// a truncation or a stream read, so frames reach the file in tail
+/// order; taken alone for a sync, so appends go on while the disk works.
+pub const WAL_FILE: LockRank = LockRank { rank: 52, name: "wal.log_file" };
 /// The log-writer's request queue: group-commit tickets, durability
 /// watermarks, and failure slots. Ranked *above* the writer mutex so
 /// a committer parked on the queue can never be holding the append

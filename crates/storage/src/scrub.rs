@@ -3,8 +3,9 @@
 //!
 //! The scrubber is the audit side of the corruption-detection story:
 //! the page file verifies lazily (on read), the engine repairs at open,
-//! and `scrub` walks the whole image eagerly — meta checksum, every
-//! page header against the checkpoint's LSN floors, and the WAL's
+//! and `scrub` walks the whole image eagerly — the meta file's base and
+//! delta checksums, every page header against the checkpoint's LSN
+//! floors (those of the newest meta segment), and the WAL's
 //! position-bound frame checksums — and reports what it found. A clean
 //! report means every byte that could be read back was proven to be the
 //! byte that was written; quarantined pages are listed, not read (they
@@ -17,7 +18,7 @@ use crate::buffer::BufferPool;
 use crate::error::{Result, StorageError};
 use crate::heap::{Heap, Placement, SegmentSpace};
 use crate::ids::PageId;
-use crate::meta::{parse_meta_header, read_meta};
+use crate::meta::read_meta;
 use crate::pagefile::{PageFile, PageRead};
 use crate::stats::StorageStats;
 use crate::vfs::Vfs;
@@ -52,9 +53,10 @@ impl ScrubReport {
     }
 }
 
-/// Verify the store image at `dir`: the meta file's whole-file checksum,
-/// every data page against its header and LSN floor, and every complete
-/// WAL frame against its position-bound checksum.
+/// Verify the store image at `dir`: the meta file's segments, every data
+/// page against its header and the LSN floor the folded meta file
+/// records, and every complete WAL frame against its position-bound
+/// checksum.
 ///
 /// Damage in the meta file or the WAL interior surfaces as a typed
 /// error (there is nothing sensible to report *against* without a
@@ -65,10 +67,10 @@ pub fn scrub_store(vfs: &Arc<dyn Vfs>, dir: &Path) -> Result<ScrubReport> {
     let data_path = dir.join("data.pg");
     let wal_path = dir.join("wal.log");
 
-    let Some(meta_bytes) = vfs.read_all(&meta_path)? else {
+    let Some(image) = read_meta(vfs, &meta_path)? else {
         return Err(StorageError::BadPath(format!("no store at {}", dir.display())));
     };
-    let (state, _heap_dump) = parse_meta_header(&meta_bytes)?;
+    let state = image.state;
 
     let mut report = ScrubReport { epoch: state.epoch, ..ScrubReport::default() };
     let stats = Arc::new(StorageStats::default());
@@ -108,6 +110,12 @@ pub struct SpaceReport {
     pub data_bytes: u64,
     /// Size of the meta file (object table, page lists, version floors).
     pub meta_bytes: u64,
+    /// Of which its base segment.
+    pub meta_base_bytes: u64,
+    /// Of which the complete delta segments behind the base.
+    pub meta_delta_bytes: u64,
+    /// Meta segments: the base and the complete deltas.
+    pub meta_segments: u32,
     /// Size of the write-ahead log.
     pub wal_bytes: u64,
 }
@@ -127,14 +135,18 @@ pub fn space_report(vfs: &Arc<dyn Vfs>, dir: &Path) -> Result<SpaceReport> {
     // The segment roster comes from the meta file; the placement policy
     // only matters to writes.
     let heap = Heap::new(pool, file.clone(), stats, Placement::Segments, 1, 0, 1);
-    let state = read_meta(vfs, &meta_path, &heap)?.unwrap_or_default();
-    file.set_version_floors(state.versions);
-    file.set_quarantined(&state.quarantined);
+    let image = read_meta(vfs, &meta_path)?.unwrap_or_default();
+    file.set_version_floors(image.state.versions);
+    file.set_quarantined(&image.state.quarantined);
+    heap.load(image.state.places, image.table)?;
     Ok(SpaceReport {
         segments: heap.space_report()?,
         data_pages: file.page_count(),
         data_bytes: file.len_bytes()?,
         meta_bytes,
+        meta_base_bytes: image.base_bytes,
+        meta_delta_bytes: image.delta_bytes,
+        meta_segments: image.segments,
         wal_bytes: vfs.size(&dir.join("wal.log"))?.unwrap_or(0),
     })
 }
@@ -188,6 +200,22 @@ mod tests {
         assert!(space.segments[0].live_bytes >= 300 * 64);
         assert!(space.meta_bytes > 0 && space.wal_bytes > 0);
         assert!(image(&vfs) == before, "the report must not write");
+    }
+
+    #[test]
+    fn scrub_and_space_report_read_the_folded_meta() {
+        // The store's objects, page lists and LSN floors are all in the
+        // delta its one explicit checkpoint appended; the base, written
+        // at create, describes an empty store at epoch 1.
+        let (_sim, vfs, dir) = built_store(10);
+        let report = scrub_store(&vfs, &dir).unwrap();
+        assert_eq!(report.epoch, 2, "the newest segment's epoch");
+        assert!(report.clean() && report.ok > 0);
+        let space = space_report(&vfs, &dir).unwrap();
+        assert_eq!(space.meta_segments, 2);
+        assert!(space.meta_delta_bytes > space.meta_base_bytes);
+        assert_eq!(space.meta_base_bytes + space.meta_delta_bytes, space.meta_bytes);
+        assert_eq!(space.segments.len(), 4, "the roster comes from the delta too");
     }
 
     #[test]

@@ -35,8 +35,9 @@ pub struct StorageStats {
     pub aborts: AtomicU64,
     /// Bytes appended to the write-ahead log.
     pub wal_bytes: AtomicU64,
-    /// Physical log forces (group-commit batches): each force covers one
-    /// or more commits, so under concurrency this stays below `commits`.
+    /// Physical log write-outs: a log-writer batch, or a no-sync commit
+    /// writing the tail out itself. Each carries one or more commits to
+    /// the file, so under concurrency this stays below `commits`.
     pub wal_syncs: AtomicU64,
     /// Nanoseconds spent inside physical log forces (write-out plus
     /// sync), summed across all forcing threads — the log-writer's
@@ -44,6 +45,13 @@ pub struct StorageStats {
     pub wal_force_nanos: AtomicU64,
     /// Checkpoints taken.
     pub checkpoints: AtomicU64,
+    /// Nanoseconds spent inside checkpoints, quiesce wait included.
+    pub checkpoint_nanos: AtomicU64,
+    /// Bytes written to the meta file, base and delta segments alike.
+    pub meta_bytes_written: AtomicU64,
+    /// Meta base segments written: the first checkpoint after a create
+    /// or open, and every compaction of outgrown deltas.
+    pub meta_compactions: AtomicU64,
     /// WAL frames replayed during the most recent recovery.
     pub wal_frames_replayed: AtomicU64,
     /// Bytes discarded from a torn WAL tail during the most recent
@@ -105,6 +113,9 @@ impl StorageStats {
             wal_syncs: self.wal_syncs.load(Ordering::Relaxed),
             wal_force_nanos: self.wal_force_nanos.load(Ordering::Relaxed),
             checkpoints: self.checkpoints.load(Ordering::Relaxed),
+            checkpoint_nanos: self.checkpoint_nanos.load(Ordering::Relaxed),
+            meta_bytes_written: self.meta_bytes_written.load(Ordering::Relaxed),
+            meta_compactions: self.meta_compactions.load(Ordering::Relaxed),
             wal_frames_replayed: self.wal_frames_replayed.load(Ordering::Relaxed),
             wal_bytes_truncated: self.wal_bytes_truncated.load(Ordering::Relaxed),
             io_retries: self.io_retries.load(Ordering::Relaxed),
@@ -155,6 +166,12 @@ pub struct StatsSnapshot {
     pub wal_force_nanos: u64,
     /// See [`StorageStats::checkpoints`].
     pub checkpoints: u64,
+    /// See [`StorageStats::checkpoint_nanos`].
+    pub checkpoint_nanos: u64,
+    /// See [`StorageStats::meta_bytes_written`].
+    pub meta_bytes_written: u64,
+    /// See [`StorageStats::meta_compactions`].
+    pub meta_compactions: u64,
     /// See [`StorageStats::wal_frames_replayed`].
     pub wal_frames_replayed: u64,
     /// See [`StorageStats::wal_bytes_truncated`].
@@ -202,6 +219,9 @@ impl StatsSnapshot {
             wal_syncs: self.wal_syncs.saturating_sub(earlier.wal_syncs),
             wal_force_nanos: self.wal_force_nanos.saturating_sub(earlier.wal_force_nanos),
             checkpoints: self.checkpoints.saturating_sub(earlier.checkpoints),
+            checkpoint_nanos: self.checkpoint_nanos.saturating_sub(earlier.checkpoint_nanos),
+            meta_bytes_written: self.meta_bytes_written.saturating_sub(earlier.meta_bytes_written),
+            meta_compactions: self.meta_compactions.saturating_sub(earlier.meta_compactions),
             wal_frames_replayed: self
                 .wal_frames_replayed
                 .saturating_sub(earlier.wal_frames_replayed),

@@ -27,6 +27,7 @@
 
 use std::collections::BTreeMap;
 use std::io;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -113,17 +114,14 @@ struct RealFile {
 }
 
 impl VfsFile for RealFile {
+    // Positional I/O: one syscall per call, and no file cursor to keep.
     fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> Result<()> {
-        use std::io::{Read, Seek, SeekFrom};
-        self.file.seek(SeekFrom::Start(offset))?;
-        self.file.read_exact(buf)?;
+        self.file.read_exact_at(buf, offset)?;
         Ok(())
     }
 
     fn write_at(&mut self, offset: u64, data: &[u8]) -> Result<()> {
-        use std::io::{Seek, SeekFrom, Write};
-        self.file.seek(SeekFrom::Start(offset))?;
-        self.file.write_all(data)?;
+        self.file.write_all_at(data, offset)?;
         self.len = self.len.max(offset + data.len() as u64);
         Ok(())
     }

@@ -196,12 +196,6 @@ impl WalRecord {
     }
 }
 
-fn encode_body(rec: &WalRecord) -> Vec<u8> {
-    let mut body = Vec::with_capacity(64);
-    rec.encode(&mut body);
-    body
-}
-
 /// Frame checksum, bound to the frame's byte offset in the log: the
 /// same body at a different position has a different crc, so replay
 /// rejects misdirected log writes instead of accepting them as history.
@@ -209,15 +203,23 @@ fn frame_crc(offset: u64, body: &[u8]) -> u32 {
     fnv1a_multi(&[&offset.to_le_bytes(), body])
 }
 
-/// Assemble the on-disk frame for a body that will be written at
-/// `offset`.
-fn frame_at(offset: u64, body: &[u8]) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(body.len() + 8);
-    frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&frame_crc(offset, body).to_le_bytes());
-    frame.extend_from_slice(body);
-    frame
+/// Append to `out` the on-disk frame of `rec` for a frame that will be
+/// written at `offset`; returns the frame's length.
+fn push_frame(out: &mut Vec<u8>, offset: u64, rec: &WalRecord) -> usize {
+    let start = out.len();
+    out.extend_from_slice(&[0u8; 8]);
+    rec.encode(out);
+    let (header, body) = out.split_at_mut(start + 8);
+    let len = (body.len() as u32).to_le_bytes();
+    let crc = frame_crc(offset, body).to_le_bytes();
+    for (dst, b) in header.iter_mut().skip(start).zip(len.into_iter().chain(crc)) {
+        *dst = b;
+    }
+    out.len() - start
 }
+
+/// Length of a [`WalRecord::Reset`] frame: header, tag, epoch.
+const RESET_FRAME_LEN: u64 = 8 + 1 + 8;
 
 /// How far past an apparent tear replay searches for a later intact
 /// frame before trusting the tear. Bounds the rescue scan's cost; any
@@ -332,14 +334,15 @@ pub struct WalReplay {
 /// whose commit has not been forced, so losing them on a crash is exactly
 /// the contract.
 struct WalWriter {
-    file: Box<dyn VfsFile>,
     /// Offset where the next flush writes (bytes already in the file).
     flushed: u64,
-    /// Encoded record *bodies* awaiting the next flush. Frames are
-    /// assembled at flush time, once each body's file offset is known —
-    /// the frame crc covers that offset (see [`frame_crc`]), and a
-    /// truncation can reset `flushed` while bodies are still queued.
-    buf: Vec<Vec<u8>>,
+    /// Frames awaiting the next flush, assembled by [`Wal::append`] under
+    /// the writer lock — where each frame's file offset is known, and the
+    /// frame crc covers that offset (see [`frame_crc`]): `flushed` plus
+    /// the tail before it, or, while a truncation is pending, the reset
+    /// frame's length plus the tail. A truncation empties the tail, so no
+    /// frame outlives the offset space it was framed for.
+    tail: Vec<u8>,
     /// Shared counters (for the transient-retry stat).
     stats: Arc<StorageStats>,
     /// A truncation failed partway: the log head (empty file + reset
@@ -357,21 +360,25 @@ struct WalWriter {
 }
 
 impl WalWriter {
+    /// File offset of the next frame [`Wal::append`] assembles.
+    fn next_offset(&self) -> u64 {
+        let base = if self.pending_reset.is_some() { RESET_FRAME_LEN } else { self.flushed };
+        base + self.tail.len() as u64
+    }
+
     /// Re-establish the log head if a truncation is still pending. The
     /// write ordering (set_len, then the reset frame, then any frames
     /// behind it) is what keeps every possible crash image well-formed;
     /// durability is the caller's business.
-    fn repair_head(&mut self) -> Result<()> {
+    fn repair_head(&mut self, file: &mut dyn VfsFile) -> Result<()> {
         if let Some(epoch) = self.pending_reset {
             let stats = self.stats.clone();
-            with_retries(
-                || self.file.set_len(0),
-                || StorageStats::bump(&stats.io_retries, 1),
-            )?;
+            with_retries(|| file.set_len(0), || StorageStats::bump(&stats.io_retries, 1))?;
             self.flushed = 0;
-            let frame = frame_at(0, &encode_body(&WalRecord::Reset(epoch)));
+            let mut frame = Vec::with_capacity(RESET_FRAME_LEN as usize);
+            push_frame(&mut frame, 0, &WalRecord::Reset(epoch));
             with_retries(
-                || self.file.write_at(0, &frame),
+                || file.write_at(0, &frame),
                 || StorageStats::bump(&stats.io_retries, 1),
             )?;
             self.flushed = frame.len() as u64;
@@ -380,30 +387,25 @@ impl WalWriter {
         Ok(())
     }
 
-    /// Write the buffered bodies out. `appended` is the append mark,
-    /// read by the caller under the writer lock it holds: the buffer is
-    /// drained whole, so on success everything below it is in the file.
-    fn flush(&mut self, appended: u64) -> Result<()> {
-        self.repair_head()?;
-        if !self.buf.is_empty() {
-            // Assemble the batch now that each body's offset is final.
-            let mut batch = Vec::new();
-            let mut offset = self.flushed;
-            for body in &self.buf {
-                let frame = frame_at(offset, body);
-                offset += frame.len() as u64;
-                batch.extend_from_slice(&frame);
-            }
+    /// Write the tail out: one `write_at` of frames that are already
+    /// assembled. `appended` is the append mark, read by the caller
+    /// under the writer lock it holds: the tail is written whole, so on
+    /// success everything below it is in the file. Returns whether there
+    /// was a tail to write.
+    fn flush(&mut self, file: &mut dyn VfsFile, appended: u64) -> Result<bool> {
+        self.repair_head(file)?;
+        let wrote = !self.tail.is_empty();
+        if wrote {
             let stats = self.stats.clone();
             with_retries(
-                || self.file.write_at(self.flushed, &batch),
+                || file.write_at(self.flushed, &self.tail),
                 || StorageStats::bump(&stats.io_retries, 1),
             )?;
-            self.flushed += batch.len() as u64;
-            self.buf.clear();
+            self.flushed += self.tail.len() as u64;
+            self.tail.clear();
         }
         self.flushed_mark = appended;
-        Ok(())
+        Ok(wrote)
     }
 }
 
@@ -418,36 +420,25 @@ struct FailedRange {
     error: Arc<StorageError>,
 }
 
-/// The log-writer's request queue. Committers take a ticket (after
-/// their records are in the append buffer), record whether they need a
-/// sync, and park on the `done` condvar until the matching watermark
-/// passes their ticket; the dedicated writer thread claims the queue in
-/// batches and forces once per batch — at the strongest durability any
-/// member requested, never a downgrade.
+/// The log-writer's request queue. Durable committers take a ticket
+/// (after their records are in the append buffer) and park on the
+/// `done` condvar until the synced watermark passes it; the dedicated
+/// writer thread claims the queue in batches and forces — write-out
+/// plus sync — once per batch. A commit that needs no sync never comes
+/// here: it writes the tail out itself ([`Wal::group_commit`]).
 #[derive(Default)]
 struct LogQueue {
     /// Next ticket to hand out.
     next_ticket: u64,
-    /// Tickets below this bound have been claimed by the writer,
-    /// successfully or not. The writer only forces again when work
-    /// arrives beyond this point, so a failed batch costs one
-    /// bounded-retry force, not one more per covered committer.
-    claimed_ticket: u64,
-    /// Tickets below this bound have had their records written out to
-    /// the log file (durable up to the OS page cache).
-    flushed_ticket: u64,
     /// Tickets below this bound have had their records synced.
     synced_ticket: u64,
-    /// Durability requests enqueued since the writer's last claim; the
-    /// batch syncs iff this is nonzero.
-    pending_syncs: u64,
-    /// The last failed write-out, if no flush has succeeded since. A
-    /// later successful flush covers the same tickets (the buffer
-    /// retains unflushed bodies across failures) and clears this.
-    flush_failure: Option<FailedRange>,
-    /// The last failed sync, if no sync has succeeded since. Write-out
-    /// succeeded for these tickets, so only durable waiters fail.
-    sync_failure: Option<FailedRange>,
+    /// A sync was requested — by a ticket, or by [`Wal::request_sync`] —
+    /// since the writer's last claim: what the writer wakes for.
+    sync_requested: bool,
+    /// The last failed force, if none has succeeded since. A later
+    /// successful force covers the same tickets (the tail keeps
+    /// unflushed frames across failures) and clears this.
+    failure: Option<FailedRange>,
     /// Set when the writer thread exits — orderly shutdown or panic —
     /// so waiters fail typed instead of parking forever.
     writer_down: Option<&'static str>,
@@ -457,12 +448,11 @@ struct LogQueue {
 
 /// What the log-writer found when it drained its queue.
 enum Claim {
-    /// Tickets below `end` need a force; `sync` iff any member asked.
+    /// Tickets below `end` (possibly none: a bare sync request) need a
+    /// force.
     Batch {
         /// One past the last ticket covered by this batch.
         end: u64,
-        /// Whether any member requested durability.
-        sync: bool,
     },
     /// Idle past the configured window with appended-but-unflushed
     /// records: write them out in the background, best-effort.
@@ -474,6 +464,13 @@ enum Claim {
 /// State shared between [`Wal`] handles and the log-writer thread.
 struct WalShared {
     writer: Mutex<WalWriter>,
+    /// The log file. Writes to it happen under the writer lock as well —
+    /// the file lock is taken inside it, so frames reach the file in
+    /// tail order — but a sync holds this lock alone: appends go on
+    /// while the log-writer waits for the disk, and the committers a
+    /// force releases together keep finishing their next transactions
+    /// together, into one batch.
+    log_file: Mutex<Box<dyn VfsFile>>,
     queue: StdMutex<LogQueue>,
     /// Wakes the log-writer: new tickets, sync requests, or shutdown.
     work: Condvar,
@@ -485,7 +482,7 @@ struct WalShared {
     /// transactions) are written out in the background. `None` leaves
     /// them buffered until the next force.
     window: Option<Duration>,
-    /// Bodies appended but not yet written out. Advisory — it only
+    /// Frames appended but not yet written out. Advisory — it only
     /// gates the idle-flush wakeup; the writer mutex owns the truth.
     buffered: AtomicU64,
     /// The append mark: bytes ever appended through this handle. Unlike
@@ -496,10 +493,9 @@ struct WalShared {
     /// when it stamps a frame.
     appended: AtomicU64,
     /// The synced watermark, in append marks: every record appended
-    /// below it is durable. Only ever advanced under the writer lock —
-    /// by a completed sync to the mark that was flushed when the sync
-    /// began, or by a truncation — and loaded lock-free (Acquire) by
-    /// the buffer pool's write gate.
+    /// below it is durable. Advanced by a completed sync, to the mark
+    /// that was flushed before the sync began, and by a truncation;
+    /// loaded lock-free (Acquire) by the buffer pool's write gate.
     synced: AtomicU64,
     /// Test hook: make the writer thread panic at its next claim, to
     /// prove committers get a typed error instead of a hang.
@@ -530,34 +526,36 @@ impl Drop for WriterFailsafe<'_> {
 }
 
 impl WalShared {
-    /// Lock the append buffer with rank tracking. Held across the
-    /// write-out and sync of a force — the writer mutex is what
-    /// serializes log forces — and never while acquiring any lock other
-    /// than the simulated disk's.
+    /// Lock the append buffer with rank tracking. Held across a
+    /// write-out, and never while acquiring any lock other than the log
+    /// file's and the simulated disk's.
     fn writer_lock(&self) -> Ranked<MutexGuard<'_, WalWriter>> {
         lock_order::ranked(lock_order::WAL_WRITER, || self.writer.lock())
     }
 
+    /// Lock the log file with rank tracking: under the writer lock for a
+    /// write, alone for a sync.
+    fn log_file_lock(&self) -> Ranked<MutexGuard<'_, Box<dyn VfsFile>>> {
+        lock_order::ranked(lock_order::WAL_FILE, || self.log_file.lock())
+    }
+
     /// The log-writer thread: claim a batch of tickets, force once for
-    /// all of them, publish the outcome, repeat. Write-out and sync are
-    /// published separately, so non-durable committers wake as soon as
-    /// their records are in the file while the sync is still in flight
-    /// — and the next batch accumulates behind the in-flight force
-    /// instead of behind a sleeping leader.
+    /// all of them, publish the outcome, repeat. The next batch
+    /// accumulates behind the in-flight force instead of behind a
+    /// sleeping leader.
     fn writer_loop(&self) {
         let failsafe = WriterFailsafe(self);
         loop {
             match self.claim() {
                 Claim::Exit => break,
-                Claim::IdleFlush => self.flush_idle(),
-                Claim::Batch { end, sync } => {
-                    let flushed = self.flush_batch();
-                    let flush_ok = flushed.is_ok();
-                    self.publish_flush(end, flushed);
-                    if sync && flush_ok {
-                        let synced = self.sync_batch();
-                        self.publish_sync(end, synced);
-                    }
+                Claim::IdleFlush => {
+                    // Best effort: an error stays in the writer and
+                    // resurfaces, with retries, at the next force.
+                    let _ = self.write_out();
+                }
+                Claim::Batch { end } => {
+                    let forced = self.flush_batch().and_then(|()| self.sync_batch());
+                    self.publish(end, forced);
                 }
             }
         }
@@ -576,11 +574,8 @@ impl WalShared {
         let _rank = lock_order::acquire(lock_order::WAL_QUEUE);
         let mut q = self.queue.lock().unwrap_or_else(|e| e.into_inner());
         loop {
-            if q.next_ticket > q.claimed_ticket || q.pending_syncs > 0 {
-                let claim = Claim::Batch { end: q.next_ticket, sync: q.pending_syncs > 0 };
-                q.claimed_ticket = q.next_ticket;
-                q.pending_syncs = 0;
-                return claim;
+            if std::mem::take(&mut q.sync_requested) {
+                return Claim::Batch { end: q.next_ticket };
             }
             if q.shutdown {
                 return Claim::Exit;
@@ -590,11 +585,7 @@ impl WalShared {
                     let (guard, timeout) =
                         self.work.wait_timeout(q, window).unwrap_or_else(|e| e.into_inner());
                     q = guard;
-                    if timeout.timed_out()
-                        && q.next_ticket == q.claimed_ticket
-                        && q.pending_syncs == 0
-                        && !q.shutdown
-                    {
+                    if timeout.timed_out() && !q.sync_requested && !q.shutdown {
                         return Claim::IdleFlush;
                     }
                 }
@@ -603,73 +594,43 @@ impl WalShared {
         }
     }
 
-    /// Publish a write-out outcome and wake the covered waiters.
-    fn publish_flush(&self, end: u64, result: Result<()>) {
-        {
-            let _rank = lock_order::acquire(lock_order::WAL_QUEUE);
-            let mut q = self.queue.lock().unwrap_or_else(|e| e.into_inner());
-            match result {
-                Ok(()) => {
-                    q.flushed_ticket = q.flushed_ticket.max(end);
-                    q.flush_failure = None;
-                }
-                Err(e) => {
-                    q.flush_failure = Some(FailedRange { through: end, error: Arc::new(e) });
-                }
-            }
-        }
-        self.done.notify_all();
-    }
-
-    /// Publish a sync outcome and wake the covered durable waiters.
-    fn publish_sync(&self, end: u64, result: Result<()>) {
+    /// Publish a force outcome and wake the covered waiters.
+    fn publish(&self, end: u64, result: Result<()>) {
         {
             let _rank = lock_order::acquire(lock_order::WAL_QUEUE);
             let mut q = self.queue.lock().unwrap_or_else(|e| e.into_inner());
             match result {
                 Ok(()) => {
                     q.synced_ticket = q.synced_ticket.max(end);
-                    q.sync_failure = None;
+                    q.failure = None;
                 }
                 Err(e) => {
-                    q.sync_failure = Some(FailedRange { through: end, error: Arc::new(e) });
+                    q.failure = Some(FailedRange { through: end, error: Arc::new(e) });
                 }
             }
         }
         self.done.notify_all();
     }
 
-    /// Enqueue a durability request and block until the log-writer has
-    /// covered it (or failed trying). `durable` waits for a sync;
-    /// otherwise write-out suffices — and a non-durable waiter whose
-    /// batch flushed wakes while the sync is still in flight.
-    fn wait_covered(&self, durable: bool) -> Result<()> {
+    /// Enqueue a sync request and block until the log-writer has
+    /// covered it (or failed trying).
+    fn wait_covered(&self) -> Result<()> {
         let _rank = lock_order::acquire(lock_order::WAL_QUEUE);
         let mut q = self.queue.lock().unwrap_or_else(|e| e.into_inner());
         let ticket = q.next_ticket;
         q.next_ticket += 1;
-        if durable {
-            q.pending_syncs += 1;
-        }
+        q.sync_requested = true;
         self.work.notify_one();
         loop {
-            let covered = if durable { q.synced_ticket } else { q.flushed_ticket };
-            if covered > ticket {
+            // Success is checked first: a batch that failed but whose
+            // bytes a later force carried out (the tail keeps unflushed
+            // frames across failures) counts as covered.
+            if q.synced_ticket > ticket {
                 return Ok(());
             }
-            // Success is checked first: a batch that failed but whose
-            // bytes a later force carried out (the buffer keeps
-            // unflushed bodies across failures) counts as covered.
-            if let Some(f) = &q.flush_failure {
+            if let Some(f) = &q.failure {
                 if ticket < f.through {
                     return Err(StorageError::ForceFailed(f.error.clone()));
-                }
-            }
-            if durable {
-                if let Some(f) = &q.sync_failure {
-                    if ticket < f.through {
-                        return Err(StorageError::ForceFailed(f.error.clone()));
-                    }
                 }
             }
             if let Some(why) = q.writer_down {
@@ -679,37 +640,47 @@ impl WalShared {
         }
     }
 
-    /// Write the buffered bodies out to the file (one batch), charging
-    /// the time to the force profile rather than any committer's wait.
-    fn flush_batch(&self) -> Result<()> {
-        let started = Instant::now();
-        let result = {
-            let mut w = self.writer_lock();
-            w.flush(self.appended.load(Ordering::Acquire))
-                .map(|()| self.buffered.store(0, Ordering::Relaxed))
-        };
-        self.note_force(started);
-        if result.is_ok() {
+    /// Write the tail out to the file, under the writer lock.
+    fn write_out(&self) -> Result<bool> {
+        let mut w = self.writer_lock();
+        let mut file = self.log_file_lock();
+        // analyzer: allow(blocking, "the log-file lock is the log's I/O lock: a write-out runs under it by design")
+        let wrote = w.flush(&mut **file, self.appended.load(Ordering::Acquire))?;
+        self.buffered.store(0, Ordering::Relaxed);
+        Ok(wrote)
+    }
+
+    /// A commit's write-out — the log-writer's for a batch, or a no-sync
+    /// committer's own — counted if there was something to write.
+    fn commit_write_out(&self) -> Result<()> {
+        if self.write_out()? {
             StorageStats::bump(&self.stats.wal_syncs, 1);
         }
+        Ok(())
+    }
+
+    /// One batch's write-out, charged to the force profile rather than
+    /// any committer's wait.
+    fn flush_batch(&self) -> Result<()> {
+        let started = Instant::now();
+        let result = self.commit_write_out();
+        self.note_force(started);
         result
     }
 
     /// Sync the file. Runs after (and apart from) the batch's
-    /// write-out; everything flushed so far becomes durable.
+    /// write-out, without the writer lock; everything flushed before it
+    /// began becomes durable.
     fn sync_batch(&self) -> Result<()> {
         let started = Instant::now();
+        let covered = self.writer_lock().flushed_mark;
         let result = {
-            let mut w = self.writer_lock();
-            let covered = w.flushed_mark;
-            let stats = self.stats.clone();
-            let synced =
-                with_retries(|| w.file.sync(), || StorageStats::bump(&stats.io_retries, 1));
-            if synced.is_ok() {
-                self.synced.fetch_max(covered, Ordering::Release);
-            }
-            synced
+            let mut file = self.log_file_lock();
+            with_retries(|| file.sync(), || StorageStats::bump(&self.stats.io_retries, 1))
         };
+        if result.is_ok() {
+            self.synced.fetch_max(covered, Ordering::Release);
+        }
         self.note_force(started);
         result
     }
@@ -722,27 +693,17 @@ impl WalShared {
         waits::add_commit_force(nanos);
         StorageStats::bump(&self.stats.wal_force_nanos, nanos);
     }
-
-    /// Best-effort background write-out of appended records once the
-    /// queue has idled past the window. Not a force: no batch counted,
-    /// and an error stays in the writer — it resurfaces, with retries,
-    /// at the next real force.
-    fn flush_idle(&self) {
-        let mut w = self.writer_lock();
-        if w.flush(self.appended.load(Ordering::Acquire)).is_ok() {
-            self.buffered.store(0, Ordering::Relaxed);
-        }
-    }
 }
 
-/// The write-ahead log file: append-only and write-buffered, forced by
-/// a dedicated log-writer thread. Records accumulate in an in-memory
-/// buffer; committing transactions call [`Wal::group_commit`], which
-/// enqueues a durability request and parks until the writer covers it.
-/// The writer coalesces every request that arrives while a force is in
-/// flight into the next batch — so one physical write-out (plus one
-/// sync, when any member wants durability) serves many commits, and no
-/// committer ever burns its own thread on the window or the fsync.
+/// The write-ahead log file: append-only and write-buffered. Records
+/// accumulate, already framed, in an in-memory tail; a committing
+/// transaction calls [`Wal::group_commit`]. A commit that needs no sync
+/// writes the tail out itself and returns. A durable commit enqueues a
+/// sync request and parks until the dedicated log-writer thread covers
+/// it: the writer coalesces every request that arrives while a force is
+/// in flight into the next batch — so one physical write-out plus one
+/// sync serves many commits, and no committer ever burns its own thread
+/// on the fsync.
 pub struct Wal {
     shared: Arc<WalShared>,
     written: AtomicU64,
@@ -789,13 +750,13 @@ impl Wal {
     ) -> Result<Self> {
         let shared = Arc::new(WalShared {
             writer: Mutex::new(WalWriter {
-                file,
                 flushed,
-                buf: Vec::new(),
+                tail: Vec::new(),
                 stats: stats.clone(),
                 pending_reset: None,
                 flushed_mark: 0,
             }),
+            log_file: Mutex::new(file),
             queue: StdMutex::new(LogQueue::default()),
             work: Condvar::new(),
             done: Condvar::new(),
@@ -817,21 +778,23 @@ impl Wal {
 
     /// Append a record to the log (buffered).
     pub fn append(&self, rec: &WalRecord) -> Result<()> {
-        let body = encode_body(rec);
-        let frame_len = (body.len() + 8) as u64;
-        {
-            // The mark moves under the lock that orders the buffer, so a
-            // thread that reads it after its own append reads a value
-            // covering that record and every record queued before it.
+        let frame_len = {
+            // The frame is assembled under the lock that orders the
+            // tail, where its offset is known. The mark moves under the
+            // same lock, so a thread that reads it after its own append
+            // reads a value covering that record and every record
+            // queued before it.
             let mut w = self.writer_lock();
-            w.buf.push(body);
+            let offset = w.next_offset();
+            let frame_len = push_frame(&mut w.tail, offset, rec) as u64;
             self.shared.appended.fetch_add(frame_len, Ordering::Release);
-        }
+            frame_len
+        };
         self.shared.buffered.fetch_add(1, Ordering::Relaxed);
         self.written.fetch_add(frame_len, Ordering::Relaxed);
         StorageStats::bump(&self.shared.stats.wal_bytes, frame_len);
         if self.shared.window.is_some() {
-            // Arm the idle flush: the writer wakes, finds no tickets,
+            // Arm the idle flush: the writer wakes, finds no requests,
             // and writes the record out once the window passes quiet.
             self.shared.work.notify_one();
         }
@@ -839,25 +802,28 @@ impl Wal {
     }
 
     /// Group commit: ensure every record appended by the caller (up to
-    /// and including its commit record) has been forced to the log.
+    /// and including its commit record) has reached the log.
     ///
-    /// The caller must have finished appending before calling. The call
-    /// enqueues a durability request for the dedicated log-writer and
+    /// The caller must have finished appending before calling. Without
+    /// `durable` the promise is "written out to the OS page cache" (the
+    /// benchmark's default, matching checkpoint-based durability), and
+    /// the caller keeps it itself: it takes the writer lock, writes the
+    /// tail out — its own records and whatever else is queued — and
+    /// returns, with no ticket and no thread hand-off. With `durable`
+    /// the call enqueues a sync request for the dedicated log-writer and
     /// parks; the writer coalesces every request that arrived since its
-    /// last claim into one physical force. `durable` requires a sync —
-    /// and the batch syncs if *any* member requires it, so a durable
-    /// commit is never downgraded by its batch-mates. Without `durable`
-    /// the caller wakes as soon as its records are written out to the
-    /// OS page cache (the benchmark's default, matching
-    /// checkpoint-based durability) — possibly while the same batch's
-    /// sync is still in flight.
+    /// last claim into one physical force.
     ///
-    /// Time spent parked here is charged to the calling thread's
-    /// commit-wait counter; the physical force is charged to whichever
-    /// thread performs it (see [`crate::WaitSnapshot`]).
+    /// Time spent here is charged to the calling thread's commit-wait
+    /// counter; a physical force is charged to the log-writer, which
+    /// performs it (see [`crate::WaitSnapshot`]).
     pub fn group_commit(&self, durable: bool) -> Result<()> {
         let started = Instant::now();
-        let result = self.shared.wait_covered(durable);
+        let result = if durable {
+            self.shared.wait_covered()
+        } else {
+            self.shared.commit_write_out()
+        };
         waits::add_commit_wait(started.elapsed().as_nanos() as u64);
         result
     }
@@ -882,13 +848,13 @@ impl Wal {
 
     /// Ask the log-writer for a sync without waiting for it: the next
     /// batch it claims writes out and syncs, advancing [`Wal::synced`]
-    /// past everything appended so far. Takes no ticket — a commit that
-    /// arrives before the claim shares the batch.
+    /// past everything appended so far. Takes no ticket — a durable
+    /// commit that arrives before the claim shares the batch.
     pub(crate) fn request_sync(&self) {
         {
             let _rank = lock_order::acquire(lock_order::WAL_QUEUE);
             let mut q = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-            q.pending_syncs += 1;
+            q.sync_requested = true;
         }
         self.shared.work.notify_one();
     }
@@ -980,15 +946,16 @@ impl Wal {
     /// persisted their effects.
     pub fn truncate(&self, epoch: u64) -> Result<()> {
         let mut w = self.writer_lock();
-        w.buf.clear();
+        let mut file = self.shared.log_file_lock();
+        w.tail.clear();
         self.shared.buffered.store(0, Ordering::Relaxed);
         // Mark the truncation before attempting it: if any step fails,
         // the next flush retries the whole head rewrite before it may
         // append a frame (see [`WalWriter::pending_reset`]).
         w.pending_reset = Some(epoch);
-        w.repair_head()?;
+        w.repair_head(&mut **file)?;
         let stats = self.shared.stats.clone();
-        with_retries(|| w.file.sync(), || StorageStats::bump(&stats.io_retries, 1))?;
+        with_retries(|| file.sync(), || StorageStats::bump(&stats.io_retries, 1))?;
         self.written.store(w.flushed, Ordering::Relaxed);
         // The checkpoint behind this truncation wrote every dirty page
         // through the gate, so nothing below the current append mark is
@@ -1029,7 +996,8 @@ impl Wal {
     /// damage, or a resume offset that is not a frame boundary).
     pub fn stream_from(&self, from: u64, max_bytes: usize) -> Result<WalChunk> {
         let mut w = self.writer_lock();
-        w.repair_head()?;
+        let mut file = self.shared.log_file_lock();
+        w.repair_head(&mut **file)?;
         let flushed = w.flushed;
         if from > flushed {
             return Err(StorageError::WalRewound { requested: from, tail: flushed });
@@ -1043,7 +1011,7 @@ impl Wal {
         loop {
             let mut buf = vec![0u8; window];
             with_retries(
-                || w.file.read_at(from, &mut buf),
+                || file.read_at(from, &mut buf),
                 || StorageStats::bump(&stats.io_retries, 1),
             )?;
             // Trim to whole frames, verifying each checksum against its
@@ -1354,8 +1322,8 @@ mod tests {
 
     #[test]
     fn group_commit_batches_concurrent_committers() {
-        // With a batching window, many concurrent committers should share
-        // far fewer physical forces than there are commits.
+        // Many concurrent durable committers should share far fewer
+        // physical forces than there are commits.
         let path = tmp("group");
         let vfs = RealVfs::arc();
         let stats = Arc::new(StorageStats::default());
@@ -1372,7 +1340,7 @@ mod tests {
                     let txn = t * 1000 + i;
                     wal.append(&WalRecord::Begin(txn)).unwrap();
                     wal.append(&WalRecord::Commit(txn)).unwrap();
-                    wal.group_commit(false).unwrap();
+                    wal.group_commit(true).unwrap();
                 }
             }));
         }
@@ -1394,6 +1362,57 @@ mod tests {
             .filter(|r| matches!(r, WalRecord::Commit(_)))
             .count();
         assert_eq!(committed as u64, THREADS * COMMITS_PER_THREAD);
+    }
+
+    #[test]
+    fn no_sync_commit_writes_its_own_tail_and_takes_no_ticket() {
+        let path = tmp("nosync");
+        let vfs = RealVfs::arc();
+        let stats = Arc::new(StorageStats::default());
+        let wal = Wal::create(&vfs, &path, stats.clone(), None).unwrap();
+        let commits = |vfs: &Arc<dyn Vfs>| -> Vec<u64> {
+            let replayed = Wal::replay(vfs, &path).unwrap();
+            assert_eq!(replayed.bytes_truncated, 0);
+            replayed
+                .records
+                .iter()
+                .filter_map(|r| if let WalRecord::Commit(t) = r { Some(*t) } else { None })
+                .collect()
+        };
+        for txn in 0..50u64 {
+            wal.append(&WalRecord::Begin(txn)).unwrap();
+            wal.append(&WalRecord::Update {
+                txn,
+                oid: Oid::from_raw(7),
+                data: vec![txn as u8; 300],
+                old: vec![0; 300],
+            })
+            .unwrap();
+            wal.append(&WalRecord::Commit(txn)).unwrap();
+            wal.group_commit(false).unwrap();
+            // Acknowledged: written out, by this thread, now.
+            assert_eq!(commits(&vfs).last(), Some(&txn));
+        }
+        {
+            let q = wal.shared.queue.lock().unwrap();
+            assert_eq!(q.next_ticket, 0, "a no-sync committer was handed a ticket");
+            assert!(!q.sync_requested, "a no-sync commit asked the log-writer for something");
+        }
+        assert_eq!(stats.snapshot().wal_syncs, 50, "one write-out per commit");
+        assert_eq!(wal.synced(), 0, "nothing asked for a sync");
+        // Frames assembled at append time carry the offsets they were
+        // written at: the file replays after a drop with no checkpoint,
+        // and a truncation restarts the offsets under the reset frame.
+        wal.truncate(3).unwrap();
+        wal.append(&WalRecord::Begin(99)).unwrap();
+        wal.append(&WalRecord::Commit(99)).unwrap();
+        wal.group_commit(false).unwrap();
+        drop(wal);
+        assert_eq!(commits(&vfs), vec![99]);
+        let wal = Wal::open(&vfs, &path, stats, None).unwrap();
+        wal.append(&WalRecord::Commit(100)).unwrap();
+        wal.group_commit(false).unwrap();
+        assert_eq!(commits(&vfs), vec![99, 100]);
     }
 
     #[test]
@@ -1487,12 +1506,14 @@ mod tests {
 
     #[test]
     fn any_single_bit_flip_in_a_frame_changes_its_checksum() {
-        let body = encode_body(&WalRecord::Update {
+        let mut body = Vec::new();
+        WalRecord::Update {
             txn: 3,
             oid: Oid::from_raw(77),
             data: (0..200u8).collect(),
             old: (0..=255u8).rev().collect(),
-        });
+        }
+        .encode(&mut body);
         let offset = 12_345u64;
         let clean = frame_crc(offset, &body);
         let mut rotted = body.clone();
@@ -1514,8 +1535,8 @@ mod tests {
         // durable=false members must not be downgraded — its commit
         // record must be in the *durable* image (not just the OS cache)
         // by the time its group_commit returns. Non-durable committers
-        // hammer the queue so the durable caller's ticket lands in a
-        // shared batch with high probability.
+        // hammer the log, writing the tail out themselves, so the durable
+        // caller's records are often in the file before its batch runs.
         use crate::vfs::SimVfs;
         let sim = SimVfs::new(7);
         let vfs: Arc<dyn Vfs> = Arc::new(sim.clone());

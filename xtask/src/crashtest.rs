@@ -369,6 +369,11 @@ struct SeedOutcome {
     /// repairing around it — detection without repair, a legitimate
     /// outcome that still counts as "never silently absorbed".
     detected: bool,
+    /// Workload checkpoints that appended a meta delta segment.
+    deltas: u64,
+    /// Workload checkpoints that replaced outgrown deltas with a new
+    /// meta base segment (the base `create` writes is not counted).
+    compactions: u64,
 }
 
 /// Replay the pre-recovery durable log and report whether it *declared*
@@ -433,6 +438,9 @@ fn run_seed(seed: u64, corrupt: bool) -> Result<SeedOutcome, String> {
                 .collect();
             (ledgers, reader_results)
         });
+    let stats = store.stats();
+    let compactions = stats.meta_compactions.saturating_sub(1);
+    let deltas = stats.checkpoints.saturating_sub(stats.meta_compactions);
     drop(store);
     for r in reader_results {
         r.map_err(|why| format!("snapshot reader: {why}"))?;
@@ -465,7 +473,7 @@ fn run_seed(seed: u64, corrupt: bool) -> Result<SeedOutcome, String> {
         match OStore::open_with(vfs, &dir, opts()) {
             Ok(store) => dump(&store)?,
             Err(e) if corrupt && e.is_corruption() => {
-                return Ok(SeedOutcome { crashed, detected: true });
+                return Ok(SeedOutcome { crashed, detected: true, deltas, compactions });
             }
             Err(e) => return Err(format!("recovery failed: {e}")),
         }
@@ -481,7 +489,7 @@ fn run_seed(seed: u64, corrupt: bool) -> Result<SeedOutcome, String> {
             if rot_target == Some("wal.log") && wal_reported_truncation(&sim, &dir) {
                 // The flip landed where only a reported-and-discarded
                 // log tail explains the divergence (see module docs).
-                return Ok(SeedOutcome { crashed, detected: true });
+                return Ok(SeedOutcome { crashed, detected: true, deltas, compactions });
             }
             if std::env::var_os("CRASHTEST_DEBUG").is_some() {
                 dump_wal(&sim, &dir);
@@ -529,7 +537,7 @@ fn run_seed(seed: u64, corrupt: bool) -> Result<SeedOutcome, String> {
             ));
         }
     }
-    Ok(SeedOutcome { crashed, detected: false })
+    Ok(SeedOutcome { crashed, detected: false, deltas, compactions })
 }
 
 /// Entry point: runs `seeds` seeds, printing progress; returns the
@@ -538,11 +546,14 @@ pub fn run(first_seed: u64, seeds: u64, corrupt: bool) -> u64 {
     let mut failures = 0;
     let mut crashed = 0;
     let mut detected = 0;
+    let (mut deltas, mut compactions) = (0, 0);
     for seed in first_seed..first_seed + seeds {
         match run_seed(seed, corrupt) {
             Ok(outcome) => {
                 crashed += u64::from(outcome.crashed);
                 detected += u64::from(outcome.detected);
+                deltas += outcome.deltas;
+                compactions += outcome.compactions;
             }
             Err(why) => {
                 failures += 1;
@@ -550,6 +561,18 @@ pub fn run(first_seed: u64, seeds: u64, corrupt: bool) -> u64 {
             }
         }
     }
+    // The plug must be pulled around both kinds of meta segment. Were
+    // the compaction rule retuned until this workload's checkpoints were
+    // all of one kind, the other kind's crash windows would go untested
+    // without a seed failing.
+    if seeds >= 16 && (deltas == 0 || compactions == 0) {
+        failures += 1;
+        eprintln!(
+            "crashtest: {seeds} seeds crossed {deltas} meta delta appends and {compactions} \
+             compactions; the workload must exercise both"
+        );
+    }
+    println!("crashtest: checkpoints wrote {deltas} meta deltas and {compactions} compacted bases");
     if failures == 0 && corrupt {
         println!(
             "crashtest --corrupt: {seeds} seeds passed ({crashed} died mid-workload; \

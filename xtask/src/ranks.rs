@@ -16,6 +16,7 @@ pub const RANK_CONSTS: &[(&str, u16, &str)] = &[
     ("ENGINE_ACTIVE", 10, "engine active-transaction table"),
     ("ENGINE_COMMIT_VIS", 12, "engine commit-visibility flip"),
     ("ENGINE_SNAPSHOTS", 14, "engine open-snapshot registry"),
+    ("ENGINE_META", 16, "engine meta-file writer"),
     ("LOCK_SHARD", 20, "lock-manager shard"),
     ("LOCK_HELD", 25, "lock-manager held-locks map"),
     ("HEAP_GLOBAL", 28, "heap global shard (quiesce / segment roster)"),
@@ -26,6 +27,7 @@ pub const RANK_CONSTS: &[(&str, u16, &str)] = &[
     ("BUFFER_FRAME", 42, "buffer-pool frame latch"),
     ("PAGE_FILE", 45, "page file handle"),
     ("WAL_WRITER", 50, "WAL append buffer"),
+    ("WAL_FILE", 52, "WAL file handle"),
     ("WAL_QUEUE", 55, "WAL log-writer request queue"),
     ("SIM_VFS", 60, "simulated disk state"),
     // Network front end (crates/server): leaf latches ranked above every
@@ -116,6 +118,7 @@ pub fn rules() -> Vec<LockRule> {
         LockRule { crate_dir: "storage", kind: Helper("table_lock"), rank: 40 },
         LockRule { crate_dir: "storage", kind: Helper("latch"), rank: 42 },
         LockRule { crate_dir: "storage", kind: Helper("writer_lock"), rank: 50 },
+        LockRule { crate_dir: "storage", kind: Helper("log_file_lock"), rank: 52 },
         LockRule { crate_dir: "storage", kind: Helper("sim_lock"), rank: 60 },
         // Engine's active-table accessor and Shard::lock are helpers too.
         LockRule { crate_dir: "storage", kind: Helper("active"), rank: 10 },
@@ -123,6 +126,7 @@ pub fn rules() -> Vec<LockRule> {
         // registry, and the heap's version-reclamation epoch state.
         LockRule { crate_dir: "storage", kind: Helper("vis_lock"), rank: 12 },
         LockRule { crate_dir: "storage", kind: Helper("snaps_lock"), rank: 14 },
+        LockRule { crate_dir: "storage", kind: Helper("meta_lock"), rank: 16 },
         LockRule { crate_dir: "storage", kind: Helper("epoch_lock"), rank: 29 },
         LockRule {
             crate_dir: "storage",

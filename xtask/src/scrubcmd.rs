@@ -2,8 +2,8 @@
 //! image on the real filesystem.
 //!
 //! Thin CLI over [`labflow_storage::scrub_store`]: verifies the meta
-//! file's whole-file checksum, every data page against its header and
-//! LSN floor, and every WAL frame against its position-bound checksum,
+//! file's base and delta segments, every data page against its header
+//! and LSN floor, and every WAL frame against its position-bound checksum,
 //! then prints the report. Exit 0 = clean, 1 = unquarantined damage
 //! found, 2 = the image is too damaged to audit (or unreadable).
 //!
@@ -119,7 +119,13 @@ pub fn run_space(dir: &Path) -> i32 {
         u64::from(report.data_pages).saturating_sub(accounted),
         100.0 * live as f64 / report.data_bytes.max(1) as f64,
     );
-    println!("store.meta {:>12}", report.meta_bytes);
+    println!(
+        "store.meta {:>12} ({} base + {} in {} delta segments)",
+        report.meta_bytes,
+        report.meta_base_bytes,
+        report.meta_delta_bytes,
+        report.meta_segments.saturating_sub(1),
+    );
     println!("wal.log    {:>12}", report.wal_bytes);
     0
 }
