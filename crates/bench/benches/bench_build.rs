@@ -7,15 +7,12 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use labbase::LabBase;
 use labflow_bench::support;
-use labflow_core::{LabSim, ServerVersion};
+use labflow_core::ServerVersion;
 
 fn bench_build(c: &mut Criterion) {
     let dir = support::scratch("build");
-    let mut group = c.benchmark_group("tab-build/database-build");
-    group.measurement_time(std::time::Duration::from_secs(2));
-    group.warm_up_time(std::time::Duration::from_millis(500));
+    let mut group = support::group(c, "tab-build/database-build");
     group.sample_size(10);
     for version in ServerVersion::ALL {
         group.bench_with_input(
@@ -28,16 +25,7 @@ fn bench_build(c: &mut Criterion) {
                         buffer_pages: 128,
                         ..support::bench_config()
                     };
-                    let vdir = dir.join(format!("iter-{}", version.name().replace('+', "_")));
-                    std::fs::remove_dir_all(&vdir).ok();
-                    std::fs::create_dir_all(&vdir).unwrap();
-                    let store = version.make_store(&vdir, cfg.buffer_pages).unwrap();
-                    let db = LabBase::create(store).unwrap();
-                    let mut sim = LabSim::new(cfg.clone());
-                    sim.setup(&db).unwrap();
-                    sim.run_until_clones(&db, cfg.clones_at(1.0) as u64).unwrap();
-                    db.checkpoint().unwrap();
-                    db
+                    support::built_db(version, &cfg, &dir).1
                 });
             },
         );

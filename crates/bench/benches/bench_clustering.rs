@@ -15,9 +15,7 @@ fn bench_clustering(c: &mut Criterion) {
     };
     let dir = support::scratch("clustering");
 
-    let mut group = c.benchmark_group("abl-clustering/cold-history-walk");
-    group.measurement_time(std::time::Duration::from_secs(2));
-    group.warm_up_time(std::time::Duration::from_millis(500));
+    let mut group = support::group(c, "abl-clustering/cold-history-walk");
     group.sample_size(10);
     for version in ServerVersion::PERSISTENT {
         let (mut sim, db, store) = support::built_db(version, &cfg, &dir);

@@ -15,9 +15,7 @@ fn bench_evolution(c: &mut Criterion) {
     let dir = support::scratch("evolution");
     let (_sim, db, _store) = support::built_db(ServerVersion::OStoreMm, &cfg, &dir);
 
-    let mut group = c.benchmark_group("tab-evolution");
-    group.measurement_time(std::time::Duration::from_secs(2));
-    group.warm_up_time(std::time::Duration::from_millis(500));
+    let mut group = support::group(c, "tab-evolution");
 
     group.bench_function("redefine-step-class", |b| {
         let mut rev = 0u64;

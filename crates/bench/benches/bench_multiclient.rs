@@ -10,13 +10,11 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use labflow_bench::support;
-use labflow_core::runner;
+use labflow_core::exp::writers;
 
 fn bench_multiclient(c: &mut Criterion) {
     let dir = support::scratch("multiclient");
-    let mut group = c.benchmark_group("abl-multiclient/writer-clients");
-    group.measurement_time(std::time::Duration::from_secs(2));
-    group.warm_up_time(std::time::Duration::from_millis(500));
+    let mut group = support::group(c, "abl-multiclient/writer-clients");
     group.sample_size(10);
     for clients in [1usize, 4] {
         group.bench_with_input(
@@ -29,7 +27,7 @@ fn bench_multiclient(c: &mut Criterion) {
                         buffer_pages: 128,
                         ..support::bench_config()
                     };
-                    let points = runner::run_multiclient(&cfg, &[clients], &dir).unwrap();
+                    let points = writers::run_multiclient(&cfg, &[clients], &dir).unwrap();
                     assert!(points.iter().any(|p| p.supported && p.steps > 0));
                     points
                 });

@@ -15,17 +15,11 @@ fn bench_queries(c: &mut Criterion) {
         let (mut sim, db, store) = support::built_db(version, &cfg, &dir);
         let mats = sim.sample_materials(256);
 
-        let mut group = c.benchmark_group(format!("tab-query-mix/{}", version.name()));
-        group.measurement_time(std::time::Duration::from_secs(2));
-        group.warm_up_time(std::time::Duration::from_millis(500));
+        let mut group = support::group(c, format!("tab-query-mix/{}", version.name()));
 
         group.bench_function(BenchmarkId::from_parameter("recent-lookup"), |b| {
-            let mut i = 0usize;
-            b.iter(|| {
-                let m = mats[i % mats.len()];
-                i += 1;
-                db.recent(m, "quality").unwrap()
-            });
+            let mut next = mats.iter().cycle();
+            b.iter(|| db.recent(*next.next().unwrap(), "quality").unwrap());
         });
 
         group.bench_function(BenchmarkId::from_parameter("recent-lookup-cold"), |b| {
@@ -41,21 +35,16 @@ fn bench_queries(c: &mut Criterion) {
         });
 
         group.bench_function(BenchmarkId::from_parameter("tracking"), |b| {
-            let mut i = 0usize;
+            let mut next = mats.iter().cycle();
             b.iter(|| {
-                let m = mats[i % mats.len()];
-                i += 1;
+                let m = *next.next().unwrap();
                 (db.state_of(m).unwrap(), db.history_len(m).unwrap())
             });
         });
 
         group.bench_function(BenchmarkId::from_parameter("as-of"), |b| {
-            let mut i = 0usize;
-            b.iter(|| {
-                let m = mats[i % mats.len()];
-                i += 1;
-                db.as_of(m, "quality", 50).unwrap()
-            });
+            let mut next = mats.iter().cycle();
+            b.iter(|| db.as_of(*next.next().unwrap(), "quality", 50).unwrap());
         });
 
         group.bench_function(BenchmarkId::from_parameter("state-count"), |b| {
@@ -81,9 +70,7 @@ fn bench_lql(c: &mut Criterion) {
     let (_sim, db, _store) = support::built_db(ServerVersion::OStoreMm, &cfg, &dir);
     let program = lql::stdlib::labflow_program();
 
-    let mut group = c.benchmark_group("tab-query-mix/LQL");
-    group.measurement_time(std::time::Duration::from_secs(2));
-    group.warm_up_time(std::time::Duration::from_millis(500));
+    let mut group = support::group(c, "tab-query-mix/LQL");
     group.bench_function("count-in-state", |b| {
         let session = lql::Session::new(&db, &program);
         b.iter(|| session.query("count_in_state(clone, finished, N)").unwrap());

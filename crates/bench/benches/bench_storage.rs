@@ -6,6 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use labflow_bench::support;
+use labflow_core::runner::store_dir;
 use labflow_core::ServerVersion;
 use labflow_storage::{ClusterHint, Oid, SegmentId, StorageManager};
 
@@ -14,17 +15,14 @@ fn stores() -> Vec<(ServerVersion, std::sync::Arc<dyn StorageManager>, std::path
     ServerVersion::ALL
         .iter()
         .map(|&v| {
-            let vdir = dir.join(v.name().replace('+', "_"));
-            std::fs::create_dir_all(&vdir).unwrap();
+            let vdir = store_dir(&dir, v.name()).unwrap();
             (v, v.make_store(&vdir, 512).unwrap(), vdir)
         })
         .collect()
 }
 
 fn bench_alloc(c: &mut Criterion) {
-    let mut group = c.benchmark_group("storage/alloc-100B");
-    group.measurement_time(std::time::Duration::from_secs(2));
-    group.warm_up_time(std::time::Duration::from_millis(500));
+    let mut group = support::group(c, "storage/alloc-100B");
     group.throughput(Throughput::Bytes(100));
     for (version, store, _dir) in stores() {
         group.bench_with_input(
@@ -47,9 +45,7 @@ fn bench_alloc(c: &mut Criterion) {
 }
 
 fn bench_read_hot(c: &mut Criterion) {
-    let mut group = c.benchmark_group("storage/read-hot");
-    group.measurement_time(std::time::Duration::from_secs(2));
-    group.warm_up_time(std::time::Duration::from_millis(500));
+    let mut group = support::group(c, "storage/read-hot");
     for (version, store, _dir) in stores() {
         // Preload 1000 objects.
         let t = store.begin().unwrap();
@@ -78,9 +74,7 @@ fn bench_read_hot(c: &mut Criterion) {
 }
 
 fn bench_update(c: &mut Criterion) {
-    let mut group = c.benchmark_group("storage/update-in-place");
-    group.measurement_time(std::time::Duration::from_secs(2));
-    group.warm_up_time(std::time::Duration::from_millis(500));
+    let mut group = support::group(c, "storage/update-in-place");
     for (version, store, _dir) in stores() {
         let t = store.begin().unwrap();
         let oid = store
@@ -105,9 +99,7 @@ fn bench_update(c: &mut Criterion) {
 }
 
 fn bench_checkpoint(c: &mut Criterion) {
-    let mut group = c.benchmark_group("storage/checkpoint-after-1k-allocs");
-    group.measurement_time(std::time::Duration::from_secs(2));
-    group.warm_up_time(std::time::Duration::from_millis(500));
+    let mut group = support::group(c, "storage/checkpoint-after-1k-allocs");
     group.sample_size(10);
     for (version, store, _dir) in stores() {
         group.bench_with_input(

@@ -25,33 +25,23 @@ fn main() -> ExitCode {
 fn run() -> Result<(), String> {
     let mut cfg = BenchConfig::default();
     let mut out_dir = PathBuf::from("results");
-    let mut work_dir =
-        std::env::temp_dir().join(format!("labflow-harness-{}", std::process::id()));
+    let mut work_dir = std::env::temp_dir().join(format!("labflow-harness-{}", std::process::id()));
     let mut ids: Vec<String> = Vec::new();
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next().ok_or_else(|| format!("{name} needs a value"))
-        };
+        let mut value = || args.next().ok_or_else(|| format!("{arg} needs a value"));
         match arg.as_str() {
-            "--clones" => {
-                cfg.base_clones =
-                    value("--clones")?.parse().map_err(|e| format!("--clones: {e}"))?
-            }
-            "--buffer-pages" => {
-                cfg.buffer_pages = value("--buffer-pages")?
-                    .parse()
-                    .map_err(|e| format!("--buffer-pages: {e}"))?
-            }
-            "--seed" => cfg.seed = value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?,
+            "--clones" => cfg.base_clones = number(&arg, value()?)?,
+            "--buffer-pages" => cfg.buffer_pages = number(&arg, value()?)?,
+            "--seed" => cfg.seed = number(&arg, value()?)?,
             "--smoke" => {
                 cfg = BenchConfig { seed: cfg.seed, ..BenchConfig::smoke() };
             }
-            "--out" => out_dir = PathBuf::from(value("--out")?),
-            "--work" => work_dir = PathBuf::from(value("--work")?),
+            "--out" => out_dir = PathBuf::from(value()?),
+            "--work" => work_dir = PathBuf::from(value()?),
             "--help" | "-h" => {
-                println!("{HELP}");
+                println!("{}", help());
                 return Ok(());
             }
             id if !id.starts_with('-') => ids.push(id.to_string()),
@@ -89,147 +79,31 @@ fn run() -> Result<(), String> {
         let body = serde_json::to_string_pretty(&report.json)
             .map_err(|e| format!("serializing {id}: {e}"))?;
         std::fs::write(&json, body).map_err(|e| format!("writing {json:?}: {e}"))?;
-        if id == "abl-replication" {
-            write_bench_replication(&out_dir, &cfg, &report.json)?;
-        }
-        if id == "abl-multiclient" {
-            write_bench_commit(&out_dir, &cfg, &report.json)?;
-        }
     }
     println!("results written to {}", out_dir.display());
     std::fs::remove_dir_all(&work_dir).ok();
     Ok(())
 }
 
-/// The replication perf-trajectory file: a flat, machine-readable
-/// `BENCH_replication.json` (one object per follower count, stable key
-/// names) that CI and trend tooling can diff across commits without
-/// parsing the experiment's richer per-run artifact.
-fn write_bench_replication(
-    out_dir: &std::path::Path,
-    cfg: &BenchConfig,
-    points: &serde_json::Value,
-) -> Result<(), String> {
-    use serde_json::Value;
-    // The trajectory keys, in trend-tool order; everything else in the
-    // experiment artifact is run detail, not trajectory.
-    const KEYS: [&str; 9] = [
-        "followers",
-        "ack_quorum",
-        "txns_per_sec",
-        "lag_p50_us",
-        "lag_p99_us",
-        "catchup_ms",
-        "commit_p50_us",
-        "quorum_p50_us",
-        "quorum_p99_us",
-    ];
-    let rows: Vec<Value> = match points {
-        Value::Seq(items) => items
-            .iter()
-            .map(|p| {
-                let picked = match p {
-                    Value::Map(entries) => KEYS
-                        .iter()
-                        .filter_map(|k| {
-                            entries.iter().find(|(name, _)| name == k).cloned()
-                        })
-                        .collect(),
-                    _ => Vec::new(),
-                };
-                Value::Map(picked)
-            })
-            .collect(),
-        _ => Vec::new(),
-    };
-    let config = Value::Map(vec![
-        ("seed".to_string(), Value::UInt(cfg.seed)),
-        ("buffer_pages".to_string(), Value::UInt(cfg.buffer_pages as u64)),
-    ]);
-    let body = Value::Map(vec![
-        ("bench".to_string(), Value::Str("replication".to_string())),
-        ("config".to_string(), config),
-        ("points".to_string(), Value::Seq(rows)),
-    ]);
-    let path = out_dir.join("BENCH_replication.json");
-    let text = serde_json::to_string_pretty(&body)
-        .map_err(|e| format!("serializing BENCH_replication: {e}"))?;
-    std::fs::write(&path, text).map_err(|e| format!("writing {path:?}: {e}"))?;
-    println!("replication perf trajectory written to {}", path.display());
-    Ok(())
+/// Parse the value of the numeric option `flag`.
+fn number<T: std::str::FromStr>(flag: &str, value: String) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    value.parse().map_err(|e| format!("{flag}: {e}"))
 }
 
-/// The commit-path perf-trajectory file: a flat `BENCH_commit.json`
-/// (one object per multi-client point, stable key names) tracking
-/// group-commit throughput and batching across commits — the numbers
-/// the pipelined log-writer is on the hook for.
-fn write_bench_commit(
-    out_dir: &std::path::Path,
-    cfg: &BenchConfig,
-    points: &serde_json::Value,
-) -> Result<(), String> {
-    use serde_json::Value;
-    const KEYS: [&str; 7] =
-        ["version", "clients", "supported", "steps_per_sec", "commits", "retries", "wal_syncs"];
-    let rows: Vec<Value> = match points {
-        Value::Seq(items) => items
-            .iter()
-            .map(|p| {
-                let picked = match p {
-                    Value::Map(entries) => KEYS
-                        .iter()
-                        .filter_map(|k| {
-                            entries.iter().find(|(name, _)| name == k).cloned()
-                        })
-                        .collect(),
-                    _ => Vec::new(),
-                };
-                Value::Map(picked)
-            })
-            .collect(),
-        _ => Vec::new(),
-    };
-    let config = Value::Map(vec![
-        ("seed".to_string(), Value::UInt(cfg.seed)),
-        ("buffer_pages".to_string(), Value::UInt(cfg.buffer_pages as u64)),
-    ]);
-    let body = Value::Map(vec![
-        ("bench".to_string(), Value::Str("commit".to_string())),
-        ("config".to_string(), config),
-        ("points".to_string(), Value::Seq(rows)),
-    ]);
-    let path = out_dir.join("BENCH_commit.json");
-    let text = serde_json::to_string_pretty(&body)
-        .map_err(|e| format!("serializing BENCH_commit: {e}"))?;
-    std::fs::write(&path, text).map_err(|e| format!("writing {path:?}: {e}"))?;
-    println!("commit perf trajectory written to {}", path.display());
-    Ok(())
-}
-
-const HELP: &str = "\
-labflow-harness — regenerate the LabFlow-1 paper's tables and figures
-
-USAGE: labflow-harness [OPTIONS] [EXPERIMENT...]
-
-EXPERIMENTS (default: all)
-  fig1-schema          Figure 1: two-level EER schema (structural)
-  tab1-storage-schema  Table 1: fixed storage schema (structural)
-  figB-workflow-graph  Appendix B: the genome workflow graph
-  tab-build            Section 10: build cost per version & interval
-  fig-throughput       throughput vs database size
-  tab-query-mix        Section 8 query families per version
-  tab-evolution        schema evolution mid-stream
-  abl-clustering       clustering control vs cache size (ablation)
-  abl-concurrency      reader threads during the build (ablation)
-  abl-recovery         crash recovery per durability design (ablation)
-  abl-multiclient      writer clients vs throughput, group commit (ablation);
-                       also emits the BENCH_commit.json trajectory file
-  abl-scrub            offline scrub of a recovered store image (ablation)
-  abl-snapshot         snapshot scans vs writer throughput (ablation)
-  abl-server           networked front end: closed-loop tails + admission (ablation)
-  abl-replication      WAL shipping: apply lag + ack-quorum commits (ablation);
-                       also emits the BENCH_replication.json trajectory file
-
+/// `--help`: usage, the experiment list read off the registry, options.
+fn help() -> String {
+    let mut text = String::from(
+        "labflow-harness — regenerate the LabFlow-1 paper's tables and figures\n\n\
+         USAGE: labflow-harness [OPTIONS] [EXPERIMENT...]\n\n\
+         EXPERIMENTS (default: all)\n",
+    );
+    for e in experiments::EXPERIMENTS {
+        text.push_str(&format!("  {:<20} {}\n", e.id, e.help));
+    }
+    text + "
 OPTIONS
   --clones N         clones at scale 1X (default 1000)
   --buffer-pages N   buffer-pool pages (default 2048 = 8 MiB)
@@ -237,4 +111,5 @@ OPTIONS
   --smoke            tiny configuration (fast sanity pass)
   --out DIR          results directory (default ./results)
   --work DIR         scratch directory for store files
-";
+"
+}

@@ -19,10 +19,13 @@
 
 /// Shared helpers for the Criterion benches.
 pub mod support {
-    use std::path::PathBuf;
+    use std::path::{Path, PathBuf};
     use std::sync::Arc;
+    use std::time::Duration;
 
+    use criterion::{BenchmarkGroup, Criterion};
     use labbase::LabBase;
+    use labflow_core::runner::{grown_db, store_dir};
     use labflow_core::{BenchConfig, LabSim, ServerVersion};
     use labflow_storage::StorageManager;
 
@@ -37,31 +40,30 @@ pub mod support {
         }
     }
 
-    /// Fresh scratch dir for one bench invocation.
-    pub fn scratch(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir()
-            .join(format!("labflow-bench-{}-{}", std::process::id(), name));
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
+    /// A Criterion group on the benches' shared time budget: 500 ms of
+    /// warm-up, 2 s of measurement.
+    pub fn group(c: &mut Criterion, name: impl Into<String>) -> BenchmarkGroup<'_> {
+        let mut group = c.benchmark_group(name);
+        group.measurement_time(Duration::from_secs(2));
+        group.warm_up_time(Duration::from_millis(500));
+        group
     }
 
-    /// Build a 1X database for `version` under `dir`; returns the sim
-    /// (for its sampling pool), the db, and the store handle.
+    /// Fresh scratch dir for one bench invocation.
+    pub fn scratch(name: &str) -> PathBuf {
+        let name = format!("labflow-bench-{}-{name}", std::process::id());
+        store_dir(&std::env::temp_dir(), &name).unwrap()
+    }
+
+    /// Build and checkpoint a 1X database for `version` under `dir`;
+    /// returns the sim (for its sampling pool), the db, and the store.
     pub fn built_db(
         version: ServerVersion,
         cfg: &BenchConfig,
-        dir: &std::path::Path,
+        dir: &Path,
     ) -> (LabSim, LabBase, Arc<dyn StorageManager>) {
-        let vdir = dir.join(version.name().replace('+', "_"));
-        std::fs::remove_dir_all(&vdir).ok();
-        std::fs::create_dir_all(&vdir).unwrap();
-        let store = version.make_store(&vdir, cfg.buffer_pages).unwrap();
-        let db = LabBase::create(store.clone()).unwrap();
-        let mut sim = LabSim::new(cfg.clone());
-        sim.setup(&db).unwrap();
-        sim.run_until_clones(&db, cfg.clones_at(1.0) as u64).unwrap();
-        db.checkpoint().unwrap();
-        (sim, db, store)
+        let built = grown_db(version, cfg, dir, 1.0).unwrap();
+        built.1.checkpoint().unwrap();
+        built
     }
 }

@@ -1,7 +1,7 @@
 //! Calibration probe for the clustering ablation: prints steady-state
 //! fault rates per backend at a few (scale, pool) points. Used while
 //! tuning `abl-clustering`'s pool sweep; kept as a diagnostic.
-use labflow_core::{runner, BenchConfig};
+use labflow_core::{exp::clustering, BenchConfig};
 
 fn main() {
     for (clones, pool, sample) in [(100usize, 32usize, 3000usize), (100, 96, 3000), (100, 320, 3000), (200, 96, 3000)] {
@@ -13,7 +13,7 @@ fn main() {
         let dir = std::env::temp_dir().join(format!("probe-clust-{clones}-{pool}"));
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
-        let points = runner::run_clustering(&cfg, &[pool], sample, &dir).unwrap();
+        let points = clustering::run(&cfg, &[pool], sample, &dir).unwrap();
         println!("clones={clones} pool={pool} lookups={sample}");
         for p in &points {
             println!("  {:<10} faults/1k={:>8.1}  total_faults={:>7}",

@@ -75,9 +75,9 @@ impl ServerVersion {
         self.make_store_with(dir, Options { buffer_pages, ..Options::default() })
     }
 
-    /// Instantiate the storage manager with explicit [`Options`] (e.g. a
-    /// group-commit window for the multi-client experiment). `-mm`
-    /// versions ignore the options entirely.
+    /// Instantiate the storage manager with explicit [`Options`] (e.g.
+    /// `sync_commit` for the replication experiment). `-mm` versions
+    /// ignore the options entirely.
     pub fn make_store_with(self, dir: &Path, opts: Options) -> Result<Arc<dyn StorageManager>> {
         let store: Arc<dyn StorageManager> = match self {
             ServerVersion::OStore => Arc::new(OStore::create(dir, opts)?),

@@ -23,11 +23,11 @@
 //! ## Quick start
 //!
 //! ```
-//! use labflow_core::{BenchConfig, ServerVersion, runner};
+//! use labflow_core::{exp::build, BenchConfig, ServerVersion};
 //!
 //! let cfg = BenchConfig::smoke();
 //! let dir = std::env::temp_dir().join(format!("lf-doc-{}", std::process::id()));
-//! let result = runner::run_build(ServerVersion::OStoreMm, &cfg, &[0.5], &dir).unwrap();
+//! let result = build::run(ServerVersion::OStoreMm, &cfg, &[0.5], &dir).unwrap();
 //! assert!(result.rows[0].steps > 0);
 //! # std::fs::remove_dir_all(&dir).ok();
 //! ```
@@ -38,6 +38,7 @@
 mod config;
 pub mod datagen;
 mod error;
+pub mod exp;
 pub mod experiments;
 pub mod hist;
 pub mod metrics;

@@ -61,7 +61,7 @@ impl ProcStat {
 
 /// One row of the Section-10 results: the resources one server version
 /// consumed over one workload interval.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct ResourceRow {
     /// Server-version name ("OStore", …).
     pub version: String,
@@ -100,7 +100,7 @@ pub struct ResourceRow {
 }
 
 /// One client's share of a multi-client run (`abl-multiclient`).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct ClientRow {
     /// Client index (0-based).
     pub client: u64,
@@ -174,7 +174,7 @@ impl Meter {
             steps,
             queries,
             materials,
-            steps_per_sec: if elapsed > 0.0 { steps as f64 / elapsed } else { 0.0 },
+            steps_per_sec: crate::runner::per_sec(steps, elapsed),
             step_p50_us: 0.0,
             step_p99_us: 0.0,
             query_p99_us: 0.0,

@@ -1,25 +1,26 @@
-//! Experiment runners: database build with interval measurements
-//! (Section 10), the query mix, the schema-evolution exercise, and the
-//! clustering ablation.
+//! The kit every experiment runner in [`crate::exp`] shares: a fresh
+//! store directory, the LabFlow-1 build up to a scale, the writer
+//! prefill, client pools on scoped threads, and rates.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::thread::ScopedJoinHandle;
 
-use labbase::{schema::attrs, AttrType, LabBase, MaterialId, Value};
-use labflow_storage::{Options, StorageManager};
-use serde::Serialize;
+use labbase::{schema::attrs, AttrType, LabBase, MaterialId};
+use labflow_storage::StorageManager;
 
 use crate::config::{BenchConfig, ServerVersion};
 use crate::error::{BenchError, Result};
-use crate::metrics::{ClientRow, Meter, ResourceRow};
-use crate::queries;
 use crate::workload::LabSim;
 
-/// Fresh per-version store directory under `base`, wiped first.
-fn version_dir(base: &Path, version: ServerVersion) -> Result<PathBuf> {
-    let dir = base.join(version.name().replace('+', "_"));
+/// The workflow states the writer experiments cycle their materials
+/// through.
+pub const STATES: [&str; 4] = ["queued", "running", "done", "archived"];
+
+/// Fresh store directory `base/name` (`+` made path-safe), wiped first.
+pub fn store_dir(base: &Path, name: &str) -> Result<PathBuf> {
+    let dir = base.join(name.replace('+', "_"));
     if dir.exists() {
         std::fs::remove_dir_all(&dir)?;
     }
@@ -33,433 +34,190 @@ pub fn fresh_db(
     cfg: &BenchConfig,
     base: &Path,
 ) -> Result<(LabBase, Arc<dyn StorageManager>)> {
-    let dir = version_dir(base, version)?;
+    let dir = store_dir(base, version.name())?;
     let store = version.make_store(&dir, cfg.buffer_pages)?;
     let db = LabBase::create(store.clone())?;
     Ok((db, store))
 }
 
-/// Result of one version's database build.
-#[derive(Debug, Clone, Serialize)]
-pub struct BuildResult {
-    /// Version name.
-    pub version: String,
-    /// One row per interval.
-    pub rows: Vec<ResourceRow>,
-}
-
-/// Build the benchmark database on `version`, measuring at each interval
-/// (the paper's `0.5X`, `1.0X`, … snapshots). Each interval row covers
-/// the work done *during* that interval.
-pub fn run_build(
+/// A fresh LabBase on `version` with the LabFlow-1 workload set up and
+/// run to `scale` (no checkpoint: callers that want one take it).
+pub fn grown_db(
     version: ServerVersion,
     cfg: &BenchConfig,
-    intervals: &[f64],
     base: &Path,
-) -> Result<BuildResult> {
+    scale: f64,
+) -> Result<(LabSim, LabBase, Arc<dyn StorageManager>)> {
     let (db, store) = fresh_db(version, cfg, base)?;
     let mut sim = LabSim::new(cfg.clone());
     sim.setup(&db)?;
+    sim.run_until_clones(&db, cfg.clones_at(scale) as u64)?;
+    Ok((sim, db, store))
+}
 
-    let mut rows = Vec::with_capacity(intervals.len());
-    let mut prev_steps = 0u64;
-    let mut prev_queries = 0u64;
-    for &scale in intervals {
-        let label = format!("{scale:.1}X");
-        let meter = Meter::start(store.stats());
-        sim.run_until_clones(&db, cfg.clones_at(scale) as u64)?;
-        db.checkpoint()?;
-        let c = sim.counters();
-        let mut row = meter.finish(
-            version.name(),
-            &label,
-            store.stats(),
-            store.db_size_bytes()?,
-            c.steps - prev_steps,
-            c.queries - prev_queries,
-            c.materials,
-        )?;
-        let (step_lat, query_lat) = sim.take_latencies();
-        row.step_p50_us = step_lat.quantile_us(0.50);
-        row.step_p99_us = step_lat.quantile_us(0.99);
-        row.query_p99_us = query_lat.quantile_us(0.99);
-        prev_steps = c.steps;
-        prev_queries = c.queries;
-        rows.push(row);
-    }
-    // Post-measurement verification: the benchmark refuses to report
-    // numbers from a database that fails its own fsck.
-    let integrity = db.check_integrity()?;
-    if !integrity.is_healthy() {
-        return Err(BenchError::Config(format!(
-            "{} produced a corrupt database: {:?}",
-            version.name(),
-            &integrity.problems[..integrity.problems.len().min(5)]
-        )));
-    }
-    Ok(BuildResult {
-        version: version.name().to_string(),
-        rows,
+/// Define `class` and a one-attribute `step_class` (`reading: Real`),
+/// create `n` materials named `{prefix}-{i:06}` in one bulk
+/// transaction, and warm the shared state and name indexes so every
+/// session maintains them incrementally instead of racing to rebuild.
+pub fn prefill(
+    db: &LabBase,
+    class: &str,
+    step_class: &str,
+    prefix: &str,
+    n: usize,
+) -> Result<Vec<MaterialId>> {
+    let txn = db.begin()?;
+    db.define_material_class(txn, class, None)?;
+    db.define_step_class(txn, step_class, attrs(&[("reading", AttrType::Real)]))?;
+    let mats = (0..n)
+        .map(|i| db.create_material(txn, class, &format!("{prefix}-{i:06}"), 0))
+        .collect::<labbase::Result<Vec<_>>>()?;
+    db.commit(txn)?;
+    let _ = db.count_in_state("queued")?;
+    let _ = db.find_material(&format!("{prefix}-000000"))?;
+    Ok(mats)
+}
+
+/// Run `n` clients on scoped threads, client `c` on the round-robin
+/// slice `items[c], items[c + n], …` — disjoint, so clients contend on
+/// infrastructure, not data. Every client is joined before the first
+/// error (or panic, as [`BenchError::Config`]) is returned.
+pub fn run_clients<M, T>(
+    items: &[M],
+    n: usize,
+    client: impl Fn(usize, &[M]) -> Result<T> + Sync,
+) -> Result<Vec<T>>
+where
+    M: Copy + Send + Sync,
+    T: Send,
+{
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..n)
+            .map(|c| {
+                let mine: Vec<M> = items.iter().skip(c).step_by(n).copied().collect();
+                let client = &client;
+                scope.spawn(move || client(c, &mine))
+            })
+            .collect();
+        let results: Vec<Result<T>> = handles.into_iter().map(joined).collect();
+        results.into_iter().collect()
     })
 }
 
-/// Run the build on every requested version.
-pub fn run_build_all(
-    versions: &[ServerVersion],
-    cfg: &BenchConfig,
-    intervals: &[f64],
-    base: &Path,
-) -> Result<Vec<BuildResult>> {
-    versions
-        .iter()
-        .map(|&v| run_build(v, cfg, intervals, base))
-        .collect()
-}
-
-/// Timing of one query family on one version.
-#[derive(Debug, Clone, Serialize)]
-pub struct QueryTiming {
-    /// Version name.
-    pub version: String,
-    /// Query family name.
-    pub query: String,
-    /// Executions measured.
-    pub count: u64,
-    /// Total wall time in milliseconds.
-    pub total_ms: f64,
-    /// Mean microseconds per execution.
-    pub mean_us: f64,
-    /// Simulated faults incurred.
-    pub sim_faults: u64,
-    /// Rows / answers produced (sanity signal).
-    pub answers: u64,
-}
-
-/// Build a 1X database on `version` and time the Section-8 query
-/// families against it (cold cache before each family).
-pub fn run_query_mix(
-    version: ServerVersion,
-    cfg: &BenchConfig,
-    base: &Path,
-) -> Result<Vec<QueryTiming>> {
-    let (db, store) = fresh_db(version, cfg, base)?;
-    let mut sim = LabSim::new(cfg.clone());
-    sim.setup(&db)?;
-    sim.run_until_clones(&db, cfg.clones_at(1.0) as u64)?;
-    db.checkpoint()?;
-
-    let mut out = Vec::new();
-    let families = queries::families();
-    for family in &families {
-        store.drop_caches()?;
-        let before = store.stats();
-        let start = Instant::now();
-        let (count, answers) = (family.run)(&db, &mut sim)?;
-        let elapsed = start.elapsed();
-        let after = store.stats();
-        let total_ms = elapsed.as_secs_f64() * 1e3;
-        out.push(QueryTiming {
-            version: version.name().to_string(),
-            query: family.name.to_string(),
-            count,
-            total_ms,
-            mean_us: if count > 0 {
-                total_ms * 1e3 / count as f64
-            } else {
-                0.0
-            },
-            sim_faults: after.delta(&before).faults,
-            answers,
-        });
-    }
-    Ok(out)
-}
-
-/// Schema-evolution measurements on one version.
-#[derive(Debug, Clone, Serialize)]
-pub struct EvolutionResult {
-    /// Version name.
-    pub version: String,
-    /// Mean microseconds to redefine a step class.
-    pub redefine_mean_us: f64,
-    /// Mean microseconds to record a step (for comparison).
-    pub record_step_mean_us: f64,
-    /// Versions accumulated by the most-evolved step class.
-    pub max_versions: u32,
-    /// Steps carrying an old (non-current) class version that still
-    /// decode under their own schema.
-    pub old_version_steps_ok: u64,
-    /// Database size before the evolution storm.
-    pub size_before: Option<u64>,
-    /// Database size after (evolution must not rewrite instances, so
-    /// growth is bounded by the catalog).
-    pub size_after: Option<u64>,
-}
-
-/// The schema-evolution exercise (paper Section 8.1): redefine step
-/// classes repeatedly mid-stream, verify old instances keep their
-/// versions and no data is migrated, and time the operation.
-pub fn run_evolution(
-    version: ServerVersion,
-    cfg: &BenchConfig,
-    base: &Path,
-    redefinitions: usize,
-) -> Result<EvolutionResult> {
-    let cfg = BenchConfig {
-        evolution_every: 0,
-        ..cfg.clone()
-    };
-    let (db, store) = fresh_db(version, &cfg, base)?;
-    let mut sim = LabSim::new(cfg.clone());
-    sim.setup(&db)?;
-    sim.run_until_clones(&db, cfg.clones_at(0.5) as u64)?;
-    db.checkpoint()?;
-    let size_before = store.db_size_bytes()?;
-
-    // Time record_step as the baseline: one more half-interval of build.
-    let steps_before = sim.counters().steps;
-    let t0 = Instant::now();
-    sim.run_until_clones(&db, cfg.clones_at(0.75) as u64)?;
-    let record_elapsed = t0.elapsed();
-    let steps_done = sim.counters().steps - steps_before;
-
-    // The evolution storm: alternate attribute sets on every step class.
-    let step_names: Vec<String> = sim.graph().steps.iter().map(|s| s.name.clone()).collect();
-    let t0 = Instant::now();
-    for i in 0..redefinitions {
-        let name = &step_names[i % step_names.len()];
-        let mut attrs = sim
-            .graph()
-            .step(name)
-            .ok_or_else(|| {
-                BenchError::Config(format!("step class '{name}' missing from workflow graph"))
-            })?
-            .attrs
-            .clone();
-        attrs.push(labbase::schema::AttrDef {
-            name: "outcome".into(),
-            ty: labbase::AttrType::Str,
-        });
-        if i % 2 == 0 {
-            attrs.push(labbase::schema::AttrDef {
-                name: format!("rev_{i}"),
-                ty: labbase::AttrType::Str,
-            });
-        }
-        let txn = db.begin()?;
-        db.redefine_step_class(txn, name, attrs)?;
-        db.commit(txn)?;
-    }
-    let evolve_elapsed = t0.elapsed();
-    db.checkpoint()?;
-    let size_after = store.db_size_bytes()?;
-
-    let max_versions = db.with_catalog(|c| {
-        c.step_classes()
+/// Run `fg` on this thread while one background thread per item runs
+/// `bg(item, stop)`; `stop` is raised once `fg` returns, then every
+/// background thread is joined. A background error wins over `fg`'s
+/// result — a dead helper is the root cause of whatever `fg` saw.
+pub fn alongside<M, B, F>(
+    items: &[M],
+    bg: impl Fn(&M, &AtomicBool) -> Result<B> + Sync,
+    fg: impl FnOnce() -> Result<F>,
+) -> Result<(F, Vec<B>)>
+where
+    M: Sync,
+    B: Send,
+{
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = items
             .iter()
-            .map(|sc| sc.versions.len() as u32)
-            .max()
-            .unwrap_or(1)
-    });
-
-    // Old instances: sample histories and verify every step still
-    // decodes under its pinned version.
-    let mut old_ok = 0u64;
-    for &m in sim.materials().iter().take(200) {
-        for entry in db.history(m)? {
-            let info = db.step(entry.step)?;
-            let schema = db.step_schema(entry.step)?;
-            let current = db.with_catalog(|c| {
-                c.step_class(&info.class)
-                    .map(|sc| sc.current().version)
-                    .unwrap_or(0)
-            });
-            if info.version < current {
-                // All recorded attrs must be in the pinned version.
-                let all_known = info
-                    .attrs
-                    .iter()
-                    .all(|(n, _)| schema.iter().any(|a| &a.name == n));
-                if all_known {
-                    old_ok += 1;
-                } else {
-                    return Err(BenchError::Config(format!(
-                        "step {} lost attributes under evolution",
-                        entry.step
-                    )));
-                }
-            }
-        }
-    }
-
-    Ok(EvolutionResult {
-        version: version.name().to_string(),
-        redefine_mean_us: evolve_elapsed.as_secs_f64() * 1e6 / redefinitions.max(1) as f64,
-        record_step_mean_us: record_elapsed.as_secs_f64() * 1e6 / steps_done.max(1) as f64,
-        max_versions,
-        old_version_steps_ok: old_ok,
-        size_before,
-        size_after,
+            .map(|item| {
+                let (bg, stop) = (&bg, &stop);
+                scope.spawn(move || bg(item, stop))
+            })
+            .collect();
+        let fg = fg();
+        stop.store(true, Ordering::Relaxed);
+        let results: Vec<Result<B>> = handles.into_iter().map(joined).collect();
+        let bg = results.into_iter().collect::<Result<Vec<B>>>()?;
+        Ok((fg?, bg))
     })
 }
 
-/// One point of the clustering ablation.
-#[derive(Debug, Clone, Serialize)]
-pub struct ClusteringPoint {
-    /// Version name.
-    pub version: String,
-    /// Buffer-pool pages used for the measured pass.
-    pub pool_pages: usize,
-    /// Tracking lookups performed in the measured round.
-    pub lookups: u64,
-    /// Simulated faults during the measured round (steady state).
-    pub sim_faults: u64,
-    /// Faults per 1,000 lookups.
-    pub faults_per_k: f64,
-    /// Wall milliseconds for the measured round.
-    pub elapsed_ms: f64,
+fn joined<T>(handle: ScopedJoinHandle<'_, Result<T>>) -> Result<T> {
+    handle.join().map_err(|_| BenchError::Config("client thread panicked".into()))?
 }
 
-/// The clustering ablation (DESIGN.md `abl-clustering`): build a 1X
-/// database per persistent version, reopen it with successively smaller
-/// buffer pools, warm the cache with rounds of the hot tracking query
-/// (most-recent lookup + state on uniformly random materials), then
-/// measure a steady-state round.
-///
-/// This isolates the paper's headline claim: with locality control
-/// (OStore segments, or Texas+TC's client-code type clustering) the hot
-/// records stay dense and the working set fits; without it (plain
-/// Texas), material records are diluted across the whole address-ordered
-/// heap — page-sized step payloads in between — and the same logical
-/// working set is many times larger in pages.
-pub fn run_clustering(
-    cfg: &BenchConfig,
-    pool_sizes: &[usize],
-    lookups_per_round: usize,
-    base: &Path,
-) -> Result<Vec<ClusteringPoint>> {
-    const WARM_ROUNDS: usize = 3;
-    let mut out = Vec::new();
-    for version in ServerVersion::PERSISTENT {
-        let dir = version_dir(base, version)?;
-        let store = version.make_store(&dir, cfg.buffer_pages)?;
-        let db = LabBase::create(store.clone())?;
-        let mut sim = LabSim::new(cfg.clone());
-        sim.setup(&db)?;
-        sim.run_until_clones(&db, cfg.clones_at(1.0) as u64)?;
-        db.checkpoint()?;
-        drop(db);
-        drop(store);
-
-        for &pool in pool_sizes {
-            let store = version.open_store(&dir, pool)?;
-            let db = LabBase::open(store.clone())?;
-            // Same uniform lookup stream for every version and pool size.
-            let mut gen = crate::datagen::DataGen::new(cfg.seed ^ 0xC1u64);
-            let all: Vec<labbase::MaterialId> = {
-                let mut v = db.class_extent("clone", false)?;
-                v.extend(db.class_extent("tclone", false)?);
-                v
-            };
-            store.drop_caches()?;
-            let mut measured: Option<(u64, f64)> = None;
-            for round in 0..=WARM_ROUNDS {
-                let before = store.stats();
-                let t0 = Instant::now();
-                for _ in 0..lookups_per_round {
-                    let m = all[gen.index(all.len())];
-                    let _ = db.recent(m, "quality")?;
-                    let _ = db.state_of(m)?;
-                }
-                let elapsed = t0.elapsed();
-                if round == WARM_ROUNDS {
-                    let faults = store.stats().delta(&before).faults;
-                    measured = Some((faults, elapsed.as_secs_f64() * 1e3));
-                }
-            }
-            let (faults, elapsed_ms) = measured
-                .ok_or_else(|| BenchError::Config("clustering measured round never ran".into()))?;
-            out.push(ClusteringPoint {
-                version: version.name().to_string(),
-                pool_pages: pool,
-                lookups: lookups_per_round as u64,
-                sim_faults: faults,
-                faults_per_k: faults as f64 * 1000.0 / lookups_per_round.max(1) as f64,
-                elapsed_ms,
-            });
-        }
+/// `Err(BenchError::Config(why()))` unless `ok`: a run that breaks its
+/// own invariant — or is asked for zero clients — reports, not panics.
+pub fn ensure(ok: bool, why: impl FnOnce() -> String) -> Result<()> {
+    if ok {
+        Ok(())
+    } else {
+        Err(BenchError::Config(why()))
     }
-    Ok(out)
 }
 
+/// `n` per second over `secs`, or 0 for an empty interval.
+pub fn per_sec(n: u64, secs: f64) -> f64 {
+    if secs > 0.0 {
+        n as f64 / secs
+    } else {
+        0.0
+    }
+}
+
+/// Smoke runs of every family's runner at [`BenchConfig::smoke`] scale.
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exp::{build, clustering, evolution, queries, writers};
 
-    fn base(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("lfc-run-{}-{}", std::process::id(), name));
+    /// Run a runner at smoke scale over a scratch directory removed after.
+    pub(super) fn smoke<T>(name: &str, run: impl FnOnce(&BenchConfig, &Path) -> T) -> T {
+        let dir = std::env::temp_dir().join(format!("lfc-run-{}-{name}", std::process::id()));
+        let out = run(&BenchConfig::smoke(), &dir);
         std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
+        out
     }
 
     #[test]
     fn smoke_build_two_intervals_mm() {
-        let cfg = BenchConfig::smoke();
-        let dir = base("build-mm");
-        let result = run_build(ServerVersion::OStoreMm, &cfg, &[0.5, 1.0], &dir).unwrap();
+        let result = smoke("build-mm", |cfg, dir| {
+            build::run(ServerVersion::OStoreMm, cfg, &[0.5, 1.0], dir)
+        })
+        .unwrap();
         assert_eq!(result.rows.len(), 2);
         assert_eq!(result.rows[0].interval, "0.5X");
         assert!(result.rows[0].steps > 0);
-        assert!(
-            result.rows[1].steps > 0,
-            "second interval does its own work"
-        );
+        assert!(result.rows[1].steps > 0, "second interval does its own work");
         assert_eq!(result.rows[0].size_bytes, None, "-mm prints no size");
         assert_eq!(result.rows[0].sim_majflt, 0, "-mm never faults");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn smoke_build_persistent_has_size_and_faults_counted() {
-        let cfg = BenchConfig::smoke();
-        let dir = base("build-tex");
-        let result = run_build(ServerVersion::Texas, &cfg, &[0.5], &dir).unwrap();
+        let result =
+            smoke("build-tex", |cfg, dir| build::run(ServerVersion::Texas, cfg, &[0.5], dir))
+                .unwrap();
         let row = &result.rows[0];
         assert!(row.size_bytes.unwrap() > 0);
         assert!(row.page_writes > 0, "checkpoint flushed pages");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn smoke_query_mix() {
-        let cfg = BenchConfig::smoke();
-        let dir = base("qmix");
-        let timings = run_query_mix(ServerVersion::OStore, &cfg, &dir).unwrap();
+        let timings =
+            smoke("qmix", |cfg, dir| queries::run(ServerVersion::OStore, cfg, dir)).unwrap();
         assert!(timings.len() >= 6, "expected several query families");
         for t in &timings {
             assert!(t.count > 0, "family {} ran", t.query);
         }
         // At least the report families must produce answers.
         assert!(timings.iter().any(|t| t.answers > 0));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn smoke_evolution() {
-        let cfg = BenchConfig::smoke();
-        let dir = base("evo");
-        let r = run_evolution(ServerVersion::OStoreMm, &cfg, &dir, 10).unwrap();
+        let r =
+            smoke("evo", |cfg, dir| evolution::run(ServerVersion::OStoreMm, cfg, dir, 10)).unwrap();
         assert!(r.max_versions > 1);
         assert!(r.redefine_mean_us > 0.0);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn smoke_multiclient_two_counts() {
-        let cfg = BenchConfig::smoke();
-        let dir = base("mc");
-        let points = run_multiclient(&cfg, &[1, 2], &dir).unwrap();
+        let points = smoke("mc", |cfg, dir| writers::run_multiclient(cfg, &[1, 2], dir)).unwrap();
         assert_eq!(points.len(), ServerVersion::ALL.len() * 2);
         for p in &points {
             if p.clients == 1 {
@@ -469,30 +227,21 @@ mod tests {
                 assert_eq!(p.per_client[0].steps, p.steps);
             }
         }
+        let at_two = |name: &str| points.iter().find(|p| p.version == name && p.clients == 2);
         // Single-user backends refuse multi-client points…
-        let texas2 = points
-            .iter()
-            .find(|p| p.version == "Texas" && p.clients == 2)
-            .unwrap();
-        assert!(!texas2.supported);
+        assert!(!at_two("Texas").unwrap().supported);
         // …while the concurrent ones run them, touching every material
         // once per round.
         for name in ["OStore", "OStore-mm"] {
-            let p = points
-                .iter()
-                .find(|p| p.version == name && p.clients == 2)
-                .unwrap();
+            let p = at_two(name).unwrap();
             assert!(p.supported, "{name} supports two clients");
             assert_eq!(p.per_client.len(), 2);
-            let total = cfg.clones_at(1.0).max(2 * MC_STEPS_PER_TXN);
-            assert_eq!(p.steps, (total * MC_ROUNDS) as u64);
+            let total = BenchConfig::smoke().clones_at(1.0).max(2 * writers::STEPS_PER_TXN);
+            assert_eq!(p.steps, (total * writers::ROUNDS) as u64);
         }
         // Group commit: the persistent backend forces the WAL fewer
         // times than it commits.
-        let ostore = points
-            .iter()
-            .find(|p| p.version == "OStore" && p.clients == 2)
-            .unwrap();
+        let ostore = at_two("OStore").unwrap();
         assert!(ostore.wal_syncs > 0, "WAL forced at least once");
         assert!(
             ostore.wal_syncs <= ostore.commits,
@@ -500,14 +249,11 @@ mod tests {
             ostore.wal_syncs,
             ostore.commits
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn smoke_snapshot_scan() {
-        let cfg = BenchConfig::smoke();
-        let dir = base("snap");
-        let points = run_snapshot(&cfg, 2, &dir).unwrap();
+        let points = smoke("snap", |cfg, dir| writers::run_snapshot(cfg, 2, dir)).unwrap();
         assert_eq!(points.len(), ServerVersion::ALL.len());
         let mut concurrent = 0;
         for p in &points {
@@ -517,16 +263,8 @@ mod tests {
             }
             concurrent += 1;
             assert!(p.steps_per_sec_alone > 0.0, "{}: baseline ran", p.version);
-            assert!(
-                p.steps_per_sec_scanned > 0.0,
-                "{}: scanned phase ran",
-                p.version
-            );
-            assert!(
-                p.scans >= 1,
-                "{}: the scanner completed at least one pass",
-                p.version
-            );
+            assert!(p.steps_per_sec_scanned > 0.0, "{}: scanned phase ran", p.version);
+            assert!(p.scans >= 1, "{}: the scanner completed at least one pass", p.version);
             assert!(p.rows_read > 0, "{}: scans visited history rows", p.version);
             assert_eq!(
                 p.reader_heap_wait_nanos, 0,
@@ -535,1659 +273,63 @@ mod tests {
             );
         }
         assert!(concurrent >= 2, "both OStore variants run the ablation");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn smoke_clustering_two_pools() {
-        let cfg = BenchConfig::smoke();
-        let dir = base("clust");
-        let points = run_clustering(&cfg, &[16, 256], 50, &dir).unwrap();
+        let points = smoke("clust", |cfg, dir| clustering::run(cfg, &[16, 256], 50, dir)).unwrap();
         assert_eq!(points.len(), 3 * 2);
         for p in &points {
             assert_eq!(p.lookups, 50);
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
-}
-
-/// One point of the concurrency ablation.
-#[derive(Debug, Clone, Serialize)]
-pub struct ConcurrencyPoint {
-    /// Version name.
-    pub version: String,
-    /// Concurrent reader threads during the build.
-    pub readers: usize,
-    /// Whether the backend supports concurrent transactions at all.
-    pub supported: bool,
-    /// Build throughput (workflow steps/sec) with the readers running.
-    pub build_steps_per_sec: f64,
-    /// Aggregate reader throughput (tracking queries/sec), if supported.
-    pub reader_ops_per_sec: f64,
-}
-
-/// The concurrency ablation (DESIGN.md `abl-concurrency`): the paper
-/// notes that "ObjectStore offers concurrent access with lock-based
-/// concurrency control …; Texas does not support concurrent access."
-/// Builds the second half of a 1X database while `readers` threads run
-/// tracking queries; single-user backends report `supported = false`.
-pub fn run_concurrency(
-    cfg: &BenchConfig,
-    reader_counts: &[usize],
-    base: &Path,
-) -> Result<Vec<ConcurrencyPoint>> {
-    let mut out = Vec::new();
-    for version in ServerVersion::ALL {
-        for &readers in reader_counts {
-            let (db, store) = fresh_db(version, cfg, base)?;
-            let mut sim = LabSim::new(cfg.clone());
-            sim.setup(&db)?;
-            sim.run_until_clones(&db, cfg.clones_at(0.5) as u64)?;
-            if readers > 0 && !store.supports_concurrency() {
-                out.push(ConcurrencyPoint {
-                    version: version.name().to_string(),
-                    readers,
-                    supported: false,
-                    build_steps_per_sec: 0.0,
-                    reader_ops_per_sec: 0.0,
-                });
-                continue;
-            }
-            let mats: Vec<labbase::MaterialId> = sim.materials().to_vec();
-            let db = Arc::new(db);
-            let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-            let mut handles = Vec::new();
-            for r in 0..readers {
-                let db = db.clone();
-                let mats = mats.clone();
-                let stop = stop.clone();
-                handles.push(std::thread::spawn(move || -> Result<u64> {
-                    let mut ops = 0u64;
-                    let mut i = r; // decorrelate thread access patterns
-                    while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                        let m = mats[i % mats.len()];
-                        i = i.wrapping_add(7);
-                        let _ = db.recent(m, "quality")?;
-                        let _ = db.state_of(m)?;
-                        ops += 2;
-                    }
-                    Ok(ops)
-                }));
-            }
-            let steps_before = sim.counters().steps;
-            let t0 = Instant::now();
-            sim.run_until_clones(&db, cfg.clones_at(1.0) as u64)?;
-            let elapsed = t0.elapsed().as_secs_f64();
-            stop.store(true, std::sync::atomic::Ordering::Relaxed);
-            let mut reader_ops = 0u64;
-            for h in handles {
-                reader_ops += h
-                    .join()
-                    .map_err(|_| BenchError::Config("reader thread panicked".into()))??;
-            }
-            let steps = sim.counters().steps - steps_before;
-            out.push(ConcurrencyPoint {
-                version: version.name().to_string(),
-                readers,
-                supported: true,
-                build_steps_per_sec: if elapsed > 0.0 {
-                    steps as f64 / elapsed
-                } else {
-                    0.0
-                },
-                reader_ops_per_sec: if elapsed > 0.0 {
-                    reader_ops as f64 / elapsed
-                } else {
-                    0.0
-                },
-            });
-        }
-    }
-    Ok(out)
-}
-
-/// One row of the recovery ablation.
-#[derive(Debug, Clone, Serialize)]
-pub struct RecoveryPoint {
-    /// Version name.
-    pub version: String,
-    /// Materials existing when the crash hit.
-    pub materials_at_crash: u64,
-    /// Materials visible after reopening.
-    pub materials_recovered: u64,
-    /// Materials lost to the crash (Texas: everything after the last
-    /// checkpoint; OStore: only uncommitted work).
-    pub materials_lost: u64,
-    /// WAL bytes written since the last checkpoint — the replay debt
-    /// (0 for log-less backends).
-    pub wal_bytes_at_crash: u64,
-    /// Wall milliseconds to reopen (includes WAL replay for OStore).
-    pub reopen_ms: f64,
-}
-
-/// The recovery ablation (DESIGN.md `abl-recovery`): checkpoint at 0.5X,
-/// keep working to 0.75X, crash (drop without checkpoint), reopen, and
-/// compare what each durability design brings back.
-pub fn run_recovery(cfg: &BenchConfig, base: &Path) -> Result<Vec<RecoveryPoint>> {
-    let mut out = Vec::new();
-    for version in ServerVersion::PERSISTENT {
-        let dir = version_dir(base, version)?;
-        let materials_at_crash;
-        let wal_bytes_at_crash;
-        {
-            let store = version.make_store(&dir, cfg.buffer_pages)?;
-            let db = LabBase::create(store.clone())?;
-            let mut sim = LabSim::new(BenchConfig {
-                checkpoint_every: 0,
-                ..cfg.clone()
-            });
-            sim.setup(&db)?;
-            sim.run_until_clones(&db, cfg.clones_at(0.5) as u64)?;
-            db.checkpoint()?;
-            let wal_at_ckpt = store.stats().wal_bytes;
-            sim.run_until_clones(&db, cfg.clones_at(0.75) as u64)?;
-            materials_at_crash = sim.counters().materials;
-            wal_bytes_at_crash = store.stats().wal_bytes - wal_at_ckpt;
-            // Crash: drop without checkpoint.
-        }
-        let t0 = Instant::now();
-        let store = version.open_store(&dir, cfg.buffer_pages)?;
-        let db = LabBase::open(store)?;
-        let reopen_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let recovered = db.count_class("clone", false)? + db.count_class("tclone", false)?;
-        out.push(RecoveryPoint {
-            version: version.name().to_string(),
-            materials_at_crash,
-            materials_recovered: recovered,
-            materials_lost: materials_at_crash.saturating_sub(recovered),
-            wal_bytes_at_crash,
-            reopen_ms,
-        });
-    }
-    Ok(out)
-}
-
-/// One `abl-scrub` measurement: the cost and verdict of an offline
-/// integrity audit over a crashed-and-recovered store image.
-#[derive(Debug, Clone, Serialize)]
-pub struct ScrubPoint {
-    /// Version name.
-    pub version: String,
-    /// Total pages in the data file.
-    pub pages: u32,
-    /// Pages with a verified written image.
-    pub pages_verified: u32,
-    /// Pages quarantined by recovery (skipped by the scrub).
-    pub quarantined: u32,
-    /// Intact WAL frames verified against their offsets.
-    pub wal_frames: u64,
-    /// On-disk bytes audited (data + meta + log).
-    pub image_bytes: u64,
-    /// Wall milliseconds for the full audit.
-    pub scrub_ms: f64,
-    /// Whether the image audited clean (it must, after a recovery).
-    pub clean: bool,
-}
-
-/// The scrub ablation (DESIGN.md `abl-scrub`): build to 0.5X, checkpoint,
-/// keep working to 0.75X, crash, recover — then run the offline scrubber
-/// over the recovered image and time the full end-to-end verification
-/// (meta checksum, every page header + LSN floor, every WAL frame).
-pub fn run_scrub(cfg: &BenchConfig, base: &Path) -> Result<Vec<ScrubPoint>> {
-    let mut out = Vec::new();
-    for version in ServerVersion::PERSISTENT {
-        let dir = version_dir(base, version)?;
-        {
-            let store = version.make_store(&dir, cfg.buffer_pages)?;
-            let db = LabBase::create(store)?;
-            let mut sim = LabSim::new(BenchConfig {
-                checkpoint_every: 0,
-                ..cfg.clone()
-            });
-            sim.setup(&db)?;
-            sim.run_until_clones(&db, cfg.clones_at(0.5) as u64)?;
-            db.checkpoint()?;
-            sim.run_until_clones(&db, cfg.clones_at(0.75) as u64)?;
-            // Crash: drop without checkpoint.
-        }
-        // Recover the image, then audit what recovery left behind.
-        drop(version.open_store(&dir, cfg.buffer_pages)?);
-        let image_bytes: u64 = ["data.pg", "store.meta", "wal.log"]
-            .iter()
-            .filter_map(|f| std::fs::metadata(dir.join(f)).ok())
-            .map(|m| m.len())
-            .sum();
-        let t0 = Instant::now();
-        let report = labflow_storage::scrub_store(&labflow_storage::RealVfs::arc(), &dir)?;
-        let scrub_ms = t0.elapsed().as_secs_f64() * 1e3;
-        out.push(ScrubPoint {
-            version: version.name().to_string(),
-            pages: report.pages,
-            pages_verified: report.ok,
-            quarantined: report.quarantined,
-            wal_frames: report.wal_frames,
-            image_bytes,
-            scrub_ms,
-            clean: report.clean(),
-        });
-    }
-    Ok(out)
-}
-
-/// Materials each multi-client transaction touches.
-const MC_STEPS_PER_TXN: usize = 4;
-/// Rounds over the material population: each material receives this many
-/// steps over the whole run.
-const MC_ROUNDS: usize = 4;
-/// Retries allowed per transaction before the run is declared stuck.
-const MC_MAX_RETRIES: u64 = 100;
-/// WAL idle-flush delay for persistent backends in the multi-client
-/// run. No longer a commit-path sleep: the dedicated log-writer thread
-/// batches commits by pipelining (everything arriving during an
-/// in-flight force joins the next batch), and this only bounds how
-/// long non-commit records may sit buffered.
-const MC_COMMIT_WINDOW: Duration = Duration::from_micros(500);
-
-/// One point of the multi-client ablation.
-#[derive(Debug, Clone, Serialize)]
-pub struct MultiClientPoint {
-    /// Version name.
-    pub version: String,
-    /// Concurrent writer clients.
-    pub clients: usize,
-    /// Whether the backend supports concurrent transactions at all.
-    pub supported: bool,
-    /// Wall-clock seconds for the measured run.
-    pub elapsed_sec: f64,
-    /// Workflow steps recorded across all clients.
-    pub steps: u64,
-    /// Aggregate steps per wall-clock second.
-    pub steps_per_sec: f64,
-    /// Transactions committed (storage-level, includes the prefill).
-    pub commits: u64,
-    /// Aborted-and-retried transactions (lock conflicts).
-    pub retries: u64,
-    /// WAL forces issued — group commit shows up as `wal_syncs` well
-    /// below `commits` on persistent backends (0 for `-mm`).
-    pub wal_syncs: u64,
-    /// Contended heap-metadata lock acquisitions across all clients
-    /// (the acquirer found the lock held and blocked).
-    pub heap_waits: u64,
-    /// Total microseconds all clients spent blocked on heap metadata
-    /// locks.
-    pub heap_wait_us: u64,
-    /// Per-client breakdown.
-    pub per_client: Vec<ClientRow>,
-}
-
-/// One client's work loop: walk its private slice of the material
-/// population in `MC_STEPS_PER_TXN`-sized transactions, recording a step
-/// and a state transition per material, retrying the whole transaction on
-/// conflict via the session's selective abort.
-fn multiclient_worker(db: &LabBase, mine: &[MaterialId], client: u64) -> Result<ClientRow> {
-    const STATES: [&str; 4] = ["queued", "running", "done", "archived"];
-    let mut row = ClientRow {
-        client,
-        steps: 0,
-        commits: 0,
-        retries: 0,
-        lock_wait_ms: 0.0,
-        commit_wait_ms: 0.0,
-        commit_force_ms: 0.0,
-        heap_wait_ms: 0.0,
-        lock_condvar_waits: 0,
-        name_index_wait_ms: 0.0,
-    };
-    // Wait attribution: the worker thread maps 1:1 to the client, so the
-    // thread-local counters' delta over the loop is this client's share.
-    let waits0 = labflow_storage::wait_snapshot();
-    // Valid times are partitioned per client so the run is deterministic
-    // in everything except commit interleaving.
-    let mut vt: i64 = client as i64 * 1_000_000;
-    for round in 0..MC_ROUNDS {
-        let state = STATES[round % STATES.len()];
-        for chunk in mine.chunks(MC_STEPS_PER_TXN) {
-            let mut attempts = 0u64;
-            loop {
-                vt += 1;
-                let mut s = db.session()?;
-                let mut result: Result<()> = Ok(());
-                for &m in chunk {
-                    result = (|| {
-                        s.record_step(
-                            "mc_track",
-                            vt,
-                            &[m],
-                            vec![("reading".into(), Value::Real(round as f64))],
-                        )?;
-                        s.set_state(m, state, vt)?;
-                        Ok(())
-                    })();
-                    if result.is_err() {
-                        break;
-                    }
-                }
-                let committed = match result {
-                    Ok(()) => s.commit().is_ok(),
-                    Err(_) => {
-                        s.abort()?;
-                        false
-                    }
-                };
-                if committed {
-                    row.steps += chunk.len() as u64;
-                    row.commits += 1;
-                    break;
-                }
-                row.retries += 1;
-                attempts += 1;
-                if attempts > MC_MAX_RETRIES {
-                    return Err(BenchError::Config(format!(
-                        "client {client} exceeded {MC_MAX_RETRIES} retries on one transaction"
-                    )));
-                }
-            }
-        }
-    }
-    let waits = labflow_storage::wait_snapshot().delta(&waits0);
-    row.lock_wait_ms = waits.lock_wait_nanos as f64 / 1e6;
-    row.commit_wait_ms = waits.commit_wait_nanos as f64 / 1e6;
-    row.commit_force_ms = waits.commit_force_nanos as f64 / 1e6;
-    row.heap_wait_ms = waits.heap_wait_nanos as f64 / 1e6;
-    row.lock_condvar_waits = waits.lock_condvar_waits;
-    row.name_index_wait_ms = waits.name_index_wait_nanos as f64 / 1e6;
-    Ok(row)
-}
-
-/// The multi-client ablation (DESIGN.md `abl-multiclient`): N writer
-/// clients record workflow steps against disjoint slices of a prefilled
-/// material population, so throughput is limited by the storage layer's
-/// concurrency machinery (lock manager, WAL group commit, sharded
-/// caches) rather than by logical conflicts. Single-user backends report
-/// `supported = false` for every point above one client.
-pub fn run_multiclient(
-    cfg: &BenchConfig,
-    client_counts: &[usize],
-    base: &Path,
-) -> Result<Vec<MultiClientPoint>> {
-    let max_clients = client_counts.iter().copied().max().unwrap_or(1);
-    let mut out = Vec::new();
-    for version in ServerVersion::ALL {
-        for &clients in client_counts {
-            if clients == 0 {
-                return Err(BenchError::Config("client count must be >= 1".into()));
-            }
-            let dir = version_dir(base, version)?;
-            let opts = Options {
-                buffer_pages: cfg.buffer_pages,
-                group_commit_window: Some(MC_COMMIT_WINDOW),
-                ..Options::default()
-            };
-            let store = version.make_store_with(&dir, opts)?;
-            if clients > 1 && !store.supports_concurrency() {
-                out.push(MultiClientPoint {
-                    version: version.name().to_string(),
-                    clients,
-                    supported: false,
-                    elapsed_sec: 0.0,
-                    steps: 0,
-                    steps_per_sec: 0.0,
-                    commits: 0,
-                    retries: 0,
-                    wal_syncs: 0,
-                    heap_waits: 0,
-                    heap_wait_us: 0,
-                    per_client: Vec::new(),
-                });
-                continue;
-            }
-            let db = LabBase::create(store.clone())?;
-
-            // Prefill the material population in one bulk transaction.
-            // Sized off the max client count so every point works the
-            // same population regardless of parallelism.
-            let total = cfg.clones_at(1.0).max(max_clients * MC_STEPS_PER_TXN);
-            let txn = db.begin()?;
-            db.define_material_class(txn, "mc_clone", None)?;
-            db.define_step_class(txn, "mc_track", attrs(&[("reading", AttrType::Real)]))?;
-            let mut mats = Vec::with_capacity(total);
-            for i in 0..total {
-                mats.push(db.create_material(txn, "mc_clone", &format!("mc-{i:06}"), 0)?);
-            }
-            db.commit(txn)?;
-            db.checkpoint()?;
-            // Warm the shared indexes so every session maintains them
-            // incrementally instead of racing to rebuild.
-            let _ = db.count_in_state("queued")?;
-            let _ = db.find_material("mc-000000")?;
-
-            let stats0 = store.stats();
-            let t0 = Instant::now();
-            let per_client = std::thread::scope(|scope| -> Result<Vec<ClientRow>> {
-                let mut handles = Vec::new();
-                for c in 0..clients {
-                    // Round-robin partition: disjoint material slices, so
-                    // clients contend on infrastructure, not data.
-                    let mine: Vec<MaterialId> =
-                        mats.iter().skip(c).step_by(clients).copied().collect();
-                    let db = &db;
-                    handles.push(scope.spawn(move || multiclient_worker(db, &mine, c as u64)));
-                }
-                let mut rows = Vec::with_capacity(clients);
-                for h in handles {
-                    rows.push(
-                        h.join()
-                            .map_err(|_| BenchError::Config("client thread panicked".into()))??,
-                    );
-                }
-                Ok(rows)
-            })?;
-            let elapsed = t0.elapsed().as_secs_f64();
-            let d = store.stats().delta(&stats0);
-            let steps: u64 = per_client.iter().map(|r| r.steps).sum();
-            let retries: u64 = per_client.iter().map(|r| r.retries).sum();
-            out.push(MultiClientPoint {
-                version: version.name().to_string(),
-                clients,
-                supported: true,
-                elapsed_sec: elapsed,
-                steps,
-                steps_per_sec: if elapsed > 0.0 {
-                    steps as f64 / elapsed
-                } else {
-                    0.0
-                },
-                commits: d.commits,
-                retries,
-                wal_syncs: d.wal_syncs,
-                heap_waits: d.heap_shard_waits,
-                heap_wait_us: d.heap_wait_nanos / 1_000,
-                per_client,
-            });
-        }
-    }
-    Ok(out)
-}
-
-/// One point of the snapshot-scan ablation.
-#[derive(Debug, Clone, Serialize)]
-pub struct SnapshotPoint {
-    /// Version name.
-    pub version: String,
-    /// Concurrent writer clients.
-    pub writers: usize,
-    /// Whether the backend supports concurrent transactions at all.
-    pub supported: bool,
-    /// Writer throughput with no scanner running (steps/sec).
-    pub steps_per_sec_alone: f64,
-    /// Writer throughput with the analytical scanner running.
-    pub steps_per_sec_scanned: f64,
-    /// `steps_per_sec_scanned / steps_per_sec_alone` — how much of the
-    /// writers' throughput the concurrent scan costs.
-    pub throughput_ratio: f64,
-    /// Full-history scans the reader completed while writers ran.
-    pub scans: u64,
-    /// History entries visited across all scans.
-    pub rows_read: u64,
-    /// Mean commits that landed while a scan was running (snapshot
-    /// staleness at scan end, in commit-LSN units).
-    pub mean_staleness: f64,
-    /// Worst-case staleness across scans.
-    pub max_staleness: u64,
-    /// Nanoseconds the scanner thread spent blocked on contended heap
-    /// metadata locks. The MVCC read path never takes them, so this
-    /// should be exactly zero.
-    pub reader_heap_wait_nanos: u64,
-}
-
-/// What the snapshot scanner observed while the writers ran.
-#[derive(Debug, Default)]
-struct ScanStats {
-    scans: u64,
-    rows_read: u64,
-    staleness_sum: u64,
-    staleness_max: u64,
-    heap_wait_nanos: u64,
-}
-
-/// Run `writers` multi-client workers over disjoint slices of `mats`,
-/// returning total steps recorded and elapsed wall-clock seconds.
-fn drive_writers(db: &LabBase, mats: &[MaterialId], writers: usize) -> Result<(u64, f64)> {
-    let t0 = Instant::now();
-    let rows = std::thread::scope(|scope| -> Result<Vec<ClientRow>> {
-        let mut handles = Vec::new();
-        for c in 0..writers {
-            let mine: Vec<MaterialId> = mats.iter().skip(c).step_by(writers).copied().collect();
-            handles.push(scope.spawn(move || multiclient_worker(db, &mine, c as u64)));
-        }
-        let mut rows = Vec::with_capacity(writers);
-        for h in handles {
-            rows.push(
-                h.join()
-                    .map_err(|_| BenchError::Config("writer thread panicked".into()))??,
-            );
-        }
-        Ok(rows)
-    })?;
-    Ok((
-        rows.iter().map(|r| r.steps).sum(),
-        t0.elapsed().as_secs_f64(),
-    ))
-}
-
-/// Pause between analytical scans: the reader is paced like a periodic
-/// monitoring job rather than a busy loop, so the measured writer cost
-/// is MVCC interference (locks, version chains, cache pressure), not
-/// CPU starvation from a spinning thread on a small machine.
-const SCAN_PAUSE: Duration = Duration::from_millis(25);
-
-/// The analytical reader: repeatedly pin a snapshot and walk the full
-/// history of every material through it, until `stop` is set. Always
-/// completes at least one scan. Staleness is measured at scan end by
-/// comparing a fresh snapshot's LSN against the pinned one — i.e. how
-/// many commits the scan's view fell behind while it ran.
-fn snapshot_scanner(
-    db: &LabBase,
-    store: &Arc<dyn StorageManager>,
-    stop: &AtomicBool,
-    expected_materials: usize,
-) -> Result<ScanStats> {
-    let mut st = ScanStats::default();
-    let waits0 = labflow_storage::wait_snapshot();
-    loop {
-        let view = db.view()?;
-        let mats = view.class_extent("mc_clone", false)?;
-        // Writers only update; the population is fixed at prefill, so
-        // every consistent cut must see all of it.
-        if mats.len() != expected_materials {
-            return Err(BenchError::Config(format!(
-                "inconsistent snapshot scan: {} materials visible, expected {}",
-                mats.len(),
-                expected_materials
-            )));
-        }
-        let mut rows = 0u64;
-        for m in mats {
-            rows += view.history(m)?.len() as u64;
-        }
-        st.rows_read += rows;
-        st.scans += 1;
-        if let Some(lsn) = view.lsn() {
-            if lsn != u64::MAX {
-                let fresh = store.begin_snapshot()?;
-                if fresh.lsn != u64::MAX {
-                    let stale = fresh.lsn.saturating_sub(lsn);
-                    st.staleness_sum += stale;
-                    st.staleness_max = st.staleness_max.max(stale);
-                }
-                store.release_snapshot(fresh);
-            }
-        }
-        if stop.load(Ordering::Relaxed) {
-            break;
-        }
-        std::thread::sleep(SCAN_PAUSE);
-        if stop.load(Ordering::Relaxed) {
-            break;
-        }
-    }
-    st.heap_wait_nanos = labflow_storage::wait_snapshot()
-        .delta(&waits0)
-        .heap_wait_nanos;
-    Ok(st)
-}
-
-/// The snapshot-scan ablation (DESIGN.md `abl-snapshot`): `writers`
-/// clients drive the multi-client update loop while one analytical
-/// reader repeatedly scans the full history of the whole population
-/// through pinned snapshots. With version-chain reads the scan holds no
-/// locks and touches no heap metadata locks, so writer throughput
-/// should stay within a few percent of the scanner-free baseline.
-pub fn run_snapshot(cfg: &BenchConfig, writers: usize, base: &Path) -> Result<Vec<SnapshotPoint>> {
-    if writers == 0 {
-        return Err(BenchError::Config("writer count must be >= 1".into()));
-    }
-    let mut out = Vec::new();
-    for version in ServerVersion::ALL {
-        let dir = version_dir(base, version)?;
-        let opts = Options {
-            buffer_pages: cfg.buffer_pages,
-            group_commit_window: Some(MC_COMMIT_WINDOW),
-            ..Options::default()
-        };
-        let store = version.make_store_with(&dir, opts)?;
-        if !store.supports_concurrency() {
-            out.push(SnapshotPoint {
-                version: version.name().to_string(),
-                writers,
-                supported: false,
-                steps_per_sec_alone: 0.0,
-                steps_per_sec_scanned: 0.0,
-                throughput_ratio: 0.0,
-                scans: 0,
-                rows_read: 0,
-                mean_staleness: 0.0,
-                max_staleness: 0,
-                reader_heap_wait_nanos: 0,
-            });
-            continue;
-        }
-        let db = LabBase::create(store.clone())?;
-
-        // Prefill the material population (same shape as the
-        // multi-client ablation) and warm the shared indexes.
-        let total = cfg.clones_at(1.0).max(writers * MC_STEPS_PER_TXN);
-        let txn = db.begin()?;
-        db.define_material_class(txn, "mc_clone", None)?;
-        db.define_step_class(txn, "mc_track", attrs(&[("reading", AttrType::Real)]))?;
-        let mut mats = Vec::with_capacity(total);
-        for i in 0..total {
-            mats.push(db.create_material(txn, "mc_clone", &format!("mc-{i:06}"), 0)?);
-        }
-        db.commit(txn)?;
-        db.checkpoint()?;
-        let _ = db.count_in_state("queued")?;
-        let _ = db.find_material("mc-000000")?;
-
-        // Phase 1 — baseline: writers with no reader.
-        let (steps_alone, elapsed_alone) = drive_writers(&db, &mats, writers)?;
-
-        // Phase 2 — the same writer work with the scanner running.
-        let stop = AtomicBool::new(false);
-        let t0 = Instant::now();
-        let (writer_rows, scan) =
-            std::thread::scope(|scope| -> Result<(Vec<ClientRow>, ScanStats)> {
-                let scanner = {
-                    let (db, store, stop) = (&db, &store, &stop);
-                    scope.spawn(move || snapshot_scanner(db, store, stop, total))
-                };
-                let mut handles = Vec::new();
-                for c in 0..writers {
-                    let mine: Vec<MaterialId> =
-                        mats.iter().skip(c).step_by(writers).copied().collect();
-                    let db = &db;
-                    handles.push(scope.spawn(move || multiclient_worker(db, &mine, c as u64)));
-                }
-                // Collect writer results before `?`-ing so the scanner
-                // always sees the stop flag and the scope can close.
-                let results: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
-                stop.store(true, Ordering::Relaxed);
-                let scan = scanner
-                    .join()
-                    .map_err(|_| BenchError::Config("scanner thread panicked".into()))??;
-                let mut rows = Vec::with_capacity(writers);
-                for r in results {
-                    rows.push(r.map_err(|_| BenchError::Config("writer thread panicked".into()))??);
-                }
-                Ok((rows, scan))
-            })?;
-        let elapsed_scanned = t0.elapsed().as_secs_f64();
-        let steps_scanned: u64 = writer_rows.iter().map(|r| r.steps).sum();
-
-        let alone = if elapsed_alone > 0.0 {
-            steps_alone as f64 / elapsed_alone
-        } else {
-            0.0
-        };
-        let scanned = if elapsed_scanned > 0.0 {
-            steps_scanned as f64 / elapsed_scanned
-        } else {
-            0.0
-        };
-        out.push(SnapshotPoint {
-            version: version.name().to_string(),
-            writers,
-            supported: true,
-            steps_per_sec_alone: alone,
-            steps_per_sec_scanned: scanned,
-            throughput_ratio: if alone > 0.0 { scanned / alone } else { 0.0 },
-            scans: scan.scans,
-            rows_read: scan.rows_read,
-            mean_staleness: if scan.scans > 0 {
-                scan.staleness_sum as f64 / scan.scans as f64
-            } else {
-                0.0
-            },
-            max_staleness: scan.staleness_max,
-            reader_heap_wait_nanos: scan.heap_wait_nanos,
-        });
-    }
-    Ok(out)
-}
-
-// ---------------------------------------------------------------------------
-// abl-server: the networked closed-loop sweep (DESIGN.md `abl-server`).
-//
-// Same workload shape as the multi-client ablation, but every request
-// crosses a real socket boundary: each client thread owns one loopback
-// TCP connection (one tenant) into a `labflow_server::Server` wrapped
-// around the OStore engine, and the measurement is the full round trip
-// — encode, wire, admission, session call, response. A second,
-// deliberately throttled pass demonstrates the admission controller:
-// offered load far above a tenant's bytes/s quota must shed with typed
-// `Overloaded` responses while a paced tenant sails through untouched,
-// and the drain must leave zero open sessions and zero snapshot pins.
-
-/// Wall-clock milliseconds each closed-loop point runs.
-const SRV_POINT_MILLIS: u64 = 900;
-/// Materials prefilled per client slot (each client cycles its own
-/// disjoint slice, so clients contend on infrastructure, not data).
-const SRV_MATS_PER_CLIENT: usize = 8;
-/// Wall-clock milliseconds of the deliberate-overload pass.
-const SRV_OVERLOAD_MILLIS: u64 = 700;
-/// Bytes/s quota for the overload pass — far below the hammer tenant's
-/// offered load, comfortably above the paced tenant's.
-const SRV_OVERLOAD_BYTES_PER_SEC: u64 = 4096;
-/// Gap between the paced tenant's requests (~20 req/s ≈ 1 KiB/s, a
-/// quarter of the quota).
-const SRV_PACED_GAP: Duration = Duration::from_millis(50);
-/// "Bounded" for the admitted-latency acceptance check: p99 of
-/// admitted requests under overload must stay below this, i.e. shed
-/// load must not queue behind admitted work.
-const SRV_ADMITTED_P99_BOUND_US: f64 = 250_000.0;
-
-/// One point of the networked closed-loop sweep.
-#[derive(Debug, Clone, Serialize)]
-pub struct ServerPoint {
-    /// Concurrent client connections (one tenant each).
-    pub clients: usize,
-    /// Wall-clock seconds measured.
-    pub elapsed_sec: f64,
-    /// Transactions committed across all clients.
-    pub txns: u64,
-    /// Committed transactions per second.
-    pub txns_per_sec: f64,
-    /// Admitted requests (each txn is begin + step + state + commit).
-    pub requests: u64,
-    /// Admitted requests per second.
-    pub requests_per_sec: f64,
-    /// Transactions retried after a typed `Retry` (lock conflict).
-    pub retries: u64,
-    /// Round-trip latency of admitted requests, µs.
-    pub p50_us: f64,
-    /// 99th percentile round trip, µs.
-    pub p99_us: f64,
-    /// 99.9th percentile round trip, µs.
-    pub p999_us: f64,
-    /// Worst round trip, µs.
-    pub max_us: f64,
-    /// Mean round trip, µs.
-    pub mean_us: f64,
-}
-
-/// Per-tenant admission row (a serializable mirror of
-/// [`labflow_server::TenantRow`]).
-#[derive(Debug, Clone, Serialize)]
-pub struct AdmissionTenantRow {
-    /// Tenant id.
-    pub tenant: u32,
-    /// Role in the overload pass (hammer / paced / dangling).
-    pub role: String,
-    /// Requests admitted.
-    pub admitted: u64,
-    /// Requests shed by the bytes/s bucket.
-    pub shed_bytes: u64,
-    /// Requests shed by the in-flight cap.
-    pub shed_inflight: u64,
-    /// Session begins refused by the session cap.
-    pub shed_sessions: u64,
-    /// Wire bytes received from the tenant.
-    pub bytes_in: u64,
-    /// Wire bytes sent to the tenant.
-    pub bytes_out: u64,
-}
-
-/// Result of the deliberate-overload pass.
-#[derive(Debug, Clone, Serialize)]
-pub struct ServerOverload {
-    /// The bytes/s quota every tenant ran under.
-    pub bytes_per_sec_quota: u64,
-    /// Wall-clock seconds measured.
-    pub elapsed_sec: f64,
-    /// Hammer tenant: requests admitted.
-    pub hammer_admitted: u64,
-    /// Hammer tenant: requests shed with `Overloaded`.
-    pub hammer_shed: u64,
-    /// Paced tenant: requests admitted.
-    pub paced_admitted: u64,
-    /// Paced tenant: requests shed (should be 0 — isolation).
-    pub paced_shed: u64,
-    /// p50 of admitted requests, µs.
-    pub admitted_p50_us: f64,
-    /// p99 of admitted requests, µs — must stay bounded under shed.
-    pub admitted_p99_us: f64,
-    /// Worst admitted round trip, µs.
-    pub admitted_max_us: f64,
-    /// Requests shed for any reason, any tenant (server counters).
-    pub shed_total: u64,
-    /// Per-tenant admission counters.
-    pub tenants: Vec<AdmissionTenantRow>,
-    /// Sessions still open after the drain (must be 0).
-    pub open_sessions_after: u64,
-    /// Snapshot pins still registered after the drain (must be 0).
-    pub open_snapshots_after: usize,
-}
-
-/// The whole `abl-server` artifact: the sweep plus the overload pass.
-#[derive(Debug, Clone, Serialize)]
-pub struct ServerResult {
-    /// One row per client count.
-    pub points: Vec<ServerPoint>,
-    /// The deliberate-overload admission demonstration.
-    pub overload: ServerOverload,
-}
-
-use labflow_server::{Client, ClientError, ClientResult, Server, ServerConfig, TenantQuotas};
-
-fn net(e: ClientError) -> BenchError {
-    BenchError::Config(format!("server client: {e}"))
-}
-
-/// `Retry` and `Overloaded` are the two typed shed/conflict responses a
-/// well-behaved client absorbs by backing off.
-fn transient(e: &ClientError) -> bool {
-    matches!(
-        e,
-        ClientError::Retry { .. } | ClientError::Overloaded { .. }
-    )
-}
-
-/// What one closed-loop client accumulated.
-#[derive(Default)]
-struct SrvRow {
-    txns: u64,
-    requests: u64,
-    retries: u64,
-    hist: crate::hist::LatencyHist,
-}
-
-/// Issue one request, timing the full round trip; only admitted
-/// (successful) requests enter the histogram.
-fn timed<T>(
-    c: &mut Client,
-    row: &mut SrvRow,
-    f: impl FnOnce(&mut Client) -> ClientResult<T>,
-) -> ClientResult<T> {
-    let t0 = Instant::now();
-    let r = f(c);
-    if r.is_ok() {
-        row.hist.record(t0.elapsed());
-        row.requests += 1;
-    }
-    r
-}
-
-/// One client's closed loop: cycle the private material slice in
-/// single-step transactions until the deadline, retrying on typed
-/// conflicts via abort-and-rerun.
-fn server_worker(
-    addr: std::net::SocketAddr,
-    tenant: u32,
-    mats: &[u64],
-    deadline: Instant,
-) -> Result<SrvRow> {
-    const STATES: [&str; 4] = ["queued", "running", "done", "archived"];
-    let mut c = Client::connect(addr, tenant).map_err(net)?;
-    let mut row = SrvRow::default();
-    // Valid times are partitioned per tenant so the run is deterministic
-    // in everything except commit interleaving.
-    let mut vt: i64 = i64::from(tenant) << 24;
-    let mut mat_cycle = mats.iter().copied().cycle();
-    let mut state_cycle = STATES.iter().copied().cycle();
-    while Instant::now() < deadline {
-        let (Some(m), Some(state)) = (mat_cycle.next(), state_cycle.next()) else {
-            return Err(BenchError::Config("server worker got an empty material slice".into()));
-        };
-        vt += 4;
-        let attempt = (|c: &mut Client, row: &mut SrvRow| -> ClientResult<()> {
-            timed(c, row, |c| c.begin())?;
-            timed(c, row, |c| {
-                c.record_step(
-                    "srv_track",
-                    vt,
-                    &[m],
-                    vec![("reading".into(), Value::Real(vt as f64))],
-                )
-            })?;
-            timed(c, row, |c| c.set_state(m, state, vt + 1))?;
-            timed(c, row, |c| c.commit())?;
-            Ok(())
-        })(&mut c, &mut row);
-        match attempt {
-            Ok(()) => row.txns += 1,
-            Err(e) if transient(&e) => {
-                row.retries += 1;
-                // Roll back whatever the partial transaction touched;
-                // "no transaction open" is a fine answer here.
-                let _ = c.abort();
-            }
-            Err(e) => return Err(net(e)),
-        }
-    }
-    Ok(row)
-}
-
-/// One point of the sweep: a fresh OStore engine behind a fresh server,
-/// `clients` closed-loop connections for [`SRV_POINT_MILLIS`].
-fn run_server_point(
-    cfg: &BenchConfig,
-    clients: usize,
-    max_clients: usize,
-    base: &Path,
-) -> Result<ServerPoint> {
-    let dir = version_dir(base, ServerVersion::OStore)?;
-    let opts = Options {
-        buffer_pages: cfg.buffer_pages,
-        group_commit_window: Some(MC_COMMIT_WINDOW),
-        ..Options::default()
-    };
-    let store = ServerVersion::OStore.make_store_with(&dir, opts)?;
-    let db = Arc::new(LabBase::create(store.clone())?);
-
-    // Prefill sized off the max client count so every point works the
-    // same population regardless of parallelism.
-    let total = max_clients * SRV_MATS_PER_CLIENT;
-    let txn = db.begin()?;
-    db.define_material_class(txn, "srv_clone", None)?;
-    db.define_step_class(txn, "srv_track", attrs(&[("reading", AttrType::Real)]))?;
-    let mut mats = Vec::with_capacity(total);
-    for i in 0..total {
-        mats.push(
-            db.create_material(txn, "srv_clone", &format!("srv-{i:05}"), 0)?
-                .oid()
-                .raw(),
-        );
-    }
-    db.commit(txn)?;
-    db.checkpoint()?;
-    let _ = db.count_in_state("queued")?;
-    let _ = db.find_material("srv-00000")?;
-
-    let server = Server::start(
-        Arc::clone(&db),
-        ServerConfig {
-            addr: "127.0.0.1:0".into(),
-            quotas: TenantQuotas {
-                max_sessions: 0,
-                max_inflight: 0,
-                bytes_per_sec: 0,
-            },
-            ..ServerConfig::default()
-        },
-    )?;
-    let addr = server.local_addr();
-    let deadline = Instant::now() + Duration::from_millis(SRV_POINT_MILLIS);
-    let t0 = Instant::now();
-    let rows = std::thread::scope(|scope| -> Result<Vec<SrvRow>> {
-        let mut handles = Vec::new();
-        for c in 0..clients {
-            // Round-robin partition, one tenant per connection.
-            let mine: Vec<u64> = mats.iter().skip(c).step_by(clients).copied().collect();
-            handles.push(scope.spawn(move || server_worker(addr, (c + 1) as u32, &mine, deadline)));
-        }
-        let mut rows = Vec::with_capacity(clients);
-        for h in handles {
-            rows.push(
-                h.join()
-                    .map_err(|_| BenchError::Config("client thread panicked".into()))??,
-            );
-        }
-        Ok(rows)
-    })?;
-    let elapsed = t0.elapsed().as_secs_f64();
-    server.shutdown()?;
-    if db.open_sessions() != 0 || db.store().open_snapshots() != 0 {
-        return Err(BenchError::Config(format!(
-            "drain left {} sessions / {} snapshots open at {clients} clients",
-            db.open_sessions(),
-            db.store().open_snapshots()
-        )));
-    }
-
-    let mut hist = crate::hist::LatencyHist::new();
-    let mut txns = 0u64;
-    let mut requests = 0u64;
-    let mut retries = 0u64;
-    for r in &rows {
-        hist.merge(&r.hist);
-        txns += r.txns;
-        requests += r.requests;
-        retries += r.retries;
-    }
-    Ok(ServerPoint {
-        clients,
-        elapsed_sec: elapsed,
-        txns,
-        txns_per_sec: if elapsed > 0.0 {
-            txns as f64 / elapsed
-        } else {
-            0.0
-        },
-        requests,
-        requests_per_sec: if elapsed > 0.0 {
-            requests as f64 / elapsed
-        } else {
-            0.0
-        },
-        retries,
-        p50_us: hist.quantile_us(0.50),
-        p99_us: hist.quantile_us(0.99),
-        p999_us: hist.quantile_us(0.999),
-        max_us: hist.max_us(),
-        mean_us: hist.mean_us(),
-    })
-}
-
-/// The deliberate-overload pass: every tenant gets the same small
-/// bytes/s quota; the hammer tenant offers far more than that, the
-/// paced tenant stays under it, and a third tenant leaves a transaction
-/// dangling so the drain has something to abort.
-fn run_server_overload() -> Result<ServerOverload> {
-    use labflow_storage::MemStore;
-
-    let store: Arc<dyn StorageManager> = Arc::new(MemStore::ostore_mm());
-    let db = Arc::new(LabBase::create(store)?);
-    let txn = db.begin()?;
-    db.define_material_class(txn, "srv_clone", None)?;
-    db.commit(txn)?;
-
-    let server = Server::start(
-        Arc::clone(&db),
-        ServerConfig {
-            addr: "127.0.0.1:0".into(),
-            quotas: TenantQuotas {
-                max_sessions: 0,
-                max_inflight: 0,
-                bytes_per_sec: SRV_OVERLOAD_BYTES_PER_SEC,
-            },
-            ..ServerConfig::default()
-        },
-    )?;
-    let addr = server.local_addr();
-    let deadline = Instant::now() + Duration::from_millis(SRV_OVERLOAD_MILLIS);
-    let t0 = Instant::now();
-
-    // (admitted, shed, admitted-RTT histogram) per driving tenant.
-    type Drive = (u64, u64, crate::hist::LatencyHist);
-    let drive = |tenant: u32, gap: Option<Duration>| -> Result<Drive> {
-        let mut c = Client::connect(addr, tenant).map_err(net)?;
-        let (mut admitted, mut shed) = (0u64, 0u64);
-        let mut hist = crate::hist::LatencyHist::new();
-        while Instant::now() < deadline {
-            let t = Instant::now();
-            match c.ping() {
-                Ok(()) => {
-                    hist.record(t.elapsed());
-                    admitted += 1;
-                }
-                Err(ClientError::Overloaded { .. }) => {
-                    shed += 1;
-                    // A closed-loop hammer backs off a token's worth,
-                    // not the suggested retry window — the point is
-                    // sustained offered load above the quota.
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                Err(e) => return Err(net(e)),
-            }
-            if let Some(gap) = gap {
-                std::thread::sleep(gap);
-            }
-        }
-        Ok((admitted, shed, hist))
-    };
-
-    let ((hammer, paced), dangling) =
-        std::thread::scope(|scope| -> Result<((Drive, Drive), Client)> {
-            let hammer = scope.spawn(|| drive(1, None));
-            let paced = scope.spawn(|| drive(2, Some(SRV_PACED_GAP)));
-            // Tenant 3 leaves a transaction open across the shutdown so the
-            // drain's selective abort is exercised, not just asserted.
-            let mut dangling = Client::connect(addr, 3).map_err(net)?;
-            dangling.begin().map_err(net)?;
-            dangling
-                .create_material("srv_clone", "srv-dangling", 0)
-                .map_err(net)?;
-            let hammer = hammer
-                .join()
-                .map_err(|_| BenchError::Config("hammer thread panicked".into()))??;
-            let paced = paced
-                .join()
-                .map_err(|_| BenchError::Config("paced thread panicked".into()))??;
-            Ok(((hammer, paced), dangling))
-        })?;
-    let elapsed = t0.elapsed().as_secs_f64();
-
-    let snap = server.admission();
-    server.shutdown()?;
-    // The dangling client outlives the drain on purpose: its open
-    // transaction must be aborted server-side, not by a disconnect.
-    drop(dangling);
-    let open_sessions_after = db.open_sessions();
-    let open_snapshots_after = db.store().open_snapshots();
-    if open_sessions_after != 0 || open_snapshots_after != 0 {
-        return Err(BenchError::Config(format!(
-            "drain left {open_sessions_after} sessions / {open_snapshots_after} snapshots open"
-        )));
-    }
-    if db.find_material("srv-dangling")?.is_some() {
-        return Err(BenchError::Config(
-            "drain failed to abort the dangling transaction".into(),
-        ));
-    }
-    if snap.shed_total() == 0 {
-        return Err(BenchError::Config(
-            "overload pass shed nothing — quota not enforced".into(),
-        ));
-    }
-    let (hammer_admitted, hammer_shed, hist) = hammer;
-    let (paced_admitted, paced_shed, _) = paced;
-    if hammer_shed == 0 {
-        return Err(BenchError::Config(
-            "hammer tenant was never shed despite offered load above quota".into(),
-        ));
-    }
-    let admitted_p99_us = hist.quantile_us(0.99);
-    if admitted_p99_us > SRV_ADMITTED_P99_BOUND_US {
-        return Err(BenchError::Config(format!(
-            "admitted p99 {admitted_p99_us:.0}µs exceeds the {SRV_ADMITTED_P99_BOUND_US:.0}µs \
-             bound — shed load is queueing behind admitted work"
-        )));
-    }
-
-    let role = |tenant: u32| match tenant {
-        1 => "hammer",
-        2 => "paced",
-        3 => "dangling",
-        _ => "?",
-    };
-    let tenants = snap
-        .tenants
-        .iter()
-        .map(|t| AdmissionTenantRow {
-            tenant: t.tenant,
-            role: role(t.tenant).to_string(),
-            admitted: t.admitted,
-            shed_bytes: t.shed_bytes,
-            shed_inflight: t.shed_inflight,
-            shed_sessions: t.shed_sessions,
-            bytes_in: t.bytes_in,
-            bytes_out: t.bytes_out,
-        })
-        .collect();
-    Ok(ServerOverload {
-        bytes_per_sec_quota: SRV_OVERLOAD_BYTES_PER_SEC,
-        elapsed_sec: elapsed,
-        hammer_admitted,
-        hammer_shed,
-        paced_admitted,
-        paced_shed,
-        admitted_p50_us: hist.quantile_us(0.50),
-        admitted_p99_us,
-        admitted_max_us: hist.max_us(),
-        shed_total: snap.shed_total(),
-        tenants,
-        open_sessions_after,
-        open_snapshots_after,
-    })
-}
-
-/// Run the networked closed-loop sweep plus the overload pass.
-pub fn run_server(cfg: &BenchConfig, client_counts: &[usize], base: &Path) -> Result<ServerResult> {
-    let max_clients = client_counts.iter().copied().max().unwrap_or(1);
-    let mut points = Vec::new();
-    for &clients in client_counts {
-        if clients == 0 {
-            return Err(BenchError::Config("client count must be >= 1".into()));
-        }
-        points.push(run_server_point(cfg, clients, max_clients, base)?);
-    }
-    let overload = run_server_overload()?;
-    Ok(ServerResult { points, overload })
 }
 
 #[cfg(test)]
 mod server_tests {
-    use super::*;
-    use std::path::PathBuf;
-
-    fn base(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("lfc-srv-{}-{}", std::process::id(), name));
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
+    use super::tests::smoke;
+    use crate::exp::server;
 
     #[test]
     fn smoke_server_sweep_and_overload() {
-        let cfg = BenchConfig::smoke();
-        let dir = base("sweep");
-        let result = run_server(&cfg, &[1, 2], &dir).unwrap();
+        let result = smoke("srv-sweep", |cfg, dir| server::run(cfg, &[1, 2], dir)).unwrap();
         assert_eq!(result.points.len(), 2);
         for p in &result.points {
             assert!(p.txns > 0, "{} clients committed work", p.clients);
             assert!(p.requests >= 4 * p.txns, "four admitted requests per txn");
             assert!(p.txns_per_sec > 0.0);
-            assert!(
-                p.p50_us <= p.p99_us && p.p99_us <= p.p999_us,
-                "quantiles monotone"
-            );
+            assert!(p.p50_us <= p.p99_us && p.p99_us <= p.p999_us, "quantiles monotone");
         }
         let o = &result.overload;
         assert!(o.hammer_shed > 0, "hammer tenant must be shed");
-        assert!(
-            o.hammer_admitted > 0,
-            "burst allowance admits some hammer requests"
-        );
+        assert!(o.hammer_admitted > 0, "burst allowance admits some hammer requests");
         assert_eq!(o.paced_shed, 0, "paced tenant under quota is never shed");
         assert!(o.paced_admitted > 0);
         assert_eq!(o.open_sessions_after, 0);
         assert_eq!(o.open_snapshots_after, 0);
         assert!(o.shed_total >= o.hammer_shed);
         let hammer_row = o.tenants.iter().find(|t| t.tenant == 1).unwrap();
-        assert_eq!(
-            hammer_row.shed_bytes, o.hammer_shed,
-            "server counted every shed"
-        );
-        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(hammer_row.shed_bytes, o.hammer_shed, "server counted every shed");
     }
 
     #[test]
     fn zero_clients_is_a_config_error() {
-        let cfg = BenchConfig::smoke();
-        let dir = base("zero");
-        assert!(run_server(&cfg, &[0], &dir).is_err());
-        std::fs::remove_dir_all(&dir).ok();
+        assert!(smoke("srv-zero", |cfg, dir| server::run(cfg, &[0], dir)).is_err());
     }
-}
-
-// ---------------------------------------------------------------------------
-// abl-replication: WAL shipping to warm followers (DESIGN.md
-// `abl-replication`).
-//
-// An in-process primary ships its WAL to 1/2/4 follower engines through
-// the same verify-and-apply pipeline the networked replica binary runs
-// (`labflow_repl::Follower` fed from `wal_stream_from`), skipping only
-// the wire framing that `abl-server` already measures. Two passes per
-// follower count:
-//
-//   * an asynchronous pass — a full-speed writer with quorum 0, where
-//     the cost of replication is *lag*: how far behind the primary's
-//     flush each follower's durable apply runs;
-//   * a quorum pass — every commit additionally waits until a majority
-//     of followers have durably applied it, which converts lag into
-//     commit latency (the `ack_quorum` trade the server exposes).
-//
-// The primary is never checkpointed: checkpointing truncates the WAL
-// and would rewind the stream (the documented re-seed case).
-
-/// Wall-clock milliseconds of the asynchronous (quorum-0) pass.
-const REPL_POINT_MILLIS: u64 = 500;
-/// Transactions of the quorum pass (each waits for the majority ack).
-const REPL_QUORUM_TXNS: u64 = 32;
-/// Ship chunk cap, bytes.
-const REPL_CHUNK_CAP: usize = 1 << 16;
-/// Pump idle sleep while the primary has nothing new to ship.
-const REPL_PUMP_IDLE: Duration = Duration::from_micros(200);
-/// Materials prefilled for the writer to cycle.
-const REPL_MATS: usize = 16;
-/// Safety bound on catch-up and quorum waits: a pump that dies must
-/// fail the experiment, not hang it.
-const REPL_WAIT_CAP: Duration = Duration::from_secs(10);
-
-/// One follower count of the replication ablation.
-#[derive(Debug, Clone, Serialize)]
-pub struct ReplicationPoint {
-    /// Followers replaying the primary's WAL.
-    pub followers: usize,
-    /// Majority quorum the quorum pass waited for.
-    pub ack_quorum: usize,
-    /// Wall-clock seconds of the asynchronous pass.
-    pub elapsed_sec: f64,
-    /// Transactions the asynchronous writer committed.
-    pub txns: u64,
-    /// Asynchronous commit throughput.
-    pub txns_per_sec: f64,
-    /// WAL bytes shipped over the whole point (both passes).
-    pub shipped_bytes: u64,
-    /// Chunks ingested across all followers.
-    pub chunks: u64,
-    /// Asynchronous commit latency (primary-durable only), µs.
-    pub commit_p50_us: f64,
-    /// 99th percentile asynchronous commit, µs.
-    pub commit_p99_us: f64,
-    /// Apply lag behind the primary flush, µs — median.
-    pub lag_p50_us: f64,
-    /// Apply lag, 99th percentile µs.
-    pub lag_p99_us: f64,
-    /// Worst observed apply lag, µs.
-    pub lag_max_us: f64,
-    /// Time for every follower to drain the backlog once the
-    /// asynchronous writer stopped, milliseconds.
-    pub catchup_ms: f64,
-    /// Transactions of the quorum pass.
-    pub quorum_txns: u64,
-    /// Commit-plus-majority-ack latency, µs — median.
-    pub quorum_p50_us: f64,
-    /// 99th percentile commit-plus-ack, µs.
-    pub quorum_p99_us: f64,
-    /// Worst commit-plus-ack, µs.
-    pub quorum_max_us: f64,
-}
-
-/// What one pump thread accumulated: ingest count plus the follower's
-/// durable-offset progression (elapsed-since-t0, offset) for the lag
-/// reconstruction.
-struct PumpOut {
-    chunks: u64,
-    progress: Vec<(Duration, u64)>,
-}
-
-/// What the writer side of one replication point accumulated.
-struct WriterOut {
-    commit_hist: crate::hist::LatencyHist,
-    quorum_hist: crate::hist::LatencyHist,
-    /// (elapsed-since-t0, primary flushed offset) after each commit.
-    series: Vec<(Duration, u64)>,
-    txns: u64,
-    elapsed: f64,
-    catchup_ms: f64,
-}
-
-fn repl_err(e: impl std::fmt::Display) -> BenchError {
-    BenchError::Config(format!("replication: {e}"))
-}
-
-/// Ship the primary's WAL into one follower until `stop` is set *and*
-/// the follower has drained everything the primary flushed.
-fn repl_pump(
-    pri: &Arc<dyn StorageManager>,
-    follower: &labflow_repl::Follower,
-    stop: &AtomicBool,
-    t0: Instant,
-) -> Result<PumpOut> {
-    let mut out = PumpOut {
-        chunks: 0,
-        progress: Vec::new(),
-    };
-    loop {
-        let durable = follower.durable_lsn();
-        let chunk = pri
-            .wal_stream_from(durable, REPL_CHUNK_CAP)
-            .map_err(repl_err)?;
-        if chunk.is_empty() {
-            if stop.load(Ordering::Relaxed) && pri.replication_lsn().map_err(repl_err)? == durable {
-                return Ok(out);
-            }
-            std::thread::sleep(REPL_PUMP_IDLE);
-            continue;
-        }
-        follower
-            .ingest(pri.store_epoch(), chunk.start, &chunk.bytes)
-            .map_err(repl_err)?;
-        out.chunks += 1;
-        out.progress.push((t0.elapsed(), chunk.end));
-    }
-}
-
-/// Wait until `pred` holds, bounded by [`REPL_WAIT_CAP`].
-fn repl_wait(what: &str, mut pred: impl FnMut() -> bool) -> Result<()> {
-    let cap = Instant::now() + REPL_WAIT_CAP;
-    while !pred() {
-        if Instant::now() > cap {
-            return Err(repl_err(format!("{what} did not complete within {REPL_WAIT_CAP:?}")));
-        }
-        std::thread::sleep(Duration::from_micros(20));
-    }
-    Ok(())
-}
-
-/// One follower count: fresh primary, `n` fresh followers seeded at the
-/// primary's post-create offset, the asynchronous pass, the drain, the
-/// quorum pass, and a state-by-state consistency check of every replica.
-fn run_replication_point(cfg: &BenchConfig, n: usize, base: &Path) -> Result<ReplicationPoint> {
-    const STATES: [&str; 4] = ["queued", "running", "done", "archived"];
-    let opts = || Options {
-        buffer_pages: cfg.buffer_pages,
-        sync_commit: true,
-        ..Options::default()
-    };
-    let mk = |name: &str| -> Result<Arc<dyn StorageManager>> {
-        let dir = base.join(name);
-        if dir.exists() {
-            std::fs::remove_dir_all(&dir)?;
-        }
-        std::fs::create_dir_all(&dir)?;
-        ServerVersion::OStore.make_store_with(&dir, opts())
-    };
-
-    let pri = mk(&format!("repl-{n}-primary"))?;
-    // Followers seed at the primary's post-create offset: a fresh image
-    // is logically identical to the primary before its first commit, so
-    // the stream replays everything from the schema bootstrap on.
-    let from0 = pri.replication_lsn().map_err(repl_err)?;
-    let mut followers = Vec::with_capacity(n);
-    for i in 0..n {
-        let store = mk(&format!("repl-{n}-follower-{i}"))?;
-        followers.push(labflow_repl::Follower::new(store, from0));
-    }
-
-    let db = LabBase::create(pri.clone())?;
-    let txn = db.begin()?;
-    db.define_material_class(txn, "repl_clone", None)?;
-    db.define_step_class(txn, "repl_track", attrs(&[("reading", AttrType::Real)]))?;
-    let mut mats = Vec::with_capacity(REPL_MATS);
-    for i in 0..REPL_MATS {
-        mats.push(db.create_material(txn, "repl_clone", &format!("repl-{i:03}"), 0)?);
-    }
-    db.commit(txn)?;
-
-    let stop = AtomicBool::new(false);
-    let quorum = n / 2 + 1;
-    let point = std::thread::scope(|scope| -> Result<ReplicationPoint> {
-        let t0 = Instant::now();
-        let (pri_ref, stop_ref) = (&pri, &stop);
-        let pumps: Vec<_> = followers
-            .iter()
-            .map(|f| scope.spawn(move || repl_pump(pri_ref, f, stop_ref, t0)))
-            .collect();
-
-        // The writer runs in a closure so an error path still sets
-        // `stop` and joins the pumps — a scope that never releases its
-        // threads would hang the experiment instead of failing it.
-        let work = (|| -> Result<WriterOut> {
-            let mut commit_hist = crate::hist::LatencyHist::new();
-            let mut series: Vec<(Duration, u64)> = Vec::new();
-            let mut txns = 0u64;
-            let mut vt: i64 = 0;
-            let mut mat_cycle = mats.iter().copied().cycle();
-            let mut state_cycle = STATES.iter().copied().cycle();
-            // One single-step transaction; returns the commit duration
-            // and the primary's post-commit flushed offset.
-            let mut step = |vt: i64| -> Result<(Duration, u64)> {
-                let (Some(m), Some(state)) = (mat_cycle.next(), state_cycle.next()) else {
-                    return Err(repl_err("empty material cycle"));
-                };
-                let txn = db.begin()?;
-                db.record_step(
-                    txn,
-                    "repl_track",
-                    vt,
-                    &[m],
-                    vec![("reading".into(), Value::Real(vt as f64))],
-                )?;
-                db.set_state(txn, m, state, vt + 1)?;
-                let t = Instant::now();
-                db.commit(txn)?;
-                let commit = t.elapsed();
-                Ok((commit, pri.replication_lsn().map_err(repl_err)?))
-            };
-
-            // Asynchronous pass: full-speed writer, commits are done
-            // when the primary's WAL is; followers trail behind.
-            let deadline = Instant::now() + Duration::from_millis(REPL_POINT_MILLIS);
-            while Instant::now() < deadline {
-                vt += 4;
-                let (commit, lsn) = step(vt)?;
-                commit_hist.record(commit);
-                series.push((t0.elapsed(), lsn));
-                txns += 1;
-            }
-            let elapsed = t0.elapsed().as_secs_f64();
-
-            // Drain: how long the backlog takes to clear once the
-            // writer stops offering load.
-            let lsn_a = pri.replication_lsn().map_err(repl_err)?;
-            let t_drain = Instant::now();
-            repl_wait("async catch-up", || {
-                followers.iter().all(|f| f.durable_lsn() >= lsn_a)
-            })?;
-            let catchup_ms = t_drain.elapsed().as_secs_f64() * 1e3;
-
-            // Quorum pass: each commit additionally waits until a
-            // majority of followers have durably applied it — the
-            // server's `ack_quorum` semantics without the wire.
-            let mut quorum_hist = crate::hist::LatencyHist::new();
-            for _ in 0..REPL_QUORUM_TXNS {
-                vt += 4;
-                let (commit, lsn) = step(vt)?;
-                let t_ack = Instant::now();
-                repl_wait("quorum ack", || {
-                    followers.iter().filter(|f| f.durable_lsn() >= lsn).count() >= quorum
-                })?;
-                quorum_hist.record(commit + t_ack.elapsed());
-            }
-            Ok(WriterOut {
-                commit_hist,
-                quorum_hist,
-                series,
-                txns,
-                elapsed,
-                catchup_ms,
-            })
-        })();
-
-        stop.store(true, Ordering::Relaxed);
-        let mut outs = Vec::with_capacity(n);
-        let mut pump_failure = None;
-        for pump in pumps {
-            match pump.join() {
-                Err(_) => pump_failure = Some(repl_err("pump thread panicked")),
-                Ok(Err(e)) => pump_failure = Some(e),
-                Ok(Ok(out)) => outs.push(out),
-            }
-        }
-        // A dead pump is the root cause of any writer-side timeout —
-        // report it over the symptom.
-        if let Some(e) = pump_failure {
-            return Err(e);
-        }
-        let w = work?;
-
-        let mut chunks = 0u64;
-        let mut lag_hist = crate::hist::LatencyHist::new();
-        for out in outs {
-            chunks += out.chunks;
-            // Reconstruct apply lag: a chunk ending at offset L became
-            // shippable when the first commit whose post-commit flush
-            // reached L returned; the ingest completing at `t` therefore
-            // ran `t - t_commit` behind the primary.
-            for (t, l) in out.progress {
-                if l <= from0 {
-                    continue;
-                }
-                let idx = w.series.partition_point(|&(_, lsn)| lsn < l);
-                let Some(&(t_commit, _)) = w.series.get(idx) else {
-                    continue; // quorum-pass chunks: latency measured there
-                };
-                lag_hist.record(t.saturating_sub(t_commit));
-            }
-        }
-
-        let shipped = pri.replication_lsn().map_err(repl_err)? - from0;
-        Ok(ReplicationPoint {
-            followers: n,
-            ack_quorum: quorum,
-            elapsed_sec: w.elapsed,
-            txns: w.txns,
-            txns_per_sec: if w.elapsed > 0.0 {
-                w.txns as f64 / w.elapsed
-            } else {
-                0.0
-            },
-            shipped_bytes: shipped,
-            chunks,
-            commit_p50_us: w.commit_hist.quantile_us(0.50),
-            commit_p99_us: w.commit_hist.quantile_us(0.99),
-            lag_p50_us: lag_hist.quantile_us(0.50),
-            lag_p99_us: lag_hist.quantile_us(0.99),
-            lag_max_us: lag_hist.max_us(),
-            catchup_ms: w.catchup_ms,
-            quorum_txns: REPL_QUORUM_TXNS,
-            quorum_p50_us: w.quorum_hist.quantile_us(0.50),
-            quorum_p99_us: w.quorum_hist.quantile_us(0.99),
-            quorum_max_us: w.quorum_hist.max_us(),
-        })
-    })?;
-
-    // Every follower must now be a faithful replica: same state counts,
-    // same name lookups, read-only.
-    for (i, f) in followers.iter().enumerate() {
-        let replica = LabBase::open(Arc::clone(f.store()))?;
-        replica.set_read_only(true);
-        replica.refresh_replica_caches()?;
-        for s in STATES {
-            let (p, r) = (db.count_in_state(s)?, replica.count_in_state(s)?);
-            if p != r {
-                return Err(repl_err(format!(
-                    "follower {i} diverged: {r} materials in '{s}', primary has {p}"
-                )));
-            }
-        }
-        let raw = |m: Option<MaterialId>| m.map(|m| m.oid().raw());
-        if raw(replica.find_material("repl-000")?) != raw(db.find_material("repl-000")?) {
-            return Err(repl_err(format!("follower {i} lost a material name")));
-        }
-    }
-    Ok(point)
-}
-
-/// Run the replication ablation across `follower_counts`.
-pub fn run_replication(
-    cfg: &BenchConfig,
-    follower_counts: &[usize],
-    base: &Path,
-) -> Result<Vec<ReplicationPoint>> {
-    let mut points = Vec::new();
-    for &n in follower_counts {
-        if n == 0 {
-            return Err(BenchError::Config("follower count must be >= 1".into()));
-        }
-        points.push(run_replication_point(cfg, n, base)?);
-    }
-    Ok(points)
 }
 
 #[cfg(test)]
 mod replication_tests {
-    use super::*;
-    use std::path::PathBuf;
-
-    fn base(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("lfc-repl-{}-{}", std::process::id(), name));
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
+    use super::tests::smoke;
+    use crate::exp::replication;
 
     #[test]
     fn smoke_replication_point() {
-        let cfg = BenchConfig::smoke();
-        let dir = base("smoke");
-        let points = run_replication(&cfg, &[1, 2], &dir).unwrap();
+        let points = smoke("repl-smoke", |cfg, dir| replication::run(cfg, &[1, 2], dir)).unwrap();
         assert_eq!(points.len(), 2);
         for p in &points {
             assert!(p.txns > 0, "{} followers: writer committed", p.followers);
-            assert_eq!(p.quorum_txns, REPL_QUORUM_TXNS);
+            assert_eq!(p.quorum_txns, replication::QUORUM_TXNS);
             assert!(p.shipped_bytes > 0);
             assert!(p.chunks > 0);
             assert!(
@@ -2201,14 +343,10 @@ mod replication_tests {
         }
         assert_eq!(points[0].ack_quorum, 1);
         assert_eq!(points[1].ack_quorum, 2);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn zero_followers_is_a_config_error() {
-        let cfg = BenchConfig::smoke();
-        let dir = base("zero");
-        assert!(run_replication(&cfg, &[0], &dir).is_err());
-        std::fs::remove_dir_all(&dir).ok();
+        assert!(smoke("repl-zero", |cfg, dir| replication::run(cfg, &[0], dir)).is_err());
     }
 }

@@ -835,7 +835,7 @@ mod tests {
         let sim = SimVfs::new(seed);
         let vfs: Arc<dyn Vfs> = Arc::new(sim.clone());
         let stats = Arc::new(StorageStats::default());
-        let wal = Arc::new(Wal::create(&vfs, Path::new(LOG), stats.clone(), None).unwrap());
+        let wal = Arc::new(Wal::create(&vfs, Path::new(LOG), stats.clone()).unwrap());
         let file = Arc::new(PageFile::create(&vfs, Path::new(DATA), stats.clone()).unwrap());
         let pool = BufferPool::new(file.clone(), stats.clone(), cap, false, Some(wal.clone()));
         Rig { sim, wal, file, stats, pool }

@@ -48,16 +48,6 @@ pub struct Options {
     /// harness turns it on: with it, a commit that returns `Ok` is
     /// guaranteed to survive power loss.
     pub sync_commit: bool,
-    /// WAL idle-flush delay (OStore only). Commits no longer sleep a
-    /// batching window: the dedicated log-writer thread coalesces every
-    /// commit that arrives while a force is in flight into the next
-    /// batch, so batching is a property of the pipeline, not of a
-    /// configured delay. This knob now only controls how long appended
-    /// records from transactions that have *not* committed may sit in
-    /// the in-memory buffer before the log-writer writes them out in
-    /// the background; `None` leaves them buffered until the next
-    /// force.
-    pub group_commit_window: Option<Duration>,
 }
 
 impl Default for Options {
@@ -66,7 +56,6 @@ impl Default for Options {
             buffer_pages: 2048, // 8 MiB at 4 KiB pages
             lock_timeout: Duration::from_millis(500),
             sync_commit: false,
-            group_commit_window: None,
         }
     }
 }
@@ -240,7 +229,7 @@ impl Engine {
         let stats = Arc::new(StorageStats::default());
         let file = Arc::new(PageFile::create(&vfs, &data_path, stats.clone())?);
         let wal = if profile.wal {
-            Some(Arc::new(Wal::create(&vfs, &wal_path, stats.clone(), opts.group_commit_window)?))
+            Some(Arc::new(Wal::create(&vfs, &wal_path, stats.clone())?))
         } else {
             None
         };
@@ -325,7 +314,7 @@ impl Engine {
         // at zero, and redo appends nothing.
         let (replayed, wal) = if profile.wal {
             let replayed = Wal::replay(&vfs, &wal_path)?;
-            let wal = Wal::open(&vfs, &wal_path, stats.clone(), opts.group_commit_window)?;
+            let wal = Wal::open(&vfs, &wal_path, stats.clone())?;
             (Some(replayed), Some(Arc::new(wal)))
         } else {
             (None, None)

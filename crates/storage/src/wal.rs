@@ -21,7 +21,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use parking_lot::{Mutex, MutexGuard};
 
@@ -454,9 +454,6 @@ enum Claim {
         /// One past the last ticket covered by this batch.
         end: u64,
     },
-    /// Idle past the configured window with appended-but-unflushed
-    /// records: write them out in the background, best-effort.
-    IdleFlush,
     /// Shut down (the queue is fully drained).
     Exit,
 }
@@ -477,14 +474,6 @@ struct WalShared {
     /// Wakes committers: a watermark advanced or a failure published.
     done: Condvar,
     stats: Arc<StorageStats>,
-    /// Idle-flush delay: once the queue has been quiet this long,
-    /// records appended without a commit (aborts, in-flight
-    /// transactions) are written out in the background. `None` leaves
-    /// them buffered until the next force.
-    window: Option<Duration>,
-    /// Frames appended but not yet written out. Advisory — it only
-    /// gates the idle-flush wakeup; the writer mutex owns the truth.
-    buffered: AtomicU64,
     /// The append mark: bytes ever appended through this handle. Unlike
     /// the file offsets it never rewinds at a truncation, so a value
     /// read once (a buffer-pool frame's stamp) stays comparable for the
@@ -548,11 +537,6 @@ impl WalShared {
         loop {
             match self.claim() {
                 Claim::Exit => break,
-                Claim::IdleFlush => {
-                    // Best effort: an error stays in the writer and
-                    // resurfaces, with retries, at the next force.
-                    let _ = self.write_out();
-                }
                 Claim::Batch { end } => {
                     let forced = self.flush_batch().and_then(|()| self.sync_batch());
                     self.publish(end, forced);
@@ -580,17 +564,7 @@ impl WalShared {
             if q.shutdown {
                 return Claim::Exit;
             }
-            match self.window {
-                Some(window) if !window.is_zero() && self.buffered.load(Ordering::Relaxed) > 0 => {
-                    let (guard, timeout) =
-                        self.work.wait_timeout(q, window).unwrap_or_else(|e| e.into_inner());
-                    q = guard;
-                    if timeout.timed_out() && !q.sync_requested && !q.shutdown {
-                        return Claim::IdleFlush;
-                    }
-                }
-                _ => q = self.work.wait(q).unwrap_or_else(|e| e.into_inner()),
-            }
+            q = self.work.wait(q).unwrap_or_else(|e| e.into_inner());
         }
     }
 
@@ -640,20 +614,14 @@ impl WalShared {
         }
     }
 
-    /// Write the tail out to the file, under the writer lock.
-    fn write_out(&self) -> Result<bool> {
+    /// A commit's write-out of the tail, under the writer lock — the
+    /// log-writer's for a batch, or a no-sync committer's own — counted
+    /// if there was something to write.
+    fn commit_write_out(&self) -> Result<()> {
         let mut w = self.writer_lock();
         let mut file = self.log_file_lock();
         // analyzer: allow(blocking, "the log-file lock is the log's I/O lock: a write-out runs under it by design")
-        let wrote = w.flush(&mut **file, self.appended.load(Ordering::Acquire))?;
-        self.buffered.store(0, Ordering::Relaxed);
-        Ok(wrote)
-    }
-
-    /// A commit's write-out — the log-writer's for a batch, or a no-sync
-    /// committer's own — counted if there was something to write.
-    fn commit_write_out(&self) -> Result<()> {
-        if self.write_out()? {
+        if w.flush(&mut **file, self.appended.load(Ordering::Acquire))? {
             StorageStats::bump(&self.stats.wal_syncs, 1);
         }
         Ok(())
@@ -717,37 +685,22 @@ impl Wal {
     }
 
     /// Create a fresh (empty) log at `path`.
-    pub fn create(
-        vfs: &Arc<dyn Vfs>,
-        path: &Path,
-        stats: Arc<StorageStats>,
-        window: Option<Duration>,
-    ) -> Result<Self> {
+    pub fn create(vfs: &Arc<dyn Vfs>, path: &Path, stats: Arc<StorageStats>) -> Result<Self> {
         let file = vfs.open(path, OpenMode::Create)?;
-        Self::start(file, 0, stats, window)
+        Self::start(file, 0, stats)
     }
 
     /// Open an existing log for appending (after replay). Creates an
     /// empty log if none exists, matching the pre-VFS behavior.
-    pub fn open(
-        vfs: &Arc<dyn Vfs>,
-        path: &Path,
-        stats: Arc<StorageStats>,
-        window: Option<Duration>,
-    ) -> Result<Self> {
+    pub fn open(vfs: &Arc<dyn Vfs>, path: &Path, stats: Arc<StorageStats>) -> Result<Self> {
         let mode = if vfs.exists(path) { OpenMode::Open } else { OpenMode::Create };
         let mut file = vfs.open(path, mode)?;
         let len = file.len()?;
-        Self::start(file, len, stats, window)
+        Self::start(file, len, stats)
     }
 
     /// Wrap an opened log file and spawn its log-writer thread.
-    fn start(
-        file: Box<dyn VfsFile>,
-        flushed: u64,
-        stats: Arc<StorageStats>,
-        window: Option<Duration>,
-    ) -> Result<Self> {
+    fn start(file: Box<dyn VfsFile>, flushed: u64, stats: Arc<StorageStats>) -> Result<Self> {
         let shared = Arc::new(WalShared {
             writer: Mutex::new(WalWriter {
                 flushed,
@@ -761,8 +714,6 @@ impl Wal {
             work: Condvar::new(),
             done: Condvar::new(),
             stats,
-            window,
-            buffered: AtomicU64::new(0),
             appended: AtomicU64::new(0),
             synced: AtomicU64::new(0),
             #[cfg(test)]
@@ -790,14 +741,8 @@ impl Wal {
             self.shared.appended.fetch_add(frame_len, Ordering::Release);
             frame_len
         };
-        self.shared.buffered.fetch_add(1, Ordering::Relaxed);
         self.written.fetch_add(frame_len, Ordering::Relaxed);
         StorageStats::bump(&self.shared.stats.wal_bytes, frame_len);
-        if self.shared.window.is_some() {
-            // Arm the idle flush: the writer wakes, finds no requests,
-            // and writes the record out once the window passes quiet.
-            self.shared.work.notify_one();
-        }
         Ok(())
     }
 
@@ -948,7 +893,6 @@ impl Wal {
         let mut w = self.writer_lock();
         let mut file = self.shared.log_file_lock();
         w.tail.clear();
-        self.shared.buffered.store(0, Ordering::Relaxed);
         // Mark the truncation before attempting it: if any step fails,
         // the next flush retries the whole head rewrite before it may
         // append a frame (see [`WalWriter::pending_reset`]).
@@ -1101,6 +1045,7 @@ mod tests {
     use crate::vfs::RealVfs;
     use std::fs::OpenOptions;
     use std::path::PathBuf;
+    use std::time::Duration;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("lfs-wal-{}-{}", std::process::id(), name));
@@ -1136,7 +1081,7 @@ mod tests {
         let path = tmp("rt");
         let vfs = RealVfs::arc();
         let stats = Arc::new(StorageStats::default());
-        let wal = Wal::create(&vfs, &path, stats.clone(), None).unwrap();
+        let wal = Wal::create(&vfs, &path, stats.clone()).unwrap();
         for rec in sample_records() {
             wal.append(&rec).unwrap();
         }
@@ -1162,7 +1107,7 @@ mod tests {
         let path = tmp("torn");
         let vfs = RealVfs::arc();
         let stats = Arc::new(StorageStats::default());
-        let wal = Wal::create(&vfs, &path, stats, None).unwrap();
+        let wal = Wal::create(&vfs, &path, stats).unwrap();
         for rec in sample_records() {
             wal.append(&rec).unwrap();
         }
@@ -1182,7 +1127,7 @@ mod tests {
         let path = tmp("corrupt");
         let vfs = RealVfs::arc();
         let stats = Arc::new(StorageStats::default());
-        let wal = Wal::create(&vfs, &path, stats, None).unwrap();
+        let wal = Wal::create(&vfs, &path, stats).unwrap();
         for rec in sample_records() {
             wal.append(&rec).unwrap();
         }
@@ -1212,7 +1157,7 @@ mod tests {
         let path = tmp("swap");
         let vfs = RealVfs::arc();
         let stats = Arc::new(StorageStats::default());
-        let wal = Wal::create(&vfs, &path, stats, None).unwrap();
+        let wal = Wal::create(&vfs, &path, stats).unwrap();
         wal.append(&WalRecord::Begin(1)).unwrap();
         wal.append(&WalRecord::Commit(1)).unwrap();
         wal.group_commit(true).unwrap();
@@ -1239,7 +1184,7 @@ mod tests {
         let path = tmp("rotlen");
         let vfs = RealVfs::arc();
         let stats = Arc::new(StorageStats::default());
-        let wal = Wal::create(&vfs, &path, stats, None).unwrap();
+        let wal = Wal::create(&vfs, &path, stats).unwrap();
         for rec in sample_records() {
             wal.append(&rec).unwrap();
         }
@@ -1263,7 +1208,7 @@ mod tests {
         let path = tmp("trunc");
         let vfs = RealVfs::arc();
         let stats = Arc::new(StorageStats::default());
-        let wal = Wal::create(&vfs, &path, stats, None).unwrap();
+        let wal = Wal::create(&vfs, &path, stats).unwrap();
         wal.append(&WalRecord::Begin(5)).unwrap();
         assert!(wal.len_bytes().unwrap() > 0);
         wal.truncate(3).unwrap();
@@ -1288,7 +1233,7 @@ mod tests {
         let vfs: Arc<dyn Vfs> = Arc::new(sim.clone());
         let path = PathBuf::from("/sim/wal.log");
         let stats = Arc::new(StorageStats::default());
-        let wal = Wal::create(&vfs, &path, stats, None).unwrap();
+        let wal = Wal::create(&vfs, &path, stats).unwrap();
         wal.append(&WalRecord::Begin(5)).unwrap();
         wal.group_commit(true).unwrap();
 
@@ -1328,7 +1273,7 @@ mod tests {
         let vfs = RealVfs::arc();
         let stats = Arc::new(StorageStats::default());
         let wal = Arc::new(
-            Wal::create(&vfs, &path, stats.clone(), Some(Duration::from_millis(2))).unwrap(),
+            Wal::create(&vfs, &path, stats.clone()).unwrap(),
         );
         const THREADS: u64 = 8;
         const COMMITS_PER_THREAD: u64 = 10;
@@ -1369,7 +1314,7 @@ mod tests {
         let path = tmp("nosync");
         let vfs = RealVfs::arc();
         let stats = Arc::new(StorageStats::default());
-        let wal = Wal::create(&vfs, &path, stats.clone(), None).unwrap();
+        let wal = Wal::create(&vfs, &path, stats.clone()).unwrap();
         let commits = |vfs: &Arc<dyn Vfs>| -> Vec<u64> {
             let replayed = Wal::replay(vfs, &path).unwrap();
             assert_eq!(replayed.bytes_truncated, 0);
@@ -1409,7 +1354,7 @@ mod tests {
         wal.group_commit(false).unwrap();
         drop(wal);
         assert_eq!(commits(&vfs), vec![99]);
-        let wal = Wal::open(&vfs, &path, stats, None).unwrap();
+        let wal = Wal::open(&vfs, &path, stats).unwrap();
         wal.append(&WalRecord::Commit(100)).unwrap();
         wal.group_commit(false).unwrap();
         assert_eq!(commits(&vfs), vec![99, 100]);
@@ -1420,7 +1365,7 @@ mod tests {
         let path = tmp("waits");
         let vfs = RealVfs::arc();
         let stats = Arc::new(StorageStats::default());
-        let wal = Wal::create(&vfs, &path, stats, None).unwrap();
+        let wal = Wal::create(&vfs, &path, stats).unwrap();
         let before = crate::waits::snapshot();
         wal.append(&WalRecord::Begin(1)).unwrap();
         wal.group_commit(true).unwrap();
@@ -1440,7 +1385,7 @@ mod tests {
         let path = tmp("gate-attr");
         let vfs = RealVfs::arc();
         let stats = Arc::new(StorageStats::default());
-        let wal = Wal::create(&vfs, &path, stats.clone(), None).unwrap();
+        let wal = Wal::create(&vfs, &path, stats.clone()).unwrap();
         wal.append(&WalRecord::Begin(1)).unwrap();
         let mark = wal.appended();
         assert!(wal.synced() < mark, "an appended record is not durable until a sync");
@@ -1464,7 +1409,7 @@ mod tests {
         let path = tmp("gate-async");
         let vfs = RealVfs::arc();
         let stats = Arc::new(StorageStats::default());
-        let wal = Wal::create(&vfs, &path, stats, None).unwrap();
+        let wal = Wal::create(&vfs, &path, stats).unwrap();
         wal.append(&WalRecord::Begin(1)).unwrap();
         wal.append(&WalRecord::Commit(1)).unwrap();
         let mark = wal.appended();
@@ -1488,7 +1433,7 @@ mod tests {
         let path = tmp("gate-trunc");
         let vfs = RealVfs::arc();
         let stats = Arc::new(StorageStats::default());
-        let wal = Wal::create(&vfs, &path, stats, None).unwrap();
+        let wal = Wal::create(&vfs, &path, stats).unwrap();
         for rec in sample_records() {
             wal.append(&rec).unwrap();
         }
@@ -1542,7 +1487,7 @@ mod tests {
         let vfs: Arc<dyn Vfs> = Arc::new(sim.clone());
         let path = PathBuf::from("/sim/wal.log");
         let stats = Arc::new(StorageStats::default());
-        let wal = Arc::new(Wal::create(&vfs, &path, stats, None).unwrap());
+        let wal = Arc::new(Wal::create(&vfs, &path, stats).unwrap());
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let mut noisy = Vec::new();
         for t in 0..3u64 {
@@ -1588,7 +1533,7 @@ mod tests {
         let vfs: Arc<dyn Vfs> = Arc::new(sim.clone());
         let path = PathBuf::from("/sim/wal.log");
         let stats = Arc::new(StorageStats::default());
-        let wal = Arc::new(Wal::create(&vfs, &path, stats.clone(), None).unwrap());
+        let wal = Arc::new(Wal::create(&vfs, &path, stats.clone()).unwrap());
         // Kill the disk: every operation from here on fails, well past
         // any retry budget.
         let base = sim.op_count();
@@ -1626,7 +1571,7 @@ mod tests {
             let vfs: Arc<dyn Vfs> = Arc::new(sim.clone());
             let path = PathBuf::from("/sim/wal.log");
             let stats = Arc::new(StorageStats::default());
-            let wal = Arc::new(Wal::create(&vfs, &path, stats, None).unwrap());
+            let wal = Arc::new(Wal::create(&vfs, &path, stats).unwrap());
             // Let a little clean history build, then pull the plug a
             // few operations into the concurrent run.
             sim.set_plan(FaultPlan {
@@ -1682,7 +1627,7 @@ mod tests {
         let path = tmp("writer-panic");
         let vfs = RealVfs::arc();
         let stats = Arc::new(StorageStats::default());
-        let wal = Wal::create(&vfs, &path, stats, None).unwrap();
+        let wal = Wal::create(&vfs, &path, stats).unwrap();
         wal.shared.panic_next_claim.store(true, Ordering::Relaxed);
         // The writer dies at its next claim. Depending on where it was
         // parked when the flag landed, the first commit may still be
@@ -1713,7 +1658,7 @@ mod tests {
         let path = tmp("stream-rt");
         let vfs = RealVfs::arc();
         let stats = Arc::new(StorageStats::default());
-        let wal = Wal::create(&vfs, &path, stats, None).unwrap();
+        let wal = Wal::create(&vfs, &path, stats).unwrap();
         for rec in sample_records() {
             wal.append(&rec).unwrap();
         }
@@ -1735,7 +1680,7 @@ mod tests {
         let path = tmp("stream-max");
         let vfs = RealVfs::arc();
         let stats = Arc::new(StorageStats::default());
-        let wal = Wal::create(&vfs, &path, stats, None).unwrap();
+        let wal = Wal::create(&vfs, &path, stats).unwrap();
         let big = WalRecord::Update {
             txn: 1,
             oid: Oid::from_raw(7),
@@ -1768,7 +1713,7 @@ mod tests {
         let path = tmp("stream-rewind");
         let vfs = RealVfs::arc();
         let stats = Arc::new(StorageStats::default());
-        let wal = Wal::create(&vfs, &path, stats, None).unwrap();
+        let wal = Wal::create(&vfs, &path, stats).unwrap();
         for rec in sample_records() {
             wal.append(&rec).unwrap();
         }
@@ -1789,7 +1734,7 @@ mod tests {
         let path = tmp("stream-offset");
         let vfs = RealVfs::arc();
         let stats = Arc::new(StorageStats::default());
-        let wal = Wal::create(&vfs, &path, stats, None).unwrap();
+        let wal = Wal::create(&vfs, &path, stats).unwrap();
         for rec in sample_records() {
             wal.append(&rec).unwrap();
         }
@@ -1807,7 +1752,7 @@ mod tests {
         let path = tmp("shipped-damage");
         let vfs = RealVfs::arc();
         let stats = Arc::new(StorageStats::default());
-        let wal = Wal::create(&vfs, &path, stats, None).unwrap();
+        let wal = Wal::create(&vfs, &path, stats).unwrap();
         wal.append(&WalRecord::Begin(1)).unwrap();
         wal.append(&WalRecord::Commit(1)).unwrap();
         wal.group_commit(true).unwrap();

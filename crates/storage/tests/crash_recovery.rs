@@ -19,7 +19,6 @@ fn opts() -> Options {
         buffer_pages: 16,
         sync_commit: true,
         lock_timeout: Duration::from_millis(200),
-        group_commit_window: None,
     }
 }
 

@@ -25,16 +25,21 @@ fn stream_reader_never_sees_a_torn_or_half_repaired_head() {
         let vfs: Arc<dyn Vfs> = Arc::new(sim.clone());
         let path = PathBuf::from("/sim/stream-race.log");
         let stats = Arc::new(StorageStats::default());
-        let wal = Arc::new(Wal::create(&vfs, &path, stats, None).unwrap());
+        let wal = Arc::new(Wal::create(&vfs, &path, stats).unwrap());
         let done = Arc::new(AtomicBool::new(false));
+        // Set once the reader has polled: the writer starts only then, so
+        // on a small machine it cannot finish before the reader runs.
+        let polled = Arc::new(AtomicBool::new(false));
 
         let reader = {
-            let wal = Arc::clone(&wal);
-            let done = Arc::clone(&done);
+            let (wal, done, polled) = (Arc::clone(&wal), Arc::clone(&done), Arc::clone(&polled));
             std::thread::spawn(move || {
                 let mut from = 0u64;
                 let mut decoded = 0u64;
-                while !done.load(Ordering::Acquire) {
+                loop {
+                    // Read `done` before polling: a poll that starts
+                    // after the writer finished drains the final log.
+                    let last = done.load(Ordering::Acquire);
                     match wal.stream_from(from, 1 << 16) {
                         Ok(chunk) => {
                             // The shipped bytes must verify as whole
@@ -44,6 +49,9 @@ fn stream_reader_never_sees_a_torn_or_half_repaired_head() {
                                 .expect("stream served a torn or corrupt chunk");
                             decoded += recs.len() as u64;
                             from = chunk.end;
+                            if last {
+                                return decoded;
+                            }
                         }
                         // The log restarted under us (a truncation won
                         // the race): resume from the new head.
@@ -54,10 +62,13 @@ fn stream_reader_never_sees_a_torn_or_half_repaired_head() {
                         Err(StorageError::Io(_)) => {}
                         Err(e) => panic!("stream reader saw unexpected error: {e}"),
                     }
+                    polled.store(true, Ordering::Release);
                 }
-                decoded
             })
         };
+        while !polled.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
 
         let mut epoch = 1u64;
         for i in 0..200u64 {

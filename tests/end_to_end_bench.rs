@@ -4,7 +4,8 @@
 
 use std::path::PathBuf;
 
-use labflow_core::{experiments, report, runner, BenchConfig, ServerVersion};
+use labflow_core::exp::{build, clustering, concurrency, crash, evolution, queries};
+use labflow_core::{experiments, BenchConfig, ServerVersion};
 
 fn scratch(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("lf-e2e-{}-{}", std::process::id(), name));
@@ -34,7 +35,7 @@ fn build_table_runs_on_all_versions_and_renders() {
     let cfg = BenchConfig::smoke();
     let dir = scratch("build");
     let results =
-        runner::run_build_all(&ServerVersion::ALL, &cfg, &[0.5, 1.0], &dir).unwrap();
+        build::run_all(&ServerVersion::ALL, &cfg, &[0.5, 1.0], &dir).unwrap();
     assert_eq!(results.len(), 5);
     for r in &results {
         assert_eq!(r.rows.len(), 2);
@@ -55,11 +56,11 @@ fn build_table_runs_on_all_versions_and_renders() {
     let t_size = by_name("Texas").rows.last().unwrap().size_bytes.unwrap();
     assert!(t_size > o_size, "Texas {t_size} should exceed OStore {o_size}");
 
-    let table = report::build_table(&results);
+    let table = build::table(&results);
     assert!(table.contains("0.5X"));
     assert!(table.contains("elapsed sec"));
     assert!(table.contains("OStore-mm"));
-    let fig = report::throughput_figure(&results);
+    let fig = build::figure(&results);
     assert!(fig.contains('#'));
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -70,14 +71,14 @@ fn query_mix_runs_and_mm_is_fault_free() {
     let dir = scratch("qmix");
     let mut all = Vec::new();
     for v in [ServerVersion::OStore, ServerVersion::Texas, ServerVersion::OStoreMm] {
-        all.extend(runner::run_query_mix(v, &cfg, &dir).unwrap());
+        all.extend(queries::run(v, &cfg, &dir).unwrap());
     }
     assert!(all.iter().filter(|t| t.version == "OStore").count() >= 8);
     for t in all.iter().filter(|t| t.version == "OStore-mm") {
         assert_eq!(t.sim_faults, 0, "-mm faulted in family {}", t.query);
     }
     // Every family answered something on at least one version.
-    let table = report::query_table(&all);
+    let table = queries::table(&all);
     assert!(table.contains("recent lookup"));
     assert!(table.contains("LQL view mix"));
     std::fs::remove_dir_all(&dir).ok();
@@ -87,7 +88,7 @@ fn query_mix_runs_and_mm_is_fault_free() {
 fn evolution_experiment_shapes() {
     let cfg = BenchConfig::smoke();
     let dir = scratch("evo");
-    let r = runner::run_evolution(ServerVersion::OStore, &cfg, &dir, 20).unwrap();
+    let r = evolution::run(ServerVersion::OStore, &cfg, &dir, 20).unwrap();
     assert!(r.max_versions > 1, "versions accumulated");
     // The paper's claim: evolution is a catalog operation. It must be
     // within an order of magnitude of a single step insert — i.e. not
@@ -112,7 +113,7 @@ fn clustering_ablation_orders_the_backends() {
     // Pool sized between "hot records fit" and "whole DB fits": the
     // backends with locality control keep the hot set dense and reach a
     // low steady state; plain Texas dilutes it across the heap.
-    let points = runner::run_clustering(&cfg, &[64], 2_000, &dir).unwrap();
+    let points = clustering::run(&cfg, &[64], 2_000, &dir).unwrap();
     let fpk = |name: &str| {
         points
             .iter()
@@ -133,7 +134,7 @@ fn clustering_ablation_orders_the_backends() {
         texas >= texas_tc,
         "client clustering should recover locality: Texas+TC {texas_tc:.1} vs Texas {texas:.1}"
     );
-    let table = report::clustering_table(&points);
+    let table = clustering::table(&points);
     assert!(table.contains("OStore"));
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -150,7 +151,7 @@ fn experiment_registry_rejects_unknown_and_lists_ids() {
 fn concurrency_ablation_shapes() {
     let cfg = BenchConfig::smoke();
     let dir = scratch("conc-abl");
-    let points = runner::run_concurrency(&cfg, &[0, 2], &dir).unwrap();
+    let points = concurrency::run(&cfg, &[0, 2], &dir).unwrap();
     // Single-user flavors must refuse readers; everyone builds with 0.
     for p in &points {
         match (p.version.as_str(), p.readers) {
@@ -165,7 +166,7 @@ fn concurrency_ablation_shapes() {
             }
         }
     }
-    let table = report::concurrency_table(&points);
+    let table = concurrency::table(&points);
     assert!(table.contains("single-user"));
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -174,7 +175,7 @@ fn concurrency_ablation_shapes() {
 fn recovery_ablation_shapes() {
     let cfg = BenchConfig::smoke();
     let dir = scratch("rec-abl");
-    let points = runner::run_recovery(&cfg, &dir).unwrap();
+    let points = crash::run_recovery(&cfg, &dir).unwrap();
     assert_eq!(points.len(), 3);
     let by = |name: &str| points.iter().find(|p| p.version == name).unwrap();
     // OStore replays its WAL: (almost) nothing lost, WAL debt non-zero.
@@ -192,7 +193,7 @@ fn recovery_ablation_shapes() {
         );
         assert!(t.materials_recovered > 0);
     }
-    let table = report::recovery_table(&points);
+    let table = crash::recovery_table(&points);
     assert!(table.contains("OStore"));
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -88,7 +88,6 @@ fn opts() -> Options {
         buffer_pages: 24,
         sync_commit: true,
         lock_timeout: Duration::from_millis(200),
-        group_commit_window: None,
     }
 }
 

@@ -78,7 +78,7 @@ const INDEX_BUDGETS: &[(&str, u32)] = &[
     ("storage", 22),
     ("labbase", 16),
     ("workflow", 0),
-    ("core", 18),
+    ("core", 16),
     ("server", 0),
     ("repl", 0),
 ];
