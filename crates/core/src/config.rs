@@ -4,7 +4,7 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use labflow_storage::{MemStore, OStore, Options, StorageManager, Texas, TexasTc};
+use labflow_storage::{Engine, MemStore, Options, Profile, StorageManager};
 
 use crate::error::{BenchError, Result};
 
@@ -80,9 +80,9 @@ impl ServerVersion {
     /// ignore the options entirely.
     pub fn make_store_with(self, dir: &Path, opts: Options) -> Result<Arc<dyn StorageManager>> {
         let store: Arc<dyn StorageManager> = match self {
-            ServerVersion::OStore => Arc::new(OStore::create(dir, opts)?),
-            ServerVersion::Texas => Arc::new(Texas::create(dir, opts)?),
-            ServerVersion::TexasTc => Arc::new(TexasTc::create(dir, opts)?),
+            ServerVersion::OStore => Arc::new(Engine::create(dir, Profile::ostore(), opts)?),
+            ServerVersion::Texas => Arc::new(Engine::create(dir, Profile::texas(), opts)?),
+            ServerVersion::TexasTc => Arc::new(Engine::create(dir, Profile::texas_tc(), opts)?),
             ServerVersion::OStoreMm => Arc::new(MemStore::ostore_mm()),
             ServerVersion::TexasMm => Arc::new(MemStore::texas_mm()),
         };
@@ -97,9 +97,9 @@ impl ServerVersion {
     ) -> Result<Arc<dyn StorageManager>> {
         let opts = Options { buffer_pages, ..Options::default() };
         let store: Arc<dyn StorageManager> = match self {
-            ServerVersion::OStore => Arc::new(OStore::open(dir, opts)?),
-            ServerVersion::Texas => Arc::new(Texas::open(dir, opts)?),
-            ServerVersion::TexasTc => Arc::new(TexasTc::open(dir, opts)?),
+            ServerVersion::OStore => Arc::new(Engine::open(dir, Profile::ostore(), opts)?),
+            ServerVersion::Texas => Arc::new(Engine::open(dir, Profile::texas(), opts)?),
+            ServerVersion::TexasTc => Arc::new(Engine::open(dir, Profile::texas_tc(), opts)?),
             _ => return Err(BenchError::Config("-mm versions cannot be reopened".into())),
         };
         Ok(store)

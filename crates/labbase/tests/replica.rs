@@ -3,13 +3,12 @@
 //! applied *underneath* the wrapper by the replication pipeline.
 
 use std::collections::HashMap;
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use labbase::schema::attrs;
 use labbase::{AttrType, LabBase, LabError};
 use labflow_storage::{
-    decode_shipped, MemStore, OStore, Options, SimVfs, StorageManager, Vfs, WalRecord,
+    decode_shipped, Engine, MemStore, Options, Profile, SimVfs, StorageManager, Vfs, WalRecord,
 };
 
 fn mem_db() -> LabBase {
@@ -94,10 +93,13 @@ fn ship(
 fn refresh_replica_caches_reveals_shipped_transactions() {
     let sim = SimVfs::new(19);
     let vfs: Arc<dyn Vfs> = Arc::new(sim);
-    let pri_store: Arc<dyn StorageManager> =
-        Arc::new(OStore::create_with(vfs.clone(), &PathBuf::from("/sim/pri"), Options::default()).unwrap());
-    let fol_store: Arc<dyn StorageManager> =
-        Arc::new(OStore::create_with(vfs, &PathBuf::from("/sim/fol"), Options::default()).unwrap());
+    let store = |vfs, dir: &str| -> Arc<dyn StorageManager> {
+        Arc::new(
+            Engine::create_with(vfs, dir.as_ref(), Profile::ostore(), Options::default()).unwrap(),
+        )
+    };
+    let pri_store = store(vfs.clone(), "/sim/pri");
+    let fol_store = store(vfs, "/sim/fol");
 
     // Subscribe before the primary's LabBase bootstrap so the follower
     // replays the root/catalog creation too, then open the wrapper over

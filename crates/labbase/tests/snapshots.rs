@@ -3,13 +3,12 @@
 //! commits against pinned snapshots, and version GC honouring live
 //! snapshot pins.
 
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use labbase::schema::attrs;
 use labbase::{AttrType, LabBase, Value};
-use labflow_storage::{MemStore, OStore, Options, SimVfs, StorageManager, Vfs};
+use labflow_storage::{Engine, MemStore, Options, Profile, SimVfs, StorageManager, Vfs};
 
 fn mem_db() -> LabBase {
     let store: Arc<dyn StorageManager> = Arc::new(MemStore::ostore_mm());
@@ -19,11 +18,10 @@ fn mem_db() -> LabBase {
 /// A full disk-backed engine on the simulated VFS, so checkpoints run
 /// the real version-GC path.
 fn engine_db() -> LabBase {
-    let sim = SimVfs::new(7);
-    let dir = PathBuf::from("/sim/snapshots");
-    let store: Arc<dyn StorageManager> = Arc::new(
-        OStore::create_with(Arc::new(sim) as Arc<dyn Vfs>, &dir, Options::default()).unwrap(),
-    );
+    let vfs: Arc<dyn Vfs> = Arc::new(SimVfs::new(7));
+    let dir = "/sim/snapshots".as_ref();
+    let store: Arc<dyn StorageManager> =
+        Arc::new(Engine::create_with(vfs, dir, Profile::ostore(), Options::default()).unwrap());
     seed_schema(LabBase::create(store).unwrap())
 }
 

@@ -30,7 +30,7 @@ use std::time::Duration;
 use labbase::LabBase;
 use labflow_repl::{run_pump, Follower, PumpConfig};
 use labflow_server::{Client, PromoteHook, Server, ServerConfig, TenantQuotas};
-use labflow_storage::{OStore, Options, StorageManager};
+use labflow_storage::{Engine, Options, Profile, StorageManager};
 
 struct Args {
     dir: std::path::PathBuf,
@@ -83,7 +83,8 @@ fn run() -> Result<(), String> {
     std::fs::create_dir_all(&args.dir).map_err(|e| format!("create {:?}: {e}", args.dir))?;
     let opts = Options { sync_commit: true, ..Options::default() };
     let store: Arc<dyn StorageManager> = Arc::new(
-        OStore::create(&args.dir, opts).map_err(|e| format!("create store: {e}"))?,
+        Engine::create(&args.dir, Profile::ostore(), opts)
+            .map_err(|e| format!("create store: {e}"))?,
     );
     let follower = Arc::new(Follower::new(Arc::clone(&store), 0));
 

@@ -1,17 +1,18 @@
 //! End-to-end replication: a primary behind a real server, a follower
 //! pumping over loopback, damage injection, fencing, and promotion.
 
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use labbase::LabBase;
 use labflow_repl::{pump_once, Follower, PumpConfig, ReplError};
 use labflow_server::{Client, Server, ServerConfig, TenantQuotas};
-use labflow_storage::{OStore, Options, SimVfs, StorageManager, Vfs};
+use labflow_storage::{Engine, Options, Profile, SimVfs, StorageManager, Vfs};
 
 fn sim_store(seed: u64, path: &str) -> Arc<dyn StorageManager> {
     let vfs: Arc<dyn Vfs> = Arc::new(SimVfs::new(seed));
-    Arc::new(OStore::create_with(vfs, &PathBuf::from(path), Options::default()).unwrap())
+    Arc::new(
+        Engine::create_with(vfs, path.as_ref(), Profile::ostore(), Options::default()).unwrap(),
+    )
 }
 
 fn start_server(db: Arc<LabBase>) -> Server {

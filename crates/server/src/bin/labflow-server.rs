@@ -19,7 +19,7 @@ use std::time::Duration;
 
 use labbase::LabBase;
 use labflow_server::{Server, ServerConfig, TenantQuotas};
-use labflow_storage::{MemStore, OStore, Options, StorageManager};
+use labflow_storage::{Engine, MemStore, Options, Profile, StorageManager};
 
 struct Args {
     addr: String,
@@ -127,9 +127,15 @@ fn open_db(args: &Args) -> Result<Arc<LabBase>, String> {
     let fresh = !dir.join("store.meta").exists();
     let store: Arc<dyn StorageManager> = if fresh {
         std::fs::create_dir_all(dir).map_err(|e| format!("create {dir:?}: {e}"))?;
-        Arc::new(OStore::create(dir, opts).map_err(|e| format!("create store at {dir:?}: {e}"))?)
+        Arc::new(
+            Engine::create(dir, Profile::ostore(), opts)
+                .map_err(|e| format!("create store at {dir:?}: {e}"))?,
+        )
     } else {
-        Arc::new(OStore::open(dir, opts).map_err(|e| format!("open store at {dir:?}: {e}"))?)
+        Arc::new(
+            Engine::open(dir, Profile::ostore(), opts)
+                .map_err(|e| format!("open store at {dir:?}: {e}"))?,
+        )
     };
     let db = if fresh { LabBase::create(store) } else { LabBase::open(store) };
     db.map(Arc::new).map_err(|e| format!("initialize database: {e}"))

@@ -408,10 +408,10 @@ mod tests {
     /// a primary (no hook installed) is a typed error.
     #[test]
     fn replication_requests_round_trip_over_loopback() {
-        use labflow_storage::{decode_shipped, OStore, Options, SimVfs, Vfs};
+        use labflow_storage::{decode_shipped, Engine, Options, Profile, SimVfs, Vfs};
         let sim: Arc<dyn Vfs> = Arc::new(SimVfs::new(7));
         let store: Arc<dyn StorageManager> = Arc::new(
-            OStore::create_with(sim, &std::path::PathBuf::from("/sim/db"), Options::default())
+            Engine::create_with(sim, "/sim/db".as_ref(), Profile::ostore(), Options::default())
                 .unwrap(),
         );
         let from = store.replication_lsn().unwrap();
@@ -447,10 +447,10 @@ mod tests {
     /// that names the gap (the commit itself is already durable).
     #[test]
     fn commit_waits_for_ack_quorum() {
-        use labflow_storage::{OStore, Options, SimVfs, Vfs};
+        use labflow_storage::{Engine, Options, Profile, SimVfs, Vfs};
         let sim: Arc<dyn Vfs> = Arc::new(SimVfs::new(9));
         let store: Arc<dyn StorageManager> = Arc::new(
-            OStore::create_with(sim, &std::path::PathBuf::from("/sim/db"), Options::default())
+            Engine::create_with(sim, "/sim/db".as_ref(), Profile::ostore(), Options::default())
                 .unwrap(),
         );
         let db = Arc::new(LabBase::create(store).unwrap());

@@ -2,7 +2,7 @@
 //!
 //! [`Server::start`] binds a listener, spawns an accept thread, and
 //! hands each connection to its own handler thread running
-//! [`conn::serve`]. Connections above the configured cap are refused
+//! `conn::serve`. Connections above the configured cap are refused
 //! with a best-effort `Overloaded` frame before the socket closes —
 //! admission control begins at accept.
 //!

@@ -1,8 +1,8 @@
-//! The page-based storage engine and the three persistent
-//! storage-manager personalities built from it: [`OStore`], [`Texas`],
-//! and [`TexasTc`].
+//! The page-based storage engine behind the three persistent
+//! storage-manager personalities, each of them a [`Profile`]:
+//! [`Profile::ostore`], [`Profile::texas`] and [`Profile::texas_tc`].
 //!
-//! One engine, three [`Profile`]s — mirroring the paper's methodology of
+//! One engine, three profiles — mirroring the paper's methodology of
 //! running "virtually the same LabBase implementation" over different
 //! storage managers so that only the storage architecture varies.
 //!
@@ -20,9 +20,9 @@ use std::time::{Duration, Instant};
 
 use crate::buffer::BufferPool;
 use crate::error::{RecoveryError, Result, StorageError};
-use crate::heap::{Heap, HeapContention, Placement};
+use crate::heap::{Heap, HeapContention, Placement, Vis};
 use crate::ids::{ClusterHint, Oid, PageId, SegmentId, TxnId};
-use crate::lock::{LockManager, LockMode};
+use crate::lock::LockManager;
 use crate::lock_order;
 use crate::meta;
 use crate::pagefile::PageFile;
@@ -154,8 +154,10 @@ enum LoserUndo {
     Restore(Vec<u8>),
 }
 
-/// A persistent storage manager: the common engine behind [`OStore`],
-/// [`Texas`], and [`TexasTc`].
+/// A persistent storage manager: the common engine behind the
+/// [`Profile::ostore`], [`Profile::texas`] and [`Profile::texas_tc`]
+/// personalities. [`Engine::create`] and [`Engine::open`] take the
+/// profile as data.
 pub struct Engine {
     profile: Profile,
     vfs: Arc<dyn Vfs>,
@@ -621,9 +623,9 @@ impl Engine {
         }
     }
 
-    fn lock(&self, txn: TxnId, oid: Oid, mode: LockMode) -> Result<()> {
+    fn lock(&self, txn: TxnId, oid: Oid) -> Result<()> {
         if let Some(locks) = &self.locks {
-            locks.acquire(txn, oid, mode)?;
+            locks.acquire(txn, oid)?;
         }
         Ok(())
     }
@@ -640,6 +642,38 @@ impl Engine {
         lock_order::ranked(lock_order::ENGINE_COMMIT_VIS, || {
             self.vis.lock().unwrap_or_else(|e| e.into_inner())
         })
+    }
+
+    /// The newest published commit LSN: the bound every committed-state
+    /// read resolves under. A commit flips its versions one oid at a
+    /// time and publishes its LSN only after the last one, so a read
+    /// bounded here sees a transaction whole or not at all — without
+    /// it, a reader could follow a just-flipped record to an object the
+    /// same transaction allocated and find it still pending.
+    fn published(&self) -> u64 {
+        self.last_visible.load(Ordering::Acquire)
+    }
+
+    /// Run a committed-state read at the published LSN. A miss is final
+    /// only if nothing was published meanwhile: a plain read pins no
+    /// snapshot, so a commit published after the bound was loaded may
+    /// have trimmed the version the bound resolves to, leaving only newer
+    /// (and already published) ones — then the read resolves again at
+    /// the new bound.
+    fn at_published<T>(&self, read: impl Fn(u64) -> Result<T>) -> Result<T> {
+        let mut lsn = self.published();
+        loop {
+            match read(lsn) {
+                Err(StorageError::UnknownObject(oid)) => {
+                    let now = self.published();
+                    if now == lsn {
+                        return Err(StorageError::UnknownObject(oid));
+                    }
+                    lsn = now;
+                }
+                done => return done,
+            }
+        }
     }
 
     /// Open-snapshot registry lock (rank [`lock_order::ENGINE_SNAPSHOTS`]).
@@ -676,7 +710,7 @@ impl Engine {
     ) -> Result<()> {
         self.require_txn(txn)?;
         self.heap.replica_alloc(oid, seg, hint, data, txn.raw())?;
-        self.lock(txn, oid, LockMode::Exclusive)?;
+        self.lock(txn, oid)?;
         self.touch(txn, oid);
         self.log(WalRecord::Alloc { txn: txn.raw(), oid, seg, hint, data: data.to_vec() })?;
         Ok(())
@@ -933,30 +967,24 @@ impl StorageManager for Engine {
         // fresh slots — at worst the image leaves an unreferenced slot
         // (`unlogged_allocation_image_is_harmless`).
         let oid = self.heap.alloc(seg, hint, data, txn.raw())?;
-        self.lock(txn, oid, LockMode::Exclusive)?;
+        self.lock(txn, oid)?;
         self.touch(txn, oid);
         self.log(WalRecord::Alloc { txn: txn.raw(), oid, seg, hint, data: data.to_vec() })?;
         Ok(oid)
     }
 
     fn read(&self, oid: Oid) -> Result<Vec<u8>> {
-        self.heap.read(oid)
-    }
-
-    fn read_in(&self, txn: TxnId, oid: Oid) -> Result<Vec<u8>> {
-        self.require_txn(txn)?;
-        self.lock(txn, oid, LockMode::Shared)?;
-        self.heap.read_for(oid, txn.raw())
+        self.at_published(|lsn| self.heap.read_vis(oid, Vis::At(lsn)))
     }
 
     fn lock_exclusive(&self, txn: TxnId, oid: Oid) -> Result<()> {
         self.require_txn(txn)?;
-        self.lock(txn, oid, LockMode::Exclusive)
+        self.lock(txn, oid)
     }
 
     fn update(&self, txn: TxnId, oid: Oid, data: &[u8]) -> Result<()> {
         self.require_txn(txn)?;
-        self.lock(txn, oid, LockMode::Exclusive)?;
+        self.lock(txn, oid)?;
         if self.profile.wal {
             // Write-ahead: the record (with its before-image) enters the
             // log buffer before the heap mutates, so the stamp the pool
@@ -981,7 +1009,7 @@ impl StorageManager for Engine {
 
     fn free(&self, txn: TxnId, oid: Oid) -> Result<()> {
         self.require_txn(txn)?;
-        self.lock(txn, oid, LockMode::Exclusive)?;
+        self.lock(txn, oid)?;
         if self.profile.wal {
             // The logged before-image serves recovery; an in-memory
             // abort just discards the pending tombstone, leaving the
@@ -1000,7 +1028,9 @@ impl StorageManager for Engine {
     }
 
     fn exists(&self, oid: Oid) -> bool {
-        self.heap.exists(oid)
+        let visible = |lsn| self.heap.exists_vis(oid, Vis::At(lsn));
+        self.at_published(|lsn| visible(lsn).then_some(()).ok_or(StorageError::UnknownObject(oid)))
+            .is_ok()
     }
 
     fn begin_snapshot(&self) -> Result<Snapshot> {
@@ -1038,11 +1068,13 @@ impl StorageManager for Engine {
     }
 
     fn read_for(&self, txn: TxnId, oid: Oid) -> Result<Vec<u8>> {
-        self.heap.read_for(oid, txn.raw())
+        self.at_published(|lsn| self.heap.read_vis(oid, Vis::For(txn.raw(), lsn)))
     }
 
     fn exists_for(&self, txn: TxnId, oid: Oid) -> bool {
-        self.heap.exists_for(oid, txn.raw())
+        let visible = |lsn| self.heap.exists_vis(oid, Vis::For(txn.raw(), lsn));
+        self.at_published(|lsn| visible(lsn).then_some(()).ok_or(StorageError::UnknownObject(oid)))
+            .is_ok()
     }
 
     fn checkpoint(&self) -> Result<()> {
@@ -1163,83 +1195,6 @@ impl StorageManager for Engine {
     }
 }
 
-/// Constructor namespace for the ObjectStore-like backend.
-pub struct OStore;
-
-impl OStore {
-    /// Create a fresh OStore-profile store at `dir`.
-    pub fn create(dir: &Path, opts: Options) -> Result<Engine> {
-        Engine::create(dir, Profile::ostore(), opts)
-    }
-
-    /// Open an existing OStore-profile store, running crash recovery.
-    pub fn open(dir: &Path, opts: Options) -> Result<Engine> {
-        Engine::open(dir, Profile::ostore(), opts)
-    }
-
-    /// Create a fresh OStore-profile store on an arbitrary [`Vfs`].
-    pub fn create_with(vfs: Arc<dyn Vfs>, dir: &Path, opts: Options) -> Result<Engine> {
-        Engine::create_with(vfs, dir, Profile::ostore(), opts)
-    }
-
-    /// Open an OStore-profile store on an arbitrary [`Vfs`], running
-    /// crash recovery.
-    pub fn open_with(vfs: Arc<dyn Vfs>, dir: &Path, opts: Options) -> Result<Engine> {
-        Engine::open_with(vfs, dir, Profile::ostore(), opts)
-    }
-}
-
-/// Constructor namespace for the Texas-like backend.
-pub struct Texas;
-
-impl Texas {
-    /// Create a fresh Texas-profile store at `dir`.
-    pub fn create(dir: &Path, opts: Options) -> Result<Engine> {
-        Engine::create(dir, Profile::texas(), opts)
-    }
-
-    /// Open an existing Texas-profile store (recovers to last checkpoint).
-    pub fn open(dir: &Path, opts: Options) -> Result<Engine> {
-        Engine::open(dir, Profile::texas(), opts)
-    }
-
-    /// Create a fresh Texas-profile store on an arbitrary [`Vfs`].
-    pub fn create_with(vfs: Arc<dyn Vfs>, dir: &Path, opts: Options) -> Result<Engine> {
-        Engine::create_with(vfs, dir, Profile::texas(), opts)
-    }
-
-    /// Open a Texas-profile store on an arbitrary [`Vfs`] (recovers to
-    /// last checkpoint).
-    pub fn open_with(vfs: Arc<dyn Vfs>, dir: &Path, opts: Options) -> Result<Engine> {
-        Engine::open_with(vfs, dir, Profile::texas(), opts)
-    }
-}
-
-/// Constructor namespace for the Texas-with-client-clustering backend.
-pub struct TexasTc;
-
-impl TexasTc {
-    /// Create a fresh Texas+TC-profile store at `dir`.
-    pub fn create(dir: &Path, opts: Options) -> Result<Engine> {
-        Engine::create(dir, Profile::texas_tc(), opts)
-    }
-
-    /// Open an existing Texas+TC-profile store.
-    pub fn open(dir: &Path, opts: Options) -> Result<Engine> {
-        Engine::open(dir, Profile::texas_tc(), opts)
-    }
-
-    /// Create a fresh Texas+TC-profile store on an arbitrary [`Vfs`].
-    pub fn create_with(vfs: Arc<dyn Vfs>, dir: &Path, opts: Options) -> Result<Engine> {
-        Engine::create_with(vfs, dir, Profile::texas_tc(), opts)
-    }
-
-    /// Open a Texas+TC-profile store on an arbitrary [`Vfs`].
-    pub fn open_with(vfs: Arc<dyn Vfs>, dir: &Path, opts: Options) -> Result<Engine> {
-        Engine::open_with(vfs, dir, Profile::texas_tc(), opts)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1259,7 +1214,7 @@ mod tests {
     #[test]
     fn ostore_basic_txn_cycle() {
         let dir = tmpdir("ost-basic");
-        let store = OStore::create(&dir, Options::default()).unwrap();
+        let store = Engine::create(&dir, Profile::ostore(), Options::default()).unwrap();
         assert_eq!(store.name(), "OStore");
         assert!(store.supports_concurrency());
         let t = store.begin().unwrap();
@@ -1276,7 +1231,7 @@ mod tests {
     #[test]
     fn ostore_abort_rolls_back() {
         let dir = tmpdir("ost-abort");
-        let store = OStore::create(&dir, Options::default()).unwrap();
+        let store = Engine::create(&dir, Profile::ostore(), Options::default()).unwrap();
         let t0 = store.begin().unwrap();
         let keep = store.allocate(t0, SegmentId(0), ClusterHint::NONE, b"keep").unwrap();
         store.commit(t0).unwrap();
@@ -1292,38 +1247,28 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Blocking until commit or abort is checked on every backend in
+    /// `tests/trait_level.rs`; here, that a lock taken without writing
+    /// makes a rival's update give up with a typed `LockTimeout`.
     #[test]
     fn lock_exclusive_serializes_without_touching_the_object() {
         let dir = tmpdir("ost-lockx");
         let opts = Options { lock_timeout: Duration::from_millis(50), ..Options::default() };
-        let store = OStore::create(&dir, opts).unwrap();
+        let store = Engine::create(&dir, Profile::ostore(), opts).unwrap();
         let t0 = store.begin().unwrap();
         let oid = store.allocate(t0, SegmentId(0), ClusterHint::NONE, b"hot").unwrap();
         store.commit(t0).unwrap();
 
-        // Holder takes the lock without writing; a rival's update must
-        // time out, and committed reads stay lock-free.
         let holder = store.begin().unwrap();
         store.lock_exclusive(holder, oid).unwrap();
-        store.lock_exclusive(holder, oid).unwrap(); // re-entrant
-        assert_eq!(store.read(oid).unwrap(), b"hot");
         let rival = store.begin().unwrap();
         assert!(matches!(
             store.update(rival, oid, b"blocked"),
             Err(StorageError::LockTimeout(o)) if o == oid
         ));
         store.abort(rival).unwrap();
-
-        // Abort releases the lock even though nothing was written, and
-        // the object is untouched.
         store.abort(holder).unwrap();
-        let t = store.begin().unwrap();
-        store.update(t, oid, b"after").unwrap();
-        store.commit(t).unwrap();
-        assert_eq!(store.read(oid).unwrap(), b"after");
-
-        // Dead transactions cannot lock.
-        assert!(matches!(store.lock_exclusive(t, oid), Err(StorageError::UnknownTxn(_))));
+        assert_eq!(store.read(oid).unwrap(), b"hot");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1333,7 +1278,7 @@ mod tests {
         let committed_oid;
         let uncommitted_oid;
         {
-            let store = OStore::create(&dir, Options::default()).unwrap();
+            let store = Engine::create(&dir, Profile::ostore(), Options::default()).unwrap();
             let t1 = store.begin().unwrap();
             committed_oid =
                 store.allocate(t1, SegmentId(1), ClusterHint::NONE, b"durable").unwrap();
@@ -1343,7 +1288,7 @@ mod tests {
                 store.allocate(t2, SegmentId(1), ClusterHint::NONE, b"lost").unwrap();
             // No commit, no checkpoint: simulate a crash by dropping.
         }
-        let store = OStore::open(&dir, Options::default()).unwrap();
+        let store = Engine::open(&dir, Profile::ostore(), Options::default()).unwrap();
         assert_eq!(store.read(committed_oid).unwrap(), b"durable");
         assert!(!store.exists(uncommitted_oid));
         std::fs::remove_dir_all(&dir).ok();
@@ -1359,7 +1304,8 @@ mod tests {
         let opts = Options { buffer_pages: 2, sync_commit: true, ..Options::default() };
         let committed;
         {
-            let store = OStore::create_with(vfs.clone(), &dir, opts.clone()).unwrap();
+            let store =
+                Engine::create_with(vfs.clone(), &dir, Profile::ostore(), opts.clone()).unwrap();
             let t = store.begin().unwrap();
             committed = store.allocate(t, SegmentId(0), ClusterHint::NONE, b"stable").unwrap();
             store.commit(t).unwrap();
@@ -1373,7 +1319,7 @@ mod tests {
             }
             // Crash with t2 uncommitted.
         }
-        let store = OStore::open_with(vfs, &dir, opts).unwrap();
+        let store = Engine::open_with(vfs, &dir, Profile::ostore(), opts).unwrap();
         assert_eq!(store.read(committed).unwrap(), b"stable");
     }
 
@@ -1383,7 +1329,7 @@ mod tests {
         let before;
         let after;
         {
-            let store = Texas::create(&dir, Options::default()).unwrap();
+            let store = Engine::create(&dir, Profile::texas(), Options::default()).unwrap();
             let t = store.begin().unwrap();
             before = store.allocate(t, SegmentId(0), ClusterHint::NONE, b"checkpointed").unwrap();
             store.commit(t).unwrap();
@@ -1393,7 +1339,7 @@ mod tests {
             store.commit(t).unwrap();
             // Crash without checkpoint.
         }
-        let store = Texas::open(&dir, Options::default()).unwrap();
+        let store = Engine::open(&dir, Profile::texas(), Options::default()).unwrap();
         assert_eq!(store.read(before).unwrap(), b"checkpointed");
         assert!(!store.exists(after), "Texas loses post-checkpoint work by contract");
         std::fs::remove_dir_all(&dir).ok();
@@ -1402,7 +1348,7 @@ mod tests {
     #[test]
     fn texas_is_single_user_and_cannot_abort() {
         let dir = tmpdir("tex-single");
-        let store = Texas::create(&dir, Options::default()).unwrap();
+        let store = Engine::create(&dir, Profile::texas(), Options::default()).unwrap();
         assert!(!store.supports_concurrency());
         let t1 = store.begin().unwrap();
         assert!(matches!(store.begin(), Err(StorageError::SingleUser)));
@@ -1417,8 +1363,8 @@ mod tests {
     fn texas_databases_are_fatter_than_ostore() {
         let dir_o = tmpdir("size-o");
         let dir_t = tmpdir("size-t");
-        let o = OStore::create(&dir_o, Options::default()).unwrap();
-        let x = Texas::create(&dir_t, Options::default()).unwrap();
+        let o = Engine::create(&dir_o, Profile::ostore(), Options::default()).unwrap();
+        let x = Engine::create(&dir_t, Profile::texas(), Options::default()).unwrap();
         for store in [&o, &x] {
             let t = store.begin().unwrap();
             for i in 0..2000u32 {
@@ -1470,20 +1416,23 @@ mod tests {
     #[test]
     fn create_twice_fails_open_missing_fails() {
         let dir = tmpdir("dupes");
-        let _s = OStore::create(&dir, Options::default()).unwrap();
+        let _s = Engine::create(&dir, Profile::ostore(), Options::default()).unwrap();
         assert!(matches!(
-            OStore::create(&dir, Options::default()),
+            Engine::create(&dir, Profile::ostore(), Options::default()),
             Err(StorageError::BadPath(_))
         ));
         let missing = tmpdir("missing");
-        assert!(matches!(OStore::open(&missing, Options::default()), Err(StorageError::BadPath(_))));
+        assert!(matches!(
+            Engine::open(&missing, Profile::ostore(), Options::default()),
+            Err(StorageError::BadPath(_))
+        ));
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn operations_require_live_txn() {
         let dir = tmpdir("livetxn");
-        let store = OStore::create(&dir, Options::default()).unwrap();
+        let store = Engine::create(&dir, Profile::ostore(), Options::default()).unwrap();
         let t = store.begin().unwrap();
         let oid = store.allocate(t, SegmentId(0), ClusterHint::NONE, b"x").unwrap();
         store.commit(t).unwrap();
@@ -1497,10 +1446,13 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Readers in open transactions run side by side: `read_for` takes
+    /// no lock, so four concurrent scans of the same objects all see the
+    /// committed values.
     #[test]
     fn concurrent_readers_on_ostore() {
         let dir = tmpdir("conc");
-        let store = Arc::new(OStore::create(&dir, Options::default()).unwrap());
+        let store = Arc::new(Engine::create(&dir, Profile::ostore(), Options::default()).unwrap());
         let t = store.begin().unwrap();
         let mut oids = Vec::new();
         for i in 0..200u32 {
@@ -1516,7 +1468,7 @@ mod tests {
                 let t = store.begin().unwrap();
                 let mut sum = 0u64;
                 for &oid in oids.iter() {
-                    let v = store.read_in(t, oid).unwrap();
+                    let v = store.read_for(t, oid).unwrap();
                     sum += u32::from_le_bytes(v.try_into().unwrap()) as u64;
                 }
                 store.commit(t).unwrap();
@@ -1536,7 +1488,7 @@ mod tests {
         let vfs: Arc<dyn Vfs> = Arc::new(sim.clone());
         let dir = PathBuf::from("/sim/store");
         let opts = Options { sync_commit: true, ..Options::default() };
-        let store = OStore::create_with(vfs, &dir, opts.clone()).unwrap();
+        let store = Engine::create_with(vfs, &dir, Profile::ostore(), opts.clone()).unwrap();
         let t = store.begin().unwrap();
         let oid = store.allocate(t, SegmentId(0), ClusterHint::NONE, b"survives").unwrap();
         store.commit(t).unwrap();
@@ -1545,7 +1497,7 @@ mod tests {
         let after = sim.clone_durable();
         after.power_loss();
         let vfs2: Arc<dyn Vfs> = Arc::new(after);
-        let store2 = OStore::open_with(vfs2, &dir, opts).unwrap();
+        let store2 = Engine::open_with(vfs2, &dir, Profile::ostore(), opts).unwrap();
         assert_eq!(store2.read(oid).unwrap(), b"survives");
     }
     #[test]
@@ -1558,7 +1510,7 @@ mod tests {
         const TXNS: u32 = 320;
         let dir = tmpdir("gate-2c");
         let opts = Options { buffer_pages: 64, sync_commit: true, ..Options::default() };
-        let store = Arc::new(OStore::create(&dir, opts).unwrap());
+        let store = Arc::new(Engine::create(&dir, Profile::ostore(), opts).unwrap());
         let payload = |t: u8, i: u32, rev: u8| -> Vec<u8> {
             (0..1800u32).map(|b| (b as u8) ^ t ^ (i as u8) ^ rev.wrapping_mul(31)).collect()
         };
@@ -1624,7 +1576,7 @@ mod tests {
         // machine stays up, and recovery must find every commit.
         const TXNS: u8 = 200;
         let dir = tmpdir("nosync");
-        let store = Arc::new(OStore::create(&dir, Options::default()).unwrap());
+        let store = Arc::new(Engine::create(&dir, Profile::ostore(), Options::default()).unwrap());
         let clients: Vec<_> = (0..2u8)
             .map(|t| {
                 let store = store.clone();
@@ -1649,7 +1601,7 @@ mod tests {
         assert_eq!(store.stats().commits, 2 * u64::from(TXNS));
         drop(store);
 
-        let store = OStore::open(&dir, Options::default()).unwrap();
+        let store = Engine::open(&dir, Profile::ostore(), Options::default()).unwrap();
         assert!(store.stats().wal_frames_replayed > 0);
         for (t, oids) in written.iter().enumerate() {
             for (i, &oid) in oids.iter().enumerate() {
@@ -1683,7 +1635,7 @@ mod tests {
     fn build_forty(dir: &Path, opts: &Options, seed: u64, more: impl Fn(&Engine, &[Oid])) -> Built {
         let sim = SimVfs::new(seed);
         let vfs: Arc<dyn Vfs> = Arc::new(sim.clone());
-        let store = OStore::create_with(vfs.clone(), dir, opts.clone()).unwrap();
+        let store = Engine::create_with(vfs.clone(), dir, Profile::ostore(), opts.clone()).unwrap();
         let txn = store.begin().unwrap();
         let oids: Vec<Oid> = (0..40)
             .map(|_| store.allocate(txn, SegmentId(0), ClusterHint::NONE, &[0; 700]).unwrap())
@@ -1726,7 +1678,7 @@ mod tests {
                 drop(store);
                 sim.power_loss();
                 let ctx = format!("seed {seed}, op {k}");
-                let store = OStore::open_with(vfs.clone(), dir, opts.clone())
+                let store = Engine::open_with(vfs.clone(), dir, Profile::ostore(), opts.clone())
                     .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
                 let seen: Vec<Vec<u8>> = oids.iter().map(|&o| store.read(o).unwrap()).collect();
                 let v = seen[0][0];
@@ -1742,7 +1694,7 @@ mod tests {
                 drop(store);
                 // Recovery checkpointed what it found: opening again
                 // finds the same.
-                let store = OStore::open_with(vfs.clone(), dir, opts.clone())
+                let store = Engine::open_with(vfs.clone(), dir, Profile::ostore(), opts.clone())
                     .unwrap_or_else(|e| panic!("{ctx}: second open failed: {e}"));
                 let again: Vec<Vec<u8>> = oids.iter().map(|&o| store.read(o).unwrap()).collect();
                 assert!(again == seen, "{ctx}: reopening the recovered store changed it");
@@ -1834,7 +1786,8 @@ mod tests {
         let build = |seed| {
             let sim = SimVfs::new(seed);
             let vfs: Arc<dyn Vfs> = Arc::new(sim.clone());
-            let store = OStore::create_with(vfs.clone(), &dir, opts.clone()).unwrap();
+            let store =
+                Engine::create_with(vfs.clone(), &dir, Profile::ostore(), opts.clone()).unwrap();
             let txn = store.begin().unwrap();
             let oids: Vec<Oid> = (0..N)
                 .map(|_| store.allocate(txn, SegmentId(0), ClusterHint::NONE, &[0; 40]).unwrap())
@@ -1879,7 +1832,7 @@ mod tests {
                     assert!(!finished, "{ctx}");
                     assert_eq!((image.segments, image.state.epoch), (1, epoch - 1), "{ctx}");
                 }
-                let store = OStore::open_with(vfs.clone(), &dir, opts.clone())
+                let store = Engine::open_with(vfs.clone(), &dir, Profile::ostore(), opts.clone())
                     .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
                 assert!(oids.iter().all(|&o| store.read(o).unwrap() == [1; 40]), "{ctx}");
                 assert_eq!(store.object_count(), N, "{ctx}");
@@ -1975,10 +1928,10 @@ mod tests {
         let vfs: Arc<dyn Vfs> = Arc::new(SimVfs::new(5));
         let dir = PathBuf::from("/sim/parked");
         let opts = Options { buffer_pages: 16, ..Options::default() };
-        let store = OStore::create_with(vfs.clone(), &dir, opts.clone()).unwrap();
-        let alloc = |txn, data: &[u8]| {
-            store.allocate(txn, SegmentId(0), ClusterHint::NONE, data).unwrap()
-        };
+        let store =
+            Engine::create_with(vfs.clone(), &dir, Profile::ostore(), opts.clone()).unwrap();
+        let alloc =
+            |txn, data: &[u8]| store.allocate(txn, SegmentId(0), ClusterHint::NONE, data).unwrap();
         let txn = store.begin().unwrap();
         // A thousand pages, so that the chunk's next-page word reads as
         // a slot directory too long for compaction to make room under.
@@ -2005,7 +1958,7 @@ mod tests {
         // the overwritten page among them, is what recovery reads.
         drop(store);
 
-        let store = OStore::open_with(vfs.clone(), &dir, opts).unwrap();
+        let store = Engine::open_with(vfs.clone(), &dir, Profile::ostore(), opts).unwrap();
         assert_eq!(store.read(big).unwrap(), vec![0xFF; 6000]);
         for (&oid, want) in kept.iter().zip(&want) {
             assert_eq!(&store.read(oid).unwrap(), want);
@@ -2030,7 +1983,8 @@ mod tests {
         let vfs: Arc<dyn Vfs> = Arc::new(sim.clone());
         let dir = PathBuf::from("/sim/alloc-stamp");
         let opts = Options::default();
-        let store = OStore::create_with(vfs.clone(), &dir, opts.clone()).unwrap();
+        let store =
+            Engine::create_with(vfs.clone(), &dir, Profile::ostore(), opts.clone()).unwrap();
         let txn = store.begin().unwrap();
         let kept = store.allocate(txn, SegmentId(0), ClusterHint::NONE, b"committed").unwrap();
         store.commit(txn).unwrap();
@@ -2051,7 +2005,7 @@ mod tests {
         drop(store);
         sim.power_loss();
 
-        let store = OStore::open_with(vfs.clone(), &dir, opts).unwrap();
+        let store = Engine::open_with(vfs.clone(), &dir, Profile::ostore(), opts).unwrap();
         assert_eq!(store.read(kept).unwrap(), b"committed");
         assert!(!store.exists(lost), "an allocation whose record was lost does not exist");
         let txn = store.begin().unwrap();

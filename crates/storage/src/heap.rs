@@ -167,14 +167,14 @@ const MAX_CHAIN: usize = 8;
 
 /// Visibility rule a read resolves the chain under.
 #[derive(Clone, Copy, Debug)]
-enum Vis {
+pub(crate) enum Vis {
     /// Newest committed version.
     Latest,
     /// Newest version committed at or before this LSN (snapshot read).
     At(u64),
-    /// This transaction's own pending version if any, else latest
-    /// committed.
-    For(u64),
+    /// This transaction's own pending version if any, else the newest
+    /// version committed at or before the LSN: `For(txn, lsn)`.
+    For(u64, u64),
 }
 
 /// Reader-slot value meaning "not inside any read-side critical section".
@@ -343,7 +343,7 @@ pub struct HeapContention {
     pub segments: Vec<u64>,
 }
 
-/// Where one segment's bytes are, from [`Heap::space_report`]. For the
+/// Where one segment's bytes are, from the heap's space report. For the
 /// slotted pages, `live + dead + gap + dir` is exactly `pages` payloads.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SegmentSpace {
@@ -866,7 +866,9 @@ impl Heap {
         match vis {
             Vis::Latest => chain.iter().find(|v| v.txn == 0),
             Vis::At(lsn) => chain.iter().find(|v| v.txn == 0 && v.lsn <= lsn),
-            Vis::For(txn) => chain.iter().find(|v| v.txn == txn || v.txn == 0),
+            Vis::For(txn, lsn) => {
+                chain.iter().find(|v| v.txn == txn || (v.txn == 0 && v.lsn <= lsn))
+            }
         }
     }
 
@@ -1057,16 +1059,14 @@ impl Heap {
         self.next_oid.fetch_max(next, Ordering::Relaxed);
     }
 
-    /// Read an object's payload (newest committed version), latch-free:
-    /// the version location is resolved through the lock-free
-    /// most-recent view and the page (and overflow-chain) access runs
-    /// with no heap lock held, protected by the epoch pin alone.
+    /// Read an object's payload (newest committed version).
+    #[cfg(test)]
     pub fn read(&self, oid: Oid) -> Result<Vec<u8>> {
         self.read_vis(oid, Vis::Latest)
     }
 
     /// Read the newest version committed at or before `lsn` (snapshot
-    /// read). Latch-free like [`Heap::read`].
+    /// read). Latch-free like every committed-state read.
     pub fn read_at(&self, oid: Oid, lsn: u64) -> Result<Vec<u8>> {
         StorageStats::bump(&self.stats.snapshot_reads, 1);
         self.read_vis(oid, Vis::At(lsn))
@@ -1075,15 +1075,20 @@ impl Heap {
     /// Read as seen by `txn`: its own pending version if it has one,
     /// else the newest committed version.
     pub fn read_for(&self, oid: Oid, txn: u64) -> Result<Vec<u8>> {
-        self.read_vis(oid, Vis::For(txn))
+        self.read_vis(oid, Vis::For(txn, u64::MAX))
     }
 
-    fn read_vis(&self, oid: Oid, vis: Vis) -> Result<Vec<u8>> {
+    /// Read the version `vis` resolves to. Committed-state reads are
+    /// latch-free: the version location is resolved through the
+    /// lock-free most-recent view and the page (and overflow-chain)
+    /// access runs with no heap lock held, protected by the epoch pin
+    /// alone.
+    pub(crate) fn read_vis(&self, oid: Oid, vis: Vis) -> Result<Vec<u8>> {
         let _pin = self.pin_epoch();
         let loc = match vis {
             // A transaction's own reads must see its pending version,
             // which lives only in the locked table.
-            Vis::For(_) => {
+            Vis::For(..) => {
                 let shard = self.table_read(oid.raw());
                 let chain = shard.chains.get(&oid.raw()).ok_or(StorageError::UnknownObject(oid))?;
                 Self::visible_loc(chain, vis, oid)?
@@ -1126,7 +1131,7 @@ impl Heap {
         let seg = {
             let shard = self.table_read(oid.raw());
             let chain = shard.chains.get(&oid.raw()).ok_or(StorageError::UnknownObject(oid))?;
-            Self::visible_loc(chain, Vis::For(txn), oid)?.seg
+            Self::visible_loc(chain, Vis::For(txn, u64::MAX), oid)?.seg
         };
         StorageStats::bump(&self.stats.updates, 1);
         let seg_idx = self.resolve_seg(&g, seg)?;
@@ -1193,7 +1198,7 @@ impl Heap {
             let mut shard = self.table_write(oid.raw());
             let chain = shard.chains.get_mut(&oid.raw()).ok_or(StorageError::UnknownObject(oid))?;
             // Deleting an object the caller cannot see is an error.
-            Self::visible_loc(chain, Vis::For(txn), oid)?;
+            Self::visible_loc(chain, Vis::For(txn, u64::MAX), oid)?;
             if txn != 0 {
                 // A pending tombstone leaves the committed suffix (and
                 // so the view) untouched until `commit_version`.
@@ -1461,6 +1466,7 @@ impl Heap {
     }
 
     /// Whether an object exists (newest committed version is data).
+    #[cfg(test)]
     pub fn exists(&self, oid: Oid) -> bool {
         self.exists_vis(oid, Vis::Latest)
     }
@@ -1471,13 +1477,15 @@ impl Heap {
     }
 
     /// Whether the object exists as seen by `txn` (own writes included).
+    #[cfg(test)]
     pub fn exists_for(&self, oid: Oid, txn: u64) -> bool {
-        self.exists_vis(oid, Vis::For(txn))
+        self.exists_vis(oid, Vis::For(txn, u64::MAX))
     }
 
-    fn exists_vis(&self, oid: Oid, vis: Vis) -> bool {
+    /// Whether `vis` resolves to a live version of the object.
+    pub(crate) fn exists_vis(&self, oid: Oid, vis: Vis) -> bool {
         match vis {
-            Vis::For(_) => {
+            Vis::For(..) => {
                 let shard = self.table_read(oid.raw());
                 shard.chains.get(&oid.raw()).is_some_and(|c| Self::visible_loc(c, vis, oid).is_ok())
             }

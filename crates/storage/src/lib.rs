@@ -6,23 +6,26 @@
 //! benchmark through LabBase, a workflow DBMS implemented on top of an
 //! *object storage manager*. The paper compares five storage-manager
 //! configurations; this crate reproduces all five behind a single
-//! [`StorageManager`] trait:
+//! [`StorageManager`] trait. The three persistent ones are one page-based
+//! [`Engine`] run with a different [`Profile`] — the difference between
+//! server versions is data, not code:
 //!
-//! * [`OStore`] — modelled on ObjectStore v3.0: a page-based store with a
-//!   buffer pool, a page-level lock manager (concurrent access allowed),
-//!   write-ahead logging with checkpoints, and — critically for the paper's
-//!   conclusions — **placement segments** that let the client control
-//!   locality of reference (three small hot segments plus one large cold
-//!   segment, per the paper's Section 5.1).
-//! * [`Texas`] — modelled on the Texas persistent store v0.3: a persistent
-//!   heap with pointer swizzling at page-fault time. Allocation proceeds
-//!   strictly in address order, so the client has **no control over
-//!   locality**; the store is single-user and accesses its file directly
-//!   (no log, durability at explicit checkpoints only).
-//! * [`TexasTc`] — the same Texas storage manager plus *client-implemented*
-//!   object clustering: allocations carrying the same [`ClusterHint`] are
-//!   grouped into shared chunks, approximating what the paper calls the
-//!   "Texas+TC" server version.
+//! * [`Profile::ostore`] — modelled on ObjectStore v3.0: a page-based
+//!   store with a buffer pool, an exclusive-only object lock manager
+//!   (concurrent transactions allowed; readers never lock, they read
+//!   version chains), write-ahead logging with checkpoints, and —
+//!   critically for the paper's conclusions — **placement segments** that
+//!   let the client control locality of reference (three small hot
+//!   segments plus one large cold segment, per the paper's Section 5.1).
+//! * [`Profile::texas`] — modelled on the Texas persistent store v0.3: a
+//!   persistent heap with pointer swizzling at page-fault time. Allocation
+//!   proceeds strictly in address order, so the client has **no control
+//!   over locality**; the store is single-user and accesses its file
+//!   directly (no log, durability at explicit checkpoints only).
+//! * [`Profile::texas_tc`] — the same Texas storage manager plus
+//!   *client-implemented* object clustering: allocations carrying the same
+//!   [`ClusterHint`] are grouped into shared chunks, approximating what the
+//!   paper calls the "Texas+TC" server version.
 //! * [`MemStore`] (×2, via [`MemStore::ostore_mm`] / [`MemStore::texas_mm`])
 //!   — the `-mm` versions: the same API with storage management compiled
 //!   out; everything lives in main memory and nothing is persistent.
@@ -37,10 +40,10 @@
 //! ## Example
 //!
 //! ```
-//! use labflow_storage::{OStore, Options, StorageManager, SegmentId, ClusterHint};
+//! use labflow_storage::{ClusterHint, Engine, Options, Profile, SegmentId, StorageManager};
 //!
 //! let dir = std::env::temp_dir().join(format!("lfs-doc-{}", std::process::id()));
-//! let store = OStore::create(&dir, Options::default()).unwrap();
+//! let store = Engine::create(&dir, Profile::ostore(), Options::default()).unwrap();
 //! let txn = store.begin().unwrap();
 //! let oid = store
 //!     .allocate(txn, SegmentId::DEFAULT, ClusterHint::NONE, b"hello workflow")
@@ -74,7 +77,7 @@ mod waits;
 mod wal;
 
 pub use checksum::{fnv1a, fnv1a_multi};
-pub use engine::{Engine, OStore, Options, Profile, Texas, TexasTc};
+pub use engine::{Engine, Options, Profile};
 pub use heap::{HeapContention, SegmentSpace};
 pub use error::{RecoveryError, Result, StorageError};
 pub use ids::{ClusterHint, Oid, PageId, SegmentId, Slot, TxnId};

@@ -1,10 +1,16 @@
-//! A striped two-phase lock manager for the ObjectStore-like backend.
+//! A striped, exclusive-only two-phase lock manager for the
+//! ObjectStore-like profile and the `OStore-mm` store.
 //!
 //! ObjectStore mediated all access through a page server with lock-based
 //! concurrency control; the Texas store was single-user. We reproduce the
-//! distinction at object granularity: [`OStore`](crate::OStore)
-//! transactions take shared/exclusive object locks held until
-//! commit/abort, with a timeout as deadlock avoidance.
+//! distinction at object granularity: transactions of the
+//! [`Profile::ostore`](crate::Profile::ostore) engine take exclusive
+//! object locks — on every write, and explicitly through
+//! [`StorageManager::lock_exclusive`](crate::StorageManager::lock_exclusive)
+//! — held until commit/abort, with a timeout as deadlock avoidance.
+//! There is no shared mode: readers go through version chains
+//! (committed state, a snapshot, or their own transaction's view) and
+//! never lock, so a lock is only ever wanted by a writer.
 //!
 //! Waiters block on a per-shard condition variable and are woken when any
 //! lock in the shard is released, so contended acquisition costs no
@@ -22,25 +28,9 @@ use crate::error::{Result, StorageError};
 use crate::ids::{Oid, TxnId};
 use crate::lock_order::{self, Ranked};
 
-/// Requested lock mode.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum LockMode {
-    /// Shared (read) lock; compatible with other shared locks.
-    Shared,
-    /// Exclusive (write) lock.
-    Exclusive,
-}
-
-#[derive(Default)]
-struct LockState {
-    /// Transactions holding the lock shared.
-    shared: Vec<u64>,
-    /// Transaction holding it exclusive, if any.
-    exclusive: Option<u64>,
-}
-
 struct Shard {
-    states: StdMutex<HashMap<u64, LockState>>,
+    /// Locked oid → the transaction holding it.
+    holders: StdMutex<HashMap<u64, u64>>,
     /// Signalled whenever a lock in this shard is released.
     released: Condvar,
 }
@@ -49,15 +39,15 @@ impl Shard {
     /// Lock the shard with rank tracking, recovering from poisoning: a
     /// committer that panicked while holding the shard must not wedge
     /// every later transaction hashing to it.
-    fn lock(&self) -> Ranked<MutexGuard<'_, HashMap<u64, LockState>>> {
+    fn lock(&self) -> Ranked<MutexGuard<'_, HashMap<u64, u64>>> {
         lock_order::ranked(lock_order::LOCK_SHARD, || self.raw_lock())
     }
 
     /// Poison-recovering lock without a rank token, for callers that
     /// must hand the bare guard to a condvar wait (the token is then
     /// managed explicitly alongside).
-    fn raw_lock(&self) -> MutexGuard<'_, HashMap<u64, LockState>> {
-        self.states.lock().unwrap_or_else(|e| e.into_inner())
+    fn raw_lock(&self) -> MutexGuard<'_, HashMap<u64, u64>> {
+        self.holders.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -76,7 +66,7 @@ impl LockManager {
     pub fn new(timeout: Duration) -> Self {
         LockManager {
             shards: (0..SHARDS)
-                .map(|_| Shard { states: StdMutex::new(HashMap::new()), released: Condvar::new() })
+                .map(|_| Shard { holders: StdMutex::new(HashMap::new()), released: Condvar::new() })
                 .collect(),
             held: Mutex::new(HashMap::new()),
             timeout,
@@ -87,51 +77,28 @@ impl LockManager {
         &self.shards[(oid.raw() as usize) % SHARDS]
     }
 
-    /// Acquire `mode` on `oid` for `txn`, blocking up to the timeout.
-    /// Re-acquisition and shared→exclusive upgrade (as sole holder) are
-    /// allowed.
-    pub fn acquire(&self, txn: TxnId, oid: Oid, mode: LockMode) -> Result<()> {
+    /// Acquire the lock on `oid` for `txn`, blocking up to the timeout.
+    /// Re-acquisition by the holder is granted at once.
+    pub fn acquire(&self, txn: TxnId, oid: Oid) -> Result<()> {
         let deadline = Instant::now() + self.timeout;
         let t = txn.raw();
         let shard = self.shard(oid);
         // Explicit token: the guard below is consumed and re-produced by
         // the condvar wait, so it cannot carry the rank itself.
         let _rank = lock_order::acquire(lock_order::LOCK_SHARD);
-        let mut states = shard.raw_lock();
+        let mut holders = shard.raw_lock();
         // Wait attribution: timing starts only when the request actually
         // blocks, so uncontended acquisitions stay free of clock reads.
         let mut waited: Option<Instant> = None;
         let result = loop {
-            let state = states.entry(oid.raw()).or_default();
-            let granted = match mode {
-                LockMode::Shared => match state.exclusive {
-                    Some(holder) => holder == t,
-                    None => {
-                        if !state.shared.contains(&t) {
-                            state.shared.push(t);
-                            self.note_held(t, oid);
-                        }
-                        true
-                    }
-                },
-                LockMode::Exclusive => {
-                    let others_shared = state.shared.iter().any(|&h| h != t);
-                    match state.exclusive {
-                        Some(holder) if holder == t => true,
-                        Some(_) => false,
-                        None if others_shared => false,
-                        None => {
-                            // Possibly an upgrade: drop own shared mark.
-                            state.shared.retain(|&h| h != t);
-                            state.exclusive = Some(t);
-                            self.note_held(t, oid);
-                            true
-                        }
-                    }
+            match holders.get(&oid.raw()) {
+                Some(&holder) if holder == t => break Ok(()),
+                Some(_) => {}
+                None => {
+                    holders.insert(oid.raw(), t);
+                    self.note_held(t, oid);
+                    break Ok(());
                 }
-            };
-            if granted {
-                break Ok(());
             }
             let now = Instant::now();
             if now >= deadline {
@@ -141,9 +108,9 @@ impl LockManager {
             crate::waits::add_lock_condvar_wait();
             let (guard, _) = shard
                 .released
-                .wait_timeout(states, deadline - now)
+                .wait_timeout(holders, deadline - now)
                 .unwrap_or_else(|e| e.into_inner());
-            states = guard;
+            holders = guard;
         };
         if let Some(start) = waited {
             crate::waits::add_lock_wait(start.elapsed().as_nanos() as u64);
@@ -153,10 +120,7 @@ impl LockManager {
 
     fn note_held(&self, txn: u64, oid: Oid) {
         let mut held = lock_order::ranked(lock_order::LOCK_HELD, || self.held.lock());
-        let v = held.entry(txn).or_default();
-        if !v.contains(&oid) {
-            v.push(oid);
-        }
+        held.entry(txn).or_default().push(oid);
     }
 
     /// Release every lock held by `txn` (commit or abort) and wake any
@@ -169,17 +133,8 @@ impl LockManager {
         };
         for oid in oids {
             let shard = self.shard(oid);
-            let mut states = shard.lock();
-            if let Some(state) = states.get_mut(&oid.raw()) {
-                state.shared.retain(|&h| h != t);
-                if state.exclusive == Some(t) {
-                    state.exclusive = None;
-                }
-                if state.shared.is_empty() && state.exclusive.is_none() {
-                    states.remove(&oid.raw());
-                }
-            }
-            drop(states);
+            let holder = shard.lock().remove(&oid.raw());
+            debug_assert_eq!(holder, Some(t), "a held lock belongs to its transaction");
             shard.released.notify_all();
         }
     }
@@ -199,13 +154,15 @@ mod tests {
         LockManager::new(Duration::from_millis(200))
     }
 
+    /// Locks on distinct oids never conflict: two transactions each
+    /// hold one, and both release cleanly.
     #[test]
     fn shared_locks_coexist() {
         let lm = mk();
-        let o = Oid::from_raw(1);
-        lm.acquire(TxnId::from_raw(1), o, LockMode::Shared).unwrap();
-        lm.acquire(TxnId::from_raw(2), o, LockMode::Shared).unwrap();
-        assert_eq!(lm.locked_objects(), 1);
+        let (a, b) = (Oid::from_raw(1), Oid::from_raw(2));
+        lm.acquire(TxnId::from_raw(1), a).unwrap();
+        lm.acquire(TxnId::from_raw(2), b).unwrap();
+        assert_eq!(lm.locked_objects(), 2);
         lm.release_all(TxnId::from_raw(1));
         lm.release_all(TxnId::from_raw(2));
         assert_eq!(lm.locked_objects(), 0);
@@ -215,46 +172,63 @@ mod tests {
     fn exclusive_blocks_others_until_release() {
         let lm = Arc::new(mk());
         let o = Oid::from_raw(7);
-        lm.acquire(TxnId::from_raw(1), o, LockMode::Exclusive).unwrap();
+        lm.acquire(TxnId::from_raw(1), o).unwrap();
         // Second writer times out while txn 1 holds the lock.
-        let err = lm.acquire(TxnId::from_raw(2), o, LockMode::Exclusive).unwrap_err();
+        let err = lm.acquire(TxnId::from_raw(2), o).unwrap_err();
         assert!(matches!(err, StorageError::LockTimeout(_)));
         lm.release_all(TxnId::from_raw(1));
-        lm.acquire(TxnId::from_raw(2), o, LockMode::Exclusive).unwrap();
+        lm.acquire(TxnId::from_raw(2), o).unwrap();
         lm.release_all(TxnId::from_raw(2));
     }
 
+    /// Re-acquisition by the holder is idempotent: granted at once,
+    /// recorded once, released by one `release_all`.
     #[test]
     fn reacquire_and_upgrade_as_sole_holder() {
         let lm = mk();
         let o = Oid::from_raw(3);
         let t = TxnId::from_raw(1);
-        lm.acquire(t, o, LockMode::Shared).unwrap();
-        lm.acquire(t, o, LockMode::Shared).unwrap();
-        lm.acquire(t, o, LockMode::Exclusive).unwrap(); // upgrade
-        lm.acquire(t, o, LockMode::Shared).unwrap(); // read under own X
+        for _ in 0..3 {
+            lm.acquire(t, o).unwrap();
+        }
+        assert_eq!(lm.locked_objects(), 1);
+        assert_eq!(lm.held.lock()[&t.raw()], vec![o]);
         lm.release_all(t);
         assert_eq!(lm.locked_objects(), 0);
     }
 
+    /// A second transaction waits for the holder: while it is blocked
+    /// the holder can still re-acquire, and the waiter is granted the
+    /// lock only once the holder releases it.
     #[test]
     fn upgrade_blocked_by_other_reader() {
-        let lm = mk();
+        let lm = Arc::new(LockManager::new(Duration::from_secs(10)));
         let o = Oid::from_raw(4);
-        lm.acquire(TxnId::from_raw(1), o, LockMode::Shared).unwrap();
-        lm.acquire(TxnId::from_raw(2), o, LockMode::Shared).unwrap();
-        let err = lm.acquire(TxnId::from_raw(1), o, LockMode::Exclusive).unwrap_err();
-        assert!(matches!(err, StorageError::LockTimeout(_)));
+        let holder = TxnId::from_raw(1);
+        lm.acquire(holder, o).unwrap();
+        let lm2 = lm.clone();
+        let waiter = std::thread::spawn(move || {
+            lm2.acquire(TxnId::from_raw(2), o).unwrap();
+            let held = lm2.held.lock().get(&2).cloned();
+            lm2.release_all(TxnId::from_raw(2));
+            held
+        });
+        std::thread::sleep(Duration::from_millis(30));
+        lm.acquire(holder, o).unwrap();
+        assert_eq!(lm.held.lock().get(&2), None, "the waiter must not hold the lock yet");
+        lm.release_all(holder);
+        assert_eq!(waiter.join().unwrap(), Some(vec![o]));
+        assert_eq!(lm.locked_objects(), 0);
     }
 
     #[test]
     fn writer_released_from_another_thread_unblocks_waiter() {
         let lm = Arc::new(LockManager::new(Duration::from_secs(2)));
         let o = Oid::from_raw(9);
-        lm.acquire(TxnId::from_raw(1), o, LockMode::Exclusive).unwrap();
+        lm.acquire(TxnId::from_raw(1), o).unwrap();
         let lm2 = lm.clone();
         let handle = std::thread::spawn(move || {
-            lm2.acquire(TxnId::from_raw(2), o, LockMode::Shared).unwrap();
+            lm2.acquire(TxnId::from_raw(2), o).unwrap();
             lm2.release_all(TxnId::from_raw(2));
         });
         std::thread::sleep(Duration::from_millis(30));
@@ -268,11 +242,11 @@ mod tests {
         // lock well before its timeout once the holder releases.
         let lm = Arc::new(LockManager::new(Duration::from_secs(10)));
         let o = Oid::from_raw(11);
-        lm.acquire(TxnId::from_raw(1), o, LockMode::Exclusive).unwrap();
+        lm.acquire(TxnId::from_raw(1), o).unwrap();
         let lm2 = lm.clone();
         let start = Instant::now();
         let handle = std::thread::spawn(move || {
-            lm2.acquire(TxnId::from_raw(2), o, LockMode::Exclusive).unwrap();
+            lm2.acquire(TxnId::from_raw(2), o).unwrap();
             lm2.release_all(TxnId::from_raw(2));
         });
         std::thread::sleep(Duration::from_millis(50));
@@ -295,20 +269,20 @@ mod tests {
         let b = Oid::from_raw(101);
         let t1 = TxnId::from_raw(1);
         let t2 = TxnId::from_raw(2);
-        lm.acquire(t1, a, LockMode::Exclusive).unwrap();
-        lm.acquire(t2, b, LockMode::Exclusive).unwrap();
+        lm.acquire(t1, a).unwrap();
+        lm.acquire(t2, b).unwrap();
         let lm1 = lm.clone();
         let lm2 = lm.clone();
-        let h1 = std::thread::spawn(move || lm1.acquire(t1, b, LockMode::Exclusive));
-        let h2 = std::thread::spawn(move || lm2.acquire(t2, a, LockMode::Exclusive));
+        let h1 = std::thread::spawn(move || lm1.acquire(t1, b));
+        let h2 = std::thread::spawn(move || lm2.acquire(t2, a));
         let r1 = h1.join().unwrap();
         let r2 = h2.join().unwrap();
         assert!(matches!(r1, Err(StorageError::LockTimeout(o)) if o == b));
         assert!(matches!(r2, Err(StorageError::LockTimeout(o)) if o == a));
         lm.release_all(t1);
         lm.release_all(t2);
-        lm.acquire(t1, b, LockMode::Exclusive).unwrap();
-        lm.acquire(t2, a, LockMode::Exclusive).unwrap();
+        lm.acquire(t1, b).unwrap();
+        lm.acquire(t2, a).unwrap();
         lm.release_all(t1);
         lm.release_all(t2);
         assert_eq!(lm.locked_objects(), 0);
@@ -329,7 +303,7 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 for i in 0..50 {
                     let txn = TxnId::from_raw(1 + t * 1000 + i);
-                    lm.acquire(txn, o, LockMode::Exclusive).unwrap();
+                    lm.acquire(txn, o).unwrap();
                     {
                         let mut c = counter.lock().unwrap();
                         let v = *c;

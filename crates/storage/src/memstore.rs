@@ -21,7 +21,7 @@ use parking_lot::Mutex;
 
 use crate::error::{Result, StorageError};
 use crate::ids::{ClusterHint, Oid, SegmentId, TxnId};
-use crate::lock::{LockManager, LockMode};
+use crate::lock::LockManager;
 use crate::stats::{StatsSnapshot, StorageStats};
 use crate::traits::{SegmentInfo, Snapshot, StorageManager};
 
@@ -90,7 +90,8 @@ pub struct MemStore {
     can_abort: bool,
     inner: Mutex<Inner>,
     next_txn: AtomicU64,
-    /// Explicit object locks (`lock_exclusive`), held to commit/abort.
+    /// Object locks, taken by every write and by `lock_exclusive` and
+    /// held to commit/abort.
     /// Versioning alone cannot serialize read-modify-write cycles on
     /// shared objects like the LabBase catalog: a transaction that read
     /// the head, lost the race, and committed anyway would chain onto an
@@ -226,7 +227,7 @@ impl StorageManager for MemStore {
         if !self.inner.lock().active.contains_key(&txn.raw()) {
             return Err(StorageError::UnknownTxn(txn));
         }
-        self.locks.acquire(txn, oid, LockMode::Exclusive)
+        self.locks.acquire(txn, oid)
     }
 
     fn allocate(
@@ -264,18 +265,12 @@ impl StorageManager for MemStore {
             .ok_or(StorageError::UnknownObject(oid))
     }
 
-    fn read_in(&self, txn: TxnId, oid: Oid) -> Result<Vec<u8>> {
-        if !self.inner.lock().active.contains_key(&txn.raw()) {
-            return Err(StorageError::UnknownTxn(txn));
-        }
-        self.read_for(txn, oid)
-    }
-
     fn update(&self, txn: TxnId, oid: Oid, data: &[u8]) -> Result<()> {
+        // Every write locks its object to commit/abort, as in the page
+        // engine: a second writer waits instead of stacking a pending
+        // version on another transaction's.
+        self.lock_exclusive(txn, oid)?;
         let mut inner = self.inner.lock();
-        if !inner.active.contains_key(&txn.raw()) {
-            return Err(StorageError::UnknownTxn(txn));
-        }
         let chain = inner
             .chains
             .get_mut(&oid.raw())
@@ -293,10 +288,11 @@ impl StorageManager for MemStore {
     }
 
     fn free(&self, txn: TxnId, oid: Oid) -> Result<()> {
+        // Every write locks its object to commit/abort, as in the page
+        // engine: a second writer waits instead of stacking a pending
+        // version on another transaction's.
+        self.lock_exclusive(txn, oid)?;
         let mut inner = self.inner.lock();
-        if !inner.active.contains_key(&txn.raw()) {
-            return Err(StorageError::UnknownTxn(txn));
-        }
         let chain = inner
             .chains
             .get_mut(&oid.raw())
@@ -472,7 +468,6 @@ mod tests {
         assert!(!s.exists(oid), "pending alloc must not be committed-visible");
         assert!(s.exists_for(t, oid));
         assert_eq!(s.read_for(t, oid).unwrap(), b"pending");
-        assert_eq!(s.read_in(t, oid).unwrap(), b"pending");
         s.commit(t).unwrap();
         assert_eq!(s.read(oid).unwrap(), b"pending");
     }
@@ -492,31 +487,21 @@ mod tests {
         assert_eq!(s.read(keep).unwrap(), b"keep");
     }
 
+    /// The stable cut itself is checked on every backend in
+    /// `tests/trait_level.rs`; here, that checkpoint GC keeps what an
+    /// open snapshot pins and reclaims it once the snapshot is released.
     #[test]
     fn snapshots_read_a_stable_cut() {
         let s = MemStore::ostore_mm();
         let t = s.begin().unwrap();
-        let a = s.allocate(t, SegmentId(0), ClusterHint::NONE, b"a1").unwrap();
         let b = s.allocate(t, SegmentId(0), ClusterHint::NONE, b"b1").unwrap();
         s.commit(t).unwrap();
 
         let snap = s.begin_snapshot().unwrap();
         let t2 = s.begin().unwrap();
-        s.update(t2, a, b"a2").unwrap();
         s.free(t2, b).unwrap();
-        let c = s.allocate(t2, SegmentId(0), ClusterHint::NONE, b"c1").unwrap();
         s.commit(t2).unwrap();
 
-        // The snapshot still sees the pre-t2 world.
-        assert_eq!(s.read_at(&snap, a).unwrap(), b"a1");
-        assert_eq!(s.read_at(&snap, b).unwrap(), b"b1");
-        assert!(!s.exists_at(&snap, c));
-        // Latest-committed reads see t2 in full.
-        assert_eq!(s.read(a).unwrap(), b"a2");
-        assert!(!s.exists(b));
-        assert_eq!(s.read(c).unwrap(), b"c1");
-
-        // Checkpoint GC honours the pin, then reclaims after release.
         s.checkpoint().unwrap();
         assert_eq!(s.read_at(&snap, b).unwrap(), b"b1");
         s.release_snapshot(snap);
@@ -546,6 +531,9 @@ mod tests {
         assert!(matches!(s.commit(t), Err(StorageError::UnknownTxn(_))));
     }
 
+    /// Release on commit and abort is checked on every backend in
+    /// `tests/trait_level.rs`; here, that a rival writer gives up with
+    /// a typed `LockTimeout` naming the object, and writes nothing.
     #[test]
     fn lock_exclusive_serializes_and_releases_on_resolution() {
         let s = MemStore::ostore_mm();
@@ -555,31 +543,24 @@ mod tests {
 
         let holder = s.begin().unwrap();
         s.lock_exclusive(holder, oid).unwrap();
-        s.lock_exclusive(holder, oid).unwrap(); // re-entrant
         let rival = s.begin().unwrap();
         assert!(matches!(
-            s.lock_exclusive(rival, oid),
+            s.update(rival, oid, b"blocked"),
             Err(StorageError::LockTimeout(o)) if o == oid
         ));
-        // Commit releases; the rival can now take the lock, and abort
-        // releases too.
-        s.commit(holder).unwrap();
-        s.lock_exclusive(rival, oid).unwrap();
         s.abort(rival).unwrap();
-        let t = s.begin().unwrap();
-        s.lock_exclusive(t, oid).unwrap();
-        s.commit(t).unwrap();
-
-        // Dead transactions cannot lock.
-        assert!(matches!(s.lock_exclusive(t, oid), Err(StorageError::UnknownTxn(_))));
+        s.commit(holder).unwrap();
+        assert_eq!(s.read(oid).unwrap(), b"hot");
     }
 
     /// Regression for the race `lock_exclusive` exists to prevent on the
     /// `-mm` stores: without a real lock, two read-modify-write
     /// transactions on a shared object can both read the same base
     /// version, and the one that chains onto an aborted sibling commits
-    /// a lost (or dangling) update. With the lock-first discipline every
-    /// increment must survive, aborts included.
+    /// a lost (or dangling) update. With the lock-first discipline —
+    /// `lock_exclusive`, then `read_for`, then `update`, exactly what
+    /// `LabBase::create_material` does to the catalog — every increment
+    /// must survive, aborts included.
     #[test]
     fn locked_read_modify_write_is_serialized_across_threads() {
         use std::sync::Arc;
@@ -599,9 +580,8 @@ mod tests {
                                 s.abort(t).unwrap();
                                 continue;
                             }
-                            let v = u64::from_le_bytes(
-                                s.read_in(t, oid).unwrap().try_into().unwrap(),
-                            );
+                            let v =
+                                u64::from_le_bytes(s.read_for(t, oid).unwrap().try_into().unwrap());
                             s.update(t, oid, &(v + 1).to_le_bytes()).unwrap();
                             // A third of the attempts abort after writing;
                             // their increment must vanish cleanly.
@@ -610,7 +590,7 @@ mod tests {
                                 let t2 = s.begin().unwrap();
                                 s.lock_exclusive(t2, oid).unwrap();
                                 let w = u64::from_le_bytes(
-                                    s.read_in(t2, oid).unwrap().try_into().unwrap(),
+                                    s.read_for(t2, oid).unwrap().try_into().unwrap(),
                                 );
                                 s.update(t2, oid, &(w + 1).to_le_bytes()).unwrap();
                                 s.commit(t2).unwrap();

@@ -48,7 +48,7 @@ pub const PAGE_HDR: usize = 24;
 
 const PAGE_MAGIC: u32 = 0x4C46_5047; // "LFPG"
 
-/// What a successful [`PageFile::read_page`] found.
+/// What a successful page read found.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PageRead {
     /// A written, verified page image; the payload was copied out.

@@ -123,7 +123,7 @@ pub struct SpaceReport {
 /// Account for the bytes of the store image at `dir`, per segment, as
 /// of its last checkpoint (the log is sized, not replayed). Read-only:
 /// a heap is loaded from the meta file over the data file and asked
-/// for [`Heap::space_report`]; nothing is written or repaired.
+/// for its space report; nothing is written or repaired.
 pub fn space_report(vfs: &Arc<dyn Vfs>, dir: &Path) -> Result<SpaceReport> {
     let meta_path = dir.join("store.meta");
     let Some(meta_bytes) = vfs.size(&meta_path)? else {
@@ -154,7 +154,7 @@ pub fn space_report(vfs: &Arc<dyn Vfs>, dir: &Path) -> Result<SpaceReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{OStore, Options};
+    use crate::engine::{Engine, Options, Profile};
     use crate::ids::{ClusterHint, SegmentId};
     use crate::traits::StorageManager;
     use crate::vfs::SimVfs;
@@ -164,7 +164,8 @@ mod tests {
         let sim = SimVfs::new(seed);
         let vfs: Arc<dyn Vfs> = Arc::new(sim.clone());
         let dir = PathBuf::from("/sim/store");
-        let store = OStore::create_with(vfs.clone(), &dir, Options::default()).unwrap();
+        let store =
+            Engine::create_with(vfs.clone(), &dir, Profile::ostore(), Options::default()).unwrap();
         let t = store.begin().unwrap();
         for i in 0..300u32 {
             store

@@ -61,21 +61,17 @@ pub trait StorageManager: Send + Sync {
     /// Read an object (committed state; no lock held afterwards).
     fn read(&self, oid: Oid) -> Result<Vec<u8>>;
 
-    /// Read an object under a shared lock held by `txn` until commit.
-    fn read_in(&self, txn: TxnId, oid: Oid) -> Result<Vec<u8>>;
-
     /// Acquire `txn`'s exclusive lock on `oid` without reading or
     /// writing it, blocking up to the backend's lock timeout. Callers
     /// use this to serialize on a hot shared object *before* taking any
     /// in-process latch that a later [`update`](Self::update) would
     /// otherwise hold across the lock wait (a cross-lock convoy: the
     /// latch holder blocks on the storage lock while the storage-lock
-    /// holder blocks on the latch). Backends without
-    /// transaction-duration locks treat it as a no-op; the eventual
-    /// write still conflict-checks at its own layer.
-    fn lock_exclusive(&self, _txn: TxnId, _oid: Oid) -> Result<()> {
-        Ok(())
-    }
+    /// holder blocks on the latch). The lock is held until the
+    /// transaction commits or aborts; it is the only object lock the
+    /// contract offers (reads take none). Single-user backends grant it
+    /// at once: no second transaction can be open to contend for it.
+    fn lock_exclusive(&self, txn: TxnId, oid: Oid) -> Result<()>;
 
     /// Overwrite an object.
     fn update(&self, txn: TxnId, oid: Oid, data: &[u8]) -> Result<()>;
@@ -89,49 +85,36 @@ pub trait StorageManager: Send + Sync {
     /// Open a stable snapshot of the committed state. Every
     /// [`read_at`](Self::read_at) against it sees exactly the
     /// transactions committed when it was opened — concurrent writers
-    /// neither block it nor appear in it. The default (for backends
-    /// without version chains) reads latest-committed: `lsn` is
-    /// `u64::MAX` and release is a no-op.
-    fn begin_snapshot(&self) -> Result<Snapshot> {
-        Ok(Snapshot { lsn: u64::MAX, token: 0 })
-    }
+    /// neither block it nor appear in it.
+    fn begin_snapshot(&self) -> Result<Snapshot>;
 
     /// Release a snapshot, allowing version GC to reclaim the versions
     /// it pinned. Dropping a snapshot without releasing it pins the GC
     /// low-water mark forever.
-    fn release_snapshot(&self, _snap: Snapshot) {}
+    fn release_snapshot(&self, snap: Snapshot);
 
     /// Number of snapshots currently registered (opened and not yet
-    /// released). Backends without a registry report 0. The network
-    /// front end asserts this drains to zero on graceful shutdown.
-    fn open_snapshots(&self) -> usize {
-        0
-    }
+    /// released). The network front end asserts this drains to zero on
+    /// graceful shutdown.
+    fn open_snapshots(&self) -> usize;
 
     /// Read an object as of `snap`: the newest version committed at or
     /// before the snapshot's LSN. `UnknownObject` if the object did not
     /// exist (or was already deleted) at that point.
-    fn read_at(&self, _snap: &Snapshot, oid: Oid) -> Result<Vec<u8>> {
-        self.read(oid)
-    }
+    fn read_at(&self, snap: &Snapshot, oid: Oid) -> Result<Vec<u8>>;
 
     /// Whether the object existed as of `snap`.
-    fn exists_at(&self, _snap: &Snapshot, oid: Oid) -> bool {
-        self.exists(oid)
-    }
+    fn exists_at(&self, snap: &Snapshot, oid: Oid) -> bool;
 
     /// Read an object as seen by `txn`: its own uncommitted write if it
-    /// has one, else latest-committed. Unlike [`read_in`](Self::read_in)
-    /// this acquires no lock — it is the read-your-own-writes path for
-    /// internal traversals inside an open transaction.
-    fn read_for(&self, _txn: TxnId, oid: Oid) -> Result<Vec<u8>> {
-        self.read(oid)
-    }
+    /// has one, else latest-committed. It acquires no lock — it is the
+    /// read-your-own-writes path for traversals inside an open
+    /// transaction; a read-modify-write takes
+    /// [`lock_exclusive`](Self::lock_exclusive) first.
+    fn read_for(&self, txn: TxnId, oid: Oid) -> Result<Vec<u8>>;
 
     /// Whether the object exists as seen by `txn` (own writes included).
-    fn exists_for(&self, _txn: TxnId, oid: Oid) -> bool {
-        self.exists(oid)
-    }
+    fn exists_for(&self, txn: TxnId, oid: Oid) -> bool;
 
     /// Flush all state to stable storage and truncate the log.
     fn checkpoint(&self) -> Result<()>;

@@ -6,12 +6,13 @@
 //! randomized many-seed version of this lives in
 //! `cargo xtask crashtest`; here are the directed cases.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
 use labflow_storage::{
-    ClusterHint, FaultPlan, OStore, Options, Oid, SegmentId, SimVfs, StorageManager, Texas, Vfs,
+    ClusterHint, Engine, FaultPlan, Oid, Options, Profile, Result, SegmentId, SimVfs,
+    StorageManager,
 };
 
 fn opts() -> Options {
@@ -20,6 +21,17 @@ fn opts() -> Options {
         sync_commit: true,
         lock_timeout: Duration::from_millis(200),
     }
+}
+
+/// Create a `profile` store at `dir` on `sim`.
+fn create(sim: &SimVfs, dir: &Path, profile: Profile) -> Engine {
+    Engine::create_with(Arc::new(sim.clone()), dir, profile, opts()).unwrap()
+}
+
+/// Open the `profile` store at `dir` on the disk image `image`, running
+/// recovery.
+fn open(image: SimVfs, dir: &Path, profile: Profile) -> Result<Engine> {
+    Engine::open_with(Arc::new(image), dir, profile, opts())
 }
 
 fn seg() -> SegmentId {
@@ -37,7 +49,7 @@ fn commit_objects(store: &dyn StorageManager, n: usize, tag: u8) -> Vec<Oid> {
 }
 
 /// Read the full object map of a store.
-fn state_of(store: &labflow_storage::Engine) -> Vec<(u64, Vec<u8>)> {
+fn state_of(store: &Engine) -> Vec<(u64, Vec<u8>)> {
     let mut out: Vec<(u64, Vec<u8>)> = store
         .live_oids()
         .into_iter()
@@ -54,7 +66,7 @@ fn state_of(store: &labflow_storage::Engine) -> Vec<(u64, Vec<u8>)> {
 fn recovery_is_idempotent_and_deterministic() {
     let sim = SimVfs::new(41);
     let dir = PathBuf::from("/sim/idem");
-    let store = OStore::create_with(Arc::new(sim.clone()) as Arc<dyn Vfs>, &dir, opts()).unwrap();
+    let store = create(&sim, &dir, Profile::ostore());
 
     // Committed work, a checkpoint, more committed work, then an
     // uncommitted in-flight transaction at the moment of power loss.
@@ -73,7 +85,7 @@ fn recovery_is_idempotent_and_deterministic() {
     let crashed_b = sim.clone_durable();
 
     // First recovery.
-    let a = OStore::open_with(Arc::new(crashed_a.clone()) as Arc<dyn Vfs>, &dir, opts()).unwrap();
+    let a = open(crashed_a.clone(), &dir, Profile::ostore()).unwrap();
     let state_a = state_of(&a);
     drop(a);
     assert_eq!(state_a.len(), 16, "16 committed objects, loser effects rolled back");
@@ -83,15 +95,14 @@ fn recovery_is_idempotent_and_deterministic() {
     );
 
     // Determinism: an independent recovery of a copy of the same image.
-    let b = OStore::open_with(Arc::new(crashed_b) as Arc<dyn Vfs>, &dir, opts()).unwrap();
+    let b = open(crashed_b, &dir, Profile::ostore()).unwrap();
     assert_eq!(state_of(&b), state_a, "recovery must be deterministic");
     drop(b);
 
     // Idempotence: the image `a` recovered (and re-checkpointed) opens
     // to the identical state, twice.
     for _ in 0..2 {
-        let again =
-            OStore::open_with(Arc::new(crashed_a.clone()) as Arc<dyn Vfs>, &dir, opts()).unwrap();
+        let again = open(crashed_a.clone(), &dir, Profile::ostore()).unwrap();
         assert_eq!(state_of(&again), state_a, "re-opening a recovered store must be a no-op");
     }
 }
@@ -104,7 +115,7 @@ fn recovery_is_idempotent_and_deterministic() {
 fn recovery_survives_power_loss_during_later_work() {
     let sim = SimVfs::new(977);
     let dir = PathBuf::from("/sim/late");
-    let store = OStore::create_with(Arc::new(sim.clone()) as Arc<dyn Vfs>, &dir, opts()).unwrap();
+    let store = create(&sim, &dir, Profile::ostore());
 
     let keep = commit_objects(&store, 4, 3);
     let txn = store.begin().unwrap();
@@ -117,8 +128,7 @@ fn recovery_survives_power_loss_during_later_work() {
     drop(store);
     sim.power_loss();
 
-    let store =
-        OStore::open_with(Arc::new(sim.clone_durable()) as Arc<dyn Vfs>, &dir, opts()).unwrap();
+    let store = open(sim.clone_durable(), &dir, Profile::ostore()).unwrap();
     assert_eq!(store.object_count(), 3 + 5, "checkpointed and WAL-replayed work both present");
     assert!(!store.exists(keep[3]), "checkpointed free must not be resurrected by the log");
 }
@@ -129,7 +139,7 @@ fn recovery_survives_power_loss_during_later_work() {
 fn texas_crash_rolls_back_to_last_checkpoint() {
     let sim = SimVfs::new(5150);
     let dir = PathBuf::from("/sim/texas");
-    let store = Texas::create_with(Arc::new(sim.clone()) as Arc<dyn Vfs>, &dir, opts()).unwrap();
+    let store = create(&sim, &dir, Profile::texas());
 
     let oids = commit_objects(&store, 6, 5);
     store.checkpoint().unwrap();
@@ -140,8 +150,7 @@ fn texas_crash_rolls_back_to_last_checkpoint() {
     drop(store);
     sim.power_loss();
 
-    let store =
-        Texas::open_with(Arc::new(sim.clone_durable()) as Arc<dyn Vfs>, &dir, opts()).unwrap();
+    let store = open(sim.clone_durable(), &dir, Profile::texas()).unwrap();
     assert_eq!(store.object_count(), 6, "Texas recovers exactly the last checkpoint");
     for (i, oid) in oids.iter().enumerate() {
         assert_eq!(store.read(*oid).unwrap(), vec![5, i as u8, 7]);
@@ -163,8 +172,7 @@ fn meta_rename_reordering_lands_on_a_consistent_epoch() {
     for k in 0..30u64 {
         let sim = SimVfs::new(9000 + k);
         let dir = PathBuf::from("/sim/nsvolatile");
-        let store =
-            OStore::create_with(Arc::new(sim.clone()) as Arc<dyn Vfs>, &dir, opts()).unwrap();
+        let store = create(&sim, &dir, Profile::ostore());
         let oids = commit_objects(&store, 6, 7);
         store.checkpoint().unwrap();
         let more = commit_objects(&store, 5, 9);
@@ -177,7 +185,7 @@ fn meta_rename_reordering_lands_on_a_consistent_epoch() {
         let _ = store.checkpoint(); // dies k ops in (or survives for large k)
         drop(store);
         sim.power_loss();
-        let store = OStore::open_with(Arc::new(sim.clone_durable()) as Arc<dyn Vfs>, &dir, opts())
+        let store = open(sim.clone_durable(), &dir, Profile::ostore())
             .unwrap_or_else(|e| panic!("crash {k} ops into the checkpoint: recovery failed: {e}"));
         assert_eq!(store.object_count(), 11, "crash {k} ops into the checkpoint");
         for (i, oid) in oids.iter().enumerate() {
@@ -196,7 +204,7 @@ fn meta_rename_reordering_lands_on_a_consistent_epoch() {
 fn single_transient_write_error_is_retried_away() {
     let sim = SimVfs::new(303);
     let dir = PathBuf::from("/sim/transient");
-    let store = OStore::create_with(Arc::new(sim.clone()) as Arc<dyn Vfs>, &dir, opts()).unwrap();
+    let store = create(&sim, &dir, Profile::ostore());
 
     // Fail one upcoming file operation; the WAL force makes every
     // commit touch the disk, so some transaction will run into it.
@@ -224,7 +232,7 @@ fn single_transient_write_error_is_retried_away() {
 fn persistent_write_error_is_contained() {
     let sim = SimVfs::new(313);
     let dir = PathBuf::from("/sim/persistent");
-    let store = OStore::create_with(Arc::new(sim.clone()) as Arc<dyn Vfs>, &dir, opts()).unwrap();
+    let store = create(&sim, &dir, Profile::ostore());
     let safe = commit_objects(&store, 3, 8);
 
     // Fail enough *consecutive* operations to exhaust the retry budget
@@ -259,7 +267,7 @@ fn persistent_write_error_is_contained() {
     drop(store);
 
     // No crash happened; reopen heals whatever the failed operation left.
-    let store = OStore::open_with(Arc::new(sim) as Arc<dyn Vfs>, &dir, opts()).unwrap();
+    let store = open(sim, &dir, Profile::ostore()).unwrap();
     for (i, oid) in safe.iter().enumerate() {
         assert_eq!(store.read(*oid).unwrap(), vec![8, i as u8, 7], "pre-fault commits survive");
     }
@@ -275,7 +283,7 @@ fn persistent_write_error_is_contained() {
 fn failed_commit_force_publishes_nothing() {
     let sim = SimVfs::new(777);
     let dir = PathBuf::from("/sim/visdur");
-    let store = OStore::create_with(Arc::new(sim.clone()) as Arc<dyn Vfs>, &dir, opts()).unwrap();
+    let store = create(&sim, &dir, Profile::ostore());
     let oid = commit_objects(&store, 1, 8)[0];
     let before = store.read(oid).unwrap();
 

@@ -10,8 +10,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use labflow_storage::{
-    decode_shipped, ClusterHint, OStore, Options, Oid, SegmentId, SimVfs, StorageManager, Vfs,
-    WalRecord,
+    decode_shipped, ClusterHint, Engine, Oid, Options, Profile, SegmentId, SimVfs, StorageManager,
+    Vfs, WalRecord,
 };
 
 fn opts() -> Options {
@@ -73,8 +73,12 @@ fn state_of(store: &labflow_storage::Engine) -> Vec<(u64, Vec<u8>)> {
 fn shipped_commits_reproduce_primary_state_and_survive_follower_crash() {
     let sim = SimVfs::new(7);
     let vfs: Arc<dyn Vfs> = Arc::new(sim.clone());
-    let primary = OStore::create_with(vfs.clone(), &PathBuf::from("/sim/pri"), opts()).unwrap();
-    let follower = OStore::create_with(vfs.clone(), &PathBuf::from("/sim/fol"), opts()).unwrap();
+    let primary =
+        Engine::create_with(vfs.clone(), &PathBuf::from("/sim/pri"), Profile::ostore(), opts())
+            .unwrap();
+    let follower =
+        Engine::create_with(vfs.clone(), &PathBuf::from("/sim/fol"), Profile::ostore(), opts())
+            .unwrap();
 
     // Subscribe at the current tail (just past create's reset frame).
     let mut from = primary.replication_lsn().unwrap();
@@ -115,9 +119,10 @@ fn shipped_commits_reproduce_primary_state_and_survive_follower_crash() {
     drop(follower);
     let survivor = sim.clone_durable();
     survivor.power_loss();
-    let reopened = OStore::open_with(
+    let reopened = Engine::open_with(
         Arc::new(survivor) as Arc<dyn Vfs>,
         &PathBuf::from("/sim/fol"),
+        Profile::ostore(),
         opts(),
     )
     .unwrap();
@@ -135,7 +140,8 @@ fn shipped_commits_reproduce_primary_state_and_survive_follower_crash() {
 fn duplicate_replica_alloc_is_refused_not_clobbered() {
     let sim = SimVfs::new(11);
     let vfs: Arc<dyn Vfs> = Arc::new(sim.clone());
-    let follower = OStore::create_with(vfs, &PathBuf::from("/sim/dup"), opts()).unwrap();
+    let follower =
+        Engine::create_with(vfs, &PathBuf::from("/sim/dup"), Profile::ostore(), opts()).unwrap();
     let recs = vec![WalRecord::Alloc {
         txn: 1,
         oid: Oid::from_raw(42),
@@ -154,7 +160,9 @@ fn duplicate_replica_alloc_is_refused_not_clobbered() {
 fn promote_epoch_raises_the_sealed_epoch_to_the_floor() {
     let sim = SimVfs::new(13);
     let vfs: Arc<dyn Vfs> = Arc::new(sim.clone());
-    let store = OStore::create_with(vfs.clone(), &PathBuf::from("/sim/promo"), opts()).unwrap();
+    let store =
+        Engine::create_with(vfs.clone(), &PathBuf::from("/sim/promo"), Profile::ostore(), opts())
+            .unwrap();
     let before = store.store_epoch();
     store.promote_epoch(before + 100).unwrap();
     assert_eq!(store.store_epoch(), before + 100);
@@ -165,9 +173,10 @@ fn promote_epoch_raises_the_sealed_epoch_to_the_floor() {
     drop(store);
     let survivor = sim.clone_durable();
     survivor.power_loss();
-    let reopened = OStore::open_with(
+    let reopened = Engine::open_with(
         Arc::new(survivor) as Arc<dyn Vfs>,
         &PathBuf::from("/sim/promo"),
+        Profile::ostore(),
         opts(),
     )
     .unwrap();

@@ -6,8 +6,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use labflow_storage::{
-    ClusterHint, MemStore, OStore, Options, SegmentId, StorageError, StorageManager, Texas,
-    TexasTc,
+    ClusterHint, Engine, MemStore, Options, Profile, SegmentId, StorageError, StorageManager,
 };
 
 fn scratch(tag: &str) -> PathBuf {
@@ -28,9 +27,9 @@ fn all_backends(tag: &str) -> Vec<Arc<dyn StorageManager>> {
     let base = scratch(tag);
     let opts = Options { buffer_pages: 32, ..Options::default() };
     vec![
-        Arc::new(OStore::create(&base.join("o"), opts.clone()).unwrap()),
-        Arc::new(TexasTc::create(&base.join("tc"), opts.clone()).unwrap()),
-        Arc::new(Texas::create(&base.join("t"), opts).unwrap()),
+        Arc::new(Engine::create(&base.join("o"), Profile::ostore(), opts.clone()).unwrap()),
+        Arc::new(Engine::create(&base.join("tc"), Profile::texas_tc(), opts.clone()).unwrap()),
+        Arc::new(Engine::create(&base.join("t"), Profile::texas(), opts).unwrap()),
         Arc::new(MemStore::ostore_mm()),
         Arc::new(MemStore::texas_mm()),
     ]
@@ -49,21 +48,22 @@ fn empty_and_huge_payloads_round_trip_everywhere() {
     }
 }
 
+/// A read that must stay valid to commit takes `lock_exclusive` before
+/// `read_for`: the lock, not the read, is what a rival writer waits on,
+/// and it is held until the reader commits.
 #[test]
 fn read_in_holds_a_shared_lock_until_commit() {
     let base = scratch("readin");
-    let store = OStore::create(&base, Options {
-        lock_timeout: Duration::from_millis(60),
-        ..Options::default()
-    })
-    .unwrap();
+    let opts = Options { lock_timeout: Duration::from_millis(60), ..Options::default() };
+    let store = Engine::create(&base, Profile::ostore(), opts).unwrap();
     let t = store.begin().unwrap();
     let oid = store.allocate(t, SegmentId(0), ClusterHint::NONE, b"locked").unwrap();
     store.commit(t).unwrap();
 
     let reader = store.begin().unwrap();
-    assert_eq!(store.read_in(reader, oid).unwrap(), b"locked");
-    // A writer cannot update while the reader's S-lock is held.
+    store.lock_exclusive(reader, oid).unwrap();
+    assert_eq!(store.read_for(reader, oid).unwrap(), b"locked");
+    // A writer cannot update while the reader's lock is held.
     let writer = store.begin().unwrap();
     let err = store.update(writer, oid, b"nope").unwrap_err();
     assert!(matches!(err, StorageError::LockTimeout(_)));
@@ -72,6 +72,128 @@ fn read_in_holds_a_shared_lock_until_commit() {
     store.update(writer, oid, b"yes").unwrap();
     store.commit(writer).unwrap();
     assert_eq!(store.read(oid).unwrap(), b"yes");
+}
+
+/// `lock_exclusive` blocks a second writer — one that locks, or one
+/// that just writes — until the holder commits or aborts, while
+/// committed reads stay lock-free; single-user flavours refuse the
+/// second `begin` instead. A resolved transaction cannot lock.
+#[test]
+fn lock_exclusive_blocks_a_second_writer_until_resolution() {
+    for store in all_backends("lockx") {
+        let name = store.name();
+        let t = store.begin().unwrap();
+        let oid = store.allocate(t, SegmentId(0), ClusterHint::NONE, b"hot").unwrap();
+        store.commit(t).unwrap();
+
+        if !store.supports_concurrency() {
+            let holder = store.begin().unwrap();
+            store.lock_exclusive(holder, oid).unwrap();
+            assert!(matches!(store.begin(), Err(StorageError::SingleUser)), "{name}");
+            store.commit(holder).unwrap();
+            let dead = store.lock_exclusive(holder, oid);
+            assert!(matches!(dead, Err(StorageError::UnknownTxn(_))), "{name}");
+            continue;
+        }
+        for (commit, rival_writes) in [(true, false), (false, true)] {
+            let holder = store.begin().unwrap();
+            store.lock_exclusive(holder, oid).unwrap();
+            store.lock_exclusive(holder, oid).unwrap(); // re-entrant
+            let (tx, rx) = std::sync::mpsc::channel();
+            let rival = {
+                let store = store.clone();
+                std::thread::spawn(move || {
+                    let t = store.begin().unwrap();
+                    if rival_writes {
+                        store.update(t, oid, b"rival").unwrap();
+                    } else {
+                        store.lock_exclusive(t, oid).unwrap();
+                    }
+                    tx.send(()).unwrap();
+                    store.commit(t).unwrap();
+                })
+            };
+            assert!(rx.recv_timeout(Duration::from_millis(50)).is_err(), "{name}: rival ran");
+            assert_eq!(store.read(oid).unwrap(), b"hot", "{name}: reads take no lock");
+            if commit {
+                store.commit(holder).unwrap();
+            } else {
+                store.abort(holder).unwrap();
+            }
+            rx.recv_timeout(Duration::from_secs(5)).expect("rival granted after release");
+            rival.join().unwrap();
+            let dead = store.lock_exclusive(holder, oid);
+            assert!(matches!(dead, Err(StorageError::UnknownTxn(_))), "{name}");
+        }
+        assert_eq!(store.read(oid).unwrap(), b"rival", "{name}");
+    }
+}
+
+/// `read_for` and `exists_for` see the transaction's own pending
+/// writes; `read` and `exists` see committed state only.
+#[test]
+fn own_pending_writes_are_seen_only_through_the_txn_view() {
+    for store in all_backends("ownview") {
+        let name = store.name();
+        let t = store.begin().unwrap();
+        let kept = store.allocate(t, SegmentId(0), ClusterHint::NONE, b"v1").unwrap();
+        let doomed = store.allocate(t, SegmentId(0), ClusterHint::NONE, b"d").unwrap();
+        store.commit(t).unwrap();
+
+        let t = store.begin().unwrap();
+        store.update(t, kept, b"v2").unwrap();
+        store.free(t, doomed).unwrap();
+        let fresh = store.allocate(t, SegmentId(0), ClusterHint::NONE, b"new").unwrap();
+        assert_eq!(store.read_for(t, kept).unwrap(), b"v2", "{name}");
+        assert_eq!(store.read(kept).unwrap(), b"v1", "{name}");
+        assert!(!store.exists_for(t, doomed), "{name}");
+        assert!(store.exists(doomed), "{name}");
+        assert_eq!(store.read_for(t, fresh).unwrap(), b"new", "{name}");
+        assert!(store.exists_for(t, fresh), "{name}");
+        assert!(!store.exists(fresh), "{name}");
+        assert!(matches!(store.read(fresh), Err(StorageError::UnknownObject(_))), "{name}");
+        store.commit(t).unwrap();
+        assert_eq!(store.read(kept).unwrap(), b"v2", "{name}");
+        assert!(!store.exists(doomed) && store.exists(fresh), "{name}");
+    }
+}
+
+/// `read_at` on an open snapshot reads a stable cut across a later
+/// commit, and `open_snapshots` drains to 0 once every snapshot is
+/// released.
+#[test]
+fn snapshots_read_a_stable_cut_and_drain_on_release() {
+    for store in all_backends("snapcut") {
+        let name = store.name();
+        let t = store.begin().unwrap();
+        let a = store.allocate(t, SegmentId(0), ClusterHint::NONE, b"a1").unwrap();
+        let b = store.allocate(t, SegmentId(0), ClusterHint::NONE, b"b1").unwrap();
+        store.commit(t).unwrap();
+
+        assert_eq!(store.open_snapshots(), 0, "{name}");
+        let snap = store.begin_snapshot().unwrap();
+        let t = store.begin().unwrap();
+        store.update(t, a, b"a2").unwrap();
+        store.free(t, b).unwrap();
+        let c = store.allocate(t, SegmentId(0), ClusterHint::NONE, b"c1").unwrap();
+        store.commit(t).unwrap();
+        let later = store.begin_snapshot().unwrap();
+        assert_eq!(store.open_snapshots(), 2, "{name}");
+
+        assert_eq!(store.read_at(&snap, a).unwrap(), b"a1", "{name}");
+        assert_eq!(store.read_at(&snap, b).unwrap(), b"b1", "{name}");
+        assert!(store.exists_at(&snap, b) && !store.exists_at(&snap, c), "{name}");
+        assert_eq!(store.read_at(&later, a).unwrap(), b"a2", "{name}");
+        assert!(!store.exists_at(&later, b) && store.exists_at(&later, c), "{name}");
+        // Checkpoint GC honours the pin.
+        store.checkpoint().unwrap();
+        assert_eq!(store.read_at(&snap, b).unwrap(), b"b1", "{name} after checkpoint");
+
+        store.release_snapshot(snap);
+        assert_eq!(store.open_snapshots(), 1, "{name}");
+        store.release_snapshot(later);
+        assert_eq!(store.open_snapshots(), 0, "{name}");
+    }
 }
 
 #[test]
@@ -209,5 +331,55 @@ fn unknown_object_errors_are_uniform() {
             store.name()
         );
         store.commit(t).unwrap();
+    }
+}
+
+/// A latest-committed reader never sees a transaction half-committed.
+/// The writer touches a committed `head` object, allocates fillers and a
+/// `target`, then points `head` at the target — the shape of a LabBase
+/// step that links history onto a material and then creates its
+/// most-recent cache record. A reader that follows the new pointer
+/// must find the target.
+#[test]
+fn latest_reads_never_see_a_half_committed_transaction() {
+    use labflow_storage::Oid;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    for store in all_backends("halfcommit") {
+        if !store.supports_concurrency() {
+            continue;
+        }
+        let t = store.begin().unwrap();
+        let head = store.allocate(t, SegmentId(0), ClusterHint::NONE, &0u64.to_le_bytes()).unwrap();
+        store.commit(t).unwrap();
+        let stop = Arc::new(AtomicBool::new(false));
+        let reader = {
+            let (store, stop) = (store.clone(), stop.clone());
+            std::thread::spawn(move || {
+                let mut followed = 0u64;
+                while !stop.load(Ordering::Relaxed) {
+                    let ptr = u64::from_le_bytes(store.read(head).unwrap().try_into().unwrap());
+                    if ptr != 0 {
+                        let target = Oid::from_raw(ptr);
+                        store.read(target).map_err(|e| format!("{target}: {e}"))?;
+                        followed += 1;
+                    }
+                }
+                Ok::<u64, String>(followed)
+            })
+        };
+        for i in 0..400u32 {
+            let t = store.begin().unwrap();
+            let old = store.read_for(t, head).unwrap();
+            store.update(t, head, &old).unwrap();
+            for _ in 0..16 {
+                store.allocate(t, SegmentId(1), ClusterHint::NONE, &i.to_le_bytes()).unwrap();
+            }
+            let target = store.allocate(t, SegmentId(0), ClusterHint::NONE, b"target").unwrap();
+            store.update(t, head, &target.raw().to_le_bytes()).unwrap();
+            store.commit(t).unwrap();
+        }
+        stop.store(true, Ordering::Relaxed);
+        let followed = reader.join().unwrap();
+        assert!(followed.is_ok(), "{}: reader followed a pointer to {followed:?}", store.name());
     }
 }

@@ -9,14 +9,15 @@
 use std::sync::Arc;
 
 use labbase::{schema::attrs, AttrType, LabBase, Value};
-use labflow_storage::{OStore, Options, StorageManager};
+use labflow_storage::{Engine, Options, Profile, StorageManager};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. A storage manager. OStore is the ObjectStore-like backend:
     //    placement segments, lock-based concurrency, WAL + checkpoints.
     let dir = std::env::temp_dir().join(format!("labflow-quickstart-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    let store: Arc<dyn StorageManager> = Arc::new(OStore::create(&dir, Options::default())?);
+    let store: Arc<dyn StorageManager> =
+        Arc::new(Engine::create(&dir, Profile::ostore(), Options::default())?);
 
     // 2. LabBase on top: the workflow DBMS of the LabFlow-1 benchmark.
     let db = LabBase::create(store)?;

@@ -8,9 +8,7 @@
 
 use std::sync::Arc;
 
-use labflow_storage::{
-    ClusterHint, MemStore, OStore, Options, SegmentId, StorageManager, Texas, TexasTc,
-};
+use labflow_storage::{ClusterHint, Engine, MemStore, Options, Profile, SegmentId, StorageManager};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let base = std::env::temp_dir().join(format!("labflow-tour-{}", std::process::id()));
@@ -20,9 +18,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let opts = Options { buffer_pages: 16, ..Options::default() };
 
     let stores: Vec<Arc<dyn StorageManager>> = vec![
-        Arc::new(OStore::create(&base.join("ostore"), opts.clone())?),
-        Arc::new(TexasTc::create(&base.join("texas_tc"), opts.clone())?),
-        Arc::new(Texas::create(&base.join("texas"), opts.clone())?),
+        Arc::new(Engine::create(&base.join("ostore"), Profile::ostore(), opts.clone())?),
+        Arc::new(Engine::create(&base.join("texas_tc"), Profile::texas_tc(), opts.clone())?),
+        Arc::new(Engine::create(&base.join("texas"), Profile::texas(), opts.clone())?),
         Arc::new(MemStore::ostore_mm()),
         Arc::new(MemStore::texas_mm()),
     ];
@@ -79,7 +77,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let oid_committed;
     let oid_tail;
     {
-        let store = OStore::create(&base.join("crash"), opts.clone())?;
+        let store = Engine::create(&base.join("crash"), Profile::ostore(), opts.clone())?;
         let t = store.begin()?;
         oid_committed = store.allocate(t, SegmentId(0), ClusterHint::NONE, b"committed")?;
         store.commit(t)?;
@@ -87,7 +85,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         oid_tail = store.allocate(t, SegmentId(0), ClusterHint::NONE, b"uncommitted")?;
         // crash: no commit, no checkpoint
     }
-    let store = OStore::open(&base.join("crash"), opts.clone())?;
+    let store = Engine::open(&base.join("crash"), Profile::ostore(), opts.clone())?;
     println!(
         "OStore after crash: committed object {} -> {:?}, uncommitted {} -> exists = {}",
         oid_committed,
@@ -97,7 +95,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     {
-        let store = Texas::create(&base.join("crash_tex"), opts.clone())?;
+        let store = Engine::create(&base.join("crash_tex"), Profile::texas(), opts.clone())?;
         let t = store.begin()?;
         let kept = store.allocate(t, SegmentId(0), ClusterHint::NONE, b"checkpointed")?;
         store.commit(t)?;
@@ -111,7 +109,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         // crash
         drop(store);
-        let store = Texas::open(&base.join("crash_tex"), opts)?;
+        let store = Engine::open(&base.join("crash_tex"), Profile::texas(), opts)?;
         println!(
             "Texas after crash : {} -> {:?}, {} -> exists = {} (checkpoint-only durability)",
             kept,

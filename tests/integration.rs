@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use labbase::LabBase;
 use labflow_core::{BenchConfig, LabSim, ServerVersion};
-use labflow_storage::{OStore, Options, StorageManager};
+use labflow_storage::{Engine, Options, Profile, StorageManager};
 use labflow_workflow::genome;
 use lql::{stdlib::labflow_program, Session};
 
@@ -72,7 +72,7 @@ fn committed_work_survives_a_crash_without_checkpoint() {
     let committed;
     {
         let store: Arc<dyn StorageManager> =
-            Arc::new(OStore::create(&dir, Options::default()).unwrap());
+            Arc::new(Engine::create(&dir, Profile::ostore(), Options::default()).unwrap());
         let db = LabBase::create(store).unwrap();
         let t = db.begin().unwrap();
         db.define_material_class(t, "clone", None).unwrap();
@@ -85,7 +85,7 @@ fn committed_work_survives_a_crash_without_checkpoint() {
         // Drop everything without commit or checkpoint: the "crash".
     }
     let store: Arc<dyn StorageManager> =
-        Arc::new(OStore::open(&dir, Options::default()).unwrap());
+        Arc::new(Engine::open(&dir, Profile::ostore(), Options::default()).unwrap());
     let db = LabBase::open(store).unwrap();
     assert_eq!(db.count_class("clone", false).unwrap(), 1);
     let m = db.find_material("survivor").unwrap().expect("committed material recovered");

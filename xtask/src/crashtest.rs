@@ -39,7 +39,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use labflow_storage::{
-    scrub_store, ClusterHint, Engine, FaultPlan, OStore, Options, Oid, SegmentId, SimVfs,
+    scrub_store, ClusterHint, Engine, FaultPlan, Oid, Options, Profile, SegmentId, SimVfs,
     StorageError, StorageManager, Vfs,
 };
 
@@ -391,7 +391,7 @@ fn run_seed(seed: u64, corrupt: bool) -> Result<SeedOutcome, String> {
     let sim = SimVfs::new(seed);
     let vfs: Arc<dyn Vfs> = Arc::new(sim.clone());
     let dir = PathBuf::from("/crash/store");
-    let store = OStore::create_with(vfs, &dir, opts())
+    let store = Engine::create_with(vfs, &dir, Profile::ostore(), opts())
         .map_err(|e| format!("create failed before any fault was armed: {e}"))?;
 
     // Arm the plug-pull (and one transient error) somewhere in the
@@ -469,7 +469,7 @@ fn run_seed(seed: u64, corrupt: bool) -> Result<SeedOutcome, String> {
 
     let (readable, damaged) = {
         let vfs: Arc<dyn Vfs> = Arc::new(image.clone());
-        match OStore::open_with(vfs, &dir, opts()) {
+        match Engine::open_with(vfs, &dir, Profile::ostore(), opts()) {
             Ok(store) => dump(&store)?,
             Err(e) if corrupt && e.is_corruption() => {
                 return Ok(SeedOutcome { crashed, detected: true, deltas, compactions });
@@ -508,7 +508,7 @@ fn run_seed(seed: u64, corrupt: bool) -> Result<SeedOutcome, String> {
     // typed casualties.
     {
         let vfs: Arc<dyn Vfs> = Arc::new(twin);
-        let store = OStore::open_with(vfs, &dir, opts())
+        let store = Engine::open_with(vfs, &dir, Profile::ostore(), opts())
             .map_err(|e| format!("twin recovery failed: {e}"))?;
         if dump(&store)? != (readable.clone(), damaged.clone()) {
             return Err("recovery is nondeterministic: twin image disagrees".into());
@@ -518,7 +518,7 @@ fn run_seed(seed: u64, corrupt: bool) -> Result<SeedOutcome, String> {
     // same state.
     {
         let vfs: Arc<dyn Vfs> = Arc::new(image.clone());
-        let store = OStore::open_with(vfs, &dir, opts())
+        let store = Engine::open_with(vfs, &dir, Profile::ostore(), opts())
             .map_err(|e| format!("re-recovery failed: {e}"))?;
         if dump(&store)? != (readable, damaged) {
             return Err("recovery is not idempotent: second open diverges".into());

@@ -34,8 +34,8 @@ use std::time::Duration;
 
 use labflow_repl::{Follower, ReplError};
 use labflow_storage::{
-    scrub_store, ClusterHint, FaultPlan, Engine, OStore, Options, Oid, SegmentId, SimVfs, StorageManager,
-    Vfs,
+    scrub_store, ClusterHint, Engine, FaultPlan, Oid, Options, Profile, SegmentId, SimVfs,
+    StorageManager, Vfs,
 };
 
 const TXNS: usize = 48;
@@ -75,7 +75,7 @@ impl Node {
         let vfs: Arc<dyn Vfs> = Arc::new(sim.clone());
         let dir = PathBuf::from("/repl/follower");
         let store = Arc::new(
-            OStore::create_with(vfs, &dir, opts())
+            Engine::create_with(vfs, &dir, Profile::ostore(), opts())
                 .map_err(|e| format!("create follower store: {e}"))?,
         );
         let as_manager: Arc<dyn StorageManager> = Arc::clone(&store) as _;
@@ -175,7 +175,7 @@ fn run_seed(seed: u64, tally: &mut Tally) -> Result<(), String> {
     let pri_sim = SimVfs::new(seed);
     let pri_vfs: Arc<dyn Vfs> = Arc::new(pri_sim.clone());
     let pri_dir = PathBuf::from("/repl/primary");
-    let pri = OStore::create_with(pri_vfs, &pri_dir, opts())
+    let pri = Engine::create_with(pri_vfs, &pri_dir, Profile::ostore(), opts())
         .map_err(|e| format!("create primary: {e}"))?;
     let from = pri
         .replication_lsn()
@@ -299,7 +299,7 @@ fn run_seed(seed: u64, tally: &mut Tally) -> Result<(), String> {
     // clean scrub.
     {
         let twin_vfs: Arc<dyn Vfs> = Arc::new(winner.sim.clone_durable());
-        let twin = OStore::open_with(Arc::clone(&twin_vfs), &winner.dir, opts())
+        let twin = Engine::open_with(Arc::clone(&twin_vfs), &winner.dir, Profile::ostore(), opts())
             .map_err(|e| format!("durable twin of the follower failed to open: {e}"))?;
         let twin_state = dump(&twin)?;
         if twin_state != live {
@@ -345,7 +345,7 @@ fn run_seed(seed: u64, tally: &mut Tally) -> Result<(), String> {
     // its pre-promotion epoch lineage) to the fenced survivor.
     pri_sim.power_loss();
     let zombie_vfs: Arc<dyn Vfs> = Arc::new(pri_sim.clone());
-    let zombie = OStore::open_with(zombie_vfs, &pri_dir, opts())
+    let zombie = Engine::open_with(zombie_vfs, &pri_dir, Profile::ostore(), opts())
         .map_err(|e| format!("zombie reboot failed: {e}"))?;
     let zt = zombie.begin().map_err(|e| format!("zombie begin: {e}"))?;
     zombie

@@ -19,14 +19,15 @@ use labflow_storage::{scrub_store, space_report, RealVfs, PAGE_SIZE};
 /// on-disk image that has been through the full recovery path —
 /// checkpointed work, WAL-replayed work, and a re-checkpoint at open.
 pub fn build_demo(dir: &Path) -> Result<(), String> {
-    use labflow_storage::{ClusterHint, OStore, Options, SegmentId, StorageManager};
+    use labflow_storage::{ClusterHint, Engine, Options, Profile, SegmentId, StorageManager};
     let fail = |what: &str, e: &dyn std::fmt::Display| format!("demo image: {what}: {e}");
     if dir.exists() {
         std::fs::remove_dir_all(dir).map_err(|e| fail("wiping dir", &e))?;
     }
     std::fs::create_dir_all(dir).map_err(|e| fail("creating dir", &e))?;
     {
-        let store = OStore::create(dir, Options::default()).map_err(|e| fail("create", &e))?;
+        let store = Engine::create(dir, Profile::ostore(), Options::default())
+            .map_err(|e| fail("create", &e))?;
         let txn = store.begin().map_err(|e| fail("begin", &e))?;
         let mut oids = Vec::new();
         for i in 0..400u32 {
@@ -47,7 +48,10 @@ pub fn build_demo(dir: &Path) -> Result<(), String> {
         }
         store.commit(txn).map_err(|e| fail("commit", &e))?;
     }
-    drop(OStore::open(dir, Options::default()).map_err(|e| fail("recovery", &e))?);
+    drop(
+        Engine::open(dir, Profile::ostore(), Options::default())
+            .map_err(|e| fail("recovery", &e))?,
+    );
     Ok(())
 }
 
