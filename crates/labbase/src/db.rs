@@ -868,6 +868,28 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn record_step_refuses_values_too_deep_to_decode() {
+        let db = mem_db();
+        let t = db.begin().unwrap();
+        db.define_step_class(t, "pool", attrs(&[("lanes", AttrType::List)])).unwrap();
+        let m = db.create_material(t, "clone", "c1", 0).unwrap();
+        let mut v = Value::Null;
+        for _ in 0..crate::value::MAX_NESTING {
+            v = Value::List(vec![v]);
+        }
+        // One level past the decode limit is refused before anything is
+        // stored…
+        let deep = Value::List(vec![v.clone()]);
+        let err = db.record_step(t, "pool", 5, &[m], vec![("lanes".into(), deep)]).unwrap_err();
+        assert!(matches!(err, LabError::TypeMismatch { .. }), "{err:?}");
+        assert!(err.to_string().contains(&crate::value::MAX_NESTING.to_string()), "{err}");
+        // …while the limit itself records and reads back.
+        let s = db.record_step(t, "pool", 5, &[m], vec![("lanes".into(), v.clone())]).unwrap();
+        db.commit(t).unwrap();
+        assert_eq!(db.step(s).unwrap().attrs, vec![("lanes".to_string(), v)]);
+    }
+
+    #[test]
     fn step_schema_pins_old_version() {
         let db = mem_db();
         let t = db.begin().unwrap();

@@ -54,6 +54,14 @@ impl StepClassVersion {
                     got: value.to_string(),
                 });
             }
+            // Stored steps must decode again (`value::MAX_NESTING`).
+            if value.nests_too_deep() {
+                return Err(LabError::TypeMismatch {
+                    attr: name.clone(),
+                    expected: "lists nested at most 64 deep",
+                    got: "deeper lists".to_string(),
+                });
+            }
         }
         Ok(())
     }

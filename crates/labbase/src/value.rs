@@ -12,6 +12,14 @@ use labflow_storage::Oid;
 use crate::enc::{Reader, Writer};
 use crate::error::{LabError, Result};
 
+/// Deepest list nesting a stored value may have. Decoding recurses
+/// once per level, and so does dropping the value, so a frame of nested
+/// one-element lists would otherwise overflow the connection thread's
+/// stack. [`Value::decode`] refuses deeper lists, and so does recording
+/// a step, so nothing is stored that cannot be read back. No workload
+/// value nests more than two deep.
+pub(crate) const MAX_NESTING: usize = 64;
+
 /// Declared type of an attribute in a step-class version.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum AttrType {
@@ -155,6 +163,19 @@ impl Value {
         }
     }
 
+    /// Whether lists nest more than [`MAX_NESTING`] levels deep in this
+    /// value, so that [`Value::decode`] would refuse its encoding.
+    /// Recurses at most `MAX_NESTING + 1` levels.
+    pub(crate) fn nests_too_deep(&self) -> bool {
+        fn past(v: &Value, levels: usize) -> bool {
+            match v {
+                Value::List(vs) => levels == 0 || vs.iter().any(|v| past(v, levels - 1)),
+                _ => false,
+            }
+        }
+        past(self, MAX_NESTING)
+    }
+
     /// Approximate in-memory footprint in bytes (used by the workload's
     /// size accounting).
     pub fn weight(&self) -> usize {
@@ -208,8 +229,14 @@ impl Value {
         }
     }
 
-    /// Decode from `r`.
+    /// Decode from `r`. Lists nested more than 64 levels deep are a
+    /// decode error.
     pub fn decode(r: &mut Reader<'_>) -> Result<Value> {
+        Self::decode_nested(r, 0)
+    }
+
+    /// [`Value::decode`] of a value nested `depth` lists deep.
+    fn decode_nested(r: &mut Reader<'_>, depth: usize) -> Result<Value> {
         Ok(match r.u8()? {
             0 => Value::Null,
             1 => Value::Bool(r.u8()? != 0),
@@ -220,6 +247,11 @@ impl Value {
             6 => Value::Ref(Oid::from_raw(r.u64()?)),
             7 => Value::Dna(r.str()?),
             8 => {
+                if depth >= MAX_NESTING {
+                    return Err(LabError::Decode(format!(
+                        "lists nest deeper than {MAX_NESTING} levels"
+                    )));
+                }
                 let n = r.u32()? as usize;
                 // Guard against corrupt lengths blowing up allocation.
                 if n > r.remaining() {
@@ -227,7 +259,7 @@ impl Value {
                 }
                 let mut vs = Vec::with_capacity(n);
                 for _ in 0..n {
-                    vs.push(Value::decode(r)?);
+                    vs.push(Value::decode_nested(r, depth + 1)?);
                 }
                 Value::List(vs)
             }
@@ -310,6 +342,37 @@ mod tests {
         let out = Value::decode(&mut r).unwrap();
         assert_eq!(r.remaining(), 0);
         out
+    }
+
+    #[test]
+    fn deeply_nested_lists_are_a_decode_error() {
+        // 20,000 one-element lists around a null: ~100 KB, well inside
+        // a frame, and deep enough to overflow the stack if decoding
+        // recursed once per level without a limit.
+        let depth = 20_000;
+        let mut buf = Vec::new();
+        for _ in 0..depth {
+            buf.push(8);
+            buf.extend_from_slice(&1u32.to_le_bytes());
+        }
+        buf.push(0);
+        let err = Value::decode(&mut Reader::new(&buf)).unwrap_err();
+        assert!(matches!(err, LabError::Decode(_)), "{err:?}");
+
+        // The limit itself still decodes, and is the deepest value the
+        // write side accepts.
+        let mut v = Value::Null;
+        for _ in 0..MAX_NESTING {
+            v = Value::List(vec![v]);
+        }
+        assert!(!v.nests_too_deep());
+        assert_eq!(round_trip(&v), v);
+        let deeper = Value::List(vec![Value::Int(1), v]);
+        assert!(deeper.nests_too_deep());
+        let mut w = Writer::new();
+        deeper.encode(&mut w);
+        let err = Value::decode(&mut Reader::new(&w.finish())).unwrap_err();
+        assert!(matches!(err, LabError::Decode(_)), "{err:?}");
     }
 
     #[test]

@@ -19,11 +19,23 @@ use crate::ast::{Rule, Term};
 use crate::error::{LqlError, Result};
 use crate::token::{tokenize, Token};
 
+/// Deepest term the parser builds. Parsing recurses once per nested
+/// goal and unary minus, and an operator chain or a parenthesised
+/// ','/';' group folds into a term one level deeper per operator;
+/// dropping, printing and evaluating a term all recurse once per level.
+/// Without a limit a query of a few thousand nested parentheses
+/// overflows the connection thread's stack.
+const MAX_NESTING: usize = 128;
+
 struct Parser {
     toks: Vec<Token>,
     at: usize,
     /// Counter making each `_` a distinct anonymous variable.
     anon: usize,
+    /// Nesting level of the term being parsed. Restored on the way out
+    /// of each level; an error abandons the parse, so it is not
+    /// restored on error paths.
+    depth: usize,
 }
 
 impl Parser {
@@ -51,6 +63,15 @@ impl Parser {
         }
     }
 
+    /// Go one nesting level deeper, refusing past [`MAX_NESTING`].
+    fn descend(&mut self) -> Result<()> {
+        self.depth += 1;
+        if self.depth > MAX_NESTING {
+            return Err(LqlError::Parse(format!("terms nest deeper than {MAX_NESTING} levels")));
+        }
+        Ok(())
+    }
+
     fn eat(&mut self, tok: &Token) -> bool {
         if self.peek() == Some(tok) {
             self.at += 1;
@@ -63,11 +84,15 @@ impl Parser {
     // goal := "\+" goal | cmp_expr
     // Disjunction requires parentheses: (a, b ; c).
     fn goal(&mut self) -> Result<Term> {
-        if self.eat(&Token::Naf) {
-            let inner = self.goal()?;
-            return Ok(Term::Compound("\\+".into(), vec![inner]));
-        }
-        self.cmp_expr()
+        let base = self.depth;
+        self.descend()?;
+        let goal = if self.eat(&Token::Naf) {
+            Term::Compound("\\+".into(), vec![self.goal()?])
+        } else {
+            self.cmp_expr()?
+        };
+        self.depth = base;
+        Ok(goal)
     }
 
     fn cmp_expr(&mut self) -> Result<Term> {
@@ -85,33 +110,41 @@ impl Parser {
     }
 
     fn arith(&mut self) -> Result<Term> {
+        let base = self.depth;
         let mut left = self.mul()?;
         loop {
             match self.peek() {
                 Some(Token::Op(op)) if op == "+" || op == "-" => {
                     let op = op.clone();
                     self.next();
+                    self.descend()?;
                     let right = self.mul()?;
                     left = Term::Compound(op, vec![left, right]);
                 }
-                _ => return Ok(left),
+                _ => break,
             }
         }
+        self.depth = base;
+        Ok(left)
     }
 
     fn mul(&mut self) -> Result<Term> {
+        let base = self.depth;
         let mut left = self.primary()?;
         loop {
             match self.peek() {
                 Some(Token::Op(op)) if op == "*" || op == "/" || op == "mod" => {
                     let op = op.clone();
                     self.next();
+                    self.descend()?;
                     let right = self.primary()?;
                     left = Term::Compound(op, vec![left, right]);
                 }
-                _ => return Ok(left),
+                _ => break,
             }
         }
+        self.depth = base;
+        Ok(left)
     }
 
     fn primary(&mut self) -> Result<Term> {
@@ -166,10 +199,14 @@ impl Parser {
             Some(Token::LParen) => {
                 // Parenthesized goal group. Standard precedence: ','
                 // binds tighter than ';', so (a, b ; c) is ;(,(a,b), c).
+                // Each further group folds one level deeper.
+                let base = self.depth;
                 let mut groups = vec![self.conjunction()?];
                 while self.eat(&Token::Semicolon) {
+                    self.descend()?;
                     groups.push(self.conjunction()?);
                 }
+                self.depth = base;
                 self.expect(&Token::RParen, "')'")?;
                 let mut it = groups.into_iter().rev();
                 let mut acc = it.next().expect("at least one group");
@@ -180,7 +217,9 @@ impl Parser {
             }
             Some(Token::Op(op)) if op == "-" => {
                 // Unary minus over a primary.
+                self.descend()?;
                 let inner = self.primary()?;
+                self.depth -= 1;
                 match inner {
                     Term::Int(i) => Ok(Term::Int(-i)),
                     Term::Real(r) => Ok(Term::Real(-r)),
@@ -191,12 +230,16 @@ impl Parser {
         }
     }
 
-    /// goal (',' goal)* folded right-associatively into ','/2.
+    /// goal (',' goal)* folded right-associatively into ','/2, one
+    /// level deeper per further goal.
     fn conjunction(&mut self) -> Result<Term> {
+        let base = self.depth;
         let mut goals = vec![self.goal()?];
         while self.eat(&Token::Comma) {
+            self.descend()?;
             goals.push(self.goal()?);
         }
+        self.depth = base;
         let mut it = goals.into_iter().rev();
         let mut acc = it.next().expect("at least one goal");
         for g in it {
@@ -227,7 +270,7 @@ impl Parser {
 /// Parse a full program (sequence of clauses).
 pub fn parse_program(src: &str) -> Result<Vec<Rule>> {
     let toks = tokenize(src)?;
-    let mut p = Parser { toks, at: 0, anon: 0 };
+    let mut p = Parser { toks, at: 0, anon: 0, depth: 0 };
     let mut rules = Vec::new();
     while p.peek().is_some() {
         // Allow an optional leading `?-` to be nice about pasted queries.
@@ -241,7 +284,7 @@ pub fn parse_program(src: &str) -> Result<Vec<Rule>> {
 /// trailing `.`.
 pub fn parse_query(src: &str) -> Result<Vec<Term>> {
     let toks = tokenize(src)?;
-    let mut p = Parser { toks, at: 0, anon: 0 };
+    let mut p = Parser { toks, at: 0, anon: 0, depth: 0 };
     p.eat(&Token::Query);
     let mut goals = vec![p.goal()?];
     while p.eat(&Token::Comma) {
@@ -330,6 +373,30 @@ mod tests {
         assert!(matches!(parse_program("3 :- a."), Err(LqlError::Parse(_))));
         assert!(matches!(parse_program("f(a)"), Err(LqlError::Parse(_))), "missing dot");
         assert!(matches!(parse_query("f(a) g(b)"), Err(LqlError::Parse(_))), "trailing input");
+    }
+
+    #[test]
+    fn deep_nesting_is_a_parse_error() {
+        // 5,000 nested parentheses: 10 KB of query, deep enough to
+        // overflow the stack if the parser recursed without a limit.
+        let deep = format!("{}a{}", "(".repeat(5_000), ")".repeat(5_000));
+        assert!(matches!(parse_query(&deep), Err(LqlError::Parse(_))));
+        // An operator chain parses without recursing, but the term it
+        // folds into is one level deeper per operator, and dropping a
+        // 100,000-deep term (400 KB of query) overflows the stack too.
+        let chain = format!("X is 1{}", " + 1".repeat(100_000));
+        assert!(matches!(parse_query(&chain), Err(LqlError::Parse(_))), "operator chain");
+        let minus = format!("X is {}1", "- ".repeat(5_000));
+        assert!(matches!(parse_query(&minus), Err(LqlError::Parse(_))), "unary minus");
+        // So do a parenthesised conjunction and disjunction: 100,000
+        // goals fold into ','/2 and ';'/2 terms 100,000 deep.
+        let and = format!("(a{})", ", a".repeat(100_000));
+        assert!(matches!(parse_query(&and), Err(LqlError::Parse(_))), "conjunction");
+        let or = format!("(a{})", "; a".repeat(100_000));
+        assert!(matches!(parse_query(&or), Err(LqlError::Parse(_))), "disjunction");
+        // Nesting well inside the limit still parses.
+        let ok = format!("{}a{}", "(".repeat(40), ")".repeat(40));
+        assert_eq!(parse_query(&ok).unwrap()[0].to_string(), "a");
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Modeled atomics, API-compatible with `std::sync::atomic` for the
-//! subset the workspace's lock-free code uses.
+//! subset the protocol miniatures use.
 //!
 //! Each atomic keeps its real value in a `std` atomic (so free-running
 //! code outside an execution behaves normally) and, inside a model

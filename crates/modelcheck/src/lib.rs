@@ -1,10 +1,10 @@
-//! `labflow-modelcheck` — a deterministic interleaving explorer for the
-//! workspace's lock-free code, in the style of `loom`.
+//! `labflow-modelcheck` — a deterministic interleaving explorer for
+//! concurrency protocols, in the style of `loom`.
 //!
-//! Code under test swaps its `std::sync::atomic` / `std::sync::Mutex` /
-//! `std::thread` imports for the modules here (the `labflow-mrv` crate
-//! does this behind `cfg(labflow_model)` via its `sync` facade). Every
-//! synchronization operation then becomes a *scheduling point* managed
+//! A protocol under test is written as a miniature against the modules
+//! here in place of `std::sync::atomic` / `std::sync::Mutex` /
+//! `std::thread` (see `tests/protocol.rs`). Every synchronization
+//! operation then becomes a *scheduling point* managed
 //! by a cooperative scheduler: model threads are carried by OS threads
 //! but exactly one runs at a time, and a stateless DFS replays recorded
 //! schedules to enumerate every interleaving within a bounded number of

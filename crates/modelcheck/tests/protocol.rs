@@ -1,11 +1,11 @@
-//! Seeded-bug fixtures: a miniature epoch-reclamation protocol with the
-//! same shape as `labflow-mrv` (publish-and-recheck pin, swap-then-stamp
-//! retire, epoch-bump-then-scan reclaim), plus three deliberately
-//! injectable bugs. The correct protocol must survive exhaustive
-//! exploration; each seeded bug must produce a *reported*
-//! use-after-reclaim interleaving. This is the evidence that the
-//! explorer can actually find the class of bug the MRV scenarios assert
-//! the absence of.
+//! Seeded-bug fixtures: a miniature epoch-reclamation protocol
+//! (publish-and-recheck pin, swap-then-stamp retire, epoch-bump-then-scan
+//! reclaim — the pin and the scan are the shape of the storage heap's
+//! `EpochPin` / `epoch_sync`), plus three deliberately injectable bugs.
+//! The correct protocol must survive exhaustive exploration; each seeded
+//! bug must produce a *reported* use-after-reclaim interleaving. This is
+//! the evidence that the explorer can actually find the class of bug a
+//! protocol model asserts the absence of.
 
 use std::sync::Arc;
 
@@ -16,7 +16,7 @@ const IDLE: u64 = u64::MAX;
 
 #[derive(Clone, Copy, PartialEq)]
 enum Bug {
-    /// The protocol as `labflow-mrv` implements it.
+    /// The protocol as designed.
     None,
     /// Retire stamps the value with the epoch read *before* the swap, so
     /// a reclaim racing the publish can make the stamp stale-low.
@@ -99,8 +99,7 @@ fn publish(p: &Proto, val: u64, bug: Bug) {
 }
 
 /// Bump the epoch, scan the reader slot, free safely-old retirees. The
-/// retired lock is held across the scan AND the frees, like the real
-/// MRV holds its inner lock: scanning before taking the lock is itself
+/// retired lock is held across the scan AND the frees: scanning before taking the lock is itself
 /// a reclamation race (a value retired after the scan could be freed
 /// against a reader the stale scan never saw) — and the explorer finds
 /// it if this function is reordered.

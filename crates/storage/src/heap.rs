@@ -51,30 +51,25 @@
 //!   its full duration and *exclusive* only by the checkpoint quiesce
 //!   ([`Heap::places`] / [`Heap::load`]);
 //! * [`TABLE_SHARDS`] **object-table shards** (rank 30), oid-hashed like
-//!   the lock manager's 32-way split — taken only by writers and by
-//!   transactional own-write reads; committed-state readers resolve
-//!   version chains through the lock-free most-recent view instead
-//!   (see below) and never touch these shards. Each shard also lists
-//!   the oids whose newest committed version moved since the last
-//!   collection: checkpoint GC trims those chains and the meta delta
-//!   records those oids, so a checkpoint costs what changed, not what
-//!   exists;
+//!   the lock manager's 32-way split — held exclusively by writers for
+//!   a chain mutation and shared by every read for as long as it takes
+//!   to resolve a version location. Each shard also lists the oids
+//!   whose newest committed version moved since the last collection:
+//!   checkpoint GC trims those chains and the meta delta records those
+//!   oids, so a checkpoint costs what changed, not what exists;
 //! * one **placement shard per segment** (rank 32): open page, page
 //!   list, free list, and chunk map, so writers in different segments
 //!   allocate without touching each other's locks.
 //!
-//! # The lock-free most-recent view
+//! # Reads
 //!
-//! Every committed mutation of an object's version chain also publishes
-//! an immutable, committed-versions-only copy of the chain into a
-//! per-oid [`AtomicPtr`] slot (a two-level array indexed by oid — no
-//! hashing, no locks). `Latest` and snapshot (`At`) reads resolve
-//! entirely through these pointers under an epoch pin: the read path
-//! acquires *zero* heap locks, so a long analytical scan can never make
-//! a writer wait on heap metadata, and vice versa. The table and its
-//! epoch-stamped reclamation of displaced chain copies live in the
-//! [`labflow_mrv`] crate — the one place in the workspace allowed to
-//! use `unsafe` — so this crate keeps `#![forbid(unsafe_code)]`.
+//! Every read — newest committed (`Latest`), snapshot (`At`) or a
+//! transaction's own view (`For`) — resolves its version location
+//! under a momentary shard read and drops the lock before it touches
+//! the page. From there an epoch pin alone keeps the location from
+//! being freed: GC unlinks a version under the shard write lock and
+//! frees it only after an epoch synchronisation has seen every pin
+//! taken before the unlink released.
 //!
 //! Every lock is acquired try-first: uncontended acquisitions cost one
 //! compare-exchange, contended ones record the blocked time in the
@@ -87,7 +82,6 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use labflow_mrv::Mrv;
 use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::buffer::BufferPool;
@@ -199,8 +193,8 @@ struct EpochState {
     /// the GC wait treats as "not reading" — a small, harmless leak.
     slots: Vec<Arc<AtomicU64>>,
     /// Version locations unlinked from their chains but not yet freed:
-    /// a latch-free reader may still hold a pointer into them until the
-    /// next epoch synchronisation.
+    /// a reader that resolved one before the unlink may still be reading
+    /// its page until the next epoch synchronisation.
     condemned: Vec<Loc>,
 }
 
@@ -217,11 +211,6 @@ impl Drop for EpochPin {
         self.slot.store(self.prev, Ordering::SeqCst);
     }
 }
-
-/// An immutable, committed-versions-only copy of one object's chain,
-/// published into the lock-free most-recent view ([`labflow_mrv::Mrv`])
-/// for latch-free readers.
-type ViewChain = Vec<Version>;
 
 /// How allocations are placed onto pages.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -383,17 +372,14 @@ pub struct Places {
 /// and by segment (placement state) under a global quiesce lock, page
 /// contents behind the buffer pool's own lock.
 ///
-/// Each object maps to a newest-first chain of [`Version`]s. Committed
-/// versions are immutable on disk: updates always write a fresh record
-/// and publish it with a brief table-shard write, never mutating or
-/// freeing a committed slot in place. Every committed mutation also
-/// mirrors the chain into the lock-free most-recent view, so
-/// committed-state readers go fully *latch-free*: they pin the
-/// reclamation epoch, load the chain from a per-oid atomic pointer,
-/// resolve a version location, and read the page — acquiring no heap
-/// lock at any point. Unlinked versions (and displaced view chains) are
-/// freed only once the epoch discipline proves no reader can still hold
-/// them.
+/// Each object maps to a newest-first chain of [`Version`]s, held in one
+/// place: its object-table shard. Committed versions are immutable on
+/// disk: updates always write a fresh record and publish it with a
+/// brief table-shard write, never mutating or freeing a committed slot
+/// in place. Readers pin the reclamation epoch, resolve a version
+/// location under a momentary shard read, and read the page with no
+/// heap lock held. Unlinked versions are freed only once the epoch
+/// discipline proves no reader can still hold them.
 pub struct Heap {
     pool: Arc<BufferPool>,
     file: Arc<PageFile>,
@@ -411,9 +397,6 @@ pub struct Heap {
     epoch: AtomicU64,
     /// Reader-slot registry plus condemned version locations.
     epoch_state: Mutex<EpochState>,
-    /// Lock-free most-recent view (committed chains only); see the
-    /// module docs.
-    view: Mrv<ViewChain>,
 }
 
 impl Heap {
@@ -445,7 +428,6 @@ impl Heap {
             heap_id: NEXT_HEAP_ID.fetch_add(1, Ordering::Relaxed),
             epoch: AtomicU64::new(0),
             epoch_state: Mutex::new(EpochState { slots: Vec::new(), condemned: Vec::new() }),
-            view: Mrv::new(),
         }
     }
 
@@ -563,26 +545,6 @@ impl Heap {
             }
             std::thread::yield_now();
         }
-    }
-
-    // ---- most-recent view maintenance -------------------------------------
-
-    /// Mirror `chain`'s committed versions into the lock-free view (an
-    /// empty committed set clears the slot). Call with the owning table
-    /// shard held exclusively so publishes per oid are totally ordered
-    /// with the map mutation they mirror; the view's internal mutex is
-    /// a leaf, safe to touch under any heap lock. Displaced copies are
-    /// retired and reclaimed inside [`Mrv`] under its epoch rule.
-    fn publish_view(&self, oid: u64, chain: &[Version]) {
-        let committed: ViewChain = chain.iter().filter(|v| v.txn == 0).copied().collect();
-        let boxed = if committed.is_empty() { None } else { Some(Box::new(committed)) };
-        self.view.publish(oid, boxed);
-    }
-
-    /// Remove `oid` from the view (object freed). Same calling rules as
-    /// [`Heap::publish_view`].
-    fn clear_view(&self, oid: u64) {
-        self.view.publish(oid, None);
     }
 
     /// Map a client segment id to the physical segment index under the
@@ -929,10 +891,7 @@ impl Heap {
         {
             let mut shard = self.table_write(oid.raw());
             shard.chains.insert(oid.raw(), vec![ver]);
-            // A pending-only chain has no committed version to publish;
-            // the view slot stays empty until `commit_version`.
             if txn == 0 {
-                self.publish_view(oid.raw(), &[ver]);
                 shard.note_changed(oid.raw());
             }
         }
@@ -978,10 +937,7 @@ impl Heap {
                 )));
             }
             shard.chains.insert(oid.raw(), vec![ver]);
-            // Pending-only chain: the view slot stays empty until
-            // `commit_version` flips it, same as `alloc`.
             if txn == 0 {
-                self.publish_view(oid.raw(), &[ver]);
                 shard.note_changed(oid.raw());
             }
         }
@@ -1032,7 +988,6 @@ impl Heap {
         {
             let mut shard = self.table_write(oid.raw());
             shard.chains.insert(oid.raw(), vec![ver]);
-            self.publish_view(oid.raw(), &[ver]);
             shard.note_changed(oid.raw());
         }
         self.next_oid.fetch_max(oid.raw() + 1, Ordering::Relaxed);
@@ -1046,7 +1001,6 @@ impl Heap {
         let _g = self.global_read();
         let mut shard = self.table_write(oid.raw());
         shard.chains.remove(&oid.raw());
-        self.clear_view(oid.raw());
         shard.note_changed(oid.raw());
     }
 
@@ -1066,7 +1020,7 @@ impl Heap {
     }
 
     /// Read the newest version committed at or before `lsn` (snapshot
-    /// read). Latch-free like every committed-state read.
+    /// read).
     pub fn read_at(&self, oid: Oid, lsn: u64) -> Result<Vec<u8>> {
         StorageStats::bump(&self.stats.snapshot_reads, 1);
         self.read_vis(oid, Vis::At(lsn))
@@ -1078,27 +1032,16 @@ impl Heap {
         self.read_vis(oid, Vis::For(txn, u64::MAX))
     }
 
-    /// Read the version `vis` resolves to. Committed-state reads are
-    /// latch-free: the version location is resolved through the
-    /// lock-free most-recent view and the page (and overflow-chain)
-    /// access runs with no heap lock held, protected by the epoch pin
-    /// alone.
+    /// Read the version `vis` resolves to. The version location is
+    /// resolved under a momentary shard read; the page (and
+    /// overflow-chain) access runs with no heap lock held, protected by
+    /// the epoch pin alone.
     pub(crate) fn read_vis(&self, oid: Oid, vis: Vis) -> Result<Vec<u8>> {
         let _pin = self.pin_epoch();
-        let loc = match vis {
-            // A transaction's own reads must see its pending version,
-            // which lives only in the locked table.
-            Vis::For(..) => {
-                let shard = self.table_read(oid.raw());
-                let chain = shard.chains.get(&oid.raw()).ok_or(StorageError::UnknownObject(oid))?;
-                Self::visible_loc(chain, vis, oid)?
-            }
-            // Committed-state reads resolve through the lock-free view:
-            // no heap lock is acquired anywhere on this path.
-            Vis::Latest | Vis::At(_) => {
-                let chain = self.view.get(oid.raw()).ok_or(StorageError::UnknownObject(oid))?;
-                Self::visible_loc(&chain, vis, oid)?
-            }
+        let loc = {
+            let shard = self.table_read(oid.raw());
+            let chain = shard.chains.get(&oid.raw()).ok_or(StorageError::UnknownObject(oid))?;
+            Self::visible_loc(chain, vis, oid)?
         };
         // From here the epoch pin alone keeps `loc` (and any overflow
         // chain behind it) from being freed under us.
@@ -1161,8 +1104,8 @@ impl Heap {
                 }
             } else {
                 // Immediate commit: the new head supersedes the old one,
-                // which a latch-free reader may still be walking — unlink
-                // it and defer the free to the next epoch sync.
+                // which a pinned reader may still be reading — unlink it
+                // and defer the free to the next epoch sync.
                 let lsn = chain.first().map_or(0, |v| v.lsn);
                 chain.insert(0, Version { body: VersionBody::Data(new_loc), lsn, txn: 0 });
                 if let Some(prev) = chain.get(1).copied().filter(|v| v.txn == 0) {
@@ -1171,9 +1114,6 @@ impl Heap {
                     }
                     chain.remove(1);
                 }
-                // Pending writes leave the committed suffix untouched,
-                // so only the immediate-commit arm republishes.
-                self.publish_view(oid.raw(), chain);
                 shard.note_changed(oid.raw());
             }
         }
@@ -1200,8 +1140,8 @@ impl Heap {
             // Deleting an object the caller cannot see is an error.
             Self::visible_loc(chain, Vis::For(txn, u64::MAX), oid)?;
             if txn != 0 {
-                // A pending tombstone leaves the committed suffix (and
-                // so the view) untouched until `commit_version`.
+                // A pending tombstone leaves the committed suffix
+                // untouched until `commit_version`.
                 if let Some(head) = chain.first_mut().filter(|v| v.txn == txn) {
                     let old = std::mem::replace(&mut head.body, VersionBody::Tombstone);
                     if let VersionBody::Data(l) = old {
@@ -1217,7 +1157,6 @@ impl Heap {
                         condemned.push(l);
                     }
                 }
-                self.clear_view(oid.raw());
                 shard.note_changed(oid.raw());
             }
         }
@@ -1259,9 +1198,6 @@ impl Heap {
                 if chain.len() > MAX_CHAIN {
                     trimmed = Self::trim_chain(chain, keep_floor, &mut condemned);
                 }
-                // The commit changed the committed prefix either way
-                // (new head, or a trim): publish the new cut.
-                self.publish_view(oid.raw(), chain);
                 if chain.is_empty() {
                     shard.chains.remove(&oid.raw());
                 }
@@ -1330,13 +1266,7 @@ impl Heap {
                     drained.push((oid, None));
                     continue;
                 };
-                let n = Self::trim_chain(chain, low_water, &mut condemned);
-                trimmed += n;
-                // Republish only what changed (a fully-trimmed chain
-                // publishes an empty cut, clearing the slot).
-                if n > 0 {
-                    self.publish_view(oid, chain);
-                }
+                trimmed += Self::trim_chain(chain, low_water, &mut condemned);
                 let newest = Self::visible_loc(chain, Vis::Latest, Oid::from_raw(oid));
                 drained.push((oid, newest.ok()));
                 match chain.as_slice() {
@@ -1366,13 +1296,11 @@ impl Heap {
     ///
     /// Runs at checkpoint (callers pass the minimum open-snapshot LSN,
     /// or `u64::MAX` when none is open). Safe concurrent with readers —
-    /// the epoch sync is exactly what makes their latch-free access
-    /// sound — but assumes no *pending* version's transaction is racing
+    /// the epoch sync is exactly what makes their page reads outside the
+    /// shard lock sound — but assumes no *pending* version's transaction is racing
     /// it for the same oids (the engine quiesces writers first).
     pub fn collect_garbage(&self, low_water: u64) -> Vec<(u64, Option<Loc>)> {
         let (changed, mut condemned) = self.trim_changed(low_water);
-        // A good moment to age out displaced view chains either way.
-        self.view.sync_reclaim();
         condemned.append(&mut self.epoch_lock().condemned);
         if condemned.is_empty() {
             return changed;
@@ -1484,16 +1412,8 @@ impl Heap {
 
     /// Whether `vis` resolves to a live version of the object.
     pub(crate) fn exists_vis(&self, oid: Oid, vis: Vis) -> bool {
-        match vis {
-            Vis::For(..) => {
-                let shard = self.table_read(oid.raw());
-                shard.chains.get(&oid.raw()).is_some_and(|c| Self::visible_loc(c, vis, oid).is_ok())
-            }
-            Vis::Latest | Vis::At(_) => self
-                .view
-                .get(oid.raw())
-                .is_some_and(|c| Self::visible_loc(&c, vis, oid).is_ok()),
-        }
+        let shard = self.table_read(oid.raw());
+        shard.chains.get(&oid.raw()).is_some_and(|c| Self::visible_loc(c, vis, oid).is_ok())
     }
 
     /// Number of live objects (newest committed version is data).
@@ -1692,17 +1612,8 @@ impl Heap {
         let mut g = self.global_write();
         g.segs = segs.into_iter().map(SegShard::new).collect();
         self.next_oid.store(places.next_oid, Ordering::Relaxed);
-        // Replace the view wholesale along with the table. Latch-free
-        // readers are not excluded by the global quiesce, but load only
-        // runs at open/recovery, before any reader exists; the swaps
-        // below are atomic either way.
-        self.view.clear_all();
         for (sh, t) in self.table.iter().zip(tables) {
-            let mut w = lock_order::ranked(lock_order::HEAP_TABLE, || sh.map.write());
-            for (&oid, chain) in &t.chains {
-                self.publish_view(oid, chain);
-            }
-            *w = t;
+            *lock_order::ranked(lock_order::HEAP_TABLE, || sh.map.write()) = t;
         }
         // Locations condemned in the pre-load world must not be freed
         // against the loaded one.
@@ -2252,7 +2163,7 @@ mod tests {
         let a = h.alloc(SegmentId(0), ClusterHint::NONE, &big, 0).unwrap();
         h.free(a, 0).unwrap();
         // Frees are epoch-deferred: the chain pages come back only once
-        // GC has proven no latch-free reader can still be walking them.
+        // GC has proven no pinned reader can still be walking them.
         h.collect_garbage(u64::MAX);
         let freed = seg_free_pages(&h, 0).len();
         assert!(freed >= 2, "freeing a multi-chunk overflow should reclaim pages");
@@ -2458,9 +2369,11 @@ mod tests {
 
     #[test]
     fn concurrent_reads_race_relocating_updates() {
-        // Regression: readers must hold their table shard across the
-        // page access, or a relocating update frees the slot (and may
-        // recycle it) between their table lookup and their page read.
+        // Regression: a reader drops its table shard before the page
+        // access, so a relocating update must not free the old slot (and
+        // perhaps recycle it) between the reader's lookup and its page
+        // read. The superseded record is condemned instead, and only GC
+        // frees it, after an epoch sync.
         let (h, _) = heap("race", Placement::Segments, 1, 64);
         let small = vec![7u8; 100];
         let large = vec![9u8; 3000];
@@ -2857,9 +2770,10 @@ mod tests {
         // The epoch machinery's reason to exist: a writer keeps
         // superseding the object's only committed version (condemning
         // the old one) and GC keeps freeing the condemned records, while
-        // latch-free readers resolve and dereference version locations
-        // with no table lock held. Every read must see one of the two
-        // payloads — never a torn, freed, or foreign record.
+        // readers resolve a version location under a momentary shard
+        // read and then read its page with no table lock held. Every
+        // read must see one of the two payloads — never a torn, freed,
+        // or foreign record.
         let (h, _) = heap("mvcc-race", Placement::Segments, 1, 64);
         let small = vec![7u8; 100];
         let large = vec![9u8; 3000];

@@ -1,11 +1,11 @@
 // Seeded unsafe-budget violations for the analyzer's self-test.
 //
-// Not compiled by cargo (see panic_sites.rs). Fixture mode has no
-// unsafe budgets, so every site below without an allow marker must be
+// Not compiled by cargo (see panic_sites.rs). The unsafe budget is
+// zero, so every site below without an allow marker must be
 // flagged — that is what `cargo xtask analyze --root xtask/fixtures`
 // (run in CI, expected to fail) and the unit tests assert.
 
-// Flagged: a bare unsafe block outside the budgeted crates.
+// Flagged: a bare unsafe block.
 fn flagged_block(p: *const u8) -> u8 {
     unsafe { *p }
 }
@@ -17,8 +17,7 @@ unsafe impl Sync for Fixture {}
 // Flagged: so does an unsafe fn declaration.
 unsafe fn flagged_fn() {}
 
-// Waived: a marker with a safety argument is accepted and the site no
-// longer counts.
+// Waived: a marker with a safety argument is accepted.
 fn waived_block(p: *const u8) -> u8 {
     // analyzer: allow(unsafe, "pointer is derived from a live Box two lines up")
     unsafe { *p }

@@ -10,9 +10,8 @@
 //!   placed in the declared rank table (`ranks.rs`), nesting must
 //!   strictly increase rank, the observed acquisition graph must be
 //!   acyclic, and no guard may be held across a blocking call.
-//! * **unsafe budget** (`unsafety.rs`): `unsafe` stays confined to the
-//!   crates in `UNSAFE_BUDGETS` (ratcheted, like indexing); any site
-//!   elsewhere needs an `allow(unsafe, "..")` safety argument.
+//! * **unsafe budget** (`unsafety.rs`): the budget is zero; any
+//!   `unsafe` site needs an `allow(unsafe, "..")` safety argument.
 //! * **atomic orderings** (`atomics.rs`): no `Relaxed` on
 //!   pointer-typed atomics, and no lone `Relaxed` access to an atomic
 //!   a crate otherwise accesses with stronger orderings.
@@ -39,7 +38,6 @@ mod failover;
 mod failover_smoke;
 mod lexer;
 mod locks;
-mod modelcheck;
 mod panics;
 mod ranks;
 mod scrubcmd;
@@ -69,7 +67,7 @@ pub struct Finding {
 
 /// Crates the panic-freedom lint applies to (the server path; the
 /// workload driver and query shell may still panic on bad input).
-const PANIC_CRATES: &[&str] = &["storage", "labbase", "workflow", "core", "mrv", "server", "repl"];
+const PANIC_CRATES: &[&str] = &["storage", "labbase", "workflow", "core", "server", "repl"];
 
 /// Slice-indexing ratchet: the per-crate count of unwaived index
 /// expressions may not exceed these budgets. Lower freely; raising one
@@ -83,15 +81,7 @@ const INDEX_BUDGETS: &[(&str, u32)] = &[
     ("repl", 0),
 ];
 
-/// Unsafe-code ratchet: the only crates allowed any `unsafe` at all,
-/// and how many sites each may have. Everything else is
-/// `#![forbid(unsafe_code)]` territory — a site outside these crates
-/// needs an `// analyzer: allow(unsafe, "safety argument")` marker.
-/// `labflow-mrv` is the workspace's designated unsafe island (the
-/// lock-free read path); the model-checker harness itself needs none.
-const UNSAFE_BUDGETS: &[(&str, u32)] = &[("mrv", 13)];
-
-const USAGE: &str = "usage: cargo xtask analyze [--root DIR]\n       cargo xtask modelcheck\n       cargo xtask crashtest [--seeds N] [--first-seed S] [--corrupt]\n       cargo xtask failover [--seeds N] [--first-seed S]\n       cargo xtask failover-smoke [--dir PATH]\n       cargo xtask scrub --dir PATH [--demo] [--space]\n       cargo xtask server-smoke [--dir PATH]";
+const USAGE: &str = "usage: cargo xtask analyze [--root DIR]\n       cargo xtask crashtest [--seeds N] [--first-seed S] [--corrupt]\n       cargo xtask failover [--seeds N] [--first-seed S]\n       cargo xtask failover-smoke [--dir PATH]\n       cargo xtask scrub --dir PATH [--demo] [--space]\n       cargo xtask server-smoke [--dir PATH]";
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -136,8 +126,7 @@ fn main() {
                     std::process::exit(2);
                 }
             },
-            "analyze" | "crashtest" | "failover" | "failover-smoke" | "modelcheck" | "scrub"
-            | "server-smoke"
+            "analyze" | "crashtest" | "failover" | "failover-smoke" | "scrub" | "server-smoke"
                 if cmd.is_none() =>
             {
                 cmd = Some(a)
@@ -183,9 +172,6 @@ fn main() {
         }
         return;
     }
-    if cmd.as_deref() == Some("modelcheck") {
-        std::process::exit(modelcheck::run(&root.unwrap_or_else(default_root)));
-    }
     if cmd.as_deref() != Some("analyze") {
         eprintln!("{USAGE}");
         std::process::exit(2);
@@ -227,7 +213,6 @@ fn run(root: &Path) -> std::io::Result<usize> {
 
     let mut findings: Vec<Finding> = Vec::new();
     let mut index_counts: HashMap<String, u32> = HashMap::new();
-    let mut unsafe_counts: HashMap<String, u32> = HashMap::new();
 
     for file in &files {
         let linted = !workspace_mode || PANIC_CRATES.contains(&file.crate_dir.as_str());
@@ -236,13 +221,7 @@ fn run(root: &Path) -> std::io::Result<usize> {
             findings.extend(f);
             *index_counts.entry(file.crate_dir.clone()).or_default() += idx;
         }
-        let budgeted =
-            workspace_mode && UNSAFE_BUDGETS.iter().any(|(k, _)| *k == file.crate_dir);
-        let (f, n) = unsafety::scan(file, budgeted);
-        findings.extend(f);
-        if budgeted {
-            *unsafe_counts.entry(file.crate_dir.clone()).or_default() += n;
-        }
+        findings.extend(unsafety::scan(file));
     }
 
     // Ratchet check.
@@ -272,32 +251,6 @@ fn run(root: &Path) -> std::io::Result<usize> {
         } else if count < budget {
             eprintln!(
                 "analyze: note: crate `{krate}` uses {count}/{budget} of its index \
-                 budget — consider ratcheting the budget down in xtask/src/main.rs"
-            );
-        }
-    }
-
-    // Unsafe ratchet (budgeted crates only; unbudgeted sites were
-    // already flagged per file above).
-    for (krate, budget) in UNSAFE_BUDGETS {
-        if !workspace_mode {
-            break;
-        }
-        let count = unsafe_counts.get(*krate).copied().unwrap_or(0);
-        if count > *budget {
-            findings.push(Finding {
-                file: format!("crates/{krate}"),
-                line: 0,
-                pass: "unsafe-budget",
-                msg: format!(
-                    "{count} unsafe sites exceed the budget of {budget} — every new \
-                     site needs a reviewer's eyes on its safety argument; raise the \
-                     budget in xtask/src/main.rs only with review"
-                ),
-            });
-        } else if count < *budget {
-            eprintln!(
-                "analyze: note: crate `{krate}` uses {count}/{budget} of its unsafe \
                  budget — consider ratcheting the budget down in xtask/src/main.rs"
             );
         }

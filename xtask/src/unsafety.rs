@@ -1,55 +1,30 @@
-//! Unsafe-code budget ratchet.
+//! Unsafe-code pass.
 //!
-//! The workspace confines `unsafe` to `labflow-mrv` (the lock-free
-//! read path — see its crate docs for why each site is needed); every
-//! other server crate is expected to stay at zero. The pass counts
-//! `unsafe` keyword tokens per crate in the test-stripped stream (so
-//! `unsafe impl Send`, `unsafe fn`, and `unsafe { .. }` all weigh one
-//! each, while `unsafe_op_in_unsafe_fn` in a lint attribute does not)
-//! and enforces:
-//!
-//! * crates **with** a budget in `main::UNSAFE_BUDGETS`: the total may
-//!   not exceed the budget. Lowering the budget after removing a site
-//!   is encouraged; raising it means new unsafe went in and needs a
-//!   reviewer's eyes on the safety argument.
-//! * crates **without** a budget: each site must carry an
-//!   `// analyzer: allow(unsafe, "safety argument")` marker on its own
-//!   line or the one above. Fixture mode has no budgets, so every
-//!   unmarked site is flagged — that is what the seeded fixture tests.
-//!
-//! Waived sites do not count against a budget (the marker already
-//! records the justification the budget exists to demand).
+//! No crate in the workspace uses `unsafe`, and none may: every
+//! `unsafe` keyword token in the test-stripped stream (so
+//! `unsafe impl Send`, `unsafe fn`, and `unsafe { .. }` are one site
+//! each, while `unsafe_op_in_unsafe_fn` in a lint attribute is none) is
+//! a finding unless it carries an
+//! `// analyzer: allow(unsafe, "safety argument")` marker on its own
+//! line or the one above.
 
 use crate::lexer::allowed;
 use crate::{Finding, SourceFile};
 
-/// Scan one file: returns the findings for unwaived sites in
-/// unbudgeted crates, plus the count of unwaived sites (for the
-/// budgeted-crate ratchet in `main::run`).
-pub fn scan(file: &SourceFile, budgeted: bool) -> (Vec<Finding>, u32) {
-    let mut findings = Vec::new();
-    let mut count = 0u32;
-    for t in &file.tokens {
-        if t.ident() != Some("unsafe") {
-            continue;
-        }
-        if allowed(&file.comments, t.line, "unsafe") {
-            continue;
-        }
-        count += 1;
-        if !budgeted {
-            findings.push(Finding {
-                file: file.rel.clone(),
-                line: t.line,
-                pass: "unsafe-budget",
-                msg: "`unsafe` outside the budgeted crates — move it behind a safe \
-                      API in labflow-mrv, or waive this site with \
-                      `// analyzer: allow(unsafe, \"safety argument\")`"
-                    .to_string(),
-            });
-        }
-    }
-    (findings, count)
+/// Scan one file: one finding per unwaived `unsafe` site.
+pub fn scan(file: &SourceFile) -> Vec<Finding> {
+    file.tokens
+        .iter()
+        .filter(|t| t.ident() == Some("unsafe") && !allowed(&file.comments, t.line, "unsafe"))
+        .map(|t| Finding {
+            file: file.rel.clone(),
+            line: t.line,
+            pass: "unsafe-budget",
+            msg: "`unsafe` site, and the unsafe budget is zero — use a safe API, or \
+                  waive this site with `// analyzer: allow(unsafe, \"safety argument\")`"
+                .to_string(),
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -75,12 +50,7 @@ mod tests {
              unsafe fn f() {}\n\
              fn g() { unsafe { f() } }\n",
         );
-        let (findings, count) = scan(&f, true);
-        assert!(findings.is_empty(), "budgeted crates get a count, not findings");
-        assert_eq!(count, 3);
-        let (findings, count) = scan(&f, false);
-        assert_eq!(findings.len(), 3);
-        assert_eq!(count, 3);
+        assert_eq!(scan(&f).len(), 3);
     }
 
     #[test]
@@ -90,10 +60,9 @@ mod tests {
              fn g() { unsafe { f() } }\n\
              fn h() { unsafe { f() } }\n",
         );
-        let (findings, count) = scan(&f, false);
+        let findings = scan(&f);
         assert_eq!(findings.len(), 1, "only the unmarked site is flagged");
         assert_eq!(findings[0].line, 3);
-        assert_eq!(count, 1, "waived sites do not count against a budget");
     }
 
     #[test]
@@ -102,9 +71,7 @@ mod tests {
             "#![deny(unsafe_op_in_unsafe_fn)]\n\
              fn f() { let s = \"unsafe\"; } // unsafe here too\n",
         );
-        let (findings, count) = scan(&f, false);
-        assert!(findings.is_empty());
-        assert_eq!(count, 0);
+        assert!(scan(&f).is_empty());
     }
 
     #[test]
@@ -116,7 +83,8 @@ mod tests {
              fn t() { unsafe { g() } }\n\
              }\n",
         );
-        let (_, count) = scan(&f, true);
-        assert_eq!(count, 1);
+        let findings = scan(&f);
+        assert_eq!(findings.len(), 1);
+        assert_eq!(findings[0].line, 1);
     }
 }
