@@ -88,9 +88,9 @@ pub struct SnapshotPoint {
     /// Worst-case staleness across scans.
     pub max_staleness: u64,
     /// Nanoseconds the scanner thread spent blocked on the heap's
-    /// object-table shards, which every version read takes for a moment
-    /// to resolve its location. Zero on the in-memory store, which has
-    /// no heap.
+    /// object-table shards, which every version read holds from
+    /// resolving its location until the record is copied out. Zero on
+    /// the in-memory store, which has no heap.
     pub reader_heap_wait_nanos: u64,
 }
 
@@ -287,8 +287,8 @@ fn scanner(
 /// clients drive the multi-client update loop while one analytical
 /// reader repeatedly scans the full history of the whole population
 /// through pinned snapshots. The scan takes no object locks; each
-/// version it reads is resolved under a momentary object-table shard
-/// read, which is where it and the writers can block each other.
+/// version it reads is resolved and copied out under an object-table
+/// shard read, which is where it and the writers can block each other.
 /// Writer throughput should stay within a few percent of the
 /// scanner-free baseline.
 pub fn run_snapshot(cfg: &BenchConfig, writers: usize, base: &Path) -> Result<Vec<SnapshotPoint>> {

@@ -268,10 +268,10 @@ mod tests {
             assert!(p.steps_per_sec_scanned > 0.0, "{}: scanned phase ran", p.version);
             assert!(p.scans >= 1, "{}: the scanner completed at least one pass", p.version);
             assert!(p.rows_read > 0, "{}: scans visited history rows", p.version);
-            // Version reads resolve under a momentary object-table shard
-            // read, so the scanner may block on a writer: the wait is
-            // whatever it measured, within the run. The in-memory store
-            // has no heap shards to block on.
+            // Version reads hold an object-table shard read until the
+            // record is copied out, so the scanner may block on a
+            // writer: the wait is whatever it measured, within the run.
+            // The in-memory store has no heap shards to block on.
             assert!(
                 p.reader_heap_wait_nanos <= elapsed,
                 "{}: scanner waited {} ns in a {elapsed} ns run",

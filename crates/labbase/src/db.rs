@@ -108,7 +108,8 @@ impl SetsDir {
 
     pub(crate) fn decode(data: &[u8]) -> Result<SetsDir> {
         let mut r = crate::enc::Reader::new(data);
-        let n = r.u32()? as usize;
+        // An entry is at least a name length and an oid.
+        let n = r.count(12)?;
         let mut by_name = HashMap::with_capacity(n);
         for _ in 0..n {
             let name = r.str()?;
@@ -768,6 +769,14 @@ pub(crate) mod tests {
         .unwrap();
         db.commit(t).unwrap();
         db
+    }
+
+    #[test]
+    fn a_corrupt_set_count_is_a_typed_error() {
+        let mut w = crate::enc::Writer::new();
+        w.u32(u32::MAX);
+        w.str("set");
+        assert!(matches!(SetsDir::decode(&w.finish()), Err(LabError::Decode(_))));
     }
 
     #[test]

@@ -125,6 +125,21 @@ impl<'a> Reader<'a> {
         Ok(f64::from_le_bytes(self.arr()?))
     }
 
+    /// Read a u32 item count, refusing one whose items, at
+    /// `min_item_bytes` each at the least, could not fit in the bytes
+    /// that remain. Decoders size their allocations by the count, so a
+    /// corrupt one is a typed error here instead of an allocation abort.
+    pub fn count(&mut self, min_item_bytes: usize) -> Result<usize> {
+        let n = self.u32()? as usize;
+        if n.saturating_mul(min_item_bytes) > self.remaining() {
+            return Err(LabError::Decode(format!(
+                "count {n} of items at least {min_item_bytes} bytes each exceeds the {} bytes left",
+                self.remaining()
+            )));
+        }
+        Ok(n)
+    }
+
     /// Read a length-prefixed byte string.
     pub fn bytes(&mut self) -> Result<&'a [u8]> {
         let n = self.u32()? as usize;
@@ -172,6 +187,21 @@ mod tests {
         let buf = w.finish();
         let mut r = Reader::new(&buf[..buf.len() - 2]);
         assert!(matches!(r.str(), Err(LabError::Decode(_))));
+    }
+
+    #[test]
+    fn a_count_must_fit_the_bytes_left() {
+        let mut w = Writer::new();
+        w.u32(3);
+        w.u64(0);
+        w.u64(0);
+        let buf = w.finish();
+        assert!(matches!(Reader::new(&buf).count(8), Err(LabError::Decode(_))));
+        assert_eq!(Reader::new(&buf).count(5).unwrap(), 3);
+        let mut w = Writer::new();
+        w.u32(u32::MAX);
+        let buf = w.finish();
+        assert!(matches!(Reader::new(&buf).count(1), Err(LabError::Decode(_))));
     }
 
     #[test]

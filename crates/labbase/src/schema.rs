@@ -293,7 +293,9 @@ impl Catalog {
     pub fn decode(data: &[u8]) -> Result<Catalog> {
         let mut r = Reader::new(data);
         let next_class = r.u32()?;
-        let nmat = r.u32()? as usize;
+        // A material class is at least id, name length, parent, extent
+        // head and count: 4 + 4 + 4 + 8 + 8 bytes.
+        let nmat = r.count(28)?;
         let mut materials = Vec::with_capacity(nmat);
         let mut mat_by_name = HashMap::with_capacity(nmat);
         for i in 0..nmat {
@@ -306,17 +308,20 @@ impl Catalog {
             mat_by_name.insert(name.clone(), i);
             materials.push(MaterialClass { id, name, parent, extent_head, count });
         }
-        let nstep = r.u32()? as usize;
+        // A step class is at least id, name length and version count.
+        let nstep = r.count(12)?;
         let mut steps = Vec::with_capacity(nstep);
         let mut step_by_name = HashMap::with_capacity(nstep);
         for i in 0..nstep {
             let id = ClassId(r.u32()?);
             let name = r.str()?;
-            let nver = r.u32()? as usize;
+            // A version is at least its number and attribute count.
+            let nver = r.count(8)?;
             let mut versions = Vec::with_capacity(nver);
             for _ in 0..nver {
                 let version = r.u32()?;
-                let nattr = r.u32()? as usize;
+                // An attribute is at least a name length and a type tag.
+                let nattr = r.count(5)?;
                 let mut attrs = Vec::with_capacity(nattr);
                 for _ in 0..nattr {
                     let name = r.str()?;
@@ -343,6 +348,15 @@ pub fn attrs(defs: &[(&str, AttrType)]) -> Vec<AttrDef> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_corrupt_class_count_is_a_typed_error() {
+        let mut w = Writer::new();
+        w.u32(1);
+        w.u32(u32::MAX);
+        w.u32(0);
+        assert!(matches!(Catalog::decode(&w.finish()), Err(LabError::Decode(_))));
+    }
 
     fn sample() -> Catalog {
         let mut c = Catalog::new();

@@ -111,12 +111,13 @@ impl SmStep {
         let class = ClassId(r.u32()?);
         let version = r.u32()?;
         let valid_time = r.i64()?;
-        let nmat = r.u32()? as usize;
+        let nmat = r.count(8)?;
         let mut materials = Vec::with_capacity(nmat);
         for _ in 0..nmat {
             materials.push(Oid::from_raw(r.u64()?));
         }
-        let nattr = r.u32()? as usize;
+        // An attribute is at least a name length and a value tag.
+        let nattr = r.count(5)?;
         let mut attrs = Vec::with_capacity(nattr);
         for _ in 0..nattr {
             let name = r.str()?;
@@ -260,8 +261,10 @@ impl RecentRecord {
     /// Decode from bytes.
     pub fn decode(data: &[u8]) -> Result<RecentRecord> {
         let mut r = Reader::new(data);
-        let n = r.u32()? as usize;
-        let mut entries = Vec::with_capacity(n.min(1024));
+        // An entry is at least attribute name length, valid time, step
+        // and value tag: 4 + 8 + 8 + 1 bytes.
+        let n = r.count(21)?;
+        let mut entries = Vec::with_capacity(n);
         for _ in 0..n {
             let attr = r.str()?;
             let valid_time = r.i64()?;
@@ -298,8 +301,8 @@ impl MaterialSetRec {
     pub fn decode(data: &[u8]) -> Result<MaterialSetRec> {
         let mut r = Reader::new(data);
         let name = r.str()?;
-        let n = r.u32()? as usize;
-        let mut members = Vec::with_capacity(n.min(65536));
+        let n = r.count(8)?;
+        let mut members = Vec::with_capacity(n);
         for _ in 0..n {
             members.push(Oid::from_raw(r.u64()?));
         }
@@ -310,6 +313,17 @@ impl MaterialSetRec {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_corrupt_material_count_is_a_typed_error() {
+        let mut w = Writer::new();
+        w.u32(3);
+        w.u32(1);
+        w.i64(100);
+        w.u32(u32::MAX);
+        w.u64(7);
+        assert!(matches!(SmStep::decode(&w.finish()), Err(crate::error::LabError::Decode(_))));
+    }
 
     #[test]
     fn sm_material_round_trip() {

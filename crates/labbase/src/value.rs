@@ -252,11 +252,8 @@ impl Value {
                         "lists nest deeper than {MAX_NESTING} levels"
                     )));
                 }
-                let n = r.u32()? as usize;
-                // Guard against corrupt lengths blowing up allocation.
-                if n > r.remaining() {
-                    return Err(LabError::Decode(format!("list length {n} exceeds record")));
-                }
+                // An item is at least its tag byte.
+                let n = r.count(1)?;
                 let mut vs = Vec::with_capacity(n);
                 for _ in 0..n {
                     vs.push(Value::decode_nested(r, depth + 1)?);

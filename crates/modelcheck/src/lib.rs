@@ -36,10 +36,15 @@
 //! Scope: the model is sequentially consistent for `SeqCst`/`Acquire`/
 //! `Release` accesses and exact for `Relaxed` load visibility. That is
 //! conservative (it can miss reorderings a real weak machine performs
-//! on non-`SeqCst` accesses) but sound for the protocols in this
-//! workspace, which are `SeqCst` at every cross-thread edge and use
-//! `Relaxed` only where staleness is claimed harmless — exactly the
-//! claim the explorer checks.
+//! on non-`SeqCst` accesses) but sound for miniatures that are `SeqCst`
+//! at every cross-thread edge and use `Relaxed` only where staleness is
+//! claimed harmless — exactly the claim the explorer checks.
+//!
+//! No production protocol is modelled here: the storage heap reclaims
+//! under its object-table shard locks, not an epoch (DESIGN.md, "Memory
+//! model & reclamation"). The epoch-reclamation miniature in
+//! `tests/protocol.rs` is the checker's own seeded-bug self-test, and
+//! `tests/litmus.rs` pins its memory model.
 
 mod runtime;
 

@@ -1,10 +1,11 @@
-//! Seeded-bug fixtures: a miniature epoch-reclamation protocol
-//! (publish-and-recheck pin, swap-then-stamp retire, epoch-bump-then-scan
-//! reclaim — the pin and the scan are the shape of the storage heap's
-//! `EpochPin` / `epoch_sync`), plus three deliberately injectable bugs.
-//! The correct protocol must survive exhaustive exploration; each seeded
-//! bug must produce a *reported* use-after-reclaim interleaving. This is
-//! the evidence that the explorer can actually find the class of bug a
+//! The checker's seeded-bug self-test: a miniature epoch-reclamation
+//! protocol (publish-and-recheck pin, swap-then-stamp retire,
+//! epoch-bump-then-scan reclaim), plus three deliberately injectable
+//! bugs. It models no code in this workspace; it is a protocol whose
+//! bugs are subtle enough to prove the explorer works. The correct
+//! protocol must survive exhaustive exploration; each seeded bug must
+//! produce a *reported* use-after-reclaim interleaving. This is the
+//! evidence that the explorer can actually find the class of bug a
 //! protocol model asserts the absence of.
 
 use std::sync::Arc;

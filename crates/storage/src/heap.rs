@@ -64,12 +64,13 @@
 //! # Reads
 //!
 //! Every read — newest committed (`Latest`), snapshot (`At`) or a
-//! transaction's own view (`For`) — resolves its version location
-//! under a momentary shard read and drops the lock before it touches
-//! the page. From there an epoch pin alone keeps the location from
-//! being freed: GC unlinks a version under the shard write lock and
-//! frees it only after an epoch synchronisation has seen every pin
-//! taken before the unlink released.
+//! transaction's own view (`For`) — holds its shard's read lock from
+//! resolving the version location until the stored bytes are copied
+//! out, overflow chain included. A version location is unlinked only
+//! under the shard's write lock, so nothing a reader can reach is ever
+//! freed. The unlinked locations wait on the shard's condemned list for
+//! [`Heap::collect_garbage`], which frees them in page order so that
+//! placement stays a function of the op stream.
 //!
 //! Every lock is acquired try-first: uncontended acquisitions cost one
 //! compare-exchange, contended ones record the blocked time in the
@@ -77,7 +78,6 @@
 //! [`StorageStats`], plus a per-shard counter for diagnosing *which*
 //! shard is hot.
 
-use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -171,47 +171,6 @@ pub(crate) enum Vis {
     For(u64, u64),
 }
 
-/// Reader-slot value meaning "not inside any read-side critical section".
-const EPOCH_IDLE: u64 = u64::MAX;
-
-/// Distinguishes heaps in the per-thread reader-slot cache.
-static NEXT_HEAP_ID: AtomicU64 = AtomicU64::new(1);
-
-thread_local! {
-    /// This thread's reader slot, one per heap it has read from. The
-    /// slot itself lives in the heap's registry (an `Arc`); the cache
-    /// just avoids re-locking the registry on every read.
-    static READER_SLOTS: RefCell<HashMap<u64, Arc<AtomicU64>>> =
-        RefCell::new(HashMap::new());
-}
-
-/// State behind the heap's epoch lock: the reader-slot registry and the
-/// unlinked version locations awaiting an epoch-synchronised free.
-struct EpochState {
-    /// Every reader slot registered by a thread that has read this heap.
-    /// Slots of exited threads stay behind parked at `EPOCH_IDLE`, which
-    /// the GC wait treats as "not reading" — a small, harmless leak.
-    slots: Vec<Arc<AtomicU64>>,
-    /// Version locations unlinked from their chains but not yet freed:
-    /// a reader that resolved one before the unlink may still be reading
-    /// its page until the next epoch synchronisation.
-    condemned: Vec<Loc>,
-}
-
-/// Read-side epoch guard: while alive, version GC cannot free any
-/// version location resolved after the pin. Dropping restores the
-/// slot's previous value, so nested pins compose.
-struct EpochPin {
-    slot: Arc<AtomicU64>,
-    prev: u64,
-}
-
-impl Drop for EpochPin {
-    fn drop(&mut self) {
-        self.slot.store(self.prev, Ordering::SeqCst);
-    }
-}
-
 /// How allocations are placed onto pages.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Placement {
@@ -292,6 +251,10 @@ struct Table {
     /// these chains and the checkpoint's meta delta records exactly these
     /// oids, so neither walks the table. Duplicates are fine.
     changed: Vec<u64>,
+    /// Version locations unlinked from this shard's chains and not yet
+    /// freed — pushed under the write lock that unlinks them, drained
+    /// by [`Heap::collect_garbage`].
+    condemned: Vec<Loc>,
 }
 
 impl Table {
@@ -376,10 +339,9 @@ pub struct Places {
 /// place: its object-table shard. Committed versions are immutable on
 /// disk: updates always write a fresh record and publish it with a
 /// brief table-shard write, never mutating or freeing a committed slot
-/// in place. Readers pin the reclamation epoch, resolve a version
-/// location under a momentary shard read, and read the page with no
-/// heap lock held. Unlinked versions are freed only once the epoch
-/// discipline proves no reader can still hold them.
+/// in place. A reader holds its shard's read lock until it has copied
+/// the record out; a version is unlinked only under the shard's write
+/// lock, and freed later by checkpoint GC.
 pub struct Heap {
     pool: Arc<BufferPool>,
     file: Arc<PageFile>,
@@ -391,12 +353,6 @@ pub struct Heap {
     placement: Placement,
     extra_header: usize,
     align: usize,
-    /// Identity in the per-thread reader-slot cache.
-    heap_id: u64,
-    /// The reclamation epoch: bumped by GC after unlinking versions.
-    epoch: AtomicU64,
-    /// Reader-slot registry plus condemned version locations.
-    epoch_state: Mutex<EpochState>,
 }
 
 impl Heap {
@@ -425,9 +381,6 @@ impl Heap {
             placement,
             extra_header,
             align: align.max(1),
-            heap_id: NEXT_HEAP_ID.fetch_add(1, Ordering::Relaxed),
-            epoch: AtomicU64::new(0),
-            epoch_state: Mutex::new(EpochState { slots: Vec::new(), condemned: Vec::new() }),
         }
     }
 
@@ -485,66 +438,6 @@ impl Heap {
         lock_order::ranked(lock_order::HEAP_SEGMENT, || {
             contended(&self.stats, &sh.waits, || sh.place.try_lock(), || sh.place.lock())
         })
-    }
-
-    /// The heap's epoch state (reader-slot registry + condemned list).
-    /// Deliberately *not* wait-attributed: pushes here are bookkeeping,
-    /// not part of the object-table / placement contention story.
-    fn epoch_lock(&self) -> Ranked<MutexGuard<'_, EpochState>> {
-        lock_order::ranked(lock_order::HEAP_EPOCH, || self.epoch_state.lock())
-    }
-
-    // ---- epoch-based reclamation ------------------------------------------
-
-    /// Pin the reclamation epoch for the calling thread: until the
-    /// returned guard drops, version GC will not free any version
-    /// location this thread resolves. The fast path is two atomic
-    /// stores on a thread-cached slot; the registry lock is touched only
-    /// on a thread's first read of this heap.
-    fn pin_epoch(&self) -> EpochPin {
-        let slot = READER_SLOTS.with(|m| {
-            let mut m = m.borrow_mut();
-            if let Some(s) = m.get(&self.heap_id) {
-                return s.clone();
-            }
-            let s = Arc::new(AtomicU64::new(EPOCH_IDLE));
-            self.epoch_lock().slots.push(s.clone());
-            m.insert(self.heap_id, s.clone());
-            s
-        });
-        // analyzer: allow(ordering, "own-slot read: only this thread stores non-IDLE values here, and the publish loop below re-syncs with the epoch at SeqCst")
-        let prev = slot.load(Ordering::Relaxed);
-        if prev == EPOCH_IDLE {
-            // Publish-and-recheck: if GC bumped the epoch between our
-            // load and our store, it may not have seen the pin — retry
-            // against the new epoch so the wait below never misses us.
-            loop {
-                let e = self.epoch.load(Ordering::SeqCst);
-                slot.store(e, Ordering::SeqCst);
-                if self.epoch.load(Ordering::SeqCst) == e {
-                    break;
-                }
-            }
-        }
-        EpochPin { slot, prev }
-    }
-
-    /// Advance the epoch and wait until every reader slot is idle or has
-    /// observed the new epoch: after this returns, no reader holds a
-    /// version location resolved before the unlinks that preceded the
-    /// call. Holds no locks while spinning.
-    fn epoch_sync(&self) {
-        let target = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
-        loop {
-            let slots = self.epoch_lock().slots.clone();
-            if slots.iter().all(|s| {
-                let v = s.load(Ordering::SeqCst);
-                v == EPOCH_IDLE || v >= target
-            }) {
-                return;
-            }
-            std::thread::yield_now();
-        }
     }
 
     /// Map a client segment id to the physical segment index under the
@@ -846,7 +739,7 @@ impl Heap {
     /// Unlink versions no snapshot at or below `floor` (nor any newer
     /// reader) can reach: everything older than the newest committed
     /// version with `lsn <= floor`. Unlinked data locations go to
-    /// `condemned` for an epoch-deferred free. Returns the number of
+    /// `condemned` for GC to free. Returns the number of
     /// versions unlinked; may leave the chain empty (a dead tombstone).
     fn trim_chain(chain: &mut Vec<Version>, floor: u64, condemned: &mut Vec<Loc>) -> u64 {
         let Some(keep) = chain.iter().position(|v| v.txn == 0 && v.lsn <= floor) else {
@@ -1032,19 +925,14 @@ impl Heap {
         self.read_vis(oid, Vis::For(txn, u64::MAX))
     }
 
-    /// Read the version `vis` resolves to. The version location is
-    /// resolved under a momentary shard read; the page (and
-    /// overflow-chain) access runs with no heap lock held, protected by
-    /// the epoch pin alone.
+    /// Read the version `vis` resolves to. The shard's read lock is held
+    /// from resolving the location until the stored bytes are copied
+    /// out — the page record, and for an overflow header the whole
+    /// chain — so no unlink, and hence no free, can land in between.
     pub(crate) fn read_vis(&self, oid: Oid, vis: Vis) -> Result<Vec<u8>> {
-        let _pin = self.pin_epoch();
-        let loc = {
-            let shard = self.table_read(oid.raw());
-            let chain = shard.chains.get(&oid.raw()).ok_or(StorageError::UnknownObject(oid))?;
-            Self::visible_loc(chain, vis, oid)?
-        };
-        // From here the epoch pin alone keeps `loc` (and any overflow
-        // chain behind it) from being freed under us.
+        let shard = self.table_read(oid.raw());
+        let chain = shard.chains.get(&oid.raw()).ok_or(StorageError::UnknownObject(oid))?;
+        let loc = Self::visible_loc(chain, vis, oid)?;
         StorageStats::bump(&self.stats.reads, 1);
         let stored = self
             .pool
@@ -1055,6 +943,7 @@ impl Heap {
         if Self::is_overflow(&stored) {
             self.read_overflow(&stored)
         } else {
+            drop(shard);
             self.decode(&stored)
         }
     }
@@ -1067,7 +956,7 @@ impl Heap {
     /// pending (an existing pending head of the same transaction is
     /// replaced, its now-unreachable record freed immediately); with
     /// `txn == 0` the head commits in place of the previous one, which
-    /// is condemned for an epoch-deferred free.
+    /// is condemned for GC to free.
     pub fn update(&self, oid: Oid, payload: &[u8], txn: u64) -> Result<()> {
         let g = self.global_read();
         // Resolve existence + segment under a momentary shard read.
@@ -1086,15 +975,15 @@ impl Heap {
         let new_loc = Loc { page: pid, slot, seg };
 
         let mut replaced_pending: Option<Loc> = None;
-        let mut condemned: Option<Loc> = None;
         {
             let mut shard = self.table_write(oid.raw());
-            let chain = shard.chains.get_mut(&oid.raw()).ok_or(StorageError::UnknownObject(oid))?;
+            let table = &mut *shard;
+            let chain = table.chains.get_mut(&oid.raw()).ok_or(StorageError::UnknownObject(oid))?;
             if txn != 0 {
                 if let Some(head) = chain.first_mut().filter(|v| v.txn == txn) {
                     // Second write by the same transaction: swap the
                     // pending body. The old record was never visible to
-                    // anyone else, so it can be freed without an epoch.
+                    // anyone else, so it is freed at once.
                     let old = std::mem::replace(&mut head.body, VersionBody::Data(new_loc));
                     if let VersionBody::Data(l) = old {
                         replaced_pending = Some(l);
@@ -1104,25 +993,21 @@ impl Heap {
                 }
             } else {
                 // Immediate commit: the new head supersedes the old one,
-                // which a pinned reader may still be reading — unlink it
-                // and defer the free to the next epoch sync.
+                // which is unlinked here and condemned for GC to free.
                 let lsn = chain.first().map_or(0, |v| v.lsn);
                 chain.insert(0, Version { body: VersionBody::Data(new_loc), lsn, txn: 0 });
                 if let Some(prev) = chain.get(1).copied().filter(|v| v.txn == 0) {
                     if let VersionBody::Data(l) = prev.body {
-                        condemned = Some(l);
+                        table.condemned.push(l);
+                        StorageStats::bump(&self.stats.versions_gced, 1);
                     }
                     chain.remove(1);
                 }
-                shard.note_changed(oid.raw());
+                table.note_changed(oid.raw());
             }
         }
         if let Some(loc) = replaced_pending {
             self.free_slot(&g, loc);
-        }
-        if let Some(loc) = condemned {
-            StorageStats::bump(&self.stats.versions_gced, 1);
-            self.epoch_lock().condemned.push(loc);
         }
         Ok(())
     }
@@ -1133,10 +1018,10 @@ impl Heap {
     pub fn free(&self, oid: Oid, txn: u64) -> Result<()> {
         let g = self.global_read();
         let mut replaced_pending: Option<Loc> = None;
-        let mut condemned: Vec<Loc> = Vec::new();
         {
             let mut shard = self.table_write(oid.raw());
-            let chain = shard.chains.get_mut(&oid.raw()).ok_or(StorageError::UnknownObject(oid))?;
+            let table = &mut *shard;
+            let chain = table.chains.get_mut(&oid.raw()).ok_or(StorageError::UnknownObject(oid))?;
             // Deleting an object the caller cannot see is an error.
             Self::visible_loc(chain, Vis::For(txn, u64::MAX), oid)?;
             if txn != 0 {
@@ -1151,21 +1036,17 @@ impl Heap {
                     chain.insert(0, Version { body: VersionBody::Tombstone, lsn: 0, txn });
                 }
             } else {
-                let dropped = shard.chains.remove(&oid.raw()).unwrap_or_default();
-                for v in dropped {
+                for v in table.chains.remove(&oid.raw()).unwrap_or_default() {
                     if let VersionBody::Data(l) = v.body {
-                        condemned.push(l);
+                        table.condemned.push(l);
+                        StorageStats::bump(&self.stats.versions_gced, 1);
                     }
                 }
-                shard.note_changed(oid.raw());
+                table.note_changed(oid.raw());
             }
         }
         if let Some(loc) = replaced_pending {
             self.free_slot(&g, loc);
-        }
-        if !condemned.is_empty() {
-            StorageStats::bump(&self.stats.versions_gced, condemned.len() as u64);
-            self.epoch_lock().condemned.append(&mut condemned);
         }
         Ok(())
     }
@@ -1184,33 +1065,30 @@ impl Heap {
     /// a concurrently opened snapshot pins.)
     pub fn commit_version(&self, oid: Oid, txn: u64, lsn: u64, keep_floor: u64) {
         let keep_floor = keep_floor.min(lsn.saturating_sub(1));
-        let mut condemned: Vec<Loc> = Vec::new();
         let mut trimmed = 0;
         {
             let mut shard = self.table_write(oid.raw());
+            let table = &mut *shard;
             let mut flipped = false;
-            if let Some(chain) = shard.chains.get_mut(&oid.raw()) {
+            if let Some(chain) = table.chains.get_mut(&oid.raw()) {
                 if let Some(head) = chain.first_mut().filter(|head| head.txn == txn) {
                     head.txn = 0;
                     head.lsn = lsn;
                     flipped = true;
                 }
                 if chain.len() > MAX_CHAIN {
-                    trimmed = Self::trim_chain(chain, keep_floor, &mut condemned);
+                    trimmed = Self::trim_chain(chain, keep_floor, &mut table.condemned);
                 }
                 if chain.is_empty() {
-                    shard.chains.remove(&oid.raw());
+                    table.chains.remove(&oid.raw());
                 }
             }
             if flipped {
-                shard.note_changed(oid.raw());
+                table.note_changed(oid.raw());
             }
         }
         if trimmed > 0 {
             StorageStats::bump(&self.stats.versions_gced, trimmed);
-        }
-        if !condemned.is_empty() {
-            self.epoch_lock().condemned.append(&mut condemned);
         }
     }
 
@@ -1243,8 +1121,9 @@ impl Heap {
     /// Trim the chains on the changed lists: unlink every committed
     /// version of theirs no snapshot at or below `low_water` can reach.
     /// Returns the oids drained, ascending, each with its newest
-    /// committed location (`None`: the object no longer exists), and the
-    /// unlinked locations.
+    /// committed location (`None`: the object no longer exists), and
+    /// every location now condemned: the ones this trim unlinked plus
+    /// each shard's condemned list, drained.
     ///
     /// No other chain has anything to trim: a chain gains a second
     /// committed version, or a tombstone, only in
@@ -1258,6 +1137,7 @@ impl Heap {
         let _g = self.global_read();
         for sh in &self.table {
             let table = &mut *lock_order::ranked(lock_order::HEAP_TABLE, || sh.map.write());
+            condemned.append(&mut table.condemned);
             let mut changed = std::mem::take(&mut table.changed);
             changed.sort_unstable();
             changed.dedup();
@@ -1286,8 +1166,8 @@ impl Heap {
     }
 
     /// Version GC: unlink every committed version no snapshot at or
-    /// below `low_water` can reach, synchronise the reader epoch, and
-    /// physically free the unlinked (plus previously condemned) records.
+    /// below `low_water` can reach, and physically free the unlinked
+    /// (plus previously condemned) records.
     /// The work is proportional to what changed since the last call, not
     /// to the table ([`Heap::trim_changed`]). Returns, ascending, the
     /// oids whose newest committed version may have moved since the last
@@ -1296,17 +1176,12 @@ impl Heap {
     ///
     /// Runs at checkpoint (callers pass the minimum open-snapshot LSN,
     /// or `u64::MAX` when none is open). Safe concurrent with readers —
-    /// the epoch sync is exactly what makes their page reads outside the
-    /// shard lock sound — but assumes no *pending* version's transaction is racing
-    /// it for the same oids (the engine quiesces writers first).
+    /// a condemned location was unlinked under its shard's write lock,
+    /// so no reader still holds or can resolve it — but assumes no
+    /// *pending* version's transaction is racing it for the same oids
+    /// (the engine quiesces writers first).
     pub fn collect_garbage(&self, low_water: u64) -> Vec<(u64, Option<Loc>)> {
         let (changed, mut condemned) = self.trim_changed(low_water);
-        condemned.append(&mut self.epoch_lock().condemned);
-        if condemned.is_empty() {
-            return changed;
-        }
-        // No lock held across the wait; see `epoch_sync`.
-        self.epoch_sync();
         // Freeing in page order makes which pages end up recycled or
         // roomy, and in what order, a function of the op stream alone —
         // and takes each page from the pool once.
@@ -1612,12 +1487,12 @@ impl Heap {
         let mut g = self.global_write();
         g.segs = segs.into_iter().map(SegShard::new).collect();
         self.next_oid.store(places.next_oid, Ordering::Relaxed);
+        // Replacing each shard's table also drops its condemned list:
+        // locations condemned in the pre-load world must not be freed
+        // against the loaded one.
         for (sh, t) in self.table.iter().zip(tables) {
             *lock_order::ranked(lock_order::HEAP_TABLE, || sh.map.write()) = t;
         }
-        // Locations condemned in the pre-load world must not be freed
-        // against the loaded one.
-        self.epoch_lock().condemned.clear();
         Ok(())
     }
 }
@@ -2162,8 +2037,8 @@ mod tests {
         let big = vec![5u8; 15_000];
         let a = h.alloc(SegmentId(0), ClusterHint::NONE, &big, 0).unwrap();
         h.free(a, 0).unwrap();
-        // Frees are epoch-deferred: the chain pages come back only once
-        // GC has proven no pinned reader can still be walking them.
+        // Committed frees are deferred: the chain pages come back only
+        // at GC, which frees condemned locations in page order.
         h.collect_garbage(u64::MAX);
         let freed = seg_free_pages(&h, 0).len();
         assert!(freed >= 2, "freeing a multi-chunk overflow should reclaim pages");
@@ -2369,11 +2244,11 @@ mod tests {
 
     #[test]
     fn concurrent_reads_race_relocating_updates() {
-        // Regression: a reader drops its table shard before the page
-        // access, so a relocating update must not free the old slot (and
-        // perhaps recycle it) between the reader's lookup and its page
-        // read. The superseded record is condemned instead, and only GC
-        // frees it, after an epoch sync.
+        // Regression: a relocating update must not free the old slot
+        // (and perhaps recycle it) between a reader's lookup and its page
+        // read. The reader holds its shard's read lock across both; the
+        // update unlinks the superseded record under the write lock and
+        // condemns it, and only GC frees it.
         let (h, _) = heap("race", Placement::Segments, 1, 64);
         let small = vec![7u8; 100];
         let large = vec![9u8; 3000];
@@ -2590,14 +2465,17 @@ mod tests {
         assert_eq!(h.object_count(), 0);
     }
 
-    /// What the full-table sweep this GC replaced would unlink at
-    /// `low_water`: every chain trimmed, none changed.
+    /// What the full-table sweep this GC replaced would condemn at
+    /// `low_water`: every chain trimmed, none changed, plus what the
+    /// shards already hold condemned.
     fn full_sweep(h: &Heap, low_water: u64) -> Vec<Loc> {
         let mut condemned = Vec::new();
         for sh in &h.table {
-            for chain in sh.map.read().chains.values() {
+            let table = sh.map.read();
+            for chain in table.chains.values() {
                 Heap::trim_chain(&mut chain.clone(), low_water, &mut condemned);
             }
+            condemned.extend_from_slice(&table.condemned);
         }
         condemned.sort_unstable_by_key(|loc| (loc.page, loc.slot.0));
         condemned
@@ -2636,7 +2514,7 @@ mod tests {
                         got.sort_unstable_by_key(|loc| (loc.page, loc.slot.0));
                         assert_eq!(got, want, "seed {seed}, txn {txn}, floor {floor}");
                         assert!(full_sweep(&h, floor).is_empty());
-                        h.epoch_lock().condemned.append(&mut got);
+                        h.table[0].map.write().condemned.append(&mut got);
                         h.collect_garbage(floor);
                         assert_placement_sound(&h);
                         collections += 1;
@@ -2767,21 +2645,22 @@ mod tests {
 
     #[test]
     fn latch_free_readers_survive_concurrent_gc() {
-        // The epoch machinery's reason to exist: a writer keeps
-        // superseding the object's only committed version (condemning
-        // the old one) and GC keeps freeing the condemned records, while
-        // readers resolve a version location under a momentary shard
-        // read and then read its page with no table lock held. Every
-        // read must see one of the two payloads — never a torn, freed,
+        // The reclamation rule under load: a writer keeps superseding
+        // the object's only committed version (condemning the old one)
+        // and GC keeps freeing the condemned records, while readers hold
+        // the shard's read lock from resolving a version until its bytes
+        // are copied out — a whole three-page overflow chain included.
+        // Every read must see one of the payloads — never a torn, freed,
         // or foreign record.
         let (h, _) = heap("mvcc-race", Placement::Segments, 1, 64);
         let small = vec![7u8; 100];
         let large = vec![9u8; 3000];
+        let chained: Vec<u8> = (0..2 * OVERFLOW_CAP + 100).map(|i| (i % 251) as u8).collect();
         let oid = h.alloc(SegmentId(0), ClusterHint::NONE, &small, 0).unwrap();
         std::thread::scope(|scope| {
             let writer = scope.spawn(|| {
                 for i in 0..1_500usize {
-                    let payload = if i % 2 == 0 { &large } else { &small };
+                    let payload = [&large, &small, &chained][i % 3];
                     h.update(oid, payload, 0).unwrap();
                     if i % 16 == 0 {
                         h.collect_garbage(u64::MAX);
@@ -2794,7 +2673,7 @@ mod tests {
                     for _ in 0..2_000 {
                         let got = h.read(oid).unwrap();
                         assert!(
-                            got == small || got == large,
+                            got == small || got == large || got == chained,
                             "reader saw a torn/freed payload of {} bytes",
                             got.len()
                         );

@@ -24,7 +24,6 @@
 //! | 20   | `LockManager` shard `states`           |
 //! | 25   | `LockManager::held`                    |
 //! | 28   | `Heap::global` (quiesce / seg roster)  |
-//! | 29   | `Heap` epoch state (readers/condemned) |
 //! | 30   | `Heap` object-table shard              |
 //! | 32   | `Heap` segment placement state         |
 //! | 40   | `BufferPool::table` (page table)       |
@@ -82,11 +81,10 @@ pub const LOCK_HELD: LockRank = LockRank { rank: 25, name: "lock_manager.held" }
 /// duration, exclusive-held only by the checkpoint quiesce
 /// (`places`/`load`) and segment-roster changes.
 pub const HEAP_GLOBAL: LockRank = LockRank { rank: 28, name: "heap.global" };
-/// The heap's epoch state: the reader-slot registry plus the condemned
-/// version list awaiting an epoch-synchronised free. Readers never take
-/// this on the hot path (slots are thread-cached); registration and GC do.
-pub const HEAP_EPOCH: LockRank = LockRank { rank: 29, name: "heap.epoch" };
-/// One of the heap's object-table shards (oid-hashed).
+/// One of the heap's object-table shards (oid-hashed): its version
+/// chains, changed list and condemned list. A read holds it shared
+/// across the page copy, so it ranks below the buffer pool and the
+/// page file.
 pub const HEAP_TABLE: LockRank = LockRank { rank: 30, name: "heap.object_table" };
 /// One segment's placement state (open page, page list, free list,
 /// chunk map).

@@ -56,13 +56,13 @@ impl Fixture {
         let _g = lock_order::ranked(lock_order::HEAP_GLOBAL, || self.global.read());
     }
 
-    /// Epoch inversion: the heap's version-reclamation epoch state (29)
-    /// taken while holding an object-table shard (30). Reclamation must
-    /// collect condemned versions under the table shard, release it, and
-    /// only then push them onto the epoch list.
-    fn epoch_under_table_inverted(&self) {
+    /// Reclamation inversion: the heap's global shard (28) taken while
+    /// holding an object-table shard (30). GC drains each shard's
+    /// condemned list under the global shard it already holds shared,
+    /// never by reaching for the global shard from inside a table shard.
+    fn global_under_table_inverted(&self) {
         let _t = lock_order::ranked(lock_order::HEAP_TABLE, || self.table.lock());
-        let _e = lock_order::ranked(lock_order::HEAP_EPOCH, || self.epoch_state.lock());
+        let _g = lock_order::ranked(lock_order::HEAP_GLOBAL, || self.global.read());
     }
 
     /// Snapshot-registry inversion: the commit-visibility flip (12)
@@ -74,11 +74,11 @@ impl Fixture {
     }
 
     /// Correctly ordered MVCC nesting: visibility flip, then snapshot
-    /// registry, then epoch state — must NOT be flagged.
+    /// registry, then the heap's global shard — must NOT be flagged.
     fn mvcc_well_ordered(&self) {
         let _v = lock_order::ranked(lock_order::ENGINE_COMMIT_VIS, || self.vis.lock());
         let _s = lock_order::ranked(lock_order::ENGINE_SNAPSHOTS, || self.snaps.lock());
-        let _e = lock_order::ranked(lock_order::HEAP_EPOCH, || self.epoch_state.lock());
+        let _g = lock_order::ranked(lock_order::HEAP_GLOBAL, || self.global.read());
     }
 
     /// Correctly ordered nesting: must NOT be flagged.

@@ -745,15 +745,16 @@ mod tests {
 
     #[test]
     fn fixture_mvcc_inversions_are_flagged() {
-        // The MVCC-era seeded inversions: epoch state under a table
-        // shard, and the commit-visibility flip under the snapshot
-        // registry. The well-ordered MVCC nesting must stay silent.
+        // The MVCC-era seeded inversions: the heap's global shard under
+        // a table shard, and the commit-visibility flip under the
+        // snapshot registry. The well-ordered MVCC nesting must stay
+        // silent.
         let findings = analyze(&[load_fixture("lock_nesting.rs")]);
         assert!(
             findings.iter().any(|f| f.pass == "lock-order"
-                && f.msg.contains("heap version-reclamation epoch state (rank 29)")
+                && f.msg.starts_with("acquires heap global shard (quiesce / segment roster)")
                 && f.msg.contains("heap object-table shard (rank 30)")),
-            "HEAP_TABLE -> HEAP_EPOCH inversion must be flagged"
+            "HEAP_TABLE -> HEAP_GLOBAL inversion must be flagged"
         );
         assert!(
             findings.iter().any(|f| f.pass == "lock-order"
@@ -763,9 +764,9 @@ mod tests {
         );
         assert!(
             !findings.iter().any(|f| f.pass == "lock-order"
-                && f.msg.starts_with("acquires heap version-reclamation epoch state")
+                && f.msg.starts_with("acquires heap global shard (quiesce / segment roster)")
                 && f.msg.contains("engine open-snapshot registry (rank 14)")),
-            "vis -> snaps -> epoch is the documented order and must not be flagged"
+            "vis -> snaps -> global is the documented order and must not be flagged"
         );
     }
 

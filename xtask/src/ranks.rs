@@ -20,7 +20,6 @@ pub const RANK_CONSTS: &[(&str, u16, &str)] = &[
     ("LOCK_SHARD", 20, "lock-manager shard"),
     ("LOCK_HELD", 25, "lock-manager held-locks map"),
     ("HEAP_GLOBAL", 28, "heap global shard (quiesce / segment roster)"),
-    ("HEAP_EPOCH", 29, "heap version-reclamation epoch state"),
     ("HEAP_TABLE", 30, "heap object-table shard"),
     ("HEAP_SEGMENT", 32, "heap segment placement state"),
     ("BUFFER_POOL", 40, "buffer-pool page table"),
@@ -122,12 +121,11 @@ pub fn rules() -> Vec<LockRule> {
         LockRule { crate_dir: "storage", kind: Helper("sim_lock"), rank: 60 },
         // Engine's active-table accessor and Shard::lock are helpers too.
         LockRule { crate_dir: "storage", kind: Helper("active"), rank: 10 },
-        // MVCC additions: the commit-visibility flip, the open-snapshot
-        // registry, and the heap's version-reclamation epoch state.
+        // MVCC additions: the commit-visibility flip and the open-snapshot
+        // registry.
         LockRule { crate_dir: "storage", kind: Helper("vis_lock"), rank: 12 },
         LockRule { crate_dir: "storage", kind: Helper("snaps_lock"), rank: 14 },
         LockRule { crate_dir: "storage", kind: Helper("meta_lock"), rank: 16 },
-        LockRule { crate_dir: "storage", kind: Helper("epoch_lock"), rank: 29 },
         LockRule {
             crate_dir: "storage",
             kind: Receiver { recv: "shard", methods: &["lock"] },

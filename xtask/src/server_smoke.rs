@@ -16,18 +16,25 @@
 //!    material is present in its final state, the mid-kill
 //!    transaction's material does not exist, and the state counts
 //!    match the ledger exactly;
-//! 5. drain gracefully via the `Shutdown` request and require a clean
+//! 5. send two hostile frames — a step value nested 20,000 lists deep
+//!    and a query nested 5,000 parentheses deep — and require a typed
+//!    error for each while another connection keeps being answered;
+//! 6. drain gracefully via the `Shutdown` request and require a clean
 //!    exit.
 //!
 //! The server binary forces the log on commit (`sync_commit`), which is
 //! what makes step 4 sound: an acknowledged commit must survive SIGKILL.
 
-use std::io::BufRead;
+use std::io::{BufRead, Write};
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
+use labbase::enc::Writer;
 use labbase::{AttrType, Value};
+use labflow_server::proto::{self, Response};
+use labflow_server::wire::{self, Event, Frame};
 use labflow_server::{Client, ClientError};
 
 const CLIENTS: usize = 3;
@@ -241,6 +248,60 @@ fn verify_recovery(addr: &str, ledger: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// A `RecordStep` body whose one attribute is a list nested `depth`
+/// deep, written as bytes so this side never builds a deep `Value`.
+fn deep_step_body(depth: usize) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.str("measure");
+    w.i64(1);
+    w.u32(0); // no materials
+    w.u32(1); // one attribute
+    w.str("reading");
+    for _ in 0..depth {
+        w.u8(8); // list tag
+        w.u32(1);
+    }
+    w.u8(0); // null
+    w.finish()
+}
+
+/// The two frames that each aborted the whole server before decoding
+/// and parsing bounded their nesting: a step value nested 20,000 lists
+/// deep and a query nested 5,000 parentheses deep. Each goes raw onto a
+/// bare socket and must come back as a typed error, and a second
+/// connection must keep getting answers after each.
+fn probe_deep_frames(addr: &str) -> Result<(), String> {
+    let mut other = Client::connect(addr, 98).map_err(|e| format!("probe connect: {e}"))?;
+    let mut sock = TcpStream::connect(addr).map_err(|e| format!("probe socket: {e}"))?;
+    sock.set_read_timeout(Some(Duration::from_secs(30)))
+        .map_err(|e| format!("probe socket timeout: {e}"))?;
+    let mut query = Writer::new();
+    query.str(&format!("{}state(M, done){}", "(".repeat(5_000), ")".repeat(5_000)));
+    let query_body = query.finish();
+    let probes = [
+        ("deep step value", proto::OP_RECORD_STEP, deep_step_body(20_000), proto::EC_DECODE),
+        ("deep query", proto::OP_QUERY, query_body, proto::EC_QUERY),
+    ];
+    for (request_id, (what, code, body, want)) in (1u64..).zip(probes) {
+        let frame = Frame { version: wire::PROTO_V1, code, request_id, tenant: 97, body };
+        let bytes = wire::encode_frame(&frame).map_err(|e| format!("{what}: encode: {e}"))?;
+        sock.write_all(&bytes).map_err(|e| format!("{what}: send: {e}"))?;
+        let reply = match wire::read_event(&mut sock) {
+            Ok(Event::Frame(f)) => {
+                Response::decode(f.code, &f.body).map_err(|e| format!("{what}: reply: {e}"))?
+            }
+            Ok(Event::Idle) => return Err(format!("{what}: no reply")),
+            Err(e) => return Err(format!("{what}: connection lost: {e}")),
+        };
+        match reply {
+            Response::Error { code, .. } if code == want => {}
+            other => return Err(format!("{what}: expected error code {want}, got {other:?}")),
+        }
+        other.ping().map_err(|e| format!("{what}: second connection unanswered: {e}"))?;
+    }
+    Ok(())
+}
+
 fn run_inner(dir: &Path) -> Result<(), String> {
     let root = workspace_root();
     let bin = server_binary(&root)?;
@@ -303,6 +364,8 @@ fn run_inner(dir: &Path) -> Result<(), String> {
     let (server, addr) = spawn_server(&bin, dir)?;
     verify_recovery(&addr, &ledger)?;
     println!("server-smoke: committed-exactly verified across the crash");
+    probe_deep_frames(&addr)?;
+    println!("server-smoke: deep-nesting frames refused with typed errors");
 
     // ---- Graceful drain via the wire.
     let mut c = Client::connect(addr.as_str(), 0).map_err(|e| format!("shutdown connect: {e}"))?;
