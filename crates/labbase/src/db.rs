@@ -16,7 +16,7 @@
 //!
 //! | segment | contents | temperature |
 //! |---|---|---|
-//! | 0 | root, catalog, material sets | hot |
+//! | 0 | root, catalog, extent records, material sets | hot |
 //! | 1 | `sm_material` + most-recent records | hot |
 //! | 2 | history-list nodes | hot |
 //! | 3 | `sm_step` payloads | **cold, large** |
@@ -34,7 +34,7 @@ use labflow_storage::{ClusterHint, Oid, SegmentId, Snapshot, StatsSnapshot, Stor
 
 use crate::error::{LabError, Result};
 use crate::ids::{ClassId, MaterialId, StepId, ValidTime};
-use crate::schema::{AttrDef, Catalog};
+use crate::schema::{decode_extent, encode_extent, AttrDef, Catalog};
 use crate::session::Footprint;
 use crate::smrecord::{RecentRecord, SmMaterial, SmStep};
 use crate::state::StateIndex;
@@ -51,7 +51,10 @@ pub const SEG_STEP: SegmentId = SegmentId(3);
 
 /// The database root lives at the first oid the store assigns.
 const ROOT_OID: Oid = Oid::from_raw(1);
-const ROOT_MAGIC: u32 = 0x4C_42_31_00; // "LB1\0"
+/// "LB1" and the store format: 1 keeps each material class's extent in
+/// its own record. A store of another format is refused; there is no
+/// compatibility reader.
+const ROOT_MAGIC: u32 = 0x4C_42_31_01;
 
 /// Decoded material information for callers.
 #[derive(Clone, Debug, PartialEq)]
@@ -251,12 +254,15 @@ impl LabBase {
             e => LabError::Storage(e),
         })?;
         let mut r = crate::enc::Reader::new(&root);
-        if r.u32()? != ROOT_MAGIC {
-            return Err(LabError::BadRoot("bad magic".into()));
+        let magic = r.u32()?;
+        if magic != ROOT_MAGIC {
+            return Err(LabError::BadRoot(format!(
+                "root magic {magic:#010x}, expected {ROOT_MAGIC:#010x}"
+            )));
         }
         let catalog_oid = Oid::from_raw(r.u64()?);
         let sets_oid = Oid::from_raw(r.u64()?);
-        let catalog = Catalog::decode(&store.read(catalog_oid)?)?;
+        let catalog = load_catalog(|oid| store.read(oid), catalog_oid)?;
         let sets = SetsDir::decode(&store.read(sets_oid)?)?;
         Ok(LabBase {
             store,
@@ -310,7 +316,7 @@ impl LabBase {
     /// state / name caches this wrapper keeps would otherwise go stale.
     /// Mirrors the cache-repair half of [`abort`](LabBase::abort).
     pub fn refresh_replica_caches(&self) -> Result<()> {
-        let catalog = Catalog::decode(&self.rd_bytes(Rd::Latest, self.catalog_oid)?)?;
+        let catalog = self.read_catalog(Rd::Latest)?;
         *self.catalog.write() = catalog;
         let sets = SetsDir::decode(&self.rd_bytes(Rd::Latest, self.sets_oid)?)?;
         *self.sets.write() = sets;
@@ -346,8 +352,13 @@ impl LabBase {
         // acquires them and reads our uncommitted mutations out of the
         // shared cache (e.g. an extent head pointing at a material the
         // rollback is about to erase, breaking the committed chain).
-        let catalog = Catalog::decode(&self.rd_bytes(Rd::Latest, self.catalog_oid)?)?;
-        *self.catalog.write() = catalog;
+        // With no footprint, what this transaction wrote is what its
+        // own-writes view reads differently from the committed one.
+        let wrote = |oid| self.store.read_for(txn, oid).ok() != self.store.read(oid).ok();
+        let extents: Vec<ClassId> = self.with_catalog(|c| {
+            c.material_classes().iter().filter(|mc| wrote(mc.extent)).map(|mc| mc.id).collect()
+        });
+        self.restore_catalog(wrote(self.catalog_oid), &extents)?;
         let sets = SetsDir::decode(&self.rd_bytes(Rd::Latest, self.sets_oid)?)?;
         *self.sets.write() = sets;
         self.state_index.invalidate();
@@ -406,16 +417,46 @@ impl LabBase {
                 names.note_aborted(name);
             }
         }
-        // The catalog object is rewritten by schema changes *and* by
-        // material creation (extent heads, counts); reload it from the
-        // committed state (`Rd::Latest` skips this transaction's own
-        // pending writes, so it reads exactly what rollback restores)
-        // only when this session dirtied it.
-        if fp.catalog_dirty || !fp.created.is_empty() {
-            *self.catalog.write() = Catalog::decode(&self.rd_bytes(Rd::Latest, self.catalog_oid)?)?;
+        // `Rd::Latest` skips this transaction's own pending writes, so
+        // it reads exactly what rollback restores.
+        if fp.catalog_dirty || !fp.extents.is_empty() {
+            self.restore_catalog(fp.catalog_dirty, &fp.extents)?;
         }
         if fp.sets_dirty {
             *self.sets.write() = SetsDir::decode(&self.rd_bytes(Rd::Latest, self.sets_oid)?)?;
+        }
+        Ok(())
+    }
+
+    /// Put the cached catalog back to committed storage truth for what
+    /// one transaction wrote: its schema changes when `schema` is set,
+    /// and the extents of `classes`. Every other class keeps its cached
+    /// extent — creators do not hold the catalog lock, so another
+    /// transaction may have a creation in flight there. Callers run this
+    /// while the transaction still holds its locks.
+    pub(crate) fn restore_catalog(&self, schema: bool, classes: &[ClassId]) -> Result<()> {
+        if schema {
+            let mut fresh = self.read_catalog(Rd::Latest)?;
+            let mut cached = self.catalog.write();
+            for mc in fresh.material_classes_mut() {
+                if let Ok(old) = cached.material_class_by_id(mc.id) {
+                    if !classes.contains(&mc.id) {
+                        (mc.extent_head, mc.count) = (old.extent_head, old.count);
+                    }
+                }
+            }
+            *cached = fresh;
+            return Ok(());
+        }
+        for &id in classes {
+            let Ok(ext) = self.with_catalog(|c| c.material_class_by_id(id).map(|mc| mc.extent))
+            else {
+                continue;
+            };
+            let (head, count) = decode_extent(&self.rd_bytes(Rd::Latest, ext)?)?;
+            if let Ok(mc) = self.catalog.write().material_class_mut(id) {
+                (mc.extent_head, mc.count) = (head, count);
+            }
         }
         Ok(())
     }
@@ -432,25 +473,20 @@ impl LabBase {
 
     // ---- schema -----------------------------------------------------------
 
-    /// Define a material class.
+    /// Define a material class, with its empty extent record.
     pub fn define_material_class(
         &self,
         txn: TxnId,
         name: &str,
         parent: Option<&str>,
     ) -> Result<ClassId> {
-        self.lock_catalog(txn)?;
-        let mut catalog = self.catalog.write();
-        let before = catalog.encode();
-        let id = catalog.define_material_class(name, parent)?;
-        if let Err(e) = self.store.update(txn, self.catalog_oid, &catalog.encode()) {
-            // Failed store write (e.g. wounded): the schema change rolls
-            // back with the transaction, so take it out of the shared
-            // cache before the catalog lock can pass to another writer.
-            *catalog = Catalog::decode(&before)?;
-            return Err(e.into());
-        }
-        Ok(id)
+        self.change_schema(txn, |catalog| {
+            let id = catalog.define_material_class(name, parent)?;
+            let extent = encode_extent(Oid::NIL, 0);
+            catalog.material_class_mut(id)?.extent =
+                self.store.allocate(txn, SEG_CATALOG, ClusterHint::NONE, &extent)?;
+            Ok(id)
+        })
     }
 
     /// Define a step class (version 1).
@@ -460,18 +496,7 @@ impl LabBase {
         name: &str,
         attrs: Vec<AttrDef>,
     ) -> Result<ClassId> {
-        self.lock_catalog(txn)?;
-        let mut catalog = self.catalog.write();
-        let before = catalog.encode();
-        let id = catalog.define_step_class(name, attrs)?;
-        if let Err(e) = self.store.update(txn, self.catalog_oid, &catalog.encode()) {
-            // Failed store write (e.g. wounded): the schema change rolls
-            // back with the transaction, so take it out of the shared
-            // cache before the catalog lock can pass to another writer.
-            *catalog = Catalog::decode(&before)?;
-            return Err(e.into());
-        }
-        Ok(id)
+        self.change_schema(txn, |catalog| catalog.define_step_class(name, attrs))
     }
 
     /// Redefine a step class, returning the new version number. This is
@@ -483,18 +508,31 @@ impl LabBase {
         name: &str,
         attrs: Vec<AttrDef>,
     ) -> Result<u32> {
+        self.change_schema(txn, |catalog| catalog.redefine_step_class(name, attrs))
+    }
+
+    /// Apply the schema change `f` to the cached catalog and write the
+    /// catalog object — the only writes it gets. On failure (e.g. a
+    /// wounded store) the change rolls back with the transaction, so the
+    /// cache goes back to `before` while the catalog lock is still held.
+    /// The latch is held throughout, so no creator moved an extent in
+    /// between.
+    fn change_schema<R>(
+        &self,
+        txn: TxnId,
+        f: impl FnOnce(&mut Catalog) -> Result<R>,
+    ) -> Result<R> {
         self.lock_catalog(txn)?;
         let mut catalog = self.catalog.write();
-        let before = catalog.encode();
-        let version = catalog.redefine_step_class(name, attrs)?;
-        if let Err(e) = self.store.update(txn, self.catalog_oid, &catalog.encode()) {
-            // Failed store write (e.g. wounded): the schema change rolls
-            // back with the transaction, so take it out of the shared
-            // cache before the catalog lock can pass to another writer.
-            *catalog = Catalog::decode(&before)?;
-            return Err(e.into());
+        let before = catalog.clone();
+        let changed = f(&mut catalog).and_then(|out| {
+            self.store.update(txn, self.catalog_oid, &catalog.encode())?;
+            Ok(out)
+        });
+        if changed.is_err() {
+            *catalog = before;
         }
-        Ok(version)
+        changed
     }
 
     /// Run `f` with read access to the catalog.
@@ -503,6 +541,12 @@ impl LabBase {
     }
 
     // ---- record I/O helpers ------------------------------------------------
+
+    /// The catalog under the visibility rule `rd`, with every class's
+    /// extent record overlaid at the same `rd`.
+    pub(crate) fn read_catalog(&self, rd: Rd) -> Result<Catalog> {
+        load_catalog(|oid| self.rd_bytes(rd, oid), self.catalog_oid)
+    }
 
     /// Raw bytes of `oid` under the visibility rule `rd`.
     pub(crate) fn rd_bytes(&self, rd: Rd, oid: Oid) -> labflow_storage::Result<Vec<u8>> {
@@ -574,15 +618,15 @@ impl LabBase {
 
     /// Take `txn`'s exclusive storage lock on the catalog object.
     ///
-    /// Every catalog writer calls this *before* touching the in-memory
-    /// catalog latch. The catalog is the hottest write point in the
-    /// system (every material creation bumps its class extent), and a
-    /// transaction that blocked on the storage lock while holding the
-    /// latch would stall every concurrent catalog *read* for the whole
-    /// lock timeout — a cross-lock convoy in which each contention
-    /// event costs a failed transaction. Lock-first, latch-second makes
-    /// the wait happen with no latch held, so catalog writers serialize
-    /// cleanly and readers never stall behind a waiter.
+    /// Every schema change calls this *before* touching the in-memory
+    /// catalog latch: a transaction that blocked on the storage lock
+    /// while holding the latch would stall every concurrent catalog
+    /// *read* for the whole lock timeout — a cross-lock convoy in which
+    /// each contention event costs a failed transaction. Lock-first,
+    /// latch-second makes the wait happen with no latch held, so writers
+    /// serialize cleanly and readers never stall behind a waiter.
+    /// Material creation follows the same rule on its class's extent
+    /// record.
     pub(crate) fn lock_catalog(&self, txn: TxnId) -> Result<()> {
         Ok(self.store.lock_exclusive(txn, self.catalog_oid)?)
     }
@@ -604,11 +648,36 @@ impl LabBase {
         name: &str,
         created: ValidTime,
     ) -> Result<MaterialId> {
-        self.lock_catalog(txn)?;
-        let mut catalog = self.catalog.write();
-        let (class_id, ext_next, old_count) = {
-            let mc = catalog.material_class(class)?;
-            (mc.id, mc.extent_head, mc.count)
+        Ok(self.create_material_in(txn, class, name, created)?.0)
+    }
+
+    /// [`create_material`](Self::create_material), also returning the
+    /// class whose extent the creation moved.
+    ///
+    /// The extent record's storage lock comes first, the catalog latch
+    /// second, as for schema changes ([`lock_catalog`](Self::lock_catalog)).
+    /// Only that lock's holder moves the class's cached extent, so it is
+    /// read, written through to storage and only then updated in the
+    /// cache — a failed write leaves nothing to restore.
+    pub(crate) fn create_material_in(
+        &self,
+        txn: TxnId,
+        class: &str,
+        name: &str,
+        created: ValidTime,
+    ) -> Result<(MaterialId, ClassId)> {
+        let find = |c: &Catalog| {
+            c.material_class(class).map(|mc| (mc.id, mc.extent, mc.extent_head, mc.count))
+        };
+        let (class_id, extent, ext_next, count) = loop {
+            let (_, extent, ..) = self.with_catalog(find)?;
+            self.store.lock_exclusive(txn, extent)?;
+            // While this waited, an aborting definer may have taken the
+            // class out of the cache, and another defined the name anew.
+            let found = self.with_catalog(find)?;
+            if found.1 == extent {
+                break found;
+            }
         };
         let rec = SmMaterial {
             class: class_id,
@@ -621,29 +690,15 @@ impl LabBase {
             ext_next,
         };
         let oid = self.store.allocate(txn, SEG_MATERIAL, ClusterHint::NONE, &rec.encode())?;
+        self.store.update(txn, extent, &encode_extent(oid, count + 1))?;
         {
+            let mut catalog = self.catalog.write();
             let mc = catalog.material_class_mut(class_id)?;
-            mc.extent_head = oid;
-            mc.count += 1;
+            (mc.extent_head, mc.count) = (oid, count + 1);
         }
-        if let Err(e) = self.store.update(txn, self.catalog_oid, &catalog.encode()) {
-            // A failed store write (e.g. this transaction was wounded
-            // while holding the catalog lock) must not leave the new
-            // head in the shared cache: the allocation rolls back with
-            // the transaction, and the next creator would chain its
-            // committed material onto the erased object. The restore is
-            // infallible from the pre-mutation snapshot — a `?` here
-            // would swallow the store error and leave the cache dirty.
-            if let Some(mc) = catalog.material_class_mut_opt(class_id) {
-                mc.extent_head = ext_next;
-                mc.count = old_count;
-            }
-            return Err(e.into());
-        }
-        drop(catalog);
         self.name_index.write().note_created(name, oid, txn);
         self.state_index.note_created(oid);
-        Ok(MaterialId::from(oid))
+        Ok((MaterialId::from(oid), class_id))
     }
 
     /// Decoded material info.
@@ -748,6 +803,19 @@ impl LabBase {
     }
 }
 
+/// Decode the catalog at `catalog_oid` and overlay every class's extent
+/// record, each object read through `read`.
+fn load_catalog(
+    read: impl Fn(Oid) -> labflow_storage::Result<Vec<u8>>,
+    catalog_oid: Oid,
+) -> Result<Catalog> {
+    let mut catalog = Catalog::decode(&read(catalog_oid)?)?;
+    for mc in catalog.material_classes_mut() {
+        (mc.extent_head, mc.count) = decode_extent(&read(mc.extent)?)?;
+    }
+    Ok(catalog)
+}
+
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -796,6 +864,19 @@ pub(crate) mod tests {
     #[test]
     fn open_non_labbase_store_fails() {
         let store: Arc<dyn StorageManager> = Arc::new(MemStore::ostore_mm());
+        assert!(matches!(LabBase::open(store), Err(LabError::BadRoot(_))));
+    }
+
+    #[test]
+    fn open_refuses_an_older_store_format() {
+        let store: Arc<dyn StorageManager> = Arc::new(MemStore::ostore_mm());
+        drop(LabBase::create(store.clone()).unwrap());
+        // The format before per-class extent records: "LB1\0".
+        let mut root = store.read(ROOT_OID).unwrap();
+        root[..4].copy_from_slice(&0x4C_42_31_00u32.to_le_bytes());
+        let t = store.begin().unwrap();
+        store.update(t, ROOT_OID, &root).unwrap();
+        store.commit(t).unwrap();
         assert!(matches!(LabBase::open(store), Err(LabError::BadRoot(_))));
     }
 
@@ -951,6 +1032,44 @@ pub(crate) mod tests {
         assert!(!schema2.contains(&"quality".to_string()));
         assert_eq!(db.step(s1).unwrap().version, 1);
         assert_eq!(db.step(s2).unwrap().version, 2);
+    }
+
+    /// Guard against the catalog rewrite coming back: a creation writes
+    /// its class's 16-byte extent record, so what it logs does not grow
+    /// with the schema. The schema here carries 40 step-class versions,
+    /// about 3 KB encoded — rewriting it would log twice that per
+    /// creation.
+    #[test]
+    fn a_creation_logs_no_catalog_image() {
+        use labflow_storage::{Engine, Options, Profile, SimVfs};
+        let vfs = Arc::new(SimVfs::new(11));
+        let store: Arc<dyn StorageManager> = Arc::new(
+            Engine::create_with(vfs, "/sim/guard".as_ref(), Profile::ostore(), Options::default())
+                .unwrap(),
+        );
+        let db = LabBase::create(store.clone()).unwrap();
+        let t = db.begin().unwrap();
+        db.define_material_class(t, "clone", None).unwrap();
+        let lanes: Vec<(String, AttrType)> =
+            (0..8).map(|i| (format!("lane_attribute_{i}"), AttrType::Real)).collect();
+        let lanes: Vec<(&str, AttrType)> = lanes.iter().map(|(n, t)| (n.as_str(), *t)).collect();
+        db.define_step_class(t, "assay", attrs(&lanes)).unwrap();
+        for _ in 1..40 {
+            db.redefine_step_class(t, "assay", attrs(&lanes)).unwrap();
+        }
+        db.commit(t).unwrap();
+        assert!(store.read(db.catalog_oid).unwrap().len() > 2500, "a realistic schema");
+
+        const CREATIONS: u64 = 1000;
+        let before = store.stats().wal_bytes;
+        for i in 0..CREATIONS {
+            let t = db.begin().unwrap();
+            db.create_material(t, "clone", &format!("c-{i}"), i as i64).unwrap();
+            db.commit(t).unwrap();
+        }
+        let per_creation = (store.stats().wal_bytes - before) / CREATIONS;
+        assert!(per_creation < 300, "a creation logged {per_creation} B");
+        assert_eq!(db.count_class("clone", false).unwrap(), CREATIONS);
     }
 
     #[test]

@@ -116,7 +116,7 @@ impl LabBase {
         // the per-session wait profile.
         let build_start = std::time::Instant::now();
         let mut map: HashMap<String, Oid> = HashMap::new();
-        let cat = crate::schema::Catalog::decode(&self.rd_bytes(Rd::Latest, self.catalog_oid)?)?;
+        let cat = self.read_catalog(Rd::Latest)?;
         for mc in cat.material_classes() {
             let mut cur = mc.extent_head;
             while !cur.is_nil() {

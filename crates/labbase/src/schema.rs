@@ -5,7 +5,10 @@
 //! Redefining a step class creates a new version; existing step instances
 //! keep the version that created them forever, so "a schema change does
 //! not result in a re-organization or migration of old data". The whole
-//! user schema is itself data: one catalog object in the storage manager.
+//! user schema is itself data: one catalog object in the storage manager,
+//! written only by schema changes. What material creation moves — a
+//! class's extent head and instance count — lives beside it in one
+//! 16-byte extent record per material class, which the catalog names.
 
 use std::collections::HashMap;
 
@@ -101,11 +104,28 @@ pub struct MaterialClass {
     pub name: String,
     /// is-a parent, if any.
     pub parent: Option<ClassId>,
+    /// The class's extent record: the object that stores `extent_head`
+    /// and `count`, so a creation writes 16 bytes, not the catalog.
+    pub extent: Oid,
     /// Head of the class extent (linked list through `sm_material`
-    /// records); [`Oid::NIL`] when empty.
+    /// records); [`Oid::NIL`] when empty. Cached from the extent record.
     pub extent_head: Oid,
-    /// Cached number of direct instances.
+    /// Number of direct instances. Cached from the extent record.
     pub count: u64,
+}
+
+/// Encode an extent record: the class extent's head and instance count.
+pub(crate) fn encode_extent(head: Oid, count: u64) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.u64(head.raw());
+    w.u64(count);
+    w.finish()
+}
+
+/// Decode an extent record into `(head, count)`.
+pub(crate) fn decode_extent(data: &[u8]) -> Result<(Oid, u64)> {
+    let mut r = Reader::new(data);
+    Ok((Oid::from_raw(r.u64()?), r.u64()?))
 }
 
 /// The whole user-level schema.
@@ -128,7 +148,8 @@ impl Catalog {
         self.mat_by_name.contains_key(name) || self.step_by_name.contains_key(name)
     }
 
-    /// Define a material class, optionally a subclass of `parent`.
+    /// Define a material class, optionally a subclass of `parent`. Its
+    /// extent record is [`Oid::NIL`] until the caller allocates one.
     pub fn define_material_class(&mut self, name: &str, parent: Option<&str>) -> Result<ClassId> {
         if self.name_taken(name) {
             return Err(LabError::DuplicateClass(name.to_string()));
@@ -144,6 +165,7 @@ impl Catalog {
             id,
             name: name.to_string(),
             parent: parent_id,
+            extent: Oid::NIL,
             extent_head: Oid::NIL,
             count: 0,
         });
@@ -201,15 +223,10 @@ impl Catalog {
 
     /// Mutable material class by id.
     pub fn material_class_mut(&mut self, id: ClassId) -> Result<&mut MaterialClass> {
-        self.material_class_mut_opt(id).ok_or_else(|| LabError::UnknownClass(id.to_string()))
-    }
-
-    /// Mutable material class by id, `None` when unknown — for unwind
-    /// paths that must not themselves be fallible (a `?` there would
-    /// swallow the error being unwound and leave the shared cache
-    /// holding the rolled-back mutation).
-    pub(crate) fn material_class_mut_opt(&mut self, id: ClassId) -> Option<&mut MaterialClass> {
-        self.materials.iter_mut().find(|c| c.id == id)
+        self.materials
+            .iter_mut()
+            .find(|c| c.id == id)
+            .ok_or_else(|| LabError::UnknownClass(id.to_string()))
     }
 
     /// Material class by id.
@@ -241,6 +258,11 @@ impl Catalog {
         &self.materials
     }
 
+    /// All material classes, to overlay their extent records.
+    pub(crate) fn material_classes_mut(&mut self) -> &mut [MaterialClass] {
+        &mut self.materials
+    }
+
     /// All step classes.
     pub fn step_classes(&self) -> &[StepClass] {
         &self.steps
@@ -260,7 +282,8 @@ impl Catalog {
 
     // ---- persistence ------------------------------------------------------
 
-    /// Encode the catalog.
+    /// Encode the catalog. Extent heads and counts are not part of it:
+    /// they live in the extent records.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
         w.u32(self.next_class);
@@ -269,8 +292,7 @@ impl Catalog {
             w.u32(m.id.0);
             w.str(&m.name);
             w.u32(m.parent.map_or(0, |p| p.0));
-            w.u64(m.extent_head.raw());
-            w.u64(m.count);
+            w.u64(m.extent.raw());
         }
         w.u32(self.steps.len() as u32);
         for s in &self.steps {
@@ -289,13 +311,14 @@ impl Catalog {
         w.finish()
     }
 
-    /// Decode a catalog.
+    /// Decode a catalog. Every class's extent reads empty until its
+    /// extent record is overlaid.
     pub fn decode(data: &[u8]) -> Result<Catalog> {
         let mut r = Reader::new(data);
         let next_class = r.u32()?;
-        // A material class is at least id, name length, parent, extent
-        // head and count: 4 + 4 + 4 + 8 + 8 bytes.
-        let nmat = r.count(28)?;
+        // A material class is at least id, name length, parent and
+        // extent record: 4 + 4 + 4 + 8 bytes.
+        let nmat = r.count(20)?;
         let mut materials = Vec::with_capacity(nmat);
         let mut mat_by_name = HashMap::with_capacity(nmat);
         for i in 0..nmat {
@@ -303,10 +326,16 @@ impl Catalog {
             let name = r.str()?;
             let parent_raw = r.u32()?;
             let parent = if parent_raw == 0 { None } else { Some(ClassId(parent_raw)) };
-            let extent_head = Oid::from_raw(r.u64()?);
-            let count = r.u64()?;
+            let extent = Oid::from_raw(r.u64()?);
             mat_by_name.insert(name.clone(), i);
-            materials.push(MaterialClass { id, name, parent, extent_head, count });
+            materials.push(MaterialClass {
+                id,
+                name,
+                parent,
+                extent,
+                extent_head: Oid::NIL,
+                count: 0,
+            });
         }
         // A step class is at least id, name length and version count.
         let nstep = r.count(12)?;
@@ -473,9 +502,10 @@ mod tests {
             attrs(&[("sequence", AttrType::Dna), ("machine", AttrType::Str)]),
         )
         .unwrap();
-        // Simulate extent bookkeeping.
+        // Extent bookkeeping lives in the extent record, not the catalog.
         let clone_id = c.material_class("clone").unwrap().id;
         let m = c.material_class_mut(clone_id).unwrap();
+        m.extent = Oid::from_raw(11);
         m.extent_head = Oid::from_raw(77);
         m.count = 12;
 
@@ -483,8 +513,13 @@ mod tests {
         let d = Catalog::decode(&bytes).unwrap();
         assert_eq!(d.material_classes().len(), 3);
         assert_eq!(d.step_classes().len(), 1);
-        assert_eq!(d.material_class("clone").unwrap().extent_head, Oid::from_raw(77));
-        assert_eq!(d.material_class("clone").unwrap().count, 12);
+        assert_eq!(d.material_class("clone").unwrap().extent, Oid::from_raw(11));
+        assert_eq!(d.material_class("clone").unwrap().extent_head, Oid::NIL);
+        assert_eq!(d.material_class("clone").unwrap().count, 0);
+        assert_eq!(
+            decode_extent(&encode_extent(Oid::from_raw(77), 12)).unwrap(),
+            (Oid::from_raw(77), 12)
+        );
         assert_eq!(d.step_class("determine_sequence").unwrap().versions.len(), 2);
         // Ids keep being unique after reload.
         let mut d = d;

@@ -6,10 +6,11 @@
 //! absorbed updates from the aborting transaction, `abort` invalidates
 //! them wholesale and every session pays to rebuild. A [`Session`]
 //! instead records which cache entries *its own* transaction touched —
-//! materials created, state transitions made, catalog/sets-directory
-//! rewrites — and on abort undoes exactly that footprint, leaving other
-//! sessions' warm cache entries intact. This is what makes abort-and-
-//! retry affordable under multi-client lock contention.
+//! materials created and the class extents they moved, state transitions
+//! made, catalog/sets-directory rewrites — and on abort undoes exactly
+//! that footprint, leaving other sessions' warm cache entries intact.
+//! This is what makes abort-and-retry affordable under multi-client lock
+//! contention.
 
 use labflow_storage::{wait_snapshot, Oid, Snapshot, TxnId, WaitSnapshot};
 
@@ -28,6 +29,9 @@ pub(crate) struct Footprint {
     /// Materials created: `(oid, external name)`. On abort these are
     /// removed from the state and name indexes.
     pub created: Vec<(Oid, String)>,
+    /// Material classes whose extent record the creations moved, each
+    /// once. On abort their cached extents go back to committed state.
+    pub extents: Vec<ClassId>,
     /// State transitions `(material, old, new)` in execution order. On
     /// abort they are replayed in reverse against the state index.
     pub state_changes: Vec<(Oid, Option<String>, Option<String>)>,
@@ -158,8 +162,11 @@ impl<'a> Session<'a> {
         name: &str,
         created: ValidTime,
     ) -> Result<MaterialId> {
-        let mat = self.db.create_material(self.txn, class, name, created)?;
+        let (mat, class) = self.db.create_material_in(self.txn, class, name, created)?;
         self.footprint.created.push((mat.oid(), name.to_string()));
+        if !self.footprint.extents.contains(&class) {
+            self.footprint.extents.push(class);
+        }
         Ok(mat)
     }
 

@@ -191,7 +191,7 @@ impl LabBase {
         // view for `In(txn)`. The live in-memory catalog can run ahead
         // of both (extent heads prepended by still-open transactions),
         // and those heads would not be readable here.
-        let cat = crate::schema::Catalog::decode(&self.rd_bytes(rd, self.catalog_oid)?)?;
+        let cat = self.read_catalog(rd)?;
         let heads: Vec<Oid> =
             cat.material_classes().iter().map(|mc| mc.extent_head).collect();
         let mut by_state: HashMap<String, BTreeSet<u64>> = HashMap::new();

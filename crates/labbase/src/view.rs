@@ -63,7 +63,7 @@ impl LabBase {
     /// snapshot is *not* released when the view drops.
     pub fn view_at(&self, snap: Snapshot) -> Result<View<'_>> {
         let rd = Rd::At(snap);
-        let catalog = Catalog::decode(&self.rd_bytes(rd, self.catalog_oid)?)?;
+        let catalog = self.read_catalog(rd)?;
         let sets = SetsDir::decode(&self.rd_bytes(rd, self.sets_oid)?)?;
         Ok(View { db: self, rd, catalog: Some(catalog), sets: Some(sets), owned: None })
     }

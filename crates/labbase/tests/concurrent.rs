@@ -163,3 +163,141 @@ fn selective_abort_matches_full_rebuild() {
     assert_eq!(db.state_of(a).unwrap().as_deref(), Some("waiting"));
     assert_eq!(db.state_of(b).unwrap().as_deref(), Some("done"));
 }
+
+// ---- per-class extent records ----------------------------------------------
+//
+// A creation locks and writes only its class's extent record, so the
+// cached extent of one class can be in flight in one transaction while
+// another transaction aborts. These pin what that split promises.
+
+/// `concurrent_db` plus a second material class, `tube`.
+fn two_class_db() -> LabBase {
+    let db = concurrent_db();
+    let t = db.begin().unwrap();
+    db.define_material_class(t, "tube", None).unwrap();
+    db.commit(t).unwrap();
+    db
+}
+
+/// The cached `(extent head, count)` of `class`.
+fn cached_extent(db: &LabBase, class: &str) -> (u64, u64) {
+    db.with_catalog(|c| {
+        let mc = c.material_class(class).unwrap();
+        (mc.extent_head.raw(), mc.count)
+    })
+}
+
+/// The integrity check is healthy and every class holds exactly its
+/// committed creations, by cached count and by extent scan.
+fn assert_extents(db: &LabBase, expected: &[(&str, u64)]) {
+    let report = db.check_integrity().unwrap();
+    assert!(report.is_healthy(), "{:?}", report.problems);
+    for &(class, n) in expected {
+        assert_eq!(db.count_class(class, false).unwrap(), n, "cached count of {class}");
+        assert_eq!(db.count_class_scan(class).unwrap(), n, "extent length of {class}");
+    }
+    // A cold open rebuilds the same extents from storage.
+    let reopened = LabBase::open(db.store().clone()).unwrap();
+    for &(class, _) in expected {
+        assert_eq!(cached_extent(&reopened, class), cached_extent(db, class), "{class}");
+    }
+}
+
+#[test]
+fn creators_in_different_classes_never_wait_on_each_other() {
+    let db = two_class_db();
+    let mut a = db.session().unwrap();
+    a.create_material("clone", "a", 0).unwrap();
+    // `a` holds the clone extent lock; a tube creator does not need it.
+    let mut b = db.session().unwrap();
+    b.create_material("tube", "b", 0).unwrap();
+    assert_eq!(b.wait_profile().lock_condvar_waits, 0, "different classes must not wait");
+    b.commit().unwrap();
+    a.commit().unwrap();
+    assert_extents(&db, &[("clone", 1), ("tube", 1)]);
+}
+
+#[test]
+fn creators_in_one_class_still_serialize() {
+    let db = two_class_db();
+    let mut a = db.session().unwrap();
+    let first = a.create_material("clone", "first", 0).unwrap();
+    std::thread::scope(|scope| {
+        let b = scope.spawn(|| {
+            let mut b = db.session().unwrap();
+            let second = b.create_material("clone", "second", 1).unwrap();
+            let waits = b.wait_profile().lock_condvar_waits;
+            b.commit().unwrap();
+            (second, waits)
+        });
+        // Hold the clone extent lock long enough for `b` to queue on it.
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        a.commit().unwrap();
+        let (second, waits) = b.join().unwrap();
+        assert!(waits > 0, "a same-class creator must wait for the lock holder");
+        // The second creation chained onto the committed first.
+        assert_eq!(db.class_extent("clone", false).unwrap(), vec![second, first]);
+    });
+    assert_extents(&db, &[("clone", 2), ("tube", 0)]);
+}
+
+#[test]
+fn an_aborting_creator_restores_only_its_own_class_extent() {
+    let db = two_class_db();
+    // `a` has a creation and a schema change in flight.
+    let mut a = db.session().unwrap();
+    let kept = a.create_material("clone", "kept", 0).unwrap();
+    a.define_material_class("gel", None).unwrap();
+    let in_flight = cached_extent(&db, "clone");
+    assert_eq!(in_flight, (kept.oid().raw(), 1));
+
+    let mut b = db.session().unwrap();
+    b.create_material("tube", "gone", 0).unwrap();
+    b.abort().unwrap();
+    assert_eq!(cached_extent(&db, "tube"), (0, 0), "the aborted creation is undone");
+    assert_eq!(cached_extent(&db, "clone"), in_flight, "another class's in-flight head stays");
+    db.with_catalog(|c| assert!(c.material_class("gel").is_ok(), "in-flight schema dropped"));
+
+    // The raw abort path, which has no footprint, keeps both too.
+    let t = db.begin().unwrap();
+    db.create_material(t, "tube", "gone-again", 0).unwrap();
+    db.abort(t).unwrap();
+    assert_eq!(cached_extent(&db, "tube"), (0, 0));
+    assert_eq!(cached_extent(&db, "clone"), in_flight);
+    db.with_catalog(|c| assert!(c.material_class("gel").is_ok(), "in-flight schema dropped"));
+
+    a.commit().unwrap();
+    assert_extents(&db, &[("clone", 1), ("tube", 0), ("gel", 0)]);
+}
+
+#[test]
+fn an_aborting_definer_keeps_other_sessions_in_flight_extents() {
+    let db = two_class_db();
+    let mut a = db.session().unwrap();
+    let kept = a.create_material("clone", "kept", 0).unwrap();
+
+    // The definer also creates in `tube`: that class, and only that
+    // one, goes back to committed state alongside the schema.
+    let mut d = db.session().unwrap();
+    d.define_material_class("gel", None).unwrap();
+    d.create_material("tube", "gone", 0).unwrap();
+    d.abort().unwrap();
+    db.with_catalog(|c| assert!(c.material_class("gel").is_err(), "aborted class must vanish"));
+    assert_eq!(cached_extent(&db, "tube"), (0, 0));
+    assert_eq!(cached_extent(&db, "clone"), (kept.oid().raw(), 1), "in-flight head clobbered");
+
+    // The raw abort path keeps it too.
+    let t = db.begin().unwrap();
+    db.define_material_class(t, "gel", None).unwrap();
+    db.create_material(t, "tube", "gone-again", 0).unwrap();
+    db.abort(t).unwrap();
+    assert_eq!(cached_extent(&db, "tube"), (0, 0));
+    assert_eq!(cached_extent(&db, "clone"), (kept.oid().raw(), 1), "in-flight head clobbered");
+
+    a.commit().unwrap();
+    let mut s = db.session().unwrap();
+    s.create_material("clone", "after", 1).unwrap();
+    s.create_material("tube", "after-tube", 1).unwrap();
+    s.commit().unwrap();
+    assert_extents(&db, &[("clone", 2), ("tube", 1)]);
+}

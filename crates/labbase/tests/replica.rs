@@ -137,3 +137,56 @@ fn refresh_replica_caches_reveals_shipped_transactions() {
     assert_eq!(v.material(m).unwrap().class, "clone");
     let _ = from;
 }
+
+/// Extents live in per-class records the follower receives as plain
+/// object updates; a cache refresh and a cold open must overlay the same
+/// ones — and match the primary's.
+#[test]
+fn refresh_and_open_see_the_same_extents() {
+    let vfs: Arc<dyn Vfs> = Arc::new(SimVfs::new(23));
+    let store = |vfs, dir: &str| -> Arc<dyn StorageManager> {
+        Arc::new(
+            Engine::create_with(vfs, dir.as_ref(), Profile::ostore(), Options::default()).unwrap(),
+        )
+    };
+    let pri_store = store(vfs.clone(), "/sim/pri");
+    let fol_store = store(vfs, "/sim/fol");
+    let mut from = pri_store.replication_lsn().unwrap();
+    let mut pending = HashMap::new();
+    let primary = LabBase::create(pri_store.clone()).unwrap();
+    let t = primary.begin().unwrap();
+    primary.define_material_class(t, "clone", None).unwrap();
+    primary.define_material_class(t, "tube", None).unwrap();
+    primary.commit(t).unwrap();
+    from = ship(pri_store.as_ref(), fol_store.as_ref(), from, &mut pending);
+    let follower = LabBase::open(fol_store.clone()).unwrap();
+    follower.set_read_only(true);
+
+    for i in 0..5 {
+        let t = primary.begin().unwrap();
+        primary.create_material(t, "clone", &format!("c-{i}"), i).unwrap();
+        if i % 2 == 0 {
+            primary.create_material(t, "tube", &format!("t-{i}"), i).unwrap();
+        }
+        primary.commit(t).unwrap();
+    }
+    from = ship(pri_store.as_ref(), fol_store.as_ref(), from, &mut pending);
+    follower.refresh_replica_caches().unwrap();
+    let opened = LabBase::open(fol_store.clone()).unwrap();
+
+    let extents = |db: &LabBase| -> Vec<(String, u64, u64)> {
+        db.with_catalog(|c| {
+            c.material_classes()
+                .iter()
+                .map(|mc| (mc.name.clone(), mc.extent_head.raw(), mc.count))
+                .collect()
+        })
+    };
+    assert_eq!(extents(&follower), extents(&opened));
+    assert_eq!(extents(&follower), extents(&primary));
+    assert_eq!(follower.count_class("clone", false).unwrap(), 5);
+    assert_eq!(follower.count_class("tube", false).unwrap(), 3);
+    assert_eq!(follower.class_extent("clone", false).unwrap().len(), 5);
+    assert!(follower.check_integrity().unwrap().is_healthy());
+    let _ = from;
+}

@@ -468,13 +468,15 @@ impl Request {
             OP_RECORD_STEP => {
                 let class = r.str().map_err(de)?;
                 let valid_time = r.i64().map_err(de)?;
-                let nmat = r.u32().map_err(de)? as usize;
-                let mut materials = Vec::with_capacity(nmat.min(1024));
+                // A material is its oid; an attribute at least a name
+                // length and a value tag.
+                let nmat = r.count(8).map_err(de)?;
+                let mut materials = Vec::with_capacity(nmat);
                 for _ in 0..nmat {
                     materials.push(r.u64().map_err(de)?);
                 }
-                let nattr = r.u32().map_err(de)? as usize;
-                let mut attrs = Vec::with_capacity(nattr.min(1024));
+                let nattr = r.count(5).map_err(de)?;
+                let mut attrs = Vec::with_capacity(nattr);
                 for _ in 0..nattr {
                     let name = r.str().map_err(de)?;
                     let value = Value::decode(&mut r).map_err(de)?;
@@ -493,8 +495,9 @@ impl Request {
             },
             OP_DEFINE_STEP_CLASS => {
                 let name = r.str().map_err(de)?;
-                let n = r.u32().map_err(de)? as usize;
-                let mut attrs = Vec::with_capacity(n.min(1024));
+                // An attribute is at least a name length and a type tag.
+                let n = r.count(5).map_err(de)?;
+                let mut attrs = Vec::with_capacity(n);
                 for _ in 0..n {
                     let attr = r.str().map_err(de)?;
                     let ty = AttrType::decode(&mut r).map_err(de)?;
@@ -637,8 +640,9 @@ impl Response {
                 }
             }),
             RE_HISTORY => {
-                let n = r.u32().map_err(de)? as usize;
-                let mut entries = Vec::with_capacity(n.min(4096));
+                // An entry is a step oid and a valid time.
+                let n = r.count(16).map_err(de)?;
+                let mut entries = Vec::with_capacity(n);
                 for _ in 0..n {
                     let step = r.u64().map_err(de)?;
                     let vt = r.i64().map_err(de)?;
@@ -647,11 +651,13 @@ impl Response {
                 Response::History(entries)
             }
             RE_ROWS => {
-                let n = r.u32().map_err(de)? as usize;
-                let mut rows = Vec::with_capacity(n.min(4096));
+                // A row is at least its binding count; a binding at
+                // least two string lengths.
+                let n = r.count(4).map_err(de)?;
+                let mut rows = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let k = r.u32().map_err(de)? as usize;
-                    let mut row = Vec::with_capacity(k.min(64));
+                    let k = r.count(8).map_err(de)?;
+                    let mut row = Vec::with_capacity(k);
                     for _ in 0..k {
                         let var = r.str().map_err(de)?;
                         let term = r.str().map_err(de)?;
@@ -678,8 +684,9 @@ impl Response {
             RE_REPL_STATUS => {
                 let epoch = r.u64().map_err(de)?;
                 let lsn = r.u64().map_err(de)?;
-                let n = r.u32().map_err(de)? as usize;
-                let mut followers = Vec::with_capacity(n.min(1024));
+                // A follower is its id and acknowledged LSN.
+                let n = r.count(16).map_err(de)?;
+                let mut followers = Vec::with_capacity(n);
                 for _ in 0..n {
                     let f = r.u64().map_err(de)?;
                     let acked = r.u64().map_err(de)?;
@@ -849,6 +856,29 @@ mod tests {
         .encode_body();
         let err = Request::decode(OP_CREATE_MATERIAL, &body[..body.len() - 4]);
         assert!(matches!(err, Err(WireError::Decode(_))));
+    }
+
+    /// A count the remaining body cannot hold is refused before anything
+    /// is sized by it.
+    #[test]
+    fn a_corrupt_request_count_is_typed() {
+        let mut w = Writer::new();
+        w.str("determine_sequence");
+        w.i64(5);
+        w.u32(u32::MAX);
+        w.u64(3);
+        let err = Request::decode(OP_RECORD_STEP, &w.finish());
+        assert!(matches!(&err, Err(WireError::Decode(m)) if m.contains("count")), "{err:?}");
+    }
+
+    #[test]
+    fn a_corrupt_response_count_is_typed() {
+        let mut w = Writer::new();
+        w.u32(1 << 20);
+        w.u64(7);
+        w.i64(1);
+        let err = Response::decode(RE_HISTORY, &w.finish());
+        assert!(matches!(&err, Err(WireError::Decode(m)) if m.contains("count")), "{err:?}");
     }
 
     #[test]

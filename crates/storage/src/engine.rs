@@ -121,12 +121,12 @@ impl Profile {
 
 #[derive(Default)]
 struct TxnState {
-    /// Oids this transaction wrote (alloc/update/free), in touch order.
+    /// Oids this transaction wrote (alloc/update/free), each once.
     /// Commit flips their pending versions to committed at one LSN;
-    /// abort discards them. Duplicates are fine — the heap's
-    /// `commit_version`/`discard_txn` are no-ops once the pending
-    /// version is resolved.
-    touched: Vec<Oid>,
+    /// abort discards them. Membership is also what makes a write the
+    /// transaction's first touch of an oid, the only one that logs a
+    /// before-image (see [`Engine::before_image`]).
+    touched: HashSet<Oid>,
 }
 
 /// Active-transaction table plus the checkpoint quiesce flag, guarded by
@@ -692,7 +692,33 @@ impl Engine {
     /// Record that `txn` wrote `oid`, for the commit flip / abort discard.
     fn touch(&self, txn: TxnId, oid: Oid) {
         if let Some(state) = self.active().txns.get_mut(&txn.raw()) {
-            state.touched.push(oid);
+            state.touched.insert(oid);
+        }
+    }
+
+    /// [`require_txn`](Self::require_txn), also telling whether `txn`
+    /// has already written `oid` — and so holds its lock and has logged
+    /// its before-image.
+    fn touched_before(&self, txn: TxnId, oid: Oid) -> Result<bool> {
+        match self.active().txns.get(&txn.raw()) {
+            Some(state) => Ok(state.touched.contains(&oid)),
+            None => Err(StorageError::UnknownTxn(txn)),
+        }
+    }
+
+    /// The before-image an `update`/`free` of `oid` logs. Recovery undoes
+    /// a loser from its *first* logged image per (txn, oid), so only the
+    /// first touch reads one — `read_for` then resolves the last
+    /// committed value — and a repeat logs none. A repeat still checks
+    /// that `txn` can see the object, so a write after its own free fails
+    /// before anything is logged.
+    fn before_image(&self, txn: TxnId, oid: Oid, repeat: bool) -> Result<Vec<u8>> {
+        if !repeat {
+            self.heap.read_for(oid, txn.raw())
+        } else if self.heap.exists_vis(oid, Vis::For(txn.raw(), u64::MAX)) {
+            Ok(Vec::new())
+        } else {
+            Err(StorageError::UnknownObject(oid))
         }
     }
 
@@ -908,7 +934,7 @@ impl StorageManager for Engine {
             // its versions, never yet published, are discarded like an
             // abort's rather than left visible-but-not-durable. Locks
             // are released either way: the engine is not stuck.
-            for &oid in state.touched.iter().rev() {
+            for &oid in &state.touched {
                 self.heap.discard_txn(oid, txn.raw());
             }
         }
@@ -937,7 +963,7 @@ impl StorageManager for Engine {
         // never visible to any other transaction or snapshot, and the
         // committed chain beneath them was never touched. This cannot
         // half-fail the way the old restore-in-place rollback could.
-        for &oid in state.touched.iter().rev() {
+        for &oid in &state.touched {
             self.heap.discard_txn(oid, txn.raw());
         }
         let logged = self.log(WalRecord::Abort(txn.raw()));
@@ -983,18 +1009,16 @@ impl StorageManager for Engine {
     }
 
     fn update(&self, txn: TxnId, oid: Oid, data: &[u8]) -> Result<()> {
-        self.require_txn(txn)?;
-        self.lock(txn, oid)?;
+        let repeat = self.touched_before(txn, oid)?;
+        if !repeat {
+            self.lock(txn, oid)?;
+        }
         if self.profile.wal {
             // Write-ahead: the record (with its before-image) enters the
             // log buffer before the heap mutates, so the stamp the pool
             // puts on the mutated page covers it and the page can never
             // reach the data file ahead of its undo information.
-            // Recovery keys loser undo off the *first* logged image per
-            // (txn, oid), which `read_for` makes the last committed
-            // value on the first touch; later touches log this
-            // transaction's own pending value, which recovery ignores.
-            let old = self.heap.read_for(oid, txn.raw())?;
+            let old = self.before_image(txn, oid, repeat)?;
             self.log(WalRecord::Update { txn: txn.raw(), oid, data: data.to_vec(), old })?;
             if let Err(e) = self.heap.update(oid, data, txn.raw()) {
                 self.wound();
@@ -1008,13 +1032,15 @@ impl StorageManager for Engine {
     }
 
     fn free(&self, txn: TxnId, oid: Oid) -> Result<()> {
-        self.require_txn(txn)?;
-        self.lock(txn, oid)?;
+        let repeat = self.touched_before(txn, oid)?;
+        if !repeat {
+            self.lock(txn, oid)?;
+        }
         if self.profile.wal {
             // The logged before-image serves recovery; an in-memory
             // abort just discards the pending tombstone, leaving the
             // committed chain (and the object's placement) untouched.
-            let old = self.heap.read_for(oid, txn.raw())?;
+            let old = self.before_image(txn, oid, repeat)?;
             self.log(WalRecord::Free { txn: txn.raw(), oid, old })?;
             if let Err(e) = self.heap.free(oid, txn.raw()) {
                 self.wound();

@@ -1846,15 +1846,19 @@ mod tests {
     fn two_writers_in_one_segment_with_gc_running() {
         // Writers rewrite their own objects and churn short-lived ones
         // while a third thread keeps collecting: pages are emptied,
-        // recycled, refilled and reopened under both writers' feet.
+        // recycled, refilled and reopened under both writers' feet. Each
+        // writer round waits for one collector pass to complete after it,
+        // so the collector runs between rounds however the threads are
+        // scheduled.
         const PER: usize = 24;
         let (h, stats) = heap("gc-writers", Placement::Segments, 1, 64);
         let oids = fill(&h, 0, 2 * PER, 700);
         let stop = std::sync::atomic::AtomicBool::new(false);
+        let passes = AtomicU64::new(0);
         std::thread::scope(|scope| {
             let writers: Vec<_> = (0..2usize)
                 .map(|t| {
-                    let (h, mine) = (&h, &oids[t * PER..(t + 1) * PER]);
+                    let (h, mine, passes) = (&h, &oids[t * PER..(t + 1) * PER], &passes);
                     scope.spawn(move || {
                         for round in 0..120usize {
                             for (j, &oid) in mine.iter().enumerate() {
@@ -1865,6 +1869,10 @@ mod tests {
                             for oid in extra {
                                 h.free(oid, 0).unwrap();
                             }
+                            let seen = passes.load(Ordering::Acquire);
+                            while passes.load(Ordering::Acquire) <= seen {
+                                std::thread::yield_now();
+                            }
                         }
                     })
                 })
@@ -1872,6 +1880,7 @@ mod tests {
             let collector = scope.spawn(|| {
                 while !stop.load(Ordering::Acquire) {
                     gc_and_flip(&h);
+                    passes.fetch_add(1, Ordering::Release);
                 }
             });
             for w in writers {

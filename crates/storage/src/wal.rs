@@ -63,7 +63,9 @@ pub enum WalRecord {
         /// Payload before the update — the undo image recovery restores
         /// if this transaction turns out to be a loser. Required because
         /// the buffer pool steals (evicts dirty pages of uncommitted
-        /// transactions to the data file).
+        /// transactions to the data file). Only the transaction's first
+        /// touch of the oid carries one; recovery ignores later images,
+        /// so those are empty.
         old: Vec<u8>,
     },
     /// An object was freed.

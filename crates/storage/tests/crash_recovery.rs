@@ -313,3 +313,71 @@ fn failed_commit_force_publishes_nothing() {
     store.commit(txn).unwrap();
     assert_eq!(store.read(oid).unwrap(), b"durable");
 }
+
+/// Only a transaction's first touch of an oid logs a before-image:
+/// recovery undoes a loser from that one, so a repeat `update` or
+/// `free` appends its record with an empty `old`.
+#[test]
+fn a_repeat_touch_logs_no_before_image() {
+    let sim = SimVfs::new(4242);
+    let store = create(&sim, &PathBuf::from("/sim/first-touch"), Profile::ostore());
+    let big = [b'x'; 1000];
+    let txn = store.begin().unwrap();
+    let a = store.allocate(txn, seg(), ClusterHint::NONE, &big).unwrap();
+    let b = store.allocate(txn, seg(), ClusterHint::NONE, &big).unwrap();
+    store.commit(txn).unwrap();
+
+    let logged = |op: &dyn Fn()| {
+        let before = store.stats().wal_bytes;
+        op();
+        store.stats().wal_bytes - before
+    };
+    let txn = store.begin().unwrap();
+    let first = logged(&|| store.update(txn, a, b"small").unwrap());
+    let repeat = logged(&|| store.update(txn, a, b"small").unwrap());
+    let free_after_update = logged(&|| store.free(txn, a).unwrap());
+    let first_free = logged(&|| store.free(txn, b).unwrap());
+    assert!(first >= 1000, "the first touch logs the 1000-byte image: {first}");
+    assert!(first_free >= 1000, "a first-touch free logs its image: {first_free}");
+    assert!(repeat < 100, "a repeat update logged {repeat} bytes");
+    assert!(free_after_update < 100, "a repeat free logged {free_after_update} bytes");
+    // A write after the transaction's own free still fails, unlogged.
+    let refused = logged(&|| assert!(store.update(txn, a, b"late").is_err()));
+    assert_eq!(refused, 0);
+    store.commit(txn).unwrap();
+    assert!(!store.exists(a) && !store.exists(b));
+}
+
+/// A loser that updates an oid twice and then frees it, with its dirty
+/// pages stolen to disk before a power loss, recovers to the committed
+/// image its first touch logged.
+#[test]
+fn a_twice_updated_then_freed_loser_recovers_its_first_image() {
+    let sim = SimVfs::new(4243);
+    let dir = PathBuf::from("/sim/first-touch-loser");
+    let opts = Options { buffer_pages: 2, ..opts() };
+    let store = Engine::create_with(Arc::new(sim.clone()), &dir, Profile::ostore(), opts.clone())
+        .unwrap();
+    let oid = commit_objects(&store, 1, 9)[0];
+    let committed = store.read(oid).unwrap();
+
+    let loser = store.begin().unwrap();
+    store.update(loser, oid, b"DIRTY-1").unwrap();
+    store.update(loser, oid, b"DIRTY-2").unwrap();
+    store.free(loser, oid).unwrap();
+    // Churn enough pages through the 2-page pool that the loser's dirty
+    // pages are stolen to the data file.
+    let writes = store.stats().page_writes;
+    for i in 0..200u32 {
+        store.allocate(loser, seg(), ClusterHint::NONE, &[(i % 251) as u8; 64]).unwrap();
+    }
+    assert!(store.stats().page_writes > writes, "the churn must steal dirty pages");
+    // A committed bystander forces the log, the loser's records with it.
+    commit_objects(&store, 1, 10);
+    drop(store);
+    sim.power_loss();
+
+    let store = Engine::open_with(Arc::new(sim.clone_durable()), &dir, Profile::ostore(), opts)
+        .unwrap();
+    assert_eq!(store.read(oid).unwrap(), committed, "the loser's first image is restored");
+}
