@@ -230,8 +230,9 @@ impl AdmissionSnapshot {
         let shed_conns = r.u64().map_err(de)?;
         let bytes_in = r.u64().map_err(de)?;
         let bytes_out = r.u64().map_err(de)?;
-        let n = r.u32().map_err(de)? as usize;
-        let mut tenants = Vec::with_capacity(n.min(1024));
+        // A row is a u32 and six u64s: 52 bytes.
+        let n = r.count(52).map_err(de)?;
+        let mut tenants = Vec::with_capacity(n);
         for _ in 0..n {
             tenants.push(TenantRow {
                 tenant: r.u32().map_err(de)?,
@@ -464,6 +465,22 @@ mod tests {
         assert_eq!(back, snap);
         assert_eq!(back.tenants.len(), 2);
         assert_eq!(back.shed_conns, 1);
+    }
+
+    #[test]
+    fn a_corrupt_tenant_count_is_a_typed_decode_error() {
+        let reg = TenantRegistry::new(unlimited());
+        let _ = reg.admit_request(3, 64);
+        let mut w = Writer::new();
+        reg.snapshot().encode(&mut w);
+        let mut buf = w.finish();
+        // The count sits after the seven counters: claim four billion
+        // rows behind one row's bytes.
+        buf[56..60].copy_from_slice(&u32::MAX.to_le_bytes());
+        match AdmissionSnapshot::decode(&mut Reader::new(&buf)) {
+            Err(WireError::Decode(detail)) => assert!(detail.contains("exceeds"), "{detail}"),
+            other => panic!("expected a typed decode error, got {other:?}"),
+        }
     }
 
     #[test]

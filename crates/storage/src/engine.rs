@@ -297,7 +297,9 @@ impl Engine {
     /// recovery if the profile has a write-ahead log: redo every
     /// committed operation since the checkpoint, then undo the first
     /// touch of every object whose last toucher did not commit (a stolen
-    /// dirty page may have carried uncommitted bytes to disk).
+    /// dirty page may have carried uncommitted bytes to disk). Before
+    /// anything is read, the data file is cut back to the pages the
+    /// checkpoint recorded: later ones belong to nothing it describes.
     pub fn open_with(
         vfs: Arc<dyn Vfs>,
         dir: &Path,
@@ -305,18 +307,18 @@ impl Engine {
         opts: Options,
     ) -> Result<Engine> {
         let (data_path, meta_path, wal_path) = Self::paths(dir);
-        if !vfs.exists(&meta_path) {
-            return Err(StorageError::BadPath(format!("no store at {}", dir.display())));
-        }
         let stats = Arc::new(StorageStats::default());
+        let image = meta::read_meta(&vfs, &meta_path)?
+            .ok_or_else(|| StorageError::BadPath(format!("no store at {}", dir.display())))?;
         let file = Arc::new(PageFile::open(&vfs, &data_path, stats.clone())?);
+        file.truncate_to(image.state.pages)?;
         // Read the log before opening it for append, and open it before
         // building the pool, which takes it at construction. Recovery's
         // own page writes pass the gate freely: the handle's marks start
         // at zero, and redo appends nothing.
         let (replayed, wal) = if profile.wal {
             let replayed = Wal::replay(&vfs, &wal_path)?;
-            let wal = Wal::open(&vfs, &wal_path, stats.clone())?;
+            let wal = Wal::open(&vfs, &wal_path, replayed.end, stats.clone())?;
             (Some(replayed), Some(Arc::new(wal)))
         } else {
             (None, None)
@@ -337,8 +339,6 @@ impl Engine {
             profile.extra_header,
             profile.align,
         );
-        let image = meta::read_meta(&vfs, &meta_path)?
-            .ok_or_else(|| StorageError::BadPath(format!("no store at {}", dir.display())))?;
         let meta_epoch = image.state.epoch;
         file.set_version_floors(image.state.versions);
         file.set_quarantined(&image.state.quarantined);
@@ -482,24 +482,30 @@ impl Engine {
         let mut last_touch: HashMap<u64, u64> = HashMap::new();
         let mut first_image: HashMap<(u64, u64), LoserUndo> = HashMap::new();
         let mut max_oid = None;
+        // The oids whose current version this recovery placed: only
+        // those supersede a location the heap may free. Keyed on the
+        // oid, never the location (see `Heap::recover_upsert`).
+        let mut placed: HashSet<u64> = HashSet::new();
 
         for rec in records {
             let (oid, image) = match rec {
                 WalRecord::Alloc { oid, seg, hint, data, .. } => {
                     if committed.contains(&rec.txn()) {
-                        heap.recover_upsert(*oid, Some(*seg), *hint, data)?;
+                        let redone = !placed.insert(oid.raw());
+                        heap.recover_upsert(*oid, Some(*seg), *hint, data, redone)?;
                     }
                     (*oid, LoserUndo::Remove)
                 }
                 WalRecord::Update { oid, data, old, .. } => {
                     if committed.contains(&rec.txn()) {
-                        heap.recover_upsert(*oid, None, ClusterHint::NONE, data)?;
+                        let redone = !placed.insert(oid.raw());
+                        heap.recover_upsert(*oid, None, ClusterHint::NONE, data, redone)?;
                     }
                     (*oid, LoserUndo::Restore(old.clone()))
                 }
                 WalRecord::Free { oid, old, .. } => {
                     if committed.contains(&rec.txn()) {
-                        heap.recover_free(*oid);
+                        heap.recover_free(*oid, placed.remove(&oid.raw()));
                     }
                     (*oid, LoserUndo::Restore(old.clone()))
                 }
@@ -524,9 +530,10 @@ impl Engine {
             }
             let oid = Oid::from_raw(oid_raw);
             match image {
-                LoserUndo::Remove => heap.recover_free(oid),
+                LoserUndo::Remove => heap.recover_free(oid, placed.remove(&oid_raw)),
                 LoserUndo::Restore(data) => {
-                    heap.recover_upsert(oid, None, ClusterHint::NONE, &data)?
+                    let redone = !placed.insert(oid_raw);
+                    heap.recover_upsert(oid, None, ClusterHint::NONE, &data, redone)?
                 }
             }
         }
@@ -828,6 +835,7 @@ impl Engine {
                 epoch: next_epoch,
                 quarantined: self.file.quarantined_pages(),
                 versions: self.file.version_table(),
+                pages: self.file.page_count(),
                 places: self.heap.places(),
             };
             self.meta_lock().finish(&self.vfs, &state, segment, &self.stats)?;

@@ -685,9 +685,9 @@ impl Heap {
     /// verification — cannot be walked: its next-pointer is
     /// untrustworthy, and trusting it could resurrect arbitrary live
     /// pages into the free list. The damaged page and everything behind
-    /// it are leaked instead (exactly the recovery paths' policy); the
-    /// free itself still succeeds, and the next checkpoint simply stops
-    /// referencing the leaked pages.
+    /// it are leaked instead, as recovery leaves checkpoint-era records:
+    /// the free itself still succeeds, and the next checkpoint simply
+    /// stops referencing the leaked pages.
     fn free_overflow(&self, place: &mut SegPlace, header: &[u8]) -> Result<()> {
         let mut pid = le_u32_at(header, 5)?;
         let chunk_count = le_u32_at(header, 9)?;
@@ -804,7 +804,7 @@ impl Heap {
     /// allocates twice, so a duplicate means the follower applied a
     /// chunk it already had (callers dedup by LSN first). The record
     /// written before the refusal is leaked to the next checkpoint,
-    /// exactly as [`Heap::recover_upsert`] leaks superseded slots.
+    /// as [`Heap::recover_upsert`] leaks checkpoint-era slots.
     pub fn replica_alloc(
         &self,
         oid: Oid,
@@ -840,16 +840,22 @@ impl Heap {
     }
 
     /// Crash-recovery write: (re)bind `oid` to `payload` at a freshly
-    /// chosen location, never touching the location the table currently
-    /// maps it to.
+    /// chosen location.
     ///
     /// Replay runs against page images of unknown vintage — any page may
     /// hold its checkpoint-era bytes or a later flush from the crashed
-    /// run — so the old slot may already be dead, or reused by an object
-    /// replay itself just placed. `page::remove` there (as
-    /// [`Heap::update`] does) could destroy live data. Instead the old
-    /// slot and any overflow chain are deliberately leaked: the next
-    /// checkpoint's metadata simply stops referencing them.
+    /// run — so a location the checkpoint's table names may already be
+    /// dead, or hold a record replay itself just placed in the reused
+    /// slot. `page::remove` there (as [`Heap::update`] does) could
+    /// destroy live data, so a checkpoint-era location is left as it
+    /// is: the next checkpoint's metadata simply stops referencing it.
+    /// A location this recovery placed holds exactly the record it
+    /// wrote, and `redone` says the oid's current version is one: then
+    /// the superseded record is freed, overflow chain included, and the
+    /// recovered image holds one version per object, not every version
+    /// since the checkpoint. The caller keys `redone` on the oid, never
+    /// on the location: a checkpoint-era location can name a slot that
+    /// redo has just filled with another object.
     ///
     /// `seg` of `None` keeps the object's current segment (falling back
     /// to [`SegmentId::DEFAULT`] if the table has no entry).
@@ -859,6 +865,7 @@ impl Heap {
         seg: Option<SegmentId>,
         hint: ClusterHint,
         payload: &[u8],
+        redone: bool,
     ) -> Result<()> {
         let g = self.global_read();
         let seg = seg
@@ -875,26 +882,36 @@ impl Heap {
             let stored = self.build_stored(&mut place, payload)?;
             self.write_record(&mut place, seg, hint, &stored)?
         };
-        // Replay rebuilds a single-version committed chain; whatever the
-        // table mapped before is leaked, never reclaimed (see above).
+        // Replay rebuilds a single-version committed chain.
         let ver = Version { body: VersionBody::Data(Loc { page: pid, slot, seg }), lsn: 0, txn: 0 };
-        {
-            let mut shard = self.table_write(oid.raw());
-            shard.chains.insert(oid.raw(), vec![ver]);
-            shard.note_changed(oid.raw());
-        }
+        self.recover_rebind(&g, oid, Some(ver), redone);
         self.next_oid.fetch_max(oid.raw() + 1, Ordering::Relaxed);
         Ok(())
     }
 
-    /// Crash-recovery delete: drop the table entry without touching the
-    /// page image (see [`Heap::recover_upsert`] for why the slot and any
-    /// overflow chain must be leaked rather than reclaimed).
-    pub fn recover_free(&self, oid: Oid) {
-        let _g = self.global_read();
-        let mut shard = self.table_write(oid.raw());
-        shard.chains.remove(&oid.raw());
-        shard.note_changed(oid.raw());
+    /// Crash-recovery delete: drop the table entry, freeing the record
+    /// only if `redone` ([`Heap::recover_upsert`]).
+    pub fn recover_free(&self, oid: Oid, redone: bool) {
+        let g = self.global_read();
+        self.recover_rebind(&g, oid, None, redone);
+    }
+
+    /// Bind `oid` to `ver` (or unbind it), and free the location it
+    /// resolved to before if `redone`.
+    fn recover_rebind(&self, g: &HeapGlobal, oid: Oid, ver: Option<Version>, redone: bool) {
+        let old = {
+            let mut shard = self.table_write(oid.raw());
+            let old = match ver {
+                Some(ver) => shard.chains.insert(oid.raw(), vec![ver]),
+                None => shard.chains.remove(&oid.raw()),
+            };
+            shard.note_changed(oid.raw());
+            old
+        };
+        let superseded = old.and_then(|c| Self::visible_loc(&c, Vis::Latest, oid).ok());
+        if let Some(loc) = superseded.filter(|_| redone) {
+            self.free_slot(g, loc);
+        }
     }
 
     /// Raise the oid allocator so no future allocation hands out an id
@@ -1201,8 +1218,8 @@ impl Heap {
     /// Physically free unlinked records that share a page: clear the
     /// slots, return their overflow chains (if any) to the segment free
     /// list, and note what the frees left behind for placement. Best
-    /// effort — damaged or quarantined pages are leaked, matching the
-    /// recovery paths' policy.
+    /// effort — damaged or quarantined pages are leaked, as recovery
+    /// leaves checkpoint-era records.
     ///
     /// One pool access for the page; the segment lock is taken only when
     /// there is something to tell placement, not per freed record.

@@ -105,7 +105,7 @@ pub const PAGE_PAYLOAD: usize = PAGE_SIZE - PAGE_HDR;
 /// supported API.
 #[doc(hidden)]
 pub mod wal_testing {
-    pub use crate::wal::{Wal, WalRecord, WalReplay};
+    pub use crate::wal::{Wal, WalRecord, WalReplay, FILL};
 }
 
 /// Test-only access to the slotted-page primitives, so external

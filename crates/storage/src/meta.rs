@@ -8,7 +8,7 @@
 //!         | state | n | n entries | fnv1a-32 over all prior bytes
 //! delta:  length u32 | fnv1a-32(offset ‖ length)
 //!         | state | n | n entries | fnv1a-32(offset ‖ body)
-//! state:  epoch | quarantined page ids | per-page lsn floors
+//! state:  epoch | quarantined page ids | per-page lsn floors | page count
 //!         | next oid | per segment: open page, page list | free list
 //! entry:  oid gap | 0 (removed), or page + 1 | slot | segment u8
 //! ```
@@ -39,11 +39,14 @@
 //! tell whether the log on disk belongs to this metadata (a crash can
 //! separate the two). The per-page LSN floors are what let the page file
 //! tell a fresh page from a lost or misdirected write; the quarantine
-//! list keeps persistently damaged pages fenced across restarts.
+//! list keeps persistently damaged pages fenced across restarts. The page
+//! count is how many pages the data file held at the checkpoint: recovery
+//! cuts the file back to it, giving back the pages the crashed run
+//! allocated after it.
 //!
-//! Version 5 is this layout. A version-4 file (one whole-table dump) is
-//! refused by version, typed, before anything else is looked at, as
-//! version 3 was. There is no compatibility reader.
+//! Version 6 is this layout; version 5 lacked the page count. An older
+//! file is refused by version, typed, before anything else is looked at.
+//! There is no compatibility reader.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -57,7 +60,7 @@ use crate::stats::StorageStats;
 use crate::vfs::{OpenMode, Vfs, VfsFile};
 
 const MAGIC: &[u8; 8] = b"LABFLOW1";
-const VERSION: u32 = 5;
+const VERSION: u32 = 6;
 /// Magic, version, base length.
 const BASE_HDR: usize = 8 + 4 + 8;
 /// A delta's length word and the checksum over it.
@@ -80,6 +83,9 @@ pub struct MetaState {
     /// Per-page LSN floors: the LSN each written page carried when the
     /// checkpoint image was synced (0 = no written image expected).
     pub versions: Vec<u64>,
+    /// Pages in the data file at the checkpoint. Every page the state
+    /// and the object table name lies below it.
+    pub pages: u32,
     /// The heap's placement state.
     pub places: Places,
 }
@@ -131,6 +137,7 @@ fn put_state(out: &mut Vec<u8>, state: &MetaState) {
     for &v in &state.versions {
         put(out, v);
     }
+    put(out, u64::from(state.pages));
     put(out, state.places.next_oid);
     put(out, state.places.segs.len() as u64);
     for (open, pages) in &state.places.segs {
@@ -257,6 +264,7 @@ impl Reader<'_> {
         let quarantined = self.gaps()?;
         let nvers = self.count()?;
         let versions = (0..nvers).map(|_| self.varint()).collect::<Result<_>>()?;
+        let pages = self.narrow("page count out of range")?;
         let next_oid = self.varint()?;
         let nsegs = self.count()?;
         let mut segs = Vec::with_capacity(nsegs);
@@ -269,7 +277,13 @@ impl Reader<'_> {
         let free = (0..nfree)
             .map(|_| self.narrow("page id out of range").map(PageId))
             .collect::<Result<_>>()?;
-        Ok(MetaState { epoch, quarantined, versions, places: Places { next_oid, segs, free } })
+        Ok(MetaState {
+            epoch,
+            quarantined,
+            versions,
+            pages,
+            places: Places { next_oid, segs, free },
+        })
     }
 
     /// Apply a segment's entries to `table`. The reader must end with
@@ -470,6 +484,7 @@ mod tests {
             epoch,
             quarantined: vec![3, 9],
             versions: vec![0, 7, 300, 0, epoch],
+            pages: 701,
             places: Places {
                 next_oid: 1_000 + epoch,
                 segs: vec![

@@ -177,6 +177,25 @@ impl PageFile {
         })
     }
 
+    /// Cut the file back to the `pages` the last checkpoint recorded.
+    /// Pages a crashed run allocated after it are in no segment and on
+    /// no free list, so recovery gives them back before it reads or
+    /// redoes anything; the page count becomes the checkpoint's.
+    pub fn truncate_to(&self, pages: u32) -> Result<()> {
+        let mut guard = self.file.lock();
+        let FileState { handle, len, .. } = &mut *guard;
+        let keep = u64::from(pages) * PAGE_SIZE as u64;
+        if *len > keep {
+            with_retries(
+                || handle.set_len(keep),
+                || StorageStats::bump(&self.stats.io_retries, 1),
+            )?;
+            *len = keep;
+        }
+        self.page_count.store(pages, Ordering::Release);
+        Ok(())
+    }
+
     /// Install the per-page LSN floors recorded by the last checkpoint.
     /// Future LSNs continue above the highest floor.
     pub fn set_version_floors(&self, versions: Vec<u64>) {

@@ -10,12 +10,19 @@
 //! Records are framed as `[len u32][crc u32][body]`, where the crc is
 //! `fnv1a(frame offset ‖ body)` — *position-aware*, so a perfectly valid
 //! frame that a misdirected write landed at the wrong offset fails its
-//! checksum instead of replaying someone else's history. A torn frame at
-//! end-of-log is the expected signature of a crash mid-append and is
-//! silently truncated (the loss is reported via [`WalReplay`]); a *complete*
-//! frame that fails its checksum or does not decode is interior corruption
-//! and surfaces as [`StorageError::Recovery`] — replay must not silently
-//! drop committed work.
+//! checksum instead of replaying someone else's history.
+//!
+//! The file is zero-filled ahead of the log's tail in [`FILL`]-byte
+//! granules, so a durable commit's force writes into space the file
+//! already has and syncs data only, not a new file size. The log
+//! therefore ends at the first position that is not an intact frame,
+//! not at the end of the file. What follows that position decides what
+//! it means ([`Wal::replay`]): zeros only is a clean end; a failing
+//! frame with nothing intact after it and only zeros past its extent is
+//! the signature of a crash mid-append, dropped and reported via
+//! [`WalReplay`]; anything else is damage and surfaces as
+//! [`StorageError::Recovery`] — replay must not silently drop committed
+//! work.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -223,35 +230,57 @@ fn push_frame(out: &mut Vec<u8>, offset: u64, rec: &WalRecord) -> usize {
 /// Length of a [`WalRecord::Reset`] frame: header, tag, epoch.
 const RESET_FRAME_LEN: u64 = 8 + 1 + 8;
 
+/// Granule of the zero-filled region kept ahead of the log's tail. A
+/// flush that would end past the filled region first writes zeros up to
+/// the next multiple of this, so only one force per granule persists a
+/// new file size; every other force is a pure data flush.
+pub const FILL: u64 = 256 << 10;
+
 /// How far past an apparent tear replay searches for a later intact
 /// frame before trusting the tear. Bounds the rescue scan's cost; any
 /// realistic frame (bodies are object-sized) starts well inside it.
 const TEAR_SCAN_WINDOW: usize = 4 << 20;
 
-/// Look for a complete frame whose position-bound checksum verifies at
-/// some offset after `cut`. A genuine crash tear is always the *last*
-/// thing in a log, so an intact frame behind the cut proves the "tear"
-/// is really interior damage wearing a tear's clothes — e.g. a rotted
-/// length field that makes a mid-log frame claim to run past EOF.
+/// Look for an intact frame at some offset after `cut`. A genuine crash
+/// tear is always the *last* thing in a log, so an intact frame behind
+/// the cut proves the "tear" is really interior damage wearing a tear's
+/// clothes — e.g. a rotted length field that makes a mid-log frame
+/// claim to run past EOF.
 fn intact_frame_after(data: &[u8], cut: usize) -> Option<u64> {
     let end = data.len().min(cut.saturating_add(TEAR_SCAN_WINDOW));
-    for at in cut + 1..end {
-        let Some(rest) = data.get(at..) else { break };
-        let Some((len_bytes, rest)) = rest.split_first_chunk::<4>() else { break };
-        let Some((crc_bytes, rest)) = rest.split_first_chunk::<4>() else { break };
-        let len = u32::from_le_bytes(*len_bytes) as usize;
-        // Zero-length bodies never occur (every record has at least a
-        // tag byte), and skipping them avoids trusting a checksum that
-        // covers nothing but the offset.
-        if len == 0 {
-            continue;
-        }
-        let Some(body) = rest.get(..len) else { continue };
-        if frame_crc(at as u64, body) == u32::from_le_bytes(*crc_bytes) {
-            return Some(at as u64);
-        }
+    (cut + 1..end).find(|&at| frame_at(data, 0, at).is_ok()).map(|at| at as u64)
+}
+
+/// The frame at position `at` of `data`, whose first byte sits at log
+/// offset `base`, if it is intact: its record and the position one past
+/// it. If not, why not, and where the failing frame's extent ends (the
+/// end of `data` when its header or body is cut off there). A frame
+/// with an empty body never decodes, so a checksum that covers nothing
+/// but the offset is never trusted.
+fn frame_at(
+    data: &[u8],
+    base: u64,
+    at: usize,
+) -> std::result::Result<(WalRecord, usize), (&'static str, usize)> {
+    let header = data
+        .get(at..)
+        .and_then(|r| r.split_first_chunk::<4>())
+        .and_then(|(len, r)| r.split_first_chunk::<4>().map(|(crc, rest)| (len, crc, rest)));
+    let Some((len_bytes, crc_bytes, rest)) = header else {
+        return Err(("frame header cut off", data.len()));
+    };
+    let len = u32::from_le_bytes(*len_bytes) as usize;
+    let Some(body) = rest.get(..len) else {
+        return Err(("frame body cut off", data.len()));
+    };
+    let extent = at + 8 + len;
+    if frame_crc(base + at as u64, body) != u32::from_le_bytes(*crc_bytes) {
+        return Err(("checksum mismatch (damaged or misdirected)", extent));
     }
-    None
+    match WalRecord::decode(body) {
+        Ok(rec) => Ok((rec, extent)),
+        Err(_) => Err(("undecodable record", extent)),
+    }
 }
 
 /// A contiguous run of whole, checksum-verified WAL frames read from
@@ -286,35 +315,16 @@ impl WalChunk {
 pub fn decode_shipped(start: u64, bytes: &[u8]) -> Result<Vec<(u64, WalRecord)>> {
     let mut out = Vec::new();
     let mut at = 0usize;
-    let mut frames = 0u64;
-    let fail = |at: usize, frames: u64, detail: String| {
-        StorageError::Recovery(RecoveryError { offset: start + at as u64, frame: frames, detail })
-    };
     while at < bytes.len() {
-        let header = bytes
-            .get(at..)
-            .and_then(|r| r.split_first_chunk::<4>())
-            .and_then(|(len, r)| r.split_first_chunk::<4>().map(|(crc, rest)| (len, crc, rest)));
-        let Some((len_bytes, crc_bytes, rest)) = header else {
-            return Err(fail(at, frames, "shipped frame header torn at chunk end".into()));
-        };
-        let len = u32::from_le_bytes(*len_bytes) as usize;
-        let crc = u32::from_le_bytes(*crc_bytes);
-        let Some(body) = rest.get(..len) else {
-            return Err(fail(at, frames, format!("shipped frame body torn: {len} bytes claimed")));
-        };
-        if frame_crc(start + at as u64, body) != crc {
-            return Err(fail(
-                at,
-                frames,
-                "shipped frame failed its position-bound checksum (damaged or reordered)".into(),
-            ));
-        }
-        let rec = WalRecord::decode(body)
-            .map_err(|e| fail(at, frames, format!("undecodable shipped record: {e}")))?;
+        let (rec, next) = frame_at(bytes, start, at).map_err(|(why, _)| {
+            StorageError::Recovery(RecoveryError {
+                offset: start + at as u64,
+                frame: out.len() as u64,
+                detail: format!("shipped chunk: {why}"),
+            })
+        })?;
         out.push((start + at as u64, rec));
-        frames += 1;
-        at += 8 + len;
+        at = next;
     }
     Ok(out)
 }
@@ -327,8 +337,11 @@ pub struct WalReplay {
     pub records: Vec<WalRecord>,
     /// Number of intact frames decoded.
     pub frames: u64,
-    /// Bytes of torn tail discarded (0 after a clean shutdown).
+    /// Bytes of torn tail discarded, up to the last non-zero byte (0
+    /// after a clean shutdown).
     pub bytes_truncated: u64,
+    /// Offset one past the last intact frame: where appends resume.
+    pub end: u64,
 }
 
 /// The append side of the log: the file handle plus an in-memory tail of
@@ -359,6 +372,9 @@ struct WalWriter {
     /// has been written out to the file (or discarded by a truncation
     /// that made it redundant).
     flushed_mark: u64,
+    /// The file holds zeros (or frames) up to this offset: a multiple
+    /// of [`FILL`], or the log's end right after an open or truncation.
+    zeroed_to: u64,
 }
 
 impl WalWriter {
@@ -377,6 +393,7 @@ impl WalWriter {
             let stats = self.stats.clone();
             with_retries(|| file.set_len(0), || StorageStats::bump(&stats.io_retries, 1))?;
             self.flushed = 0;
+            self.zeroed_to = 0;
             let mut frame = Vec::with_capacity(RESET_FRAME_LEN as usize);
             push_frame(&mut frame, 0, &WalRecord::Reset(epoch));
             with_retries(
@@ -390,15 +407,30 @@ impl WalWriter {
     }
 
     /// Write the tail out: one `write_at` of frames that are already
-    /// assembled. `appended` is the append mark, read by the caller
-    /// under the writer lock it holds: the tail is written whole, so on
-    /// success everything below it is in the file. Returns whether there
-    /// was a tail to write.
+    /// assembled, preceded — when they would end past the zero-filled
+    /// region — by one `write_at` of zeros up to the next [`FILL`]
+    /// boundary. The zeros are written first, so every crash image that
+    /// holds any of the frames holds the zeros behind them too.
+    /// `appended` is the append mark, read by the caller under the
+    /// writer lock it holds: the tail is written whole, so on success
+    /// everything below it is in the file. Returns whether there was a
+    /// tail to write.
     fn flush(&mut self, file: &mut dyn VfsFile, appended: u64) -> Result<bool> {
         self.repair_head(file)?;
         let wrote = !self.tail.is_empty();
         if wrote {
             let stats = self.stats.clone();
+            let end = self.flushed + self.tail.len() as u64;
+            if end > self.zeroed_to {
+                let from = self.zeroed_to.max(self.flushed);
+                let to = end.div_ceil(FILL) * FILL;
+                let zeros = vec![0u8; (to - from) as usize];
+                with_retries(
+                    || file.write_at(from, &zeros),
+                    || StorageStats::bump(&stats.io_retries, 1),
+                )?;
+                self.zeroed_to = to;
+            }
             with_retries(
                 || file.write_at(self.flushed, &self.tail),
                 || StorageStats::bump(&stats.io_retries, 1),
@@ -692,13 +724,23 @@ impl Wal {
         Self::start(file, 0, stats)
     }
 
-    /// Open an existing log for appending (after replay). Creates an
-    /// empty log if none exists, matching the pre-VFS behavior.
-    pub fn open(vfs: &Arc<dyn Vfs>, path: &Path, stats: Arc<StorageStats>) -> Result<Self> {
+    /// Open an existing log for appending at `end`, the
+    /// [`WalReplay::end`] its replay found. Anything past it — zeros, or
+    /// the fragment of a torn frame — is cut off first, so no fragment
+    /// can follow a later append. Creates an empty log if none exists,
+    /// matching the pre-VFS behavior.
+    pub fn open(
+        vfs: &Arc<dyn Vfs>,
+        path: &Path,
+        end: u64,
+        stats: Arc<StorageStats>,
+    ) -> Result<Self> {
         let mode = if vfs.exists(path) { OpenMode::Open } else { OpenMode::Create };
         let mut file = vfs.open(path, mode)?;
-        let len = file.len()?;
-        Self::start(file, len, stats)
+        if file.len()? > end {
+            with_retries(|| file.set_len(end), || StorageStats::bump(&stats.io_retries, 1))?;
+        }
+        Self::start(file, end, stats)
     }
 
     /// Wrap an opened log file and spawn its log-writer thread.
@@ -710,6 +752,7 @@ impl Wal {
                 stats: stats.clone(),
                 pending_reset: None,
                 flushed_mark: 0,
+                zeroed_to: flushed,
             }),
             log_file: Mutex::new(file),
             queue: StdMutex::new(LogQueue::default()),
@@ -821,68 +864,59 @@ impl Wal {
 
     /// Read every intact record from the start of the log.
     ///
-    /// A torn frame at end-of-log (incomplete header or body) is the
-    /// crash-tail case: replay stops there and reports the discarded
-    /// bytes. A *complete* frame that fails its checksum or does not
-    /// decode means the durable interior of the log is damaged, which
-    /// recovery must not paper over: [`StorageError::Recovery`].
+    /// The log ends at the first position that is not an intact frame:
+    /// a torn or all-zero header, a body past the end of the file, a
+    /// checksum mismatch, or a body that does not decode. If only zeros
+    /// follow that position, the log ended cleanly. If a crash tore the
+    /// last append — nothing intact after it, and only zeros past the
+    /// failing frame's extent — replay stops there and reports the
+    /// discarded bytes. Anything else means the durable log is damaged,
+    /// which recovery must not paper over: [`StorageError::Recovery`].
+    /// Rot in the final frame, with only zeros behind it, reads as a
+    /// tear: the one case no rule can tell apart, and reported as one.
     pub fn replay(vfs: &Arc<dyn Vfs>, path: &Path) -> Result<WalReplay> {
         let Some(data) = vfs.read_all(path)? else {
             return Ok(WalReplay::default());
         };
-        let le_u32 = |at: usize| -> Option<u32> {
-            data.get(at..at + 4).and_then(|s| s.try_into().ok()).map(u32::from_le_bytes)
-        };
         let mut out = WalReplay::default();
         let mut at = 0usize;
-        // A frame that does not fit in the remaining bytes is only
-        // trustworthy as a crash tear if nothing intact follows it; a
-        // verified frame behind the cut means the interior is damaged
-        // (a rotted length field can disguise mid-log rot as a tail).
-        let tear = |at: usize, frames: u64| -> Result<u64> {
-            if let Some(next) = intact_frame_after(&data, at) {
-                return Err(StorageError::Recovery(RecoveryError {
-                    offset: at as u64,
-                    frame: frames,
-                    detail: format!(
-                        "frame runs past end-of-log but an intact frame follows at byte \
-                         {next} (interior damage, not a crash tail)"
-                    ),
-                }));
-            }
-            Ok((data.len() - at) as u64)
-        };
-        while at < data.len() {
-            let (Some(len), Some(crc)) = (le_u32(at), le_u32(at + 4)) else {
-                out.bytes_truncated = tear(at, out.frames)?;
-                break; // torn header at EOF
-            };
-            let len = len as usize;
-            let Some(body) = data.get(at + 8..at + 8 + len) else {
-                out.bytes_truncated = tear(at, out.frames)?;
-                break; // torn body at EOF
-            };
-            if frame_crc(at as u64, body) != crc {
-                return Err(StorageError::Recovery(RecoveryError {
-                    offset: at as u64,
-                    frame: out.frames,
-                    detail: "checksum mismatch on a complete frame (damaged or misdirected)"
-                        .into(),
-                }));
-            }
-            match WalRecord::decode(body) {
-                Ok(rec) => out.records.push(rec),
-                Err(e) => {
-                    return Err(StorageError::Recovery(RecoveryError {
-                        offset: at as u64,
-                        frame: out.frames,
-                        detail: format!("undecodable record: {e}"),
-                    }));
+        let (why, extent) = loop {
+            match frame_at(&data, 0, at) {
+                Ok((rec, next)) => {
+                    out.records.push(rec);
+                    out.frames += 1;
+                    at = next;
                 }
+                Err(failed) => break failed,
             }
-            out.frames += 1;
-            at += 8 + len;
+        };
+        out.end = at as u64;
+        // Past the last non-zero byte is fill, or nothing.
+        let used = data.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
+        if used <= at {
+            return Ok(out);
         }
+        // A crash tear is the last thing in a log: nothing intact, and
+        // nothing but zeros, may follow it.
+        let detail = match intact_frame_after(&data, at) {
+            Some(next) => Some(format!(
+                "{why}, but an intact frame follows at byte {next} \
+                 (interior damage, not a crash tail)"
+            )),
+            None if used > extent => Some(format!(
+                "{why}, and non-zero bytes follow it up to byte {used} \
+                 (damage, not a crash tail)"
+            )),
+            None => None,
+        };
+        if let Some(detail) = detail {
+            return Err(StorageError::Recovery(RecoveryError {
+                offset: at as u64,
+                frame: out.frames,
+                detail,
+            }));
+        }
+        out.bytes_truncated = (used - at) as u64;
         Ok(out)
     }
 
@@ -1114,9 +1148,10 @@ mod tests {
             wal.append(&rec).unwrap();
         }
         wal.group_commit(true).unwrap();
+        let len = wal.flushed_lsn();
         drop(wal);
-        // Chop a few bytes off the end: last frame is torn.
-        let len = std::fs::metadata(&path).unwrap().len();
+        // Chop a few bytes off the log's end, and the zeros behind it:
+        // the last frame is torn.
         let f = OpenOptions::new().write(true).open(&path).unwrap();
         f.set_len(len - 3).unwrap();
         let replayed = Wal::replay(&vfs, &path).unwrap();
@@ -1166,8 +1201,8 @@ mod tests {
         drop(wal);
         let mut data = std::fs::read(&path).unwrap();
         let flen = 8 + 9; // header + (tag byte ‖ txn u64): same for both
-        assert_eq!(data.len(), 2 * flen);
-        let (a, b) = data.split_at_mut(flen);
+        assert!(data[2 * flen..].iter().all(|&b| b == 0), "two frames, then the fill");
+        let (a, b) = data[..2 * flen].split_at_mut(flen);
         a.swap_with_slice(b);
         std::fs::write(&path, &data).unwrap();
         match Wal::replay(&vfs, &path) {
@@ -1205,6 +1240,214 @@ mod tests {
         }
     }
 
+    /// `sample_records` written durably through a fresh log at `name`,
+    /// ending in a frame whose last byte is not zero; returns the path
+    /// and the final frame's offset.
+    fn filled_log(name: &str) -> (PathBuf, usize) {
+        let path = tmp(name);
+        let vfs = RealVfs::arc();
+        let wal = Wal::create(&vfs, &path, Arc::new(StorageStats::default())).unwrap();
+        for rec in sample_records() {
+            wal.append(&rec).unwrap();
+        }
+        let last = wal.flushed_lsn() as usize + wal.writer_lock().tail.len();
+        wal.append(&tail_record()).unwrap();
+        wal.group_commit(true).unwrap();
+        (path, last)
+    }
+
+    fn tail_record() -> WalRecord {
+        WalRecord::Update { txn: 2, oid: Oid::from_raw(3), data: vec![0x5A; 40], old: vec![0xA5; 9] }
+    }
+
+    /// Header, tag, txn, oid, and the two length-prefixed images.
+    const TAIL_FRAME_LEN: usize = 8 + 1 + 8 + 8 + 4 + 40 + 4 + 9;
+
+    fn all_records() -> Vec<WalRecord> {
+        let mut all = sample_records();
+        all.push(tail_record());
+        all
+    }
+
+    #[test]
+    fn a_clean_log_with_a_zero_filled_tail_replays_with_nothing_truncated() {
+        let (path, last) = filled_log("fill-clean");
+        let log_len = last + TAIL_FRAME_LEN;
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), FILL, "the tail is zero-filled");
+        let replayed = Wal::replay(&RealVfs::arc(), &path).unwrap();
+        assert_eq!(replayed.records, all_records());
+        assert_eq!(replayed.bytes_truncated, 0, "fill is not a tear");
+        assert_eq!(replayed.end, log_len as u64);
+    }
+
+    #[test]
+    fn a_frame_torn_into_the_zero_region_is_a_reported_tear() {
+        // A crash mid-append into filled space leaves a complete frame
+        // whose body ends in zeros: its checksum fails, and only zeros
+        // follow it.
+        let (path, last) = filled_log("fill-torn");
+        let mut data = std::fs::read(&path).unwrap();
+        // Only the first 40 bytes landed; the rest of the frame's
+        // extent is the fill it was written over.
+        data[last + 40..last + TAIL_FRAME_LEN].fill(0);
+        std::fs::write(&path, &data).unwrap();
+        let replayed = Wal::replay(&RealVfs::arc(), &path).unwrap();
+        assert_eq!(replayed.records, sample_records());
+        assert_eq!(replayed.end, last as u64);
+        assert_eq!(replayed.bytes_truncated, 40, "up to its last non-zero byte");
+    }
+
+    #[test]
+    fn a_rotted_final_frame_followed_by_zeros_is_a_reported_tear() {
+        let (path, last) = filled_log("fill-rot");
+        let mut data = std::fs::read(&path).unwrap();
+        data[last + 30] ^= 0x08;
+        std::fs::write(&path, &data).unwrap();
+        let replayed = Wal::replay(&RealVfs::arc(), &path).unwrap();
+        assert_eq!(replayed.records, sample_records());
+        assert_eq!(replayed.bytes_truncated, TAIL_FRAME_LEN as u64, "its bytes are reported");
+    }
+
+    #[test]
+    fn rot_in_any_earlier_frame_stays_an_error_in_a_filled_log() {
+        // The tear rule forgives only the final frame: a flipped bit in
+        // any byte of an earlier one — length, checksum or body — has
+        // an intact frame behind it.
+        let (path, last) = filled_log("fill-interior");
+        let vfs = RealVfs::arc();
+        let clean = std::fs::read(&path).unwrap();
+        for at in 0..last {
+            let mut data = clean.clone();
+            data[at] ^= 0x01;
+            std::fs::write(&path, &data).unwrap();
+            match Wal::replay(&vfs, &path) {
+                Err(StorageError::Recovery(e)) => assert!(e.offset <= at as u64, "byte {at}"),
+                other => panic!("a flip at byte {at} replayed as {other:?}"),
+            }
+        }
+        // Bytes behind the final frame's extent are not a tear either.
+        let mut data = clean;
+        data[last + 200] = 1;
+        std::fs::write(&path, &data).unwrap();
+        match Wal::replay(&vfs, &path) {
+            Err(StorageError::Recovery(e)) => {
+                assert!(e.detail.contains("non-zero bytes follow"), "{}", e.detail);
+            }
+            other => panic!("a stray byte in the fill replayed as {other:?}"),
+        }
+    }
+
+    #[test]
+    fn open_resumes_at_the_replayed_end_and_appends_replay_intact() {
+        // A torn frame that runs into the second fill granule, longer
+        // than what is appended next: the appends' own fill covers only
+        // the first granule, so the fragment beyond it must be cut.
+        let path = tmp("fill-resume");
+        let vfs = RealVfs::arc();
+        let stats = Arc::new(StorageStats::default());
+        let wal = Wal::create(&vfs, &path, stats.clone()).unwrap();
+        let update = |txn, len| WalRecord::Update {
+            txn,
+            oid: Oid::from_raw(9),
+            data: vec![0xEE; len],
+            old: vec![0xDD; 3000],
+        };
+        wal.append(&update(1, FILL as usize - 5000)).unwrap();
+        wal.append(&WalRecord::Commit(1)).unwrap();
+        wal.group_commit(true).unwrap();
+        let end = wal.flushed_lsn();
+        wal.append(&update(2, 3000)).unwrap();
+        wal.group_commit(true).unwrap();
+        assert!(wal.flushed_lsn() > FILL, "the torn frame must cross the first granule");
+        drop(wal);
+        let mut data = std::fs::read(&path).unwrap();
+        data[end as usize + 100..end as usize + 200].fill(0);
+        std::fs::write(&path, &data).unwrap();
+
+        let replayed = Wal::replay(&vfs, &path).unwrap();
+        assert_eq!((replayed.end, replayed.records.len()), (end, 2));
+        assert!(replayed.bytes_truncated > 5000);
+        let wal = Wal::open(&vfs, &path, replayed.end, stats).unwrap();
+        wal.append(&WalRecord::Begin(3)).unwrap();
+        wal.append(&WalRecord::Commit(3)).unwrap();
+        wal.group_commit(true).unwrap();
+        let replayed = Wal::replay(&vfs, &path).unwrap();
+        assert_eq!(replayed.records.len(), 4);
+        assert_eq!(replayed.records[2..], [WalRecord::Begin(3), WalRecord::Commit(3)]);
+        assert_eq!((replayed.bytes_truncated, replayed.end), (0, wal.flushed_lsn()));
+    }
+
+    #[test]
+    fn crash_at_every_op_across_the_first_fill_boundary_recovers_committed_exactly() {
+        // Durable commits of ~3 KB each: a clean prefix ends just short
+        // of the first granule, then the phase below crosses it. The
+        // plug is pulled at each of the phase's file operations, with
+        // writeback and torn writes armed: every acknowledged commit
+        // replays, and what replays is a prefix of what was appended.
+        use crate::vfs::{FaultPlan, SimVfs};
+        let path = PathBuf::from("/sim/wal.log");
+        let txn = |t: u64| {
+            let data = vec![(t % 251) as u8 + 1; 3000];
+            [WalRecord::Begin(t), WalRecord::Update { txn: t, oid: Oid::from_raw(t), data, old: vec![] }, WalRecord::Commit(t)]
+        };
+        let commit = |wal: &Wal, t: u64| -> Result<()> {
+            for rec in txn(t) {
+                wal.append(&rec)?;
+            }
+            wal.group_commit(true)
+        };
+        let build = |seed: u64| {
+            let sim = SimVfs::new(seed);
+            let vfs: Arc<dyn Vfs> = Arc::new(sim.clone());
+            let wal = Wal::create(&vfs, &path, Arc::new(StorageStats::default())).unwrap();
+            let mut t = 0;
+            while wal.flushed_lsn() + 4 * 3100 < FILL {
+                commit(&wal, t).unwrap();
+                t += 1;
+            }
+            (sim, wal, t)
+        };
+        const PHASE: u64 = 8;
+        let (sim, wal, first) = build(0);
+        let before = sim.op_count();
+        for t in first..first + PHASE {
+            commit(&wal, t).unwrap();
+        }
+        assert!(wal.flushed_lsn() > FILL, "the phase must cross the first granule");
+        let ops = sim.op_count() - before;
+        drop(wal);
+        let mut tears = 0;
+        for seed in 0..4 {
+            for k in 0..ops {
+                let (sim, wal, first) = build(seed);
+                sim.set_plan(FaultPlan {
+                    crash_at_op: Some(sim.op_count() + k),
+                    writeback: true,
+                    ..FaultPlan::default()
+                });
+                let acked = (first..first + PHASE).take_while(|&t| commit(&wal, t).is_ok()).count();
+                drop(wal);
+                sim.power_loss();
+                let durable: Arc<dyn Vfs> = Arc::new(sim.clone_durable());
+                let replayed = Wal::replay(&durable, &path)
+                    .unwrap_or_else(|e| panic!("seed {seed}, op {k}: replay failed: {e}"));
+                tears += u64::from(replayed.bytes_truncated > 0);
+                let appended: Vec<WalRecord> = (0..first + PHASE).flat_map(txn).collect();
+                let n = replayed.records.len();
+                assert!(
+                    n <= appended.len() && replayed.records[..] == appended[..n],
+                    "seed {seed}, op {k}: the replayed log is not a prefix of the appended one"
+                );
+                let commits = replayed.records.iter().filter(|r| matches!(r, WalRecord::Commit(_)));
+                assert!(
+                    commits.count() as u64 >= first + acked as u64,
+                    "seed {seed}, op {k}: an acknowledged commit was lost"
+                );
+            }
+        }
+        assert!(tears > 0, "no plug-pull tore a frame");
+    }
+
     #[test]
     fn truncate_restarts_log_with_reset_epoch() {
         let path = tmp("trunc");
@@ -1212,13 +1455,19 @@ mod tests {
         let stats = Arc::new(StorageStats::default());
         let wal = Wal::create(&vfs, &path, stats).unwrap();
         wal.append(&WalRecord::Begin(5)).unwrap();
+        wal.group_commit(true).unwrap();
         assert!(wal.len_bytes().unwrap() > 0);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), FILL);
         wal.truncate(3).unwrap();
+        // The truncation drops the fill with the log: a checkpointed log
+        // is its reset frame and nothing else.
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), RESET_FRAME_LEN);
         let replayed = Wal::replay(&vfs, &path).unwrap();
         assert_eq!(replayed.records, vec![WalRecord::Reset(3)]);
         // Appends after a truncation land after the reset frame.
         wal.append(&WalRecord::Begin(6)).unwrap();
         wal.group_commit(true).unwrap();
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), FILL, "filled again");
         let replayed = Wal::replay(&vfs, &path).unwrap();
         assert_eq!(replayed.records, vec![WalRecord::Reset(3), WalRecord::Begin(6)]);
     }
@@ -1356,7 +1605,8 @@ mod tests {
         wal.group_commit(false).unwrap();
         drop(wal);
         assert_eq!(commits(&vfs), vec![99]);
-        let wal = Wal::open(&vfs, &path, stats).unwrap();
+        let end = Wal::replay(&vfs, &path).unwrap().end;
+        let wal = Wal::open(&vfs, &path, end, stats).unwrap();
         wal.append(&WalRecord::Commit(100)).unwrap();
         wal.group_commit(false).unwrap();
         assert_eq!(commits(&vfs), vec![99, 100]);

@@ -381,3 +381,91 @@ fn a_twice_updated_then_freed_loser_recovers_its_first_image() {
         .unwrap();
     assert_eq!(store.read(oid).unwrap(), committed, "the loser's first image is restored");
 }
+
+/// The data file's size in pages on `sim`'s current view.
+fn file_pages(sim: &SimVfs, dir: &Path) -> u64 {
+    let vfs: Arc<dyn labflow_storage::Vfs> = Arc::new(sim.clone());
+    vfs.size(&dir.join("data.pg")).unwrap().unwrap() / labflow_storage::PAGE_SIZE as u64
+}
+
+/// Recover the store at `dir`, then open it once more: the second open
+/// must change nothing — not the data file's size, not a byte of any
+/// object. Returns the recovered store's page count.
+fn recover_twice(sim: &SimVfs, dir: &Path) -> u32 {
+    let store = open(sim.clone(), dir, Profile::ostore()).unwrap();
+    let (pages, state) = (store.data_pages(), state_of(&store));
+    drop(store);
+    let size = file_pages(sim, dir);
+    let store = open(sim.clone(), dir, Profile::ostore()).unwrap();
+    assert_eq!(state_of(&store), state, "a second open changed the contents");
+    assert_eq!(store.data_pages(), pages, "a second open changed the page count");
+    drop(store);
+    assert_eq!(file_pages(sim, dir), size, "a second open changed the data file");
+    pages
+}
+
+/// A process that dies after its 16-page pool stole post-checkpoint
+/// pages to the data file leaves those pages in no segment and on no
+/// free list; recovery gives them back, and redo keeps one version per
+/// object, so the recovered file is the checkpoint's plus the final
+/// image.
+#[test]
+fn recovery_gives_back_the_pages_allocated_after_the_checkpoint() {
+    let sim = SimVfs::new(4321);
+    let dir = PathBuf::from("/sim/steals");
+    let store = create(&sim, &dir, Profile::ostore());
+    let txn = store.begin().unwrap();
+    let oids: Vec<Oid> = (0..40)
+        .map(|_| store.allocate(txn, seg(), ClusterHint::NONE, &[0; 700]).unwrap())
+        .collect();
+    store.commit(txn).unwrap();
+    store.checkpoint().unwrap();
+    let checkpointed = store.data_pages();
+    for i in 1..=20u8 {
+        let txn = store.begin().unwrap();
+        for &oid in &oids {
+            store.update(txn, oid, &[i; 700]).unwrap();
+        }
+        store.commit(txn).unwrap();
+    }
+    assert!(store.stats().page_writes > 100, "the pool must steal: {:?}", store.stats());
+    // The process dies; the machine, and every stolen image, stays.
+    drop(store);
+    assert!(file_pages(&sim, &dir) > u64::from(checkpointed) + 100);
+
+    let pages = recover_twice(&sim, &dir);
+    // Forty 700-byte records, five to a page, are an eight-page image.
+    // Redo writes each generation beside the one it frees, so the file
+    // holds at most two of them past the checkpoint's pages, whose
+    // superseded records it leaves alone. Without giving back the
+    // stolen pages, and freeing what redo supersedes, it was ~330.
+    assert!(pages <= checkpointed + 16, "{pages} pages after recovery, {checkpointed} before");
+    let store = open(sim, &dir, Profile::ostore()).unwrap();
+    assert!(oids.iter().all(|&o| store.read(o).unwrap() == [20; 700]));
+}
+
+/// Redo of a thousand committed updates of one object frees each
+/// version it supersedes: the file stays within a page or two of the
+/// checkpoint's.
+#[test]
+fn a_thousand_redone_updates_of_one_object_leave_a_bounded_file() {
+    let sim = SimVfs::new(4322);
+    let dir = PathBuf::from("/sim/redo-one");
+    let store = create(&sim, &dir, Profile::ostore());
+    let oid = commit_objects(&store, 1, 1)[0];
+    store.checkpoint().unwrap();
+    let checkpointed = store.data_pages();
+    for i in 0..1_000u32 {
+        let txn = store.begin().unwrap();
+        store.update(txn, oid, &[(i % 251) as u8; 700]).unwrap();
+        store.commit(txn).unwrap();
+    }
+    drop(store);
+    sim.power_loss();
+
+    let pages = recover_twice(&sim, &dir);
+    assert!(pages <= checkpointed + 2, "{pages} pages after recovery, {checkpointed} before");
+    let store = open(sim, &dir, Profile::ostore()).unwrap();
+    assert_eq!(store.read(oid).unwrap(), [(999 % 251) as u8; 700]);
+    assert_eq!(store.object_count(), 1);
+}

@@ -14,6 +14,13 @@
 //!   crashed image agree) and idempotent (re-opening the already-
 //!   recovered store changes nothing).
 //!
+//! One seed in [`LONG_LOG_EVERY`] runs a long log: its clients skip the
+//! checkpoints and write payloads of a few kilobytes, so the log crosses
+//! the first zero-filled granule of its file (`wal::FILL`) before the
+//! plug is pulled, and recovery reads a log that ends inside fill
+//! rather than at the end of the file. The run prints how many seeds'
+//! durable logs crossed.
+//!
 //! Clients work on disjoint object sets, so each client's slice of the
 //! recovered store must match its own ledger exactly; lock conflicts
 //! never abort a transaction, which keeps the ledger bookkeeping honest.
@@ -38,6 +45,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use labflow_storage::wal_testing::{Wal, FILL};
 use labflow_storage::{
     scrub_store, ClusterHint, Engine, FaultPlan, Oid, Options, Profile, SegmentId, SimVfs,
     StorageError, StorageManager, Vfs,
@@ -55,6 +63,8 @@ const CHECKPOINT_EVERY: usize = 12;
 /// the transient fault land. Sized so most seeds die mid-workload and
 /// the rest exercise the clean-completion path.
 const CRASH_WINDOW: u64 = 400;
+/// Every this many seeds, one runs a long log (see the module docs).
+const LONG_LOG_EVERY: u64 = 4;
 
 /// Tiny deterministic RNG (xorshift64*), one per client, so the workload
 /// depends only on the seed — never on thread interleaving.
@@ -95,9 +105,9 @@ struct Ledger {
     last: LastTxn,
 }
 
-fn payload(client: usize, txn: usize, op: usize, rng: &mut Rng) -> Vec<u8> {
+fn payload(client: usize, txn: usize, op: usize, long_log: bool, rng: &mut Rng) -> Vec<u8> {
     let mut p = vec![client as u8, (txn & 0xff) as u8, op as u8];
-    let filler = 32 + (rng.next() % 96) as usize;
+    let filler = if long_log { 1024 + rng.next() % 3072 } else { 32 + rng.next() % 96 } as usize;
     p.extend((0..filler).map(|i| (rng.next() as u8) ^ (i as u8)));
     p
 }
@@ -105,7 +115,7 @@ fn payload(client: usize, txn: usize, op: usize, rng: &mut Rng) -> Vec<u8> {
 /// One client's workload: transactions of a few allocate/update/free
 /// operations over its own objects, some deliberately aborted, stopping
 /// at the first error (the simulated machine is dying or dead).
-fn client_loop(store: &Engine, client: usize, seed: u64) -> Ledger {
+fn client_loop(store: &Engine, client: usize, seed: u64, long_log: bool) -> Ledger {
     let mut rng = Rng::new(seed.wrapping_mul(CLIENTS as u64 + 1).wrapping_add(client as u64));
     let mut ledger = Ledger {
         client,
@@ -126,14 +136,14 @@ fn client_loop(store: &Engine, client: usize, seed: u64) -> Ledger {
             let live: Vec<u64> = after.keys().copied().collect();
             let choice = rng.next() % 10;
             let result = if choice < 5 || live.is_empty() {
-                let data = payload(client, txn_no, op_no, &mut rng);
+                let data = payload(client, txn_no, op_no, long_log, &mut rng);
                 store.allocate(t, seg, ClusterHint::NONE, &data).map(|oid| {
                     ledger.owned_ever.push(oid.raw());
                     after.insert(oid.raw(), data);
                 })
             } else if choice < 8 {
                 let oid = live[(rng.next() as usize) % live.len()];
-                let data = payload(client, txn_no, op_no, &mut rng);
+                let data = payload(client, txn_no, op_no, long_log, &mut rng);
                 store.update(t, Oid::from_raw(oid), &data).map(|()| {
                     after.insert(oid, data);
                 })
@@ -166,7 +176,7 @@ fn client_loop(store: &Engine, client: usize, seed: u64) -> Ledger {
                 return ledger;
             }
         }
-        if client == 0 && txn_no % CHECKPOINT_EVERY == CHECKPOINT_EVERY - 1 {
+        if client == 0 && !long_log && txn_no % CHECKPOINT_EVERY == CHECKPOINT_EVERY - 1 {
             // Checkpoints race the crash too; a failed one (power loss
             // mid-checkpoint, or a wounded engine) is part of the test.
             let _ = store.checkpoint();
@@ -339,7 +349,7 @@ fn opts() -> Options {
 
 /// Diagnostic aid: print the durable log of a failing seed.
 fn dump_wal(sim: &SimVfs, dir: &Path) {
-    use labflow_storage::wal_testing::{Wal, WalRecord};
+    use labflow_storage::wal_testing::WalRecord;
     let vfs: Arc<dyn Vfs> = Arc::new(sim.clone_durable());
     if let Ok(replayed) = Wal::replay(&vfs, &dir.join("wal.log")) {
         for r in &replayed.records {
@@ -373,6 +383,8 @@ struct SeedOutcome {
     /// Workload checkpoints that replaced outgrown deltas with a new
     /// meta base segment (the base `create` writes is not counted).
     compactions: u64,
+    /// The durable log ran past its first zero-filled granule.
+    crossed: bool,
 }
 
 /// Replay the pre-recovery durable log and report whether it *declared*
@@ -380,7 +392,6 @@ struct SeedOutcome {
 /// from a crash tear, so losing those bytes is acceptable exactly when
 /// replay reports the loss instead of absorbing it.
 fn wal_reported_truncation(sim: &SimVfs, dir: &Path) -> bool {
-    use labflow_storage::wal_testing::Wal;
     let vfs: Arc<dyn Vfs> = Arc::new(sim.clone_durable());
     Wal::replay(&vfs, &dir.join("wal.log")).is_ok_and(|r| r.bytes_truncated > 0)
 }
@@ -398,6 +409,7 @@ fn run_seed(seed: u64, corrupt: bool) -> Result<SeedOutcome, String> {
     // workload's operation stream, plus — in corrupt mode — one wider
     // fault whose class rotates with the seed.
     let mut rng = Rng::new(seed ^ 0x9e37_79b9_7f4a_7c15);
+    let long_log = seed % LONG_LOG_EVERY == LONG_LOG_EVERY - 1;
     let ops0 = sim.op_count();
     let mut plan = FaultPlan {
         crash_at_op: Some(ops0 + rng.next() % CRASH_WINDOW),
@@ -424,7 +436,7 @@ fn run_seed(seed: u64, corrupt: bool) -> Result<SeedOutcome, String> {
                 })
                 .collect();
             let handles: Vec<_> = (0..CLIENTS)
-                .map(|c| scope.spawn(move || client_loop(store, c, seed)))
+                .map(|c| scope.spawn(move || client_loop(store, c, seed, long_log)))
                 .collect();
             let ledgers = handles
                 .into_iter()
@@ -452,6 +464,8 @@ fn run_seed(seed: u64, corrupt: bool) -> Result<SeedOutcome, String> {
         eprintln!("  seed {seed}: {} file ops used, crashed={crashed}", sim.op_count() - ops0);
     }
     sim.power_loss();
+    let wal_len = Arc::new(sim.clone()) as Arc<dyn Vfs>;
+    let crossed = wal_len.size(&dir.join("wal.log")).ok().flatten().is_some_and(|n| n > FILL);
 
     // Class 1: at-rest rot — flip one durable bit in a seed-chosen
     // store file after the machine is already dead.
@@ -472,7 +486,7 @@ fn run_seed(seed: u64, corrupt: bool) -> Result<SeedOutcome, String> {
         match Engine::open_with(vfs, &dir, Profile::ostore(), opts()) {
             Ok(store) => dump(&store)?,
             Err(e) if corrupt && e.is_corruption() => {
-                return Ok(SeedOutcome { crashed, detected: true, deltas, compactions });
+                return Ok(SeedOutcome { crashed, detected: true, deltas, compactions, crossed });
             }
             Err(e) => return Err(format!("recovery failed: {e}")),
         }
@@ -488,7 +502,7 @@ fn run_seed(seed: u64, corrupt: bool) -> Result<SeedOutcome, String> {
             if rot_target == Some("wal.log") && wal_reported_truncation(&sim, &dir) {
                 // The flip landed where only a reported-and-discarded
                 // log tail explains the divergence (see module docs).
-                return Ok(SeedOutcome { crashed, detected: true, deltas, compactions });
+                return Ok(SeedOutcome { crashed, detected: true, deltas, compactions, crossed });
             }
             if std::env::var_os("CRASHTEST_DEBUG").is_some() {
                 dump_wal(&sim, &dir);
@@ -536,7 +550,7 @@ fn run_seed(seed: u64, corrupt: bool) -> Result<SeedOutcome, String> {
             ));
         }
     }
-    Ok(SeedOutcome { crashed, detected: false, deltas, compactions })
+    Ok(SeedOutcome { crashed, detected: false, deltas, compactions, crossed })
 }
 
 /// Entry point: runs `seeds` seeds, printing progress; returns the
@@ -545,7 +559,7 @@ pub fn run(first_seed: u64, seeds: u64, corrupt: bool) -> u64 {
     let mut failures = 0;
     let mut crashed = 0;
     let mut detected = 0;
-    let (mut deltas, mut compactions) = (0, 0);
+    let (mut deltas, mut compactions, mut crossed) = (0, 0, 0);
     for seed in first_seed..first_seed + seeds {
         match run_seed(seed, corrupt) {
             Ok(outcome) => {
@@ -553,6 +567,7 @@ pub fn run(first_seed: u64, seeds: u64, corrupt: bool) -> u64 {
                 detected += u64::from(outcome.detected);
                 deltas += outcome.deltas;
                 compactions += outcome.compactions;
+                crossed += u64::from(outcome.crossed);
             }
             Err(why) => {
                 failures += 1;
@@ -571,7 +586,18 @@ pub fn run(first_seed: u64, seeds: u64, corrupt: bool) -> u64 {
              compactions; the workload must exercise both"
         );
     }
+    // Likewise the long-log seeds must take some logs past a fill
+    // granule, or a log ending inside fill goes untested.
+    if seeds >= 16 && crossed == 0 {
+        failures += 1;
+        eprintln!("crashtest: no durable log of {seeds} seeds crossed its first fill granule");
+    }
     println!("crashtest: checkpoints wrote {deltas} meta deltas and {compactions} compacted bases");
+    println!(
+        "crashtest: {crossed} of {} long-log seeds' durable logs crossed a {} KiB fill granule",
+        (first_seed..first_seed + seeds).filter(|s| s % LONG_LOG_EVERY == LONG_LOG_EVERY - 1).count(),
+        FILL >> 10
+    );
     if failures == 0 && corrupt {
         println!(
             "crashtest --corrupt: {seeds} seeds passed ({crashed} died mid-workload; \
