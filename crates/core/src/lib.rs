@@ -20,6 +20,11 @@
 //!   execution engine;
 //! * [`lql`] — the deductive query language.
 //!
+//! The crate's `labflow-harness` binary runs the paper-shaped
+//! experiments (all intervals, all versions) and writes their tables
+//! (see DESIGN.md's experiment index). End-to-end timing with a
+//! per-layer breakdown is `labflow1`'s job (`benchmark/`).
+//!
 //! ## Quick start
 //!
 //! ```

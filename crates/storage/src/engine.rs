@@ -180,7 +180,11 @@ pub struct Engine {
     /// Set when a logged operation failed mid-apply: the in-memory state
     /// may disagree with what the log promises. A wounded engine refuses
     /// to checkpoint (which would persist the disagreement); reopening
-    /// runs recovery from the log and heals it.
+    /// runs recovery from the log and heals it. A log-less engine is
+    /// wounded by a checkpoint that fails after its GC and then refuses
+    /// `begin` too: the meta file on disk still points records at slots
+    /// that GC cleared and at pages it parked, and a reopen goes back to
+    /// that meta file.
     wounded: AtomicBool,
     sync_commit: bool,
     /// Serialises commit visibility flips so each commit's versions
@@ -599,7 +603,8 @@ impl Engine {
         self.heap.contention()
     }
 
-    /// Whether a logged operation failed mid-apply (see [`Engine::checkpoint`]).
+    /// Whether a logged operation failed mid-apply or, log-less, a
+    /// checkpoint failed after its GC (see [`Engine::checkpoint_with_floor`]).
     pub fn is_wounded(&self) -> bool {
         self.wounded.load(Ordering::Acquire)
     }
@@ -766,12 +771,11 @@ impl Engine {
     /// Every phase but the page flush costs what changed since the last
     /// checkpoint, not what exists (DESIGN.md, "Checkpoint").
     pub fn checkpoint_with_floor(&self, floor: u64) -> Result<()> {
-        // A wounded engine's in-memory state may disagree with its log;
-        // persisting it as a checkpoint would make the disagreement
-        // durable and unrecoverable. Reopening the store heals it.
-        if self.is_wounded() {
-            return Err(StorageError::Wounded("a logged operation failed mid-apply"));
-        }
+        // A wounded engine's in-memory state may disagree with its log
+        // (or, log-less, with its meta file); persisting it as a
+        // checkpoint would make the disagreement durable and
+        // unrecoverable. Reopening the store heals it.
+        self.refuse_if_wounded()?;
         let started = Instant::now();
         // Quiesce: block new transactions and drain the active ones so
         // the snapshot and the WAL truncation are transaction-consistent.
@@ -852,9 +856,26 @@ impl Engine {
             StorageStats::bump(&self.stats.checkpoint_nanos, started.elapsed().as_nanos() as u64);
             Ok(())
         })();
+        // Everything fallible above comes after the GC. Wound before the
+        // quiesce ends, so no `begin` waiting on it gets through.
+        if result.is_err() && self.wal.is_none() {
+            self.wound();
+        }
         self.active().quiescing = false;
         self.active_changed.notify_all();
         result
+    }
+
+    /// `Err(Wounded)` once the engine is wounded (see the field).
+    fn refuse_if_wounded(&self) -> Result<()> {
+        if !self.is_wounded() {
+            return Ok(());
+        }
+        Err(StorageError::Wounded(if self.wal.is_some() {
+            "a logged operation failed mid-apply"
+        } else {
+            "a checkpoint failed after its GC"
+        }))
     }
 
     /// The checkpoint oracle (debug builds): the meta file as recovery
@@ -884,6 +905,9 @@ impl StorageManager for Engine {
         // the snapshot it writes contains no transaction mid-flight.
         while active.quiescing {
             active = self.active_changed.wait(active).unwrap_or_else(|e| e.into_inner());
+        }
+        if self.wal.is_none() {
+            self.refuse_if_wounded()?;
         }
         if self.profile.single_user && !active.txns.is_empty() {
             return Err(StorageError::SingleUser);

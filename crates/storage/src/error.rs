@@ -58,9 +58,10 @@ pub enum StorageError {
     UnknownSegment(u8),
     /// Crash recovery hit interior log corruption (not a torn tail).
     Recovery(RecoveryError),
-    /// A failed rollback left in-memory state unreliable; checkpoints
-    /// are refused until the store is reopened (which re-runs recovery
-    /// from the last durable state).
+    /// A failed rollback left in-memory state unreliable, or a log-less
+    /// store's checkpoint failed after its GC; checkpoints (and, log-less,
+    /// transactions) are refused until the store is reopened (which
+    /// re-runs recovery from the last durable state).
     Wounded(&'static str),
     /// A page failed checksum/header verification (bit rot, a lost
     /// write, truncation damage, or a quarantined page).

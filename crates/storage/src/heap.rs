@@ -950,6 +950,8 @@ impl Heap {
         let shard = self.table_read(oid.raw());
         let chain = shard.chains.get(&oid.raw()).ok_or(StorageError::UnknownObject(oid))?;
         let loc = Self::visible_loc(chain, vis, oid)?;
+        #[cfg(test)]
+        tests::after_resolve();
         StorageStats::bump(&self.stats.reads, 1);
         let stored = self
             .pool
@@ -1548,6 +1550,21 @@ fn le_u32_at(buf: &[u8], at: usize) -> Result<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
+
+    thread_local! {
+        /// A hook a test arms on its reader thread to park that read
+        /// between resolving a location and copying the page.
+        static AFTER_RESOLVE: RefCell<Option<Box<dyn FnOnce()>>> = const { RefCell::new(None) };
+    }
+
+    /// The pause seam in [`Heap::read_vis`]: runs the hook this thread
+    /// armed, once.
+    pub(super) fn after_resolve() {
+        if let Some(hook) = AFTER_RESOLVE.take() {
+            hook();
+        }
+    }
 
     fn heap(name: &str, placement: Placement, segs: u8, cap: usize) -> (Heap, Arc<StorageStats>) {
         let dir = std::env::temp_dir().join(format!("lfs-heap-{}-{}", std::process::id(), name));
@@ -2641,30 +2658,29 @@ mod tests {
         let oid = h.alloc(SegmentId(0), ClusterHint::NONE, b"v1", 1).unwrap();
         h.commit_version(oid, 1, 1, u64::MAX);
         // Grow the chain with a "no snapshot open" floor, as a racing
-        // engine commit would pass it. 2*MAX_CHAIN commits make the
-        // trim fire on the last one (the chain re-crosses the soft
-        // bound exactly then after the earlier trim cut it to two).
+        // engine commit would pass it, and after every commit read at
+        // its pre-flip LSN as the racing snapshot would. 2*MAX_CHAIN
+        // commits make the trim fire twice, the second time on the last
+        // one (the chain re-crosses the soft bound exactly then after
+        // the first trim cut it to two).
         let last = 2 * MAX_CHAIN as u64;
         for i in 2..=last {
             h.update(oid, format!("v{i}").as_bytes(), i).unwrap();
             h.commit_version(oid, i, i, u64::MAX);
+            let pre_flip = i - 1;
+            let owed = h.read_at(oid, pre_flip).unwrap_or_else(|e| {
+                panic!("commit {i}'s trim took the version a snapshot at {pre_flip} is owed: {e}")
+            });
+            assert_eq!(owed, format!("v{pre_flip}").as_bytes());
         }
         let len = {
             let shard = h.table[(oid.raw() % TABLE_SHARDS as u64) as usize].map.read();
             shard.chains.get(&oid.raw()).unwrap().len()
         };
         assert_eq!(len, 2, "the final commit must have trimmed the chain");
-        // A snapshot pinned at the pre-flip LSN of the latest commit
-        // still resolves its version; only strictly older ones went.
-        let pre_flip = last - 1;
-        assert_eq!(
-            h.read_at(oid, pre_flip).unwrap(),
-            format!("v{pre_flip}").as_bytes(),
-            "pre-flip committed head must survive a stale-floor trim"
-        );
         assert_eq!(h.read_at(oid, last).unwrap(), format!("v{last}").as_bytes());
         assert!(
-            h.read_at(oid, pre_flip - 1).is_err(),
+            h.read_at(oid, last - 2).is_err(),
             "versions below the pre-flip head are still reclaimed"
         );
     }
@@ -2710,6 +2726,40 @@ mod tests {
             for r in readers {
                 r.join().unwrap();
             }
+        });
+    }
+
+    /// The deterministic half of the rule above: a read parked between
+    /// resolving its version and copying the page still holds the shard,
+    /// so no writer can unlink, and hence free, what it resolved.
+    #[test]
+    fn a_parked_read_keeps_its_version_from_being_freed() {
+        let (h, _) = heap("read-parked", Placement::Segments, 1, 16);
+        let old = vec![1u8; 16];
+        let oid = h.alloc(SegmentId(0), ClusterHint::NONE, &old, 0).unwrap();
+        let (resolved, parked) = std::sync::mpsc::channel();
+        let (release, released) = std::sync::mpsc::channel::<()>();
+        std::thread::scope(|scope| {
+            let reader = scope.spawn(|| {
+                AFTER_RESOLVE.set(Some(Box::new(move || {
+                    resolved.send(()).unwrap();
+                    released.recv().unwrap();
+                })));
+                h.read(oid)
+            });
+            parked.recv().unwrap();
+            let shard = &h.table[(oid.raw() % TABLE_SHARDS as u64) as usize].map;
+            let unlinkable = shard.try_write().is_some();
+            if unlinkable {
+                // What the rule prevents: supersede and free the version
+                // under the parked read.
+                h.update(oid, &[2u8; 16], 0).unwrap();
+                h.collect_garbage(u64::MAX);
+            }
+            release.send(()).unwrap();
+            let got = reader.join().unwrap().map_err(|e| e.to_string());
+            assert_eq!(got, Ok(old), "the parked read lost its version");
+            assert!(!unlinkable, "a parked read let go of its shard");
         });
     }
 

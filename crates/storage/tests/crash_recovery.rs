@@ -12,7 +12,7 @@ use std::time::Duration;
 
 use labflow_storage::{
     ClusterHint, Engine, FaultPlan, Oid, Options, Profile, Result, SegmentId, SimVfs,
-    StorageManager,
+    StorageError, StorageManager,
 };
 
 fn opts() -> Options {
@@ -155,6 +155,62 @@ fn texas_crash_rolls_back_to_last_checkpoint() {
     for (i, oid) in oids.iter().enumerate() {
         assert_eq!(store.read(*oid).unwrap(), vec![5, i as u8, 7]);
     }
+}
+
+/// A log-less (Texas) checkpoint that fails after its GC leaves the
+/// meta file on disk contradicting the pages: the engine is wounded and
+/// refuses `begin` with the typed error instead of working on, and a
+/// reopen goes back to that meta file, after which work goes on.
+#[test]
+fn texas_checkpoint_failing_after_gc_refuses_work_until_reopened() {
+    let dir = PathBuf::from("/sim/texas-wound");
+    // A checkpointed base, then objects that are allocated and updated
+    // after it, so the next checkpoint's GC has versions to free.
+    let run_up = |sim: &SimVfs| {
+        let store = create(sim, &dir, Profile::texas());
+        commit_objects(&store, 6, 5);
+        store.checkpoint().unwrap();
+        let base = state_of(&store);
+        let fresh = commit_objects(&store, 4, 6);
+        for round in 0..3u8 {
+            let txn = store.begin().unwrap();
+            for &oid in &fresh {
+                store.update(txn, oid, &[6, round]).unwrap();
+            }
+            store.commit(txn).unwrap();
+        }
+        (store, base)
+    };
+    // A fault-free twin measures where the page file's sync falls: the
+    // next file operation after the flush's page writes.
+    let twin = SimVfs::new(4242);
+    let (store, _) = run_up(&twin);
+    let (ops, writes) = (twin.op_count(), store.stats().page_writes);
+    store.checkpoint().unwrap();
+    let flushed = store.stats().page_writes - writes;
+    drop(store);
+
+    let sim = SimVfs::new(4242);
+    let (store, base) = run_up(&sim);
+    assert_eq!(sim.op_count(), ops, "the twin ran the same file operations");
+    let (sync, gced) = (ops + flushed, store.stats().versions_gced);
+    sim.set_plan(FaultPlan {
+        fail_ops: (sync..sync + labflow_storage::retry::ATTEMPTS as u64).collect(),
+        ..FaultPlan::default()
+    });
+    assert!(store.checkpoint().is_err(), "the planned faults must fail the page file's sync");
+    sim.set_plan(FaultPlan::default());
+    assert_eq!(store.stats().page_writes - writes, flushed, "the flush itself completed");
+    assert!(store.stats().versions_gced > gced, "the failure came after the GC");
+    assert!(matches!(store.begin(), Err(StorageError::Wounded(_))), "begin must be refused");
+    assert!(matches!(store.checkpoint(), Err(StorageError::Wounded(_))));
+    drop(store);
+
+    let store = open(sim, &dir, Profile::texas()).unwrap();
+    assert_eq!(state_of(&store), base, "a reopen recovers the last meta file");
+    let more = commit_objects(&store, 3, 7);
+    store.checkpoint().unwrap();
+    assert_eq!(store.read(more[2]).unwrap(), vec![7, 2, 7]);
 }
 
 /// A power loss around a checkpoint's meta-file flip, with the

@@ -21,10 +21,9 @@
 //! per crate by name; pointer-typed names come from declaration
 //! patterns (`name: ..AtomicPtr..` and `name = AtomicPtr::new`). That
 //! is deliberately coarse — same-named fields in one crate merge — but
-//! every real mixed-ordering bug this was built against (see the
-//! `relaxed_scan` fixture in `crates/modelcheck/tests/protocol.rs`,
-//! which the interleaving explorer catches dynamically) is in reach of
-//! exactly this shape.
+//! every real mixed-ordering bug this was built against is in reach of
+//! exactly this shape (`xtask/fixtures/atomic_orderings.rs` seeds one
+//! of each).
 
 use std::collections::{HashMap, HashSet};
 

@@ -18,8 +18,10 @@
 //!    is present in its final state, the mid-kill transaction's
 //!    material does not exist, and a fresh transaction commits — the
 //!    replica really is a primary now;
-//! 5. drain both replicas gracefully and scrub both store images
-//!    offline: zero unquarantined damage.
+//! 5. drain both replicas gracefully, run the surviving follower's
+//!    image through recovery offline (its data file holds no page until
+//!    then), and scrub both store images: zero unquarantined damage,
+//!    and pages, not only a log, behind every acknowledged commit.
 //!
 //! Commits the primary answered with the typed quorum-lag error (code
 //! `EC_REPL`: locally durable, acks missing) are tracked separately —
@@ -33,7 +35,7 @@ use std::time::{Duration, Instant};
 
 use labbase::{AttrType, Value};
 use labflow_server::{proto, Client, ClientError};
-use labflow_storage::{scrub_store, RealVfs};
+use labflow_storage::{scrub_store, Engine, Options, Profile, RealVfs};
 
 const CLIENTS: usize = 2;
 const TXNS_PER_CLIENT: usize = 8;
@@ -269,13 +271,29 @@ fn drain(mut node: Reaped, addr: &str, what: &str) -> Result<(), String> {
     }
 }
 
-fn scrub_clean(dir: &Path, what: &str) -> Result<(), String> {
+/// Run a drained image through recovery offline — one `Engine::open`,
+/// as `scrub --demo` does — so the pages its log describes are on disk.
+fn recover_offline(dir: &Path, what: &str) -> Result<(), String> {
+    Engine::open(dir, Profile::ostore(), Options::default())
+        .map(drop)
+        .map_err(|e| format!("offline recovery of the {what} image: {e}"))
+}
+
+/// Scrub an image that acknowledged `acked` commits: no unquarantined
+/// damage, and at least one page if it acknowledged any — a scrub of
+/// no pages vouches for the log alone.
+fn scrub_clean(dir: &Path, what: &str, acked: usize) -> Result<(), String> {
     let report = scrub_store(&RealVfs::arc(), dir)
         .map_err(|e| format!("scrub of the {what} image: {e}"))?;
     if !report.clean() {
         return Err(format!(
             "scrub of the {what} image found unquarantined damage on pages {:?}",
             report.corrupt
+        ));
+    }
+    if acked > 0 && report.pages == 0 {
+        return Err(format!(
+            "scrub of the {what} image read 0 pages behind {acked} acknowledged commits"
         ));
     }
     println!(
@@ -389,8 +407,9 @@ fn run_inner(dir: &Path) -> Result<(), String> {
     // ---- Drain both replicas, then audit the images offline.
     drain(replica_a, &aaddr, "replica A")?;
     drain(replica_b, &baddr, "replica B")?;
-    scrub_clean(&adir, "promoted")?;
-    scrub_clean(&bdir, "surviving follower")?;
+    recover_offline(&bdir, "surviving follower")?;
+    scrub_clean(&adir, "promoted", ledger.acked.len())?;
+    scrub_clean(&bdir, "surviving follower", ledger.acked.len())?;
     Ok(())
 }
 
