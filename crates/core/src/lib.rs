@@ -37,7 +37,6 @@
 //! # std::fs::remove_dir_all(&dir).ok();
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod config;

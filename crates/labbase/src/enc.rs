@@ -18,6 +18,12 @@ impl Writer {
         Writer { buf: Vec::with_capacity(64) }
     }
 
+    /// Keep appending after the bytes already in `buf` (a caller that
+    /// encodes into a buffer it reuses).
+    pub fn resume(buf: Vec<u8>) -> Self {
+        Writer { buf }
+    }
+
     /// Finish and take the encoded bytes.
     pub fn finish(self) -> Vec<u8> {
         self.buf

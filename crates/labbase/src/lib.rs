@@ -51,7 +51,6 @@
 //! assert_eq!(q.value, Value::Real(0.98));
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod check;

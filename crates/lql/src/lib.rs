@@ -49,7 +49,6 @@
 //! # let _ = AttrType::Dna;
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod ast;

@@ -19,8 +19,6 @@
 //! parse this line), and `labflow-replica promoted to epoch <e>` after
 //! a successful promotion.
 
-#![forbid(unsafe_code)]
-
 use std::io::Write;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -10,8 +10,6 @@
 //! then runs until SIGTERM/kill or until a client sends the `Shutdown`
 //! request, at which point it drains gracefully.
 
-#![forbid(unsafe_code)]
-
 use std::io::Write;
 use std::process::ExitCode;
 use std::sync::Arc;

@@ -26,7 +26,7 @@ use labbase::Value;
 
 use crate::proto::{Request, Response};
 use crate::tenant::AdmissionSnapshot;
-use crate::wire::{self, Event, Frame, WireError, PROTO_V1};
+use crate::wire::{self, FrameReader, SpinSocket, WireError};
 
 /// Errors surfaced by the client.
 #[derive(Debug)]
@@ -140,6 +140,14 @@ pub struct ShippedChunk {
     pub bytes: Vec<u8>,
 }
 
+/// Socket read/write timeout: one tick of a parked wait.
+const TICK: Duration = Duration::from_millis(50);
+
+/// Idle ticks a call waits for its response: a request may take a
+/// while (big queries, lock waits), but a server that never answers
+/// must not hang the client forever, so the wait ends after ~2 minutes.
+const IDLE_TICKS: u32 = 2400;
+
 /// One blocking connection to a labflow server.
 pub struct Client {
     stream: TcpStream,
@@ -149,6 +157,11 @@ pub struct Client {
     retry: Option<RetryPolicy>,
     jitter: u64,
     in_txn: bool,
+    /// Responses arrive here; reset with the connection.
+    reader: FrameReader,
+    /// Requests are encoded here, one at a time.
+    out: Vec<u8>,
+    idle_ticks: u32,
 }
 
 impl Client {
@@ -165,17 +178,19 @@ impl Client {
             retry: None,
             jitter: 1,
             in_txn: false,
+            reader: FrameReader::new(),
+            out: Vec::new(),
+            idle_ticks: IDLE_TICKS,
         })
     }
 
+    /// No Nagle, timeout ticks for parked waits, and non-blocking at
+    /// rest, as [`SpinSocket`] wants.
     fn configure(stream: &TcpStream) -> ClientResult<()> {
         stream.set_nodelay(true).map_err(WireError::Io)?;
-        stream
-            .set_read_timeout(Some(Duration::from_millis(50)))
-            .map_err(WireError::Io)?;
-        stream
-            .set_write_timeout(Some(Duration::from_millis(50)))
-            .map_err(WireError::Io)?;
+        stream.set_read_timeout(Some(TICK)).map_err(WireError::Io)?;
+        stream.set_write_timeout(Some(TICK)).map_err(WireError::Io)?;
+        stream.set_nonblocking(true).map_err(WireError::Io)?;
         Ok(())
     }
 
@@ -299,6 +314,7 @@ impl Client {
         let stream = TcpStream::connect(self.addr).map_err(WireError::Io)?;
         Self::configure(&stream)?;
         self.stream = stream;
+        self.reader.reset();
         Ok(())
     }
 
@@ -309,53 +325,46 @@ impl Client {
         let _ = self.stream.shutdown(std::net::Shutdown::Both);
     }
 
+    /// Test hook: wait at most `ticks` idle ticks for a response.
+    #[cfg(test)]
+    pub(crate) fn set_idle_ticks(&mut self, ticks: u32) {
+        self.idle_ticks = ticks;
+    }
+
     /// Issue one request on the current connection and wait for its
     /// response — no retries, no reconnects.
     fn call_once(&mut self, req: &Request) -> ClientResult<Response> {
         let id = self.next_id;
         self.next_id += 1;
-        let frame = Frame {
-            version: PROTO_V1,
-            code: req.opcode(),
-            request_id: id,
-            tenant: self.tenant,
-            body: req.encode_body(),
-        };
-        let mut w = &self.stream;
-        wire::write_frame(&mut w, &frame)?;
-        // A request may legitimately take a while (big queries, lock
-        // waits), but a server that never answers should not hang the
-        // client forever: bound the idle wait at ~2 minutes.
-        let mut idle_ticks = 0u32;
+        self.out.clear();
+        wire::encode_into(&mut self.out, req.opcode(), id, self.tenant, |out| {
+            req.encode_body_into(out)
+        })?;
+        let mut socket = SpinSocket::new(&self.stream);
+        wire::write_all_bounded(&mut socket, &self.out)?;
+        let mut idle = 0u32;
         loop {
-            let mut r = &self.stream;
-            match wire::read_event(&mut r)? {
-                Event::Idle => {
-                    idle_ticks += 1;
-                    if idle_ticks > 2400 {
-                        return Err(ClientError::Wire(WireError::Stalled));
-                    }
-                    continue;
+            let Some(resp) = self.reader.next(&mut socket)? else {
+                idle += 1;
+                if idle > self.idle_ticks {
+                    return Err(ClientError::Wire(WireError::Stalled));
                 }
-                Event::Frame(resp) => {
-                    if resp.request_id != id && resp.request_id != 0 {
-                        return Err(ClientError::Protocol(format!(
-                            "response for request {} while waiting for {}",
-                            resp.request_id, id
-                        )));
-                    }
-                    return match Response::decode(resp.code, &resp.body)? {
-                        Response::Error { code, message } => {
-                            Err(ClientError::Server { code, message })
-                        }
-                        Response::Retry { reason } => Err(ClientError::Retry { reason }),
-                        Response::Overloaded { retry_after_ms } => {
-                            Err(ClientError::Overloaded { retry_after_ms })
-                        }
-                        ok => Ok(ok),
-                    };
-                }
+                continue;
+            };
+            if resp.request_id != id && resp.request_id != 0 {
+                return Err(ClientError::Protocol(format!(
+                    "response for request {} while waiting for {}",
+                    resp.request_id, id
+                )));
             }
+            return match Response::decode(resp.code, resp.body)? {
+                Response::Error { code, message } => Err(ClientError::Server { code, message }),
+                Response::Retry { reason } => Err(ClientError::Retry { reason }),
+                Response::Overloaded { retry_after_ms } => {
+                    Err(ClientError::Overloaded { retry_after_ms })
+                }
+                ok => Ok(ok),
+            };
         }
     }
 
@@ -536,8 +545,8 @@ impl Client {
     }
 
     /// Pull a WAL chunk starting at offset `from` (the follower side of
-    /// the replication pump). Registers `follower` in the primary's ack
-    /// table on first use.
+    /// the replication pump). Binds `follower` in the primary's ack
+    /// table to this connection.
     pub fn repl_subscribe(
         &mut self,
         follower: u64,
@@ -553,6 +562,8 @@ impl Client {
     }
 
     /// Report this follower's durably applied WAL offset to the primary.
+    /// Only the connection that subscribed `follower` may: any other
+    /// gets a typed `EC_REPL` error.
     pub fn repl_ack(&mut self, follower: u64, lsn: u64) -> ClientResult<()> {
         self.expect_ok(&Request::ReplAck { follower, lsn })
     }
@@ -575,9 +586,11 @@ impl Client {
 }
 
 /// Requests the reconnect layer may transparently reissue: pure reads,
-/// the liveness probe, and the replication pull/ack pair (pulls are
-/// reads; acks are monotonic-max on the primary, so a duplicate is a
-/// no-op). Everything that can mutate database state is excluded.
+/// the liveness probe, and the replication pull (a read). Everything
+/// that can mutate database state is excluded, and so is the ack: the
+/// primary takes a follower's acks only on the connection that
+/// subscribed it, so an ack reissued on a fresh connection is refused —
+/// the pump resubscribes, which moves the follower, and acks again.
 fn is_idempotent(req: &Request) -> bool {
     matches!(
         req,
@@ -590,7 +603,6 @@ fn is_idempotent(req: &Request) -> bool {
             | Request::Query { .. }
             | Request::AdmissionStats
             | Request::ReplSubscribe { .. }
-            | Request::ReplAck { .. }
             | Request::ReplStatus
     )
 }

@@ -3,11 +3,13 @@
 //! Each accepted connection gets one handler thread running
 //! [`serve`]: a read-dispatch-respond loop over the framed wire
 //! protocol. The handler owns at most one open [`Session`] (the
-//! connection's transaction); responses drain through a
-//! [`BoundedWriter`] whose staging buffer never exceeds its cap, so a
-//! slow reader exerts backpressure on its own connection instead of
-//! growing server memory — and a reader that stops draining entirely is
-//! shed when the write stall budget runs out.
+//! connection's transaction). Requests arrive through one reused
+//! [`wire::FrameReader`] and responses are encoded into one reused
+//! [`BoundedWriter`] buffer and drained after each, so a slow reader
+//! exerts backpressure on its own connection instead of growing server
+//! memory — and a reader that stops draining entirely is shed when the
+//! write stall budget runs out. Every wait on the socket spins for
+//! [`wire::SPIN_BUDGET`] before it parks (see [`wire::SpinSocket`]).
 //!
 //! No server lock is ever held across a database call, a socket
 //! operation, or a sleep: the tenant registry and connection table are
@@ -23,7 +25,7 @@ use labflow_storage::Oid;
 use crate::proto::{self, Request, Response};
 use crate::server::Core;
 use crate::tenant::Admit;
-use crate::wire::{self, Event, Frame, WireError, PROTO_V1};
+use crate::wire::{self, FrameReader, SpinSocket, WireError};
 
 /// Socket read/write timeout: one backpressure tick. The stall budget
 /// ([`wire::MAX_STALL_TICKS`]) counts these.
@@ -54,10 +56,11 @@ struct OpenTxn<'a> {
     tenant: u32,
 }
 
-/// A write path with a bounded staging buffer. Frames accumulate until
-/// the cap, then drain to the socket under the wire layer's stall
-/// budget; [`BoundedWriter::flush`] is called after every response so
-/// the buffer only smooths bursts, never grows with a slow reader.
+/// The write path: responses are encoded straight into one reused
+/// staging buffer and drained to the socket under the wire layer's
+/// stall budget after every response, so a slow reader holds back only
+/// its own connection. The buffer holds one response at a time; after
+/// a response larger than `cap` it shrinks back to `cap`.
 pub(crate) struct BoundedWriter<'a> {
     stream: &'a TcpStream,
     buf: Vec<u8>,
@@ -65,23 +68,17 @@ pub(crate) struct BoundedWriter<'a> {
 }
 
 impl<'a> BoundedWriter<'a> {
-    /// A writer over `stream` buffering at most `cap` bytes.
+    /// A writer over `stream` keeping at most `cap` bytes of buffer.
     pub(crate) fn new(stream: &'a TcpStream, cap: usize) -> BoundedWriter<'a> {
         BoundedWriter { stream, buf: Vec::new(), cap }
     }
 
-    /// Stage `bytes`, draining to the socket when the cap is reached.
-    pub(crate) fn push(&mut self, bytes: &[u8]) -> Result<(), WireError> {
-        if self.buf.len() + bytes.len() > self.cap {
-            self.flush()?;
-        }
-        if bytes.len() > self.cap {
-            // Larger than the whole buffer: stream it directly.
-            let mut s = self.stream;
-            return wire::write_all_bounded(&mut s, bytes);
-        }
-        self.buf.extend_from_slice(bytes);
-        Ok(())
+    /// Encode one response frame into the buffer; returns its wire
+    /// length. A response past the frame limit stages nothing.
+    fn stage(&mut self, request_id: u64, tenant: u32, resp: &Response) -> Result<usize, WireError> {
+        wire::encode_into(&mut self.buf, resp.tag(), request_id, tenant, |out| {
+            resp.encode_body_into(out)
+        })
     }
 
     /// Drain the staging buffer to the socket.
@@ -89,9 +86,9 @@ impl<'a> BoundedWriter<'a> {
         if self.buf.is_empty() {
             return Ok(());
         }
-        let mut s = self.stream;
-        wire::write_all_bounded(&mut s, &self.buf)?;
+        wire::write_all_bounded(&mut SpinSocket::new(self.stream), &self.buf)?;
         self.buf.clear();
+        self.buf.shrink_to(self.cap);
         Ok(())
     }
 }
@@ -108,17 +105,21 @@ pub(crate) fn serve(core: &Core, shared: &ConnShared, stream: &TcpStream) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(TICK));
     let _ = stream.set_write_timeout(Some(TICK));
+    if stream.set_nonblocking(true).is_err() {
+        return;
+    }
     let mut session: Option<OpenTxn<'_>> = None;
+    let mut socket = SpinSocket::new(stream);
+    let mut reader = FrameReader::new();
     let mut writer = BoundedWriter::new(stream, core.config().write_buffer);
 
     loop {
         if shared.stop.load(Ordering::Acquire) {
             break;
         }
-        let mut rs = stream;
-        let frame = match wire::read_event(&mut rs) {
-            Ok(Event::Idle) => continue,
-            Ok(Event::Frame(f)) => f,
+        let frame = match reader.next(&mut socket) {
+            Ok(None) => continue,
+            Ok(Some(f)) => f,
             Err(WireError::Closed) => break,
             Err(e @ (WireError::BadLength(_)
             | WireError::BadChecksum { .. }
@@ -134,7 +135,6 @@ pub(crate) fn serve(core: &Core, shared: &ConnShared, stream: &TcpStream) {
             Err(_) => break, // truncated / stalled / io: nothing to say
         };
 
-        let wire_len = 4 + wire::HDR + frame.body.len() + wire::CRC;
         let tenant = frame.tenant;
         let request_id = frame.request_id;
 
@@ -144,13 +144,13 @@ pub(crate) fn serve(core: &Core, shared: &ConnShared, stream: &TcpStream) {
         // admitted, and skipping finish_request for those would leak
         // the tenant's in-flight count one per shed until the cap
         // starves the tenant permanently.
-        let (admitted, resp) = match core.registry().admit_request(tenant, wire_len) {
+        let (admitted, resp) = match core.registry().admit_request(tenant, frame.wire_len()) {
             Admit::Overloaded { retry_after_ms } => {
                 (false, Response::Overloaded { retry_after_ms })
             }
             Admit::Ok => {
-                let resp = match Request::decode(frame.code, &frame.body) {
-                    Ok(req) => dispatch(core, &mut session, tenant, req),
+                let resp = match Request::decode(frame.code, frame.body) {
+                    Ok(req) => dispatch(core, shared.id, &mut session, tenant, req),
                     Err(e) => Response::Error {
                         code: proto::EC_DECODE,
                         message: e.to_string(),
@@ -173,6 +173,7 @@ pub(crate) fn serve(core: &Core, shared: &ConnShared, stream: &TcpStream) {
         let _ = open.session.abort();
         core.registry().close_session(open.tenant);
     }
+    core.repl_acks().drop_conn(shared.id);
 }
 
 /// Encode and send one response; returns the wire bytes written. A
@@ -184,31 +185,16 @@ fn respond(
     tenant: u32,
     resp: &Response,
 ) -> Result<usize, WireError> {
-    let frame = Frame {
-        version: PROTO_V1,
-        code: resp.tag(),
-        request_id,
-        tenant,
-        body: resp.encode_body(),
-    };
-    let bytes = match wire::encode_frame(&frame) {
-        Ok(b) => b,
+    let n = match writer.stage(request_id, tenant, resp) {
+        Ok(n) => n,
         Err(_) => {
             let fallback = Response::Error {
                 code: proto::EC_QUERY,
                 message: "response exceeds frame size limit".into(),
             };
-            wire::encode_frame(&Frame {
-                version: PROTO_V1,
-                code: fallback.tag(),
-                request_id,
-                tenant,
-                body: fallback.encode_body(),
-            })?
+            writer.stage(request_id, tenant, &fallback)?
         }
     };
-    let n = bytes.len();
-    writer.push(&bytes)?;
     writer.flush()?;
     Ok(n)
 }
@@ -229,6 +215,7 @@ fn ok_or(r: Result<(), LabError>) -> Response {
 /// the handler does.
 fn dispatch<'db>(
     core: &'db Core,
+    conn: u64,
     session: &mut Option<OpenTxn<'db>>,
     tenant: u32,
     req: Request,
@@ -419,7 +406,7 @@ fn dispatch<'db>(
         }
 
         Request::ReplSubscribe { follower, from, max_bytes } => {
-            core.repl_acks().subscribe(follower);
+            core.repl_acks().subscribe(follower, conn);
             let store = db.store();
             match store.wal_stream_from(from, (max_bytes as usize).min(REPL_CHUNK_CAP)) {
                 Ok(chunk) => Response::ReplChunk {
@@ -433,8 +420,17 @@ fn dispatch<'db>(
         }
 
         Request::ReplAck { follower, lsn } => {
-            core.repl_acks().ack(follower, lsn);
-            Response::Ok
+            if core.repl_acks().ack(follower, conn, lsn) {
+                Response::Ok
+            } else {
+                Response::Error {
+                    code: proto::EC_REPL,
+                    message: format!(
+                        "follower {follower} is not subscribed on this connection \
+                         (send ReplSubscribe first)"
+                    ),
+                }
+            }
         }
 
         Request::ReplStatus => {

@@ -31,7 +31,6 @@
 //! rank inversion caught by the runtime checker and the static
 //! analyzer alike.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod client;
@@ -483,6 +482,7 @@ mod tests {
         // A follower acking at the tail un-blocks subsequent commits.
         let mut follower = Client::connect(addr, 2).unwrap();
         let lsn = follower.repl_status().unwrap().lsn;
+        follower.repl_subscribe(21, lsn, 1 << 16).unwrap();
         // Ack generously past the tail: every commit below it is covered.
         follower.repl_ack(21, lsn + (1 << 20)).unwrap();
         reader.commit().unwrap();
@@ -497,5 +497,170 @@ mod tests {
         c.shutdown_server().unwrap();
         assert!(server.shutdown_requested());
         server.shutdown().unwrap();
+    }
+
+    fn durable_db(seed: u64) -> Arc<LabBase> {
+        use labflow_storage::{Engine, Options, Profile, SimVfs, Vfs};
+        let sim: Arc<dyn Vfs> = Arc::new(SimVfs::new(seed));
+        let store: Arc<dyn StorageManager> = Arc::new(
+            Engine::create_with(sim, "/sim/db".as_ref(), Profile::ostore(), Options::default())
+                .unwrap(),
+        );
+        Arc::new(LabBase::create(store).unwrap())
+    }
+
+    fn repl_refused(r: ClientResult<()>) {
+        match r {
+            Err(ClientError::Server { code, .. }) => assert_eq!(code, proto::EC_REPL),
+            other => panic!("expected a typed replication error, got {other:?}"),
+        }
+    }
+
+    /// A follower's acks count only from the connection that subscribed
+    /// it: acks another connection makes up, for that follower or for
+    /// one never subscribed, are refused and cannot make a quorum of 2.
+    #[test]
+    fn made_up_acks_cannot_satisfy_an_ack_quorum_of_two() {
+        let db = durable_db(11);
+        let config = ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            quotas: unlimited(),
+            ack_quorum: 2,
+            ack_timeout: std::time::Duration::from_millis(50),
+            ..ServerConfig::default()
+        };
+        let server = Server::start(db, config).unwrap();
+        let addr = server.local_addr();
+        let mut c = Client::connect(addr, 1).unwrap();
+        let mut real = Client::connect(addr, 2).unwrap();
+        let mut impostor = Client::connect(addr, 3).unwrap();
+        let far = 1u64 << 40;
+
+        let tail = real.repl_status().unwrap().lsn;
+        real.repl_subscribe(1, tail, 1 << 16).unwrap();
+        real.repl_ack(1, far).unwrap();
+        repl_refused(impostor.repl_ack(1, far));
+        repl_refused(impostor.repl_ack(2, far));
+        c.begin().unwrap();
+        c.define_material_class("clone", None).unwrap();
+        repl_refused(c.commit());
+        assert_eq!(c.repl_status().unwrap().followers, vec![(1, far)]);
+
+        // A second genuine follower completes the quorum.
+        impostor.repl_subscribe(2, tail, 1 << 16).unwrap();
+        impostor.repl_ack(2, far).unwrap();
+        c.begin().unwrap();
+        c.define_material_class("gel", None).unwrap();
+        c.commit().unwrap();
+
+        // A follower whose connection closes leaves the table.
+        drop(real);
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        while c.repl_status().unwrap().followers.len() > 1 {
+            assert!(std::time::Instant::now() < deadline, "closed follower still listed");
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        assert_eq!(c.repl_status().unwrap().followers, vec![(2, far)]);
+        server.shutdown().unwrap();
+    }
+
+    /// The reaper joins handlers as they finish: one connection that
+    /// stays open leaves no unjoined handles behind short ones.
+    #[test]
+    fn a_long_lived_connection_leaves_no_unjoined_handlers_behind() {
+        let server = start(mem_db(), unlimited());
+        let addr = server.local_addr();
+        let mut long = Client::connect(addr, 1).unwrap();
+        long.ping().unwrap();
+        for t in 0..8 {
+            let mut short = Client::connect(addr, 2 + t).unwrap();
+            short.ping().unwrap();
+        }
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while server.unjoined_handlers() > 1 || server.open_conns() > 1 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{} handlers unjoined behind the long-lived one",
+                server.unjoined_handlers()
+            );
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        long.ping().unwrap();
+        server.shutdown().unwrap();
+    }
+
+    /// A handler parked in its blocking read sees the stop flag at the
+    /// end of that one tick, so shutdown does not wait on it.
+    #[test]
+    fn a_parked_handler_sees_stop_within_one_tick() {
+        let server = start(mem_db(), unlimited());
+        let mut c = Client::connect(server.local_addr(), 1).unwrap();
+        c.ping().unwrap();
+        // Long past the spin budget: the handler is parked.
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        let t0 = std::time::Instant::now();
+        server.shutdown().unwrap();
+        let took = t0.elapsed();
+        // One tick, plus shutdown's 5 ms polls and scheduling slack.
+        assert!(took < std::time::Duration::from_millis(200), "shutdown took {took:?}");
+    }
+
+    /// A server that accepts and never answers: the client waits out
+    /// its whole idle budget before giving up with `Stalled`.
+    #[test]
+    fn a_client_facing_a_silent_server_stalls_only_after_its_idle_budget() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut c = Client::connect(listener.local_addr().unwrap(), 1).unwrap();
+        c.set_idle_ticks(3);
+        let t0 = std::time::Instant::now();
+        match c.ping() {
+            Err(ClientError::Wire(wire::WireError::Stalled)) => {}
+            other => panic!("expected Stalled, got {other:?}"),
+        }
+        // Three idle ticks of 50 ms each (twice: the ping reconnects
+        // once, into the listener's backlog, and waits again).
+        let took = t0.elapsed();
+        assert!(took >= std::time::Duration::from_millis(300), "gave up after {took:?}");
+        drop(listener);
+    }
+
+    /// `reconnect` starts the new connection with an empty reader: bytes
+    /// the dead connection left buffered never prefix a new response.
+    #[test]
+    fn reconnect_resets_the_frame_reader() {
+        use std::io::{Read, Write};
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let pong = |id: u64| {
+            let resp = proto::Response::Pong;
+            wire::encode_frame(&wire::Frame {
+                version: wire::PROTO_V1,
+                code: resp.tag(),
+                request_id: id,
+                tenant: 1,
+                body: resp.encode_body(),
+            })
+            .unwrap()
+        };
+        let fake = std::thread::spawn(move || {
+            let mut req = [0u8; 64];
+            // First connection: answer, trail the stub of a frame in the
+            // same write, and hang up.
+            let (mut s, _) = listener.accept().unwrap();
+            let _ = s.read(&mut req).unwrap();
+            let mut bytes = pong(1);
+            bytes.extend_from_slice(&[0x40, 0x00]);
+            s.write_all(&bytes).unwrap();
+            drop(s);
+            // Second connection: answer request 3 (2 died with the first).
+            let (mut s, _) = listener.accept().unwrap();
+            let _ = s.read(&mut req).unwrap();
+            s.write_all(&pong(3)).unwrap();
+            s
+        });
+        let mut c = Client::connect(addr, 1).unwrap();
+        c.ping().unwrap();
+        c.ping().unwrap();
+        drop(fake.join().unwrap());
     }
 }

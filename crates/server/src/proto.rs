@@ -368,7 +368,14 @@ impl Request {
 
     /// Encode the body (opcode travels in the frame header).
     pub fn encode_body(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+        let mut body = Vec::new();
+        self.encode_body_into(&mut body);
+        body
+    }
+
+    /// Append the body to `out`.
+    pub fn encode_body_into(&self, out: &mut Vec<u8>) {
+        let mut w = Writer::resume(std::mem::take(out));
         match self {
             Request::Ping
             | Request::Begin
@@ -436,7 +443,7 @@ impl Request {
             Request::CountInState { state } => w.str(state),
             Request::Query { lql } => w.str(lql),
         }
-        w.finish()
+        *out = w.finish();
     }
 
     /// Decode a request from its opcode and body bytes.
@@ -550,7 +557,14 @@ impl Response {
 
     /// Encode the body (tag travels in the frame header).
     pub fn encode_body(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+        let mut body = Vec::new();
+        self.encode_body_into(&mut body);
+        body
+    }
+
+    /// Append the body to `out`.
+    pub fn encode_body_into(&self, out: &mut Vec<u8>) {
+        let mut w = Writer::resume(std::mem::take(out));
         match self {
             Response::Ok | Response::Pong => {}
             Response::Material(oid) | Response::Step(oid) | Response::Count(oid) => {
@@ -613,7 +627,7 @@ impl Response {
                 }
             }
         }
-        w.finish()
+        *out = w.finish();
     }
 
     /// Decode a response from its tag and body bytes.

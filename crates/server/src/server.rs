@@ -13,10 +13,11 @@
 //! out), then joins the accept thread. After shutdown the database
 //! reports zero open sessions and zero registered snapshots.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -97,6 +98,8 @@ pub(crate) struct Core {
     /// Set by a `Shutdown` request; the embedding binary polls it.
     shutdown_requested: AtomicBool,
     next_conn_id: AtomicU64,
+    /// Handler threads spawned and not yet joined.
+    unjoined: AtomicUsize,
     /// Per-follower replication acks (rank [`lock_order::REPL_ACKS`]).
     repl_acks: crate::repl::AckTable,
     /// Follower-mode promotion hook; `None` on a primary.
@@ -198,11 +201,12 @@ impl Server {
             draining: AtomicBool::new(false),
             shutdown_requested: AtomicBool::new(false),
             next_conn_id: AtomicU64::new(1),
+            unjoined: AtomicUsize::new(0),
             repl_acks: crate::repl::AckTable::new(),
             promote,
         });
         let accept_stop = Arc::new(AtomicBool::new(false));
-        let (tx, rx) = std::sync::mpsc::channel::<JoinHandle<()>>();
+        let (tx, rx) = std::sync::mpsc::channel::<Reap>();
         let accept_thread = {
             let core = Arc::clone(&core);
             let stop = Arc::clone(&accept_stop);
@@ -211,16 +215,14 @@ impl Server {
                 .spawn(move || accept_loop(&core, &listener, &stop, &tx))?
         };
         // Handler threads are detached from the accept loop's point of
-        // view but joined at shutdown: a reaper collects their handles
-        // so no thread outlives the server.
+        // view but joined at shutdown: a reaper joins each as it
+        // finishes, so no thread outlives the server and a long-lived
+        // connection holds back no other handler's join.
         let handler_reaper = {
+            let core = Arc::clone(&core);
             std::thread::Builder::new()
                 .name("labflow-reaper".into())
-                .spawn(move || {
-                    for handle in rx {
-                        let _ = handle.join();
-                    }
-                })?
+                .spawn(move || reap(&rx, &core.unjoined))?
         };
         Ok(Server {
             core,
@@ -230,6 +232,11 @@ impl Server {
             handler_reaper: Some(handler_reaper),
             shut: false,
         })
+    }
+
+    /// Handler threads spawned and not yet joined.
+    pub fn unjoined_handlers(&self) -> usize {
+        self.core.unjoined.load(Ordering::Acquire)
     }
 
     /// The bound address (useful with an ephemeral port).
@@ -315,11 +322,44 @@ impl Drop for Server {
     }
 }
 
+/// What the reaper hears about a handler thread.
+enum Reap {
+    /// The accept loop spawned connection `id`'s handler.
+    Spawned(u64, JoinHandle<()>),
+    /// Connection `id`'s handler is about to return.
+    Done(u64),
+}
+
+/// Join handler threads as they finish, until the accept loop and
+/// every handler have hung up; `unjoined` drops with each join.
+fn reap(rx: &Receiver<Reap>, unjoined: &AtomicUsize) {
+    let mut live: HashMap<u64, JoinHandle<()>> = HashMap::new();
+    // A handler can finish before the accept loop sends its handle.
+    let mut done_early: HashSet<u64> = HashSet::new();
+    for msg in rx {
+        let finished = match msg {
+            Reap::Spawned(id, handle) if !done_early.remove(&id) => {
+                live.insert(id, handle);
+                None
+            }
+            Reap::Spawned(_, handle) => Some(handle),
+            Reap::Done(id) => live.remove(&id).or_else(|| {
+                done_early.insert(id);
+                None
+            }),
+        };
+        if let Some(handle) = finished {
+            let _ = handle.join();
+            unjoined.fetch_sub(1, Ordering::AcqRel);
+        }
+    }
+}
+
 fn accept_loop(
     core: &Arc<Core>,
     listener: &TcpListener,
     stop: &AtomicBool,
-    handles: &std::sync::mpsc::Sender<JoinHandle<()>>,
+    reaper: &Sender<Reap>,
 ) {
     loop {
         if stop.load(Ordering::Acquire) {
@@ -348,17 +388,20 @@ fn accept_loop(
         core.register(Arc::clone(&shared));
         let spawned = {
             let core = Arc::clone(core);
+            let reaper = reaper.clone();
             std::thread::Builder::new()
                 .name(format!("labflow-conn-{id}"))
                 .spawn(move || {
                     conn::serve(&core, &shared, &stream);
                     drop(stream);
                     core.deregister(id);
+                    let _ = reaper.send(Reap::Done(id));
                 })
         };
         match spawned {
             Ok(handle) => {
-                let _ = handles.send(handle);
+                core.unjoined.fetch_add(1, Ordering::AcqRel);
+                let _ = reaper.send(Reap::Spawned(id, handle));
             }
             Err(_) => {
                 // Could not spawn a handler (thread exhaustion): treat

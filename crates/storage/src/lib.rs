@@ -53,7 +53,6 @@
 //! # drop(store); std::fs::remove_dir_all(&dir).ok();
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod buffer;

@@ -32,7 +32,6 @@
 //! assert_eq!(db.state_of(c).unwrap().as_deref(), Some(genome::READY_FOR_TRANSPOSITION));
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod engine;

@@ -13,8 +13,8 @@
 //! * **stale**: a well-formed marker with no waivable construct on its
 //!   own line or the next — the code it excused was refactored away
 //!   and the marker (plus its justification) now misleads readers.
-//!   Detection is token-based per kind (an `unsafe` marker wants an
-//!   `unsafe` token nearby, an `ordering` marker a `Relaxed`, ..); a
+//!   Detection is token-based per kind (a `panic` marker wants an
+//!   `unwrap` or the like nearby, an `ordering` marker a `Relaxed`, ..); a
 //!   marker whose two lines carry no tokens at all (e.g. inside a
 //!   stripped `#[cfg(test)]` region) is skipped, not flagged.
 //!
@@ -27,15 +27,13 @@ use crate::ranks;
 use crate::{Finding, SourceFile};
 
 /// Every kind some pass actually consults via `lexer::allowed`.
-const KNOWN_KINDS: &[&str] =
-    &["panic", "index", "blocking", "lock_order", "ordering", "unsafe"];
+const KNOWN_KINDS: &[&str] = &["panic", "index", "blocking", "lock_order", "ordering"];
 
 /// Idents whose presence near a marker of the given kind shows the
 /// marker still waives something.
 fn triggers(kind: &str) -> &'static [&'static str] {
     match kind {
         "panic" => &["unwrap", "expect", "panic", "unreachable", "todo", "unimplemented"],
-        "unsafe" => &["unsafe"],
         "ordering" => &["Relaxed"],
         "blocking" => ranks::BLOCKING_FNS,
         // Acquisition shapes are varied (helpers, receivers, tokens);
@@ -173,8 +171,8 @@ mod tests {
         let f = file(
             "// analyzer: allow(panic, \"checked above\")\n\
              let x = v.unwrap();\n\
-             // analyzer: allow(unsafe, \"caller contract\") — trailing prose\n\
-             unsafe { g() }\n",
+             // analyzer: allow(ordering, \"a counter\") — trailing prose\n\
+             n.fetch_add(1, Relaxed);\n",
         );
         assert!(analyze(&[f]).is_empty());
     }

@@ -1,7 +1,7 @@
 //! `labflow-analyzer` — workspace static analysis.
 //!
 //! Run as `cargo xtask analyze [--root DIR]` (the alias lives in
-//! `.cargo/config.toml`). Six passes over every non-test source file:
+//! `.cargo/config.toml`). Five passes over every non-test source file:
 //!
 //! * **panic-freedom** (`panics.rs`): no `.unwrap()` / `.expect()` /
 //!   `panic!`-family macros in the server crates; slice indexing is
@@ -10,8 +10,6 @@
 //!   placed in the declared rank table (`ranks.rs`), nesting must
 //!   strictly increase rank, the observed acquisition graph must be
 //!   acyclic, and no guard may be held across a blocking call.
-//! * **unsafe budget** (`unsafety.rs`): the budget is zero; any
-//!   `unsafe` site needs an `allow(unsafe, "..")` safety argument.
 //! * **atomic orderings** (`atomics.rs`): no `Relaxed` on
 //!   pointer-typed atomics, and no lone `Relaxed` access to an atomic
 //!   a crate otherwise accesses with stronger orderings.
@@ -42,7 +40,6 @@ mod panics;
 mod ranks;
 mod scrubcmd;
 mod server_smoke;
-mod unsafety;
 
 /// One analysed source file.
 pub struct SourceFile {
@@ -221,7 +218,6 @@ fn run(root: &Path) -> std::io::Result<usize> {
             findings.extend(f);
             *index_counts.entry(file.crate_dir.clone()).or_default() += idx;
         }
-        findings.extend(unsafety::scan(file));
     }
 
     // Ratchet check.
