@@ -30,7 +30,9 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use labflow_storage::{ClusterHint, Oid, SegmentId, Snapshot, StatsSnapshot, StorageManager, TxnId};
+use labflow_storage::{
+    ClusterHint, Oid, SegmentId, StatsSnapshot, StorageManager, TxnId, Visibility,
+};
 
 use crate::error::{LabError, Result};
 use crate::ids::{ClassId, MaterialId, StepId, ValidTime};
@@ -166,26 +168,6 @@ impl NameIndex {
     }
 }
 
-/// How a record read resolves object visibility. Every internal read in
-/// LabBase is threaded through this so the same traversal code serves
-/// three access paths: the live committed state, a transaction's own
-/// uncommitted writes, and a pinned snapshot.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum Rd {
-    /// Latest committed state (what the storage manager's plain `read`
-    /// returns after the MVCC refactor).
-    Latest,
-    /// Through an open transaction: committed state plus the
-    /// transaction's own pending writes. Every mutation-path traversal
-    /// (history splicing, recent-cache maintenance, set rewrites) uses
-    /// this, because they must observe objects the same transaction
-    /// created moments earlier.
-    In(TxnId),
-    /// At a pinned snapshot LSN: a stable cut that never moves while
-    /// writers commit. Used by [`View`](crate::View).
-    At(Snapshot),
-}
-
 /// The LabBase database.
 pub struct LabBase {
     pub(crate) store: Arc<dyn StorageManager>,
@@ -316,9 +298,9 @@ impl LabBase {
     /// state / name caches this wrapper keeps would otherwise go stale.
     /// Mirrors the cache-repair half of [`abort`](LabBase::abort).
     pub fn refresh_replica_caches(&self) -> Result<()> {
-        let catalog = self.read_catalog(Rd::Latest)?;
+        let catalog = self.read_catalog(Visibility::Latest)?;
         *self.catalog.write() = catalog;
-        let sets = SetsDir::decode(&self.rd_bytes(Rd::Latest, self.sets_oid)?)?;
+        let sets = SetsDir::decode(&self.store.read(self.sets_oid)?)?;
         *self.sets.write() = sets;
         self.state_index.invalidate();
         let mut names = self.name_index.write();
@@ -345,7 +327,7 @@ impl LabBase {
     /// tracks its own footprint and aborts selectively instead.
     pub fn abort(&self, txn: TxnId) -> Result<()> {
         // Re-load shared caches from committed storage truth *before*
-        // the abort releases this transaction's locks. `Rd::Latest`
+        // the abort releases this transaction's locks. `Visibility::Latest`
         // skips the transaction's own pending writes, so it reads
         // exactly the state rollback restores — repairing afterwards
         // leaves a window where a writer blocked on our storage locks
@@ -354,12 +336,13 @@ impl LabBase {
         // rollback is about to erase, breaking the committed chain).
         // With no footprint, what this transaction wrote is what its
         // own-writes view reads differently from the committed one.
-        let wrote = |oid| self.store.read_for(txn, oid).ok() != self.store.read(oid).ok();
+        let wrote =
+            |oid| self.store.read_vis(Visibility::In(txn), oid).ok() != self.store.read(oid).ok();
         let extents: Vec<ClassId> = self.with_catalog(|c| {
             c.material_classes().iter().filter(|mc| wrote(mc.extent)).map(|mc| mc.id).collect()
         });
         self.restore_catalog(wrote(self.catalog_oid), &extents)?;
-        let sets = SetsDir::decode(&self.rd_bytes(Rd::Latest, self.sets_oid)?)?;
+        let sets = SetsDir::decode(&self.store.read(self.sets_oid)?)?;
         *self.sets.write() = sets;
         self.state_index.invalidate();
         {
@@ -417,13 +400,13 @@ impl LabBase {
                 names.note_aborted(name);
             }
         }
-        // `Rd::Latest` skips this transaction's own pending writes, so
+        // `Visibility::Latest` skips this transaction's own pending writes, so
         // it reads exactly what rollback restores.
         if fp.catalog_dirty || !fp.extents.is_empty() {
             self.restore_catalog(fp.catalog_dirty, &fp.extents)?;
         }
         if fp.sets_dirty {
-            *self.sets.write() = SetsDir::decode(&self.rd_bytes(Rd::Latest, self.sets_oid)?)?;
+            *self.sets.write() = SetsDir::decode(&self.store.read(self.sets_oid)?)?;
         }
         Ok(())
     }
@@ -436,7 +419,7 @@ impl LabBase {
     /// while the transaction still holds its locks.
     pub(crate) fn restore_catalog(&self, schema: bool, classes: &[ClassId]) -> Result<()> {
         if schema {
-            let mut fresh = self.read_catalog(Rd::Latest)?;
+            let mut fresh = self.read_catalog(Visibility::Latest)?;
             let mut cached = self.catalog.write();
             for mc in fresh.material_classes_mut() {
                 if let Ok(old) = cached.material_class_by_id(mc.id) {
@@ -453,7 +436,7 @@ impl LabBase {
             else {
                 continue;
             };
-            let (head, count) = decode_extent(&self.rd_bytes(Rd::Latest, ext)?)?;
+            let (head, count) = decode_extent(&self.store.read(ext)?)?;
             if let Ok(mc) = self.catalog.write().material_class_mut(id) {
                 (mc.extent_head, mc.count) = (head, count);
             }
@@ -542,32 +525,14 @@ impl LabBase {
 
     // ---- record I/O helpers ------------------------------------------------
 
-    /// The catalog under the visibility rule `rd`, with every class's
-    /// extent record overlaid at the same `rd`.
-    pub(crate) fn read_catalog(&self, rd: Rd) -> Result<Catalog> {
-        load_catalog(|oid| self.rd_bytes(rd, oid), self.catalog_oid)
+    /// The catalog under the visibility rule `vis`, with every class's
+    /// extent record overlaid at the same `vis`.
+    pub(crate) fn read_catalog(&self, vis: Visibility) -> Result<Catalog> {
+        load_catalog(|oid| self.store.read_vis(vis, oid), self.catalog_oid)
     }
 
-    /// Raw bytes of `oid` under the visibility rule `rd`.
-    pub(crate) fn rd_bytes(&self, rd: Rd, oid: Oid) -> labflow_storage::Result<Vec<u8>> {
-        match rd {
-            Rd::Latest => self.store.read(oid),
-            Rd::In(txn) => self.store.read_for(txn, oid),
-            Rd::At(snap) => self.store.read_at(&snap, oid),
-        }
-    }
-
-    /// Whether `oid` exists under the visibility rule `rd`.
-    pub(crate) fn rd_exists(&self, rd: Rd, oid: Oid) -> bool {
-        match rd {
-            Rd::Latest => self.store.exists(oid),
-            Rd::In(txn) => self.store.exists_for(txn, oid),
-            Rd::At(snap) => self.store.exists_at(&snap, oid),
-        }
-    }
-
-    pub(crate) fn read_material_rec_rd(&self, rd: Rd, oid: Oid) -> Result<SmMaterial> {
-        let bytes = self.rd_bytes(rd, oid).map_err(|e| match e {
+    pub(crate) fn read_material_rec_vis(&self, vis: Visibility, oid: Oid) -> Result<SmMaterial> {
+        let bytes = self.store.read_vis(vis, oid).map_err(|e| match e {
             labflow_storage::StorageError::UnknownObject(o) => {
                 LabError::UnknownMaterial(MaterialId::from(o))
             }
@@ -577,15 +542,15 @@ impl LabBase {
     }
 
     pub(crate) fn read_material_rec(&self, oid: Oid) -> Result<SmMaterial> {
-        self.read_material_rec_rd(Rd::Latest, oid)
+        self.read_material_rec_vis(Visibility::Latest, oid)
     }
 
     pub(crate) fn write_material_rec(&self, txn: TxnId, oid: Oid, rec: &SmMaterial) -> Result<()> {
         Ok(self.store.update(txn, oid, &rec.encode())?)
     }
 
-    pub(crate) fn read_step_rec_rd(&self, rd: Rd, oid: Oid) -> Result<SmStep> {
-        let bytes = self.rd_bytes(rd, oid).map_err(|e| match e {
+    pub(crate) fn read_step_rec_vis(&self, vis: Visibility, oid: Oid) -> Result<SmStep> {
+        let bytes = self.store.read_vis(vis, oid).map_err(|e| match e {
             labflow_storage::StorageError::UnknownObject(o) => {
                 LabError::UnknownStep(StepId::from(o))
             }
@@ -595,19 +560,19 @@ impl LabBase {
     }
 
     pub(crate) fn read_step_rec(&self, oid: Oid) -> Result<SmStep> {
-        self.read_step_rec_rd(Rd::Latest, oid)
+        self.read_step_rec_vis(Visibility::Latest, oid)
     }
 
-    pub(crate) fn read_recent_rec_rd(&self, rd: Rd, oid: Oid) -> Result<RecentRecord> {
+    pub(crate) fn read_recent_rec_vis(&self, vis: Visibility, oid: Oid) -> Result<RecentRecord> {
         if oid.is_nil() {
             return Ok(RecentRecord::default());
         }
-        RecentRecord::decode(&self.rd_bytes(rd, oid)?)
+        RecentRecord::decode(&self.store.read_vis(vis, oid)?)
     }
 
     #[cfg(test)]
     pub(crate) fn read_recent_rec(&self, oid: Oid) -> Result<RecentRecord> {
-        self.read_recent_rec_rd(Rd::Latest, oid)
+        self.read_recent_rec_vis(Visibility::Latest, oid)
     }
 
     pub(crate) fn persist_sets_dir(&self, txn: TxnId) -> Result<()> {
@@ -719,7 +684,7 @@ impl LabBase {
 
     /// Whether a material exists.
     pub fn material_exists(&self, mat: MaterialId) -> bool {
-        self.store.exists(mat.oid())
+        self.store.exists_vis(Visibility::Latest, mat.oid())
     }
 
     // ---- steps (workflow tracking: the paper's Section 8.3) ----------------
@@ -749,7 +714,7 @@ impl LabBase {
         // created earlier in this same transaction are still pending, so
         // the check must go through the transaction's own view.
         for m in materials {
-            if !self.rd_exists(Rd::In(txn), m.oid()) {
+            if !self.store.exists_vis(Visibility::In(txn), m.oid()) {
                 return Err(LabError::UnknownMaterial(*m));
             }
         }

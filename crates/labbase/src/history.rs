@@ -7,9 +7,9 @@
 //! most-recent cache ([`crate::smrecord::RecentRecord`]) only absorbs
 //! values with newer-or-equal valid times.
 
-use labflow_storage::{ClusterHint, Oid, TxnId};
+use labflow_storage::{ClusterHint, Oid, TxnId, Visibility};
 
-use crate::db::{LabBase, Rd, SEG_HISTORY};
+use crate::db::{LabBase, SEG_HISTORY};
 use crate::error::{LabError, Result};
 use crate::ids::{MaterialId, StepId, ValidTime};
 use crate::smrecord::HistoryNode;
@@ -24,8 +24,8 @@ pub struct HistoryEntry {
 }
 
 impl LabBase {
-    pub(crate) fn read_node(&self, rd: Rd, oid: Oid) -> Result<HistoryNode> {
-        HistoryNode::decode(&self.rd_bytes(rd, oid)?)
+    pub(crate) fn read_node(&self, vis: Visibility, oid: Oid) -> Result<HistoryNode> {
+        HistoryNode::decode(&self.store.read_vis(vis, oid)?)
     }
 
     fn write_node(&self, txn: TxnId, oid: Oid, node: &HistoryNode) -> Result<()> {
@@ -41,8 +41,8 @@ impl LabBase {
         step: Oid,
         valid_time: ValidTime,
     ) -> Result<()> {
-        let rd = Rd::In(txn);
-        let mut mrec = self.read_material_rec_rd(rd, mat)?;
+        let vis = Visibility::In(txn);
+        let mut mrec = self.read_material_rec_vis(vis, mat)?;
         let hint = ClusterHint::near(mat);
         if mrec.history_head.is_nil() {
             let node = HistoryNode { step, valid_time, next: Oid::NIL };
@@ -50,7 +50,7 @@ impl LabBase {
             mrec.history_head = node_oid;
             return self.write_material_rec(txn, mat, &mrec);
         }
-        let head = self.read_node(rd, mrec.history_head)?;
+        let head = self.read_node(vis, mrec.history_head)?;
         if valid_time >= head.valid_time {
             // Common case: the new event is the most recent.
             let node = HistoryNode { step, valid_time, next: mrec.history_head };
@@ -69,7 +69,7 @@ impl LabBase {
                 return self.write_node(txn, prev_oid, &prev);
             }
             let next_oid = prev.next;
-            let next = self.read_node(rd, next_oid)?;
+            let next = self.read_node(vis, next_oid)?;
             if valid_time >= next.valid_time {
                 let node = HistoryNode { step, valid_time, next: next_oid };
                 let node_oid = self.store.allocate(txn, SEG_HISTORY, hint, &node.encode())?;
@@ -81,12 +81,16 @@ impl LabBase {
         }
     }
 
-    pub(crate) fn history_rd(&self, rd: Rd, mat: MaterialId) -> Result<Vec<HistoryEntry>> {
-        let mrec = self.read_material_rec_rd(rd, mat.oid())?;
+    pub(crate) fn history_vis(
+        &self,
+        vis: Visibility,
+        mat: MaterialId,
+    ) -> Result<Vec<HistoryEntry>> {
+        let mrec = self.read_material_rec_vis(vis, mat.oid())?;
         let mut out = Vec::new();
         let mut cur = mrec.history_head;
         while !cur.is_nil() {
-            let node = self.read_node(rd, cur)?;
+            let node = self.read_node(vis, cur)?;
             out.push(HistoryEntry { step: StepId::from(node.step), valid_time: node.valid_time });
             cur = node.next;
         }
@@ -95,13 +99,7 @@ impl LabBase {
 
     /// The material's full history, newest first (committed state).
     pub fn history(&self, mat: MaterialId) -> Result<Vec<HistoryEntry>> {
-        self.history_rd(Rd::Latest, mat)
-    }
-
-    /// The material's full history as seen by the open transaction
-    /// `txn`, including events it has recorded but not yet committed.
-    pub fn history_in(&self, txn: TxnId, mat: MaterialId) -> Result<Vec<HistoryEntry>> {
-        self.history_rd(Rd::In(txn), mat)
+        self.history_vis(Visibility::Latest, mat)
     }
 
     /// Number of events in the material's history.
@@ -119,22 +117,22 @@ impl LabBase {
         attr: &str,
         at: ValidTime,
     ) -> Result<Option<(ValidTime, crate::value::Value)>> {
-        self.as_of_rd(Rd::Latest, mat, attr, at)
+        self.as_of_vis(Visibility::Latest, mat, attr, at)
     }
 
-    pub(crate) fn as_of_rd(
+    pub(crate) fn as_of_vis(
         &self,
-        rd: Rd,
+        vis: Visibility,
         mat: MaterialId,
         attr: &str,
         at: ValidTime,
     ) -> Result<Option<(ValidTime, crate::value::Value)>> {
-        let mrec = self.read_material_rec_rd(rd, mat.oid())?;
+        let mrec = self.read_material_rec_vis(vis, mat.oid())?;
         let mut cur = mrec.history_head;
         while !cur.is_nil() {
-            let node = self.read_node(rd, cur)?;
+            let node = self.read_node(vis, cur)?;
             if node.valid_time <= at {
-                let step = self.read_step_rec_rd(rd, node.step)?;
+                let step = self.read_step_rec_vis(vis, node.step)?;
                 if let Some(v) = step.attr(attr) {
                     return Ok(Some((node.valid_time, v.clone())));
                 }
@@ -153,22 +151,22 @@ impl LabBase {
         mat: MaterialId,
         at: ValidTime,
     ) -> Result<Vec<(String, ValidTime, crate::value::Value)>> {
-        self.recent_all_at_rd(Rd::Latest, mat, at)
+        self.recent_all_at_vis(Visibility::Latest, mat, at)
     }
 
-    pub(crate) fn recent_all_at_rd(
+    pub(crate) fn recent_all_at_vis(
         &self,
-        rd: Rd,
+        vis: Visibility,
         mat: MaterialId,
         at: ValidTime,
     ) -> Result<Vec<(String, ValidTime, crate::value::Value)>> {
-        let mrec = self.read_material_rec_rd(rd, mat.oid())?;
+        let mrec = self.read_material_rec_vis(vis, mat.oid())?;
         let mut out: Vec<(String, ValidTime, crate::value::Value)> = Vec::new();
         let mut cur = mrec.history_head;
         while !cur.is_nil() {
-            let node = self.read_node(rd, cur)?;
+            let node = self.read_node(vis, cur)?;
             if node.valid_time <= at {
-                let step = self.read_step_rec_rd(rd, node.step)?;
+                let step = self.read_step_rec_vis(vis, node.step)?;
                 for (name, value) in &step.attrs {
                     if !out.iter().any(|(n, _, _)| n == name) {
                         out.push((name.clone(), node.valid_time, value.clone()));
@@ -189,21 +187,21 @@ impl LabBase {
         from: ValidTime,
         to: ValidTime,
     ) -> Result<Vec<HistoryEntry>> {
-        self.history_between_rd(Rd::Latest, mat, from, to)
+        self.history_between_vis(Visibility::Latest, mat, from, to)
     }
 
-    pub(crate) fn history_between_rd(
+    pub(crate) fn history_between_vis(
         &self,
-        rd: Rd,
+        vis: Visibility,
         mat: MaterialId,
         from: ValidTime,
         to: ValidTime,
     ) -> Result<Vec<HistoryEntry>> {
-        let mrec = self.read_material_rec_rd(rd, mat.oid())?;
+        let mrec = self.read_material_rec_vis(vis, mat.oid())?;
         let mut out = Vec::new();
         let mut cur = mrec.history_head;
         while !cur.is_nil() {
-            let node = self.read_node(rd, cur)?;
+            let node = self.read_node(vis, cur)?;
             if node.valid_time < from {
                 break; // sorted newest-first: nothing older qualifies
             }
@@ -223,7 +221,7 @@ impl LabBase {
     /// the event object. The inverse of
     /// [`record_step`](LabBase::record_step).
     pub fn retract_step(&self, txn: TxnId, step: StepId) -> Result<()> {
-        let rec = self.read_step_rec_rd(Rd::In(txn), step.oid())?;
+        let rec = self.read_step_rec_vis(Visibility::In(txn), step.oid())?;
         for &mat in &rec.materials {
             self.unlink_event(txn, mat, step.oid())?;
             self.recompute_after_retract(txn, mat, step.oid())?;
@@ -233,12 +231,12 @@ impl LabBase {
     }
 
     fn unlink_event(&self, txn: TxnId, mat: Oid, step: Oid) -> Result<()> {
-        let rd = Rd::In(txn);
-        let mut mrec = self.read_material_rec_rd(rd, mat)?;
+        let vis = Visibility::In(txn);
+        let mut mrec = self.read_material_rec_vis(vis, mat)?;
         if mrec.history_head.is_nil() {
             return Err(LabError::UnknownStep(StepId::from(step)));
         }
-        let head = self.read_node(rd, mrec.history_head)?;
+        let head = self.read_node(vis, mrec.history_head)?;
         if head.step == step {
             let dead = mrec.history_head;
             mrec.history_head = head.next;
@@ -250,7 +248,7 @@ impl LabBase {
         let mut prev = head;
         while !prev.next.is_nil() {
             let next_oid = prev.next;
-            let next = self.read_node(rd, next_oid)?;
+            let next = self.read_node(vis, next_oid)?;
             if next.step == step {
                 prev.next = next.next;
                 self.write_node(txn, prev_oid, &prev)?;
@@ -363,16 +361,16 @@ mod tests {
         // mid-transaction checks go through the read-your-own-writes view.
         db.retract_step(t, s2).unwrap(); // middle
         assert_eq!(
-            db.history_in(t, m).unwrap().iter().map(|e| e.step).collect::<Vec<_>>(),
+            db.view_in(t).history(m).unwrap().iter().map(|e| e.step).collect::<Vec<_>>(),
             vec![s3, s1]
         );
         db.retract_step(t, s3).unwrap(); // head
         assert_eq!(
-            db.history_in(t, m).unwrap().iter().map(|e| e.step).collect::<Vec<_>>(),
+            db.view_in(t).history(m).unwrap().iter().map(|e| e.step).collect::<Vec<_>>(),
             vec![s1]
         );
         db.retract_step(t, s1).unwrap(); // last
-        assert!(db.history_in(t, m).unwrap().is_empty());
+        assert!(db.view_in(t).history(m).unwrap().is_empty());
         db.commit(t).unwrap();
         assert!(db.history(m).unwrap().is_empty());
     }

@@ -4,9 +4,9 @@
 
 use std::collections::{HashMap, HashSet};
 
-use labflow_storage::Oid;
+use labflow_storage::{Oid, Visibility};
 
-use crate::db::{LabBase, Rd};
+use crate::db::LabBase;
 use crate::error::Result;
 use crate::ids::{ClassId, MaterialId, ValidTime};
 use crate::value::Value;
@@ -32,18 +32,18 @@ impl LabBase {
         };
         let mut out = Vec::new();
         for (_, head) in classes {
-            out.extend(self.walk_extent(Rd::Latest, head)?);
+            out.extend(self.walk_extent(Visibility::Latest, head)?);
         }
         Ok(out)
     }
 
     /// Walk one extent list from `head`, reading material records through
-    /// `rd` so snapshot views traverse a consistent cut.
-    pub(crate) fn walk_extent(&self, rd: Rd, head: Oid) -> Result<Vec<MaterialId>> {
+    /// `vis` so snapshot views traverse a consistent cut.
+    pub(crate) fn walk_extent(&self, vis: Visibility, head: Oid) -> Result<Vec<MaterialId>> {
         let mut out = Vec::new();
         let mut cur = head;
         while !cur.is_nil() {
-            let rec = self.read_material_rec_rd(rd, cur)?;
+            let rec = self.read_material_rec_vis(vis, cur)?;
             out.push(MaterialId::from(cur));
             cur = rec.ext_next;
         }
@@ -116,11 +116,11 @@ impl LabBase {
         // the per-session wait profile.
         let build_start = std::time::Instant::now();
         let mut map: HashMap<String, Oid> = HashMap::new();
-        let cat = self.read_catalog(Rd::Latest)?;
+        let cat = self.read_catalog(Visibility::Latest)?;
         for mc in cat.material_classes() {
             let mut cur = mc.extent_head;
             while !cur.is_nil() {
-                let rec = self.read_material_rec_rd(Rd::Latest, cur)?;
+                let rec = self.read_material_rec_vis(Visibility::Latest, cur)?;
                 let next = rec.ext_next;
                 map.insert(rec.name, cur);
                 cur = next;

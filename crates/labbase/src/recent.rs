@@ -9,9 +9,9 @@
 //! incrementally as steps arrive (in any order) and repaired when steps
 //! are retracted.
 
-use labflow_storage::{ClusterHint, Oid, TxnId};
+use labflow_storage::{ClusterHint, Oid, TxnId, Visibility};
 
-use crate::db::{LabBase, Rd, SEG_MATERIAL};
+use crate::db::{LabBase, SEG_MATERIAL};
 use crate::error::Result;
 use crate::ids::{MaterialId, StepId, ValidTime};
 use crate::smrecord::{RecentEntry, RecentRecord};
@@ -48,8 +48,8 @@ impl LabBase {
         if attrs.is_empty() {
             return Ok(());
         }
-        let rd = Rd::In(txn);
-        let mut mrec = self.read_material_rec_rd(rd, mat)?;
+        let vis = Visibility::In(txn);
+        let mut mrec = self.read_material_rec_vis(vis, mat)?;
         if mrec.recent.is_nil() {
             let mut rec = RecentRecord::default();
             rec.absorb(step, valid_time, attrs);
@@ -62,7 +62,7 @@ impl LabBase {
             mrec.recent = oid;
             return self.write_material_rec(txn, mat, &mrec);
         }
-        let mut rec = self.read_recent_rec_rd(rd, mrec.recent)?;
+        let mut rec = self.read_recent_rec_vis(vis, mrec.recent)?;
         if rec.absorb(step, valid_time, attrs) {
             self.store.update(txn, mrec.recent, &rec.encode())?;
         }
@@ -72,23 +72,23 @@ impl LabBase {
     /// After retracting `step`, recompute any most-recent entries it was
     /// providing for `mat` by walking the (already-unlinked) history.
     pub(crate) fn recompute_after_retract(&self, txn: TxnId, mat: Oid, step: Oid) -> Result<()> {
-        let rd = Rd::In(txn);
-        let mrec = self.read_material_rec_rd(rd, mat)?;
+        let vis = Visibility::In(txn);
+        let mrec = self.read_material_rec_vis(vis, mat)?;
         if mrec.recent.is_nil() {
             return Ok(());
         }
-        let mut rec = self.read_recent_rec_rd(rd, mrec.recent)?;
+        let mut rec = self.read_recent_rec_vis(vis, mrec.recent)?;
         let mut missing = rec.evict_step(step);
         if missing.is_empty() {
             return Ok(());
         }
         // Walk newest-first; the first occurrence of each missing attr is
         // its new most-recent value.
-        for entry in self.history_rd(rd, MaterialId::from(mat))? {
+        for entry in self.history_vis(vis, MaterialId::from(mat))? {
             if missing.is_empty() {
                 break;
             }
-            let srec = self.read_step_rec_rd(rd, entry.step.oid())?;
+            let srec = self.read_step_rec_vis(vis, entry.step.oid())?;
             missing.retain(|attr| {
                 if let Some(v) = srec.attr(attr) {
                     rec.absorb(
@@ -106,33 +106,36 @@ impl LabBase {
         Ok(())
     }
 
-    pub(crate) fn recent_rd(&self, rd: Rd, mat: MaterialId, attr: &str) -> Result<Option<Recent>> {
-        let mrec = self.read_material_rec_rd(rd, mat.oid())?;
+    pub(crate) fn recent_vis(
+        &self,
+        vis: Visibility,
+        mat: MaterialId,
+        attr: &str,
+    ) -> Result<Option<Recent>> {
+        let mrec = self.read_material_rec_vis(vis, mat.oid())?;
         if mrec.recent.is_nil() {
             return Ok(None);
         }
-        let rec = self.read_recent_rec_rd(rd, mrec.recent)?;
+        let rec = self.read_recent_rec_vis(vis, mrec.recent)?;
         Ok(rec.get(attr).map(Recent::from))
     }
 
     /// The most-recent value of `attr` for `mat` — the benchmark's
     /// hottest query, served from the cache in O(1) object reads.
     pub fn recent(&self, mat: MaterialId, attr: &str) -> Result<Option<Recent>> {
-        self.recent_rd(Rd::Latest, mat, attr)
+        self.recent_vis(Visibility::Latest, mat, attr)
     }
 
-    /// The most-recent value of `attr` as seen by the open transaction
-    /// `txn`, including values from steps it has not yet committed.
-    pub fn recent_in(&self, txn: TxnId, mat: MaterialId, attr: &str) -> Result<Option<Recent>> {
-        self.recent_rd(Rd::In(txn), mat, attr)
-    }
-
-    pub(crate) fn recent_all_rd(&self, rd: Rd, mat: MaterialId) -> Result<Vec<(String, Recent)>> {
-        let mrec = self.read_material_rec_rd(rd, mat.oid())?;
+    pub(crate) fn recent_all_vis(
+        &self,
+        vis: Visibility,
+        mat: MaterialId,
+    ) -> Result<Vec<(String, Recent)>> {
+        let mrec = self.read_material_rec_vis(vis, mat.oid())?;
         if mrec.recent.is_nil() {
             return Ok(Vec::new());
         }
-        let rec = self.read_recent_rec_rd(rd, mrec.recent)?;
+        let rec = self.read_recent_rec_vis(vis, mrec.recent)?;
         let mut out: Vec<(String, Recent)> =
             rec.entries.iter().map(|e| (e.attr.clone(), Recent::from(e))).collect();
         out.sort_by(|a, b| a.0.cmp(&b.0));
@@ -142,24 +145,24 @@ impl LabBase {
     /// All most-recent values for `mat`, as `(attr, Recent)` pairs sorted
     /// by attribute name.
     pub fn recent_all(&self, mat: MaterialId) -> Result<Vec<(String, Recent)>> {
-        self.recent_all_rd(Rd::Latest, mat)
+        self.recent_all_vis(Visibility::Latest, mat)
     }
 
     /// Reference implementation of `recent` that derives the value by
     /// walking the history (no cache). Used by tests and the benchmark's
     /// self-check to validate the access structure.
     pub fn recent_uncached(&self, mat: MaterialId, attr: &str) -> Result<Option<Recent>> {
-        self.recent_uncached_rd(Rd::Latest, mat, attr)
+        self.recent_uncached_vis(Visibility::Latest, mat, attr)
     }
 
-    pub(crate) fn recent_uncached_rd(
+    pub(crate) fn recent_uncached_vis(
         &self,
-        rd: Rd,
+        vis: Visibility,
         mat: MaterialId,
         attr: &str,
     ) -> Result<Option<Recent>> {
-        for entry in self.history_rd(rd, mat)? {
-            let srec = self.read_step_rec_rd(rd, entry.step.oid())?;
+        for entry in self.history_vis(vis, mat)? {
+            let srec = self.read_step_rec_vis(vis, entry.step.oid())?;
             if let Some(v) = srec.attr(attr) {
                 return Ok(Some(Recent {
                     value: v.clone(),
@@ -253,7 +256,7 @@ mod tests {
         db.record_step(t, "determine_sequence", 10, &[m], q(0.1)).unwrap();
         let newest = db.record_step(t, "determine_sequence", 20, &[m], q(0.2)).unwrap();
         // Uncommitted, so the check reads the transaction's own view.
-        assert_eq!(db.recent_in(t, m, "quality").unwrap().unwrap().value, Value::Real(0.2));
+        assert_eq!(db.view_in(t).recent(m, "quality").unwrap().unwrap().value, Value::Real(0.2));
         db.retract_step(t, newest).unwrap();
         db.commit(t).unwrap();
         let r = db.recent(m, "quality").unwrap().unwrap();

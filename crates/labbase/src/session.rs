@@ -119,21 +119,19 @@ impl<'a> Session<'a> {
     // session observes objects it created or modified moments earlier.
 
     /// The material's history as this session sees it (see
-    /// [`LabBase::history_in`]).
+    /// [`LabBase::view_in`]).
     pub fn history(&self, mat: MaterialId) -> Result<Vec<HistoryEntry>> {
-        self.db.history_in(self.txn, mat)
+        self.db.view_in(self.txn).history(mat)
     }
 
-    /// Most-recent value of `attr` as this session sees it (see
-    /// [`LabBase::recent_in`]).
+    /// Most-recent value of `attr` as this session sees it.
     pub fn recent(&self, mat: MaterialId, attr: &str) -> Result<Option<Recent>> {
-        self.db.recent_in(self.txn, mat, attr)
+        self.db.view_in(self.txn).recent(mat, attr)
     }
 
-    /// The material's workflow state as this session sees it (see
-    /// [`LabBase::state_of_in`]).
+    /// The material's workflow state as this session sees it.
     pub fn state_of(&self, mat: MaterialId) -> Result<Option<String>> {
-        self.db.state_of_in(self.txn, mat)
+        self.db.view_in(self.txn).state_of(mat)
     }
 
     /// Whether the material exists as this session sees it.

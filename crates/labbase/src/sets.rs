@@ -6,9 +6,9 @@
 //! persistent objects; the directory mapping names to set objects lives
 //! in the catalog segment.
 
-use labflow_storage::{ClusterHint, TxnId};
+use labflow_storage::{ClusterHint, TxnId, Visibility};
 
-use crate::db::{LabBase, Rd, SEG_CATALOG};
+use crate::db::{LabBase, SEG_CATALOG};
 use crate::error::{LabError, Result};
 use crate::ids::MaterialId;
 use crate::smrecord::MaterialSetRec;
@@ -68,7 +68,7 @@ impl LabBase {
     /// Append `mat` to the set (duplicates are ignored).
     pub fn add_to_set(&self, txn: TxnId, name: &str, mat: MaterialId) -> Result<()> {
         let oid = self.set_oid(name)?;
-        let mut rec = MaterialSetRec::decode(&self.rd_bytes(Rd::In(txn), oid)?)?;
+        let mut rec = MaterialSetRec::decode(&self.store.read_vis(Visibility::In(txn), oid)?)?;
         if !rec.members.contains(&mat.oid()) {
             rec.members.push(mat.oid());
             self.store.update(txn, oid, &rec.encode())?;
@@ -79,7 +79,7 @@ impl LabBase {
     /// Append many materials at once (one object rewrite).
     pub fn add_all_to_set(&self, txn: TxnId, name: &str, mats: &[MaterialId]) -> Result<()> {
         let oid = self.set_oid(name)?;
-        let mut rec = MaterialSetRec::decode(&self.rd_bytes(Rd::In(txn), oid)?)?;
+        let mut rec = MaterialSetRec::decode(&self.store.read_vis(Visibility::In(txn), oid)?)?;
         let mut changed = false;
         for mat in mats {
             if !rec.members.contains(&mat.oid()) {
@@ -96,7 +96,7 @@ impl LabBase {
     /// Remove `mat` from the set. Returns `true` if it was a member.
     pub fn remove_from_set(&self, txn: TxnId, name: &str, mat: MaterialId) -> Result<bool> {
         let oid = self.set_oid(name)?;
-        let mut rec = MaterialSetRec::decode(&self.rd_bytes(Rd::In(txn), oid)?)?;
+        let mut rec = MaterialSetRec::decode(&self.store.read_vis(Visibility::In(txn), oid)?)?;
         let before = rec.members.len();
         rec.members.retain(|&m| m != mat.oid());
         if rec.members.len() != before {
@@ -109,18 +109,18 @@ impl LabBase {
 
     /// The set's members in insertion order (committed state).
     pub fn set_members(&self, name: &str) -> Result<Vec<MaterialId>> {
-        self.set_members_rd(Rd::Latest, name)
+        self.set_members_vis(Visibility::Latest, name)
     }
 
     /// The set's members as seen by the open transaction `txn`,
     /// including its own uncommitted additions and removals.
     pub fn set_members_in(&self, txn: TxnId, name: &str) -> Result<Vec<MaterialId>> {
-        self.set_members_rd(Rd::In(txn), name)
+        self.set_members_vis(Visibility::In(txn), name)
     }
 
-    pub(crate) fn set_members_rd(&self, rd: Rd, name: &str) -> Result<Vec<MaterialId>> {
+    pub(crate) fn set_members_vis(&self, vis: Visibility, name: &str) -> Result<Vec<MaterialId>> {
         let oid = self.set_oid(name)?;
-        let rec = MaterialSetRec::decode(&self.rd_bytes(rd, oid)?)?;
+        let rec = MaterialSetRec::decode(&self.store.read_vis(vis, oid)?)?;
         Ok(rec.members.into_iter().map(MaterialId::from).collect())
     }
 

@@ -11,9 +11,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use parking_lot::{Mutex, RwLock};
 
-use labflow_storage::{Oid, TxnId};
+use labflow_storage::{Oid, TxnId, Visibility};
 
-use crate::db::{LabBase, Rd};
+use crate::db::LabBase;
 use crate::error::Result;
 use crate::ids::{MaterialId, ValidTime};
 
@@ -174,10 +174,10 @@ impl StateIndex {
 
 impl LabBase {
     fn ensure_state_index(&self) -> Result<()> {
-        self.ensure_state_index_rd(Rd::Latest)
+        self.ensure_state_index_vis(Visibility::Latest)
     }
 
-    fn ensure_state_index_rd(&self, rd: Rd) -> Result<()> {
+    fn ensure_state_index_vis(&self, vis: Visibility) -> Result<()> {
         if self.state_index.is_built() {
             return Ok(());
         }
@@ -191,7 +191,7 @@ impl LabBase {
         // view for `In(txn)`. The live in-memory catalog can run ahead
         // of both (extent heads prepended by still-open transactions),
         // and those heads would not be readable here.
-        let cat = self.read_catalog(rd)?;
+        let cat = self.read_catalog(vis)?;
         let heads: Vec<Oid> =
             cat.material_classes().iter().map(|mc| mc.extent_head).collect();
         let mut by_state: HashMap<String, BTreeSet<u64>> = HashMap::new();
@@ -199,7 +199,7 @@ impl LabBase {
         for head in heads {
             let mut cur = head;
             while !cur.is_nil() {
-                let rec = self.read_material_rec_rd(rd, cur)?;
+                let rec = self.read_material_rec_vis(vis, cur)?;
                 if rec.state.is_empty() {
                     stateless.insert(cur.raw());
                 } else {
@@ -221,7 +221,7 @@ impl LabBase {
         state: &str,
         vt: ValidTime,
     ) -> Result<(Option<String>, Option<String>)> {
-        let mut rec = self.read_material_rec_rd(Rd::In(txn), mat.oid())?;
+        let mut rec = self.read_material_rec_vis(Visibility::In(txn), mat.oid())?;
         let old = if rec.state.is_empty() { None } else { Some(rec.state.clone()) };
         rec.state = state.to_string();
         rec.state_time = vt;
@@ -252,17 +252,11 @@ impl LabBase {
 
     /// The material's current state, if any (committed state).
     pub fn state_of(&self, mat: MaterialId) -> Result<Option<String>> {
-        self.state_of_rd(Rd::Latest, mat)
+        self.state_of_vis(Visibility::Latest, mat)
     }
 
-    /// The material's current state as seen by the open transaction
-    /// `txn`, including its own uncommitted transitions.
-    pub fn state_of_in(&self, txn: TxnId, mat: MaterialId) -> Result<Option<String>> {
-        self.state_of_rd(Rd::In(txn), mat)
-    }
-
-    pub(crate) fn state_of_rd(&self, rd: Rd, mat: MaterialId) -> Result<Option<String>> {
-        let rec = self.read_material_rec_rd(rd, mat.oid())?;
+    pub(crate) fn state_of_vis(&self, vis: Visibility, mat: MaterialId) -> Result<Option<String>> {
+        let rec = self.read_material_rec_vis(vis, mat.oid())?;
         Ok(if rec.state.is_empty() { None } else { Some(rec.state) })
     }
 
@@ -278,7 +272,7 @@ impl LabBase {
     /// the lazy index build is forced here, it scans through `txn`'s
     /// view so the transaction's own uncommitted materials are indexed.
     pub fn in_state_in(&self, txn: TxnId, state: &str, limit: usize) -> Result<Vec<MaterialId>> {
-        self.ensure_state_index_rd(Rd::In(txn))?;
+        self.ensure_state_index_vis(Visibility::In(txn))?;
         Ok(self.state_index.members_of(state, limit))
     }
 
@@ -291,7 +285,7 @@ impl LabBase {
     /// [`count_in_state`](Self::count_in_state) from inside an open
     /// transaction (see [`in_state_in`](Self::in_state_in)).
     pub fn count_in_state_in(&self, txn: TxnId, state: &str) -> Result<usize> {
-        self.ensure_state_index_rd(Rd::In(txn))?;
+        self.ensure_state_index_vis(Visibility::In(txn))?;
         Ok(self.state_index.count_of(state))
     }
 
@@ -305,7 +299,7 @@ impl LabBase {
     /// [`state_census`](Self::state_census) from inside an open
     /// transaction (see [`in_state_in`](Self::in_state_in)).
     pub fn state_census_in(&self, txn: TxnId) -> Result<Vec<(String, usize)>> {
-        self.ensure_state_index_rd(Rd::In(txn))?;
+        self.ensure_state_index_vis(Visibility::In(txn))?;
         Ok(self.state_index.census())
     }
 }

@@ -1,19 +1,19 @@
 //! Read-only views over a fixed visibility rule — the analytical read
 //! path of the MVCC refactor.
 //!
-//! A [`View`] bundles a visibility rule ([`Rd`]) with the catalog and
+//! A [`View`] bundles a visibility rule ([`Visibility`]) with the catalog and
 //! sets directory *as seen under that rule*, so every traversal it runs
 //! (extent scans, history walks, most-recent lookups) observes one
 //! consistent cut of the database. The interesting case is the
 //! snapshot-pinned view: the catalog object is itself versioned, so
-//! decoding it through `read_at` yields extent heads that only reference
+//! decoding it at [`Visibility::At`] yields extent heads that only reference
 //! materials committed at or before the snapshot LSN — a full-history
 //! analytical scan can run while writers commit, without ever seeing a
 //! half-applied transaction and without taking a single object lock.
 
-use labflow_storage::{Oid, Snapshot, TxnId};
+use labflow_storage::{Oid, Snapshot, TxnId, Visibility};
 
-use crate::db::{LabBase, MaterialInfo, Rd, SetsDir, StepInfo};
+use crate::db::{LabBase, MaterialInfo, SetsDir, StepInfo};
 use crate::error::{LabError, Result};
 use crate::history::HistoryEntry;
 use crate::ids::{MaterialId, StepId, ValidTime};
@@ -29,7 +29,7 @@ use crate::value::Value;
 /// pinned snapshot). All methods are lock-free on the object store.
 pub struct View<'a> {
     db: &'a LabBase,
-    rd: Rd,
+    vis: Visibility,
     /// Snapshot-pinned views carry the catalog decoded *at* the
     /// snapshot; `None` means "use the live in-memory catalog".
     catalog: Option<Catalog>,
@@ -62,33 +62,33 @@ impl LabBase {
     /// [`Session`](crate::Session)'s). The caller keeps ownership: the
     /// snapshot is *not* released when the view drops.
     pub fn view_at(&self, snap: Snapshot) -> Result<View<'_>> {
-        let rd = Rd::At(snap);
-        let catalog = self.read_catalog(rd)?;
-        let sets = SetsDir::decode(&self.rd_bytes(rd, self.sets_oid)?)?;
-        Ok(View { db: self, rd, catalog: Some(catalog), sets: Some(sets), owned: None })
+        let vis = Visibility::At(snap);
+        let catalog = self.read_catalog(vis)?;
+        let sets = SetsDir::decode(&self.store.read_vis(vis, self.sets_oid)?)?;
+        Ok(View { db: self, vis, catalog: Some(catalog), sets: Some(sets), owned: None })
     }
 
     /// A read view through an open transaction: committed state plus the
     /// transaction's own pending writes, with the live catalog (which
     /// already reflects the transaction's schema changes).
     pub fn view_in(&self, txn: TxnId) -> View<'_> {
-        View { db: self, rd: Rd::In(txn), catalog: None, sets: None, owned: None }
+        View { db: self, vis: Visibility::In(txn), catalog: None, sets: None, owned: None }
     }
 }
 
 impl<'a> View<'a> {
     /// The commit LSN this view reads at, if it is snapshot-pinned.
     pub fn lsn(&self) -> Option<u64> {
-        match self.rd {
-            Rd::At(snap) => Some(snap.lsn),
+        match self.vis {
+            Visibility::At(snap) => Some(snap.lsn),
             _ => None,
         }
     }
 
     /// The snapshot this view reads at, if it is snapshot-pinned.
     pub fn snapshot(&self) -> Option<Snapshot> {
-        match self.rd {
-            Rd::At(snap) => Some(snap),
+        match self.vis {
+            Visibility::At(snap) => Some(snap),
             _ => None,
         }
     }
@@ -118,7 +118,7 @@ impl<'a> View<'a> {
 
     /// Decoded material info (see [`LabBase::material`]).
     pub fn material(&self, mat: MaterialId) -> Result<MaterialInfo> {
-        let rec = self.db.read_material_rec_rd(self.rd, mat.oid())?;
+        let rec = self.db.read_material_rec_vis(self.vis, mat.oid())?;
         self.with_cat(|c| {
             let class = c.material_class_by_id(rec.class)?;
             Ok(MaterialInfo {
@@ -135,12 +135,12 @@ impl<'a> View<'a> {
 
     /// Whether the material exists in this view.
     pub fn material_exists(&self, mat: MaterialId) -> bool {
-        self.db.rd_exists(self.rd, mat.oid())
+        self.db.store.exists_vis(self.vis, mat.oid())
     }
 
     /// The material's current workflow state, if any.
     pub fn state_of(&self, mat: MaterialId) -> Result<Option<String>> {
-        self.db.state_of_rd(self.rd, mat)
+        self.db.state_of_vis(self.vis, mat)
     }
 
     /// All materials of `class`, newest-created first, walking extent
@@ -162,7 +162,7 @@ impl<'a> View<'a> {
         })?;
         let mut out = Vec::new();
         for head in heads {
-            out.extend(self.db.walk_extent(self.rd, head)?);
+            out.extend(self.db.walk_extent(self.vis, head)?);
         }
         Ok(out)
     }
@@ -189,7 +189,7 @@ impl<'a> View<'a> {
 
     /// The material's full history, newest first.
     pub fn history(&self, mat: MaterialId) -> Result<Vec<HistoryEntry>> {
-        self.db.history_rd(self.rd, mat)
+        self.db.history_vis(self.vis, mat)
     }
 
     /// Number of events in the material's history.
@@ -204,7 +204,7 @@ impl<'a> View<'a> {
         from: ValidTime,
         to: ValidTime,
     ) -> Result<Vec<HistoryEntry>> {
-        self.db.history_between_rd(self.rd, mat, from, to)
+        self.db.history_between_vis(self.vis, mat, from, to)
     }
 
     /// The value of `attr` **as of** valid time `at`.
@@ -214,7 +214,7 @@ impl<'a> View<'a> {
         attr: &str,
         at: ValidTime,
     ) -> Result<Option<(ValidTime, Value)>> {
-        self.db.as_of_rd(self.rd, mat, attr, at)
+        self.db.as_of_vis(self.vis, mat, attr, at)
     }
 
     /// Every attribute's value **as of** valid time `at`.
@@ -223,32 +223,32 @@ impl<'a> View<'a> {
         mat: MaterialId,
         at: ValidTime,
     ) -> Result<Vec<(String, ValidTime, Value)>> {
-        self.db.recent_all_at_rd(self.rd, mat, at)
+        self.db.recent_all_at_vis(self.vis, mat, at)
     }
 
     // ---- most-recent views -------------------------------------------------
 
     /// The most-recent value of `attr` for `mat`, from the cache.
     pub fn recent(&self, mat: MaterialId, attr: &str) -> Result<Option<Recent>> {
-        self.db.recent_rd(self.rd, mat, attr)
+        self.db.recent_vis(self.vis, mat, attr)
     }
 
     /// All most-recent values for `mat`, sorted by attribute name.
     pub fn recent_all(&self, mat: MaterialId) -> Result<Vec<(String, Recent)>> {
-        self.db.recent_all_rd(self.rd, mat)
+        self.db.recent_all_vis(self.vis, mat)
     }
 
     /// Reference implementation of [`recent`](View::recent) that derives
     /// the value by walking the history.
     pub fn recent_uncached(&self, mat: MaterialId, attr: &str) -> Result<Option<Recent>> {
-        self.db.recent_uncached_rd(self.rd, mat, attr)
+        self.db.recent_uncached_vis(self.vis, mat, attr)
     }
 
     // ---- steps -------------------------------------------------------------
 
     /// Decoded step info (see [`LabBase::step`]).
     pub fn step(&self, step: StepId) -> Result<StepInfo> {
-        let rec = self.db.read_step_rec_rd(self.rd, step.oid())?;
+        let rec = self.db.read_step_rec_vis(self.vis, step.oid())?;
         self.with_cat(|c| {
             let class = c.step_class_by_id(rec.class)?;
             Ok(StepInfo {
@@ -264,7 +264,7 @@ impl<'a> View<'a> {
 
     /// The attribute set the step instance was created under.
     pub fn step_schema(&self, step: StepId) -> Result<Vec<AttrDef>> {
-        let rec = self.db.read_step_rec_rd(self.rd, step.oid())?;
+        let rec = self.db.read_step_rec_vis(self.vis, step.oid())?;
         self.with_cat(|c| {
             let class = c.step_class_by_id(rec.class)?;
             let ver = class.version(rec.version).ok_or_else(|| {
@@ -282,14 +282,14 @@ impl<'a> View<'a> {
     /// The set's members in insertion order.
     pub fn set_members(&self, name: &str) -> Result<Vec<MaterialId>> {
         let oid = self.set_oid(name)?;
-        let rec = crate::smrecord::MaterialSetRec::decode(&self.db.rd_bytes(self.rd, oid)?)?;
+        let rec = crate::smrecord::MaterialSetRec::decode(&self.db.store.read_vis(self.vis, oid)?)?;
         Ok(rec.members.into_iter().map(MaterialId::from).collect())
     }
 
     /// Membership test.
     pub fn set_contains(&self, name: &str, mat: MaterialId) -> Result<bool> {
         let oid = self.set_oid(name)?;
-        let rec = crate::smrecord::MaterialSetRec::decode(&self.db.rd_bytes(self.rd, oid)?)?;
+        let rec = crate::smrecord::MaterialSetRec::decode(&self.db.store.read_vis(self.vis, oid)?)?;
         Ok(rec.members.contains(&mat.oid()))
     }
 

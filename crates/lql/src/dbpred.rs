@@ -461,7 +461,7 @@ fn apply_assert(session: &Session<'_>, fact: &Term, assert: bool) -> Result<Opti
                 // this is how the paper's transition rules guard moves.
                 // Read through the transaction so a transition made
                 // earlier in the same update rule is observed.
-                match db.state_of_in(txn, mid)? {
+                match db.view_in(txn).state_of(mid)? {
                     Some(cur) if cur == s => {
                         db.clear_state(txn, mid, now)?;
                         succeed(std::slice::from_ref(fact))

@@ -152,7 +152,6 @@ fn run() -> Result<(), String> {
         },
         ack_quorum: args.ack_quorum,
         ack_timeout: Duration::from_millis(args.ack_timeout_ms),
-        ..ServerConfig::default()
     };
     let server = Server::start(db, config).map_err(|e| format!("start server: {e}"))?;
     println!("labflow-server listening on {}", server.local_addr());

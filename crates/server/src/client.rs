@@ -13,9 +13,10 @@
 //! * a [`RetryPolicy`] — bounded attempts with exponential backoff and
 //!   deterministic jitter, honoring the server's `retry_after_ms` hint
 //!   on [`ClientError::Overloaded`]; and
-//! * a single transparent reconnect, applied only to idempotent
-//!   read-side requests (ping, lookups, replication pulls) and never
-//!   while a transaction is open on the connection — a dropped socket
+//! * a single transparent reconnect after a dropped socket, applied
+//!   only to idempotent read-side requests (ping, lookups, replication
+//!   pulls), never to a peer that stalled, and never while a
+//!   transaction is open on the connection — a dropped socket
 //!   mid-transaction must surface, because the server will abort the
 //!   orphaned session and silently reissuing writes could double-apply.
 
@@ -221,9 +222,14 @@ impl Client {
             let result = self.call_once(req);
             match &result {
                 // One transparent reconnect, for idempotent requests
-                // only, and never while a transaction is open.
-                Err(ClientError::Wire(_))
-                    if !reconnected && !self.in_txn && is_idempotent(req) =>
+                // only, and never while a transaction is open. A stalled
+                // peer is not a dropped socket: a new connection to it
+                // would only wait out the idle budget a second time.
+                Err(ClientError::Wire(e))
+                    if !matches!(e, WireError::Stalled)
+                        && !reconnected
+                        && !self.in_txn
+                        && is_idempotent(req) =>
                 {
                     reconnected = true;
                     if self.reconnect().is_ok() {

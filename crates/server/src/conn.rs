@@ -56,21 +56,23 @@ struct OpenTxn<'a> {
     tenant: u32,
 }
 
+/// Capacity a [`BoundedWriter`] keeps between responses, in bytes.
+const WRITE_BUFFER: usize = 256 * 1024;
+
 /// The write path: responses are encoded straight into one reused
 /// staging buffer and drained to the socket under the wire layer's
 /// stall budget after every response, so a slow reader holds back only
 /// its own connection. The buffer holds one response at a time; after
-/// a response larger than `cap` it shrinks back to `cap`.
+/// a response larger than [`WRITE_BUFFER`] it shrinks back to it.
 pub(crate) struct BoundedWriter<'a> {
     stream: &'a TcpStream,
     buf: Vec<u8>,
-    cap: usize,
 }
 
 impl<'a> BoundedWriter<'a> {
-    /// A writer over `stream` keeping at most `cap` bytes of buffer.
-    pub(crate) fn new(stream: &'a TcpStream, cap: usize) -> BoundedWriter<'a> {
-        BoundedWriter { stream, buf: Vec::new(), cap }
+    /// A writer over `stream`.
+    pub(crate) fn new(stream: &'a TcpStream) -> BoundedWriter<'a> {
+        BoundedWriter { stream, buf: Vec::new() }
     }
 
     /// Encode one response frame into the buffer; returns its wire
@@ -88,7 +90,7 @@ impl<'a> BoundedWriter<'a> {
         }
         wire::write_all_bounded(&mut SpinSocket::new(self.stream), &self.buf)?;
         self.buf.clear();
-        self.buf.shrink_to(self.cap);
+        self.buf.shrink_to(WRITE_BUFFER);
         Ok(())
     }
 }
@@ -111,7 +113,7 @@ pub(crate) fn serve(core: &Core, shared: &ConnShared, stream: &TcpStream) {
     let mut session: Option<OpenTxn<'_>> = None;
     let mut socket = SpinSocket::new(stream);
     let mut reader = FrameReader::new();
-    let mut writer = BoundedWriter::new(stream, core.config().write_buffer);
+    let mut writer = BoundedWriter::new(stream);
 
     loop {
         if shared.stop.load(Ordering::Acquire) {

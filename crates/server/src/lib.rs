@@ -606,7 +606,8 @@ mod tests {
     }
 
     /// A server that accepts and never answers: the client waits out
-    /// its whole idle budget before giving up with `Stalled`.
+    /// its whole idle budget once, gives up with `Stalled`, and does not
+    /// reconnect to wait again.
     #[test]
     fn a_client_facing_a_silent_server_stalls_only_after_its_idle_budget() {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
@@ -617,11 +618,14 @@ mod tests {
             Err(ClientError::Wire(wire::WireError::Stalled)) => {}
             other => panic!("expected Stalled, got {other:?}"),
         }
-        // Three idle ticks of 50 ms each (twice: the ping reconnects
-        // once, into the listener's backlog, and waits again).
+        // Three idle ticks of 50 ms each.
         let took = t0.elapsed();
-        assert!(took >= std::time::Duration::from_millis(300), "gave up after {took:?}");
-        drop(listener);
+        assert!(took >= std::time::Duration::from_millis(150), "gave up after {took:?}");
+        // Exactly one connection reached the listener's backlog.
+        listener.set_nonblocking(true).unwrap();
+        assert!(listener.accept().is_ok(), "the client's one connection");
+        let again = listener.accept().map(|_| ()).unwrap_err();
+        assert_eq!(again.kind(), std::io::ErrorKind::WouldBlock, "a second connection");
     }
 
     /// `reconnect` starts the new connection with an empty reader: bytes

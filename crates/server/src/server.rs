@@ -41,8 +41,6 @@ pub struct ServerConfig {
     pub max_conns: u32,
     /// Per-tenant quotas.
     pub quotas: TenantQuotas,
-    /// Per-connection write staging buffer cap, in bytes.
-    pub write_buffer: usize,
     /// Replication ack quorum: a commit response waits until this many
     /// followers have acked the commit's WAL offset. Zero (the
     /// default) replicates asynchronously — commits answer as soon as
@@ -59,7 +57,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".into(),
             max_conns: 256,
             quotas: TenantQuotas::default(),
-            write_buffer: 256 * 1024,
             ack_quorum: 0,
             ack_timeout: Duration::from_secs(2),
         }

@@ -27,7 +27,7 @@ use crate::lock_order;
 use crate::meta;
 use crate::pagefile::PageFile;
 use crate::stats::{StatsSnapshot, StorageStats};
-use crate::traits::{SegmentInfo, Snapshot, StorageManager};
+use crate::traits::{SegmentInfo, Snapshot, StorageManager, Visibility};
 use crate::vfs::{RealVfs, Vfs};
 use crate::wal::{Wal, WalChunk, WalRecord};
 use crate::{PAGE_PAYLOAD, PAGE_SIZE};
@@ -688,6 +688,17 @@ impl Engine {
         }
     }
 
+    /// Run `read` under the heap rule `vis` maps to. `Latest` and `In`
+    /// resolve at the published LSN; `At` reads at the snapshot's own
+    /// LSN, whose versions its registration keeps from being trimmed.
+    fn resolve<T>(&self, vis: Visibility, read: impl Fn(Vis) -> Result<T>) -> Result<T> {
+        match vis {
+            Visibility::Latest => self.at_published(|lsn| read(Vis::At(lsn))),
+            Visibility::In(txn) => self.at_published(|lsn| read(Vis::For(txn.raw(), lsn))),
+            Visibility::At(snap) => read(Vis::At(snap.lsn)),
+        }
+    }
+
     /// Open-snapshot registry lock (rank [`lock_order::ENGINE_SNAPSHOTS`]).
     fn snaps_lock(&self) -> lock_order::Ranked<MutexGuard<'_, HashMap<u64, u64>>> {
         lock_order::ranked(lock_order::ENGINE_SNAPSHOTS, || {
@@ -720,13 +731,13 @@ impl Engine {
 
     /// The before-image an `update`/`free` of `oid` logs. Recovery undoes
     /// a loser from its *first* logged image per (txn, oid), so only the
-    /// first touch reads one — `read_for` then resolves the last
+    /// first touch reads one — `Vis::For` then resolves the last
     /// committed value — and a repeat logs none. A repeat still checks
     /// that `txn` can see the object, so a write after its own free fails
     /// before anything is logged.
     fn before_image(&self, txn: TxnId, oid: Oid, repeat: bool) -> Result<Vec<u8>> {
         if !repeat {
-            self.heap.read_for(oid, txn.raw())
+            self.heap.read_vis(oid, Vis::For(txn.raw(), u64::MAX))
         } else if self.heap.exists_vis(oid, Vis::For(txn.raw(), u64::MAX)) {
             Ok(Vec::new())
         } else {
@@ -1031,8 +1042,17 @@ impl StorageManager for Engine {
         Ok(oid)
     }
 
-    fn read(&self, oid: Oid) -> Result<Vec<u8>> {
-        self.at_published(|lsn| self.heap.read_vis(oid, Vis::At(lsn)))
+    fn read_vis(&self, vis: Visibility, oid: Oid) -> Result<Vec<u8>> {
+        if let Visibility::At(_) = vis {
+            StorageStats::bump(&self.stats.snapshot_reads, 1);
+        }
+        self.resolve(vis, |v| self.heap.read_vis(oid, v))
+    }
+
+    fn exists_vis(&self, vis: Visibility, oid: Oid) -> bool {
+        let visible = |v| self.heap.exists_vis(oid, v);
+        self.resolve(vis, |v| visible(v).then_some(()).ok_or(StorageError::UnknownObject(oid)))
+            .is_ok()
     }
 
     fn lock_exclusive(&self, txn: TxnId, oid: Oid) -> Result<()> {
@@ -1085,12 +1105,6 @@ impl StorageManager for Engine {
         Ok(())
     }
 
-    fn exists(&self, oid: Oid) -> bool {
-        let visible = |lsn| self.heap.exists_vis(oid, Vis::At(lsn));
-        self.at_published(|lsn| visible(lsn).then_some(()).ok_or(StorageError::UnknownObject(oid)))
-            .is_ok()
-    }
-
     fn begin_snapshot(&self) -> Result<Snapshot> {
         // Registration and the LSN read happen under one lock, so any
         // trim that samples the registry after us sees this snapshot.
@@ -1115,24 +1129,6 @@ impl StorageManager for Engine {
 
     fn open_snapshots(&self) -> usize {
         self.snaps_lock().len()
-    }
-
-    fn read_at(&self, snap: &Snapshot, oid: Oid) -> Result<Vec<u8>> {
-        self.heap.read_at(oid, snap.lsn)
-    }
-
-    fn exists_at(&self, snap: &Snapshot, oid: Oid) -> bool {
-        self.heap.exists_at(oid, snap.lsn)
-    }
-
-    fn read_for(&self, txn: TxnId, oid: Oid) -> Result<Vec<u8>> {
-        self.at_published(|lsn| self.heap.read_vis(oid, Vis::For(txn.raw(), lsn)))
-    }
-
-    fn exists_for(&self, txn: TxnId, oid: Oid) -> bool {
-        let visible = |lsn| self.heap.exists_vis(oid, Vis::For(txn.raw(), lsn));
-        self.at_published(|lsn| visible(lsn).then_some(()).ok_or(StorageError::UnknownObject(oid)))
-            .is_ok()
     }
 
     fn checkpoint(&self) -> Result<()> {
@@ -1300,7 +1296,7 @@ mod tests {
         store.free(t, keep).unwrap();
         store.abort(t).unwrap();
 
-        assert!(!store.exists(temp), "aborted alloc must vanish");
+        assert!(!store.exists_vis(Visibility::Latest, temp), "aborted alloc must vanish");
         assert_eq!(store.read(keep).unwrap(), b"keep", "aborted update+free must roll back");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1348,7 +1344,7 @@ mod tests {
         }
         let store = Engine::open(&dir, Profile::ostore(), Options::default()).unwrap();
         assert_eq!(store.read(committed_oid).unwrap(), b"durable");
-        assert!(!store.exists(uncommitted_oid));
+        assert!(!store.exists_vis(Visibility::Latest, uncommitted_oid));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1399,7 +1395,10 @@ mod tests {
         }
         let store = Engine::open(&dir, Profile::texas(), Options::default()).unwrap();
         assert_eq!(store.read(before).unwrap(), b"checkpointed");
-        assert!(!store.exists(after), "Texas loses post-checkpoint work by contract");
+        assert!(
+            !store.exists_vis(Visibility::Latest, after),
+            "Texas loses post-checkpoint work by contract"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1504,9 +1503,9 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Readers in open transactions run side by side: `read_for` takes
-    /// no lock, so four concurrent scans of the same objects all see the
-    /// committed values.
+    /// Readers in open transactions run side by side: a read at
+    /// `Visibility::In` takes no lock, so four concurrent scans of the
+    /// same objects all see the committed values.
     #[test]
     fn concurrent_readers_on_ostore() {
         let dir = tmpdir("conc");
@@ -1526,7 +1525,7 @@ mod tests {
                 let t = store.begin().unwrap();
                 let mut sum = 0u64;
                 for &oid in oids.iter() {
-                    let v = store.read_for(t, oid).unwrap();
+                    let v = store.read_vis(Visibility::In(t), oid).unwrap();
                     sum += u32::from_le_bytes(v.try_into().unwrap()) as u64;
                 }
                 store.commit(t).unwrap();
@@ -1813,7 +1812,7 @@ mod tests {
             assert_eq!(d.meta_compactions, compacts, "the sweep is across the wrong segment kind");
             assert!(d.meta_bytes_written > 0 && d.checkpoint_nanos > 0);
             // The collection kept what the snapshot pins.
-            assert_eq!(store.read_at(&snap, oids[0])?, vec![last - 1; 700]);
+            assert_eq!(store.read_vis(Visibility::At(snap), oids[0])?, vec![last - 1; 700]);
             store.release_snapshot(snap);
             Ok(())
         };
@@ -2065,7 +2064,10 @@ mod tests {
 
         let store = Engine::open_with(vfs.clone(), &dir, Profile::ostore(), opts).unwrap();
         assert_eq!(store.read(kept).unwrap(), b"committed");
-        assert!(!store.exists(lost), "an allocation whose record was lost does not exist");
+        assert!(
+            !store.exists_vis(Visibility::Latest, lost),
+            "an allocation whose record was lost does not exist"
+        );
         let txn = store.begin().unwrap();
         let next = store.allocate(txn, SegmentId(0), ClusterHint::NONE, b"after").unwrap();
         store.commit(txn).unwrap();

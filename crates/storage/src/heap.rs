@@ -923,25 +923,6 @@ impl Heap {
         self.next_oid.fetch_max(next, Ordering::Relaxed);
     }
 
-    /// Read an object's payload (newest committed version).
-    #[cfg(test)]
-    pub fn read(&self, oid: Oid) -> Result<Vec<u8>> {
-        self.read_vis(oid, Vis::Latest)
-    }
-
-    /// Read the newest version committed at or before `lsn` (snapshot
-    /// read).
-    pub fn read_at(&self, oid: Oid, lsn: u64) -> Result<Vec<u8>> {
-        StorageStats::bump(&self.stats.snapshot_reads, 1);
-        self.read_vis(oid, Vis::At(lsn))
-    }
-
-    /// Read as seen by `txn`: its own pending version if it has one,
-    /// else the newest committed version.
-    pub fn read_for(&self, oid: Oid, txn: u64) -> Result<Vec<u8>> {
-        self.read_vis(oid, Vis::For(txn, u64::MAX))
-    }
-
     /// Read the version `vis` resolves to. The shard's read lock is held
     /// from resolving the location until the stored bytes are copied
     /// out — the page record, and for an overflow header the whole
@@ -1285,23 +1266,6 @@ impl Heap {
             let place = &mut *self.seg_lock(&g, i);
             place.free_pages.append(&mut place.parked);
         }
-    }
-
-    /// Whether an object exists (newest committed version is data).
-    #[cfg(test)]
-    pub fn exists(&self, oid: Oid) -> bool {
-        self.exists_vis(oid, Vis::Latest)
-    }
-
-    /// Whether the object existed at snapshot LSN `lsn`.
-    pub fn exists_at(&self, oid: Oid, lsn: u64) -> bool {
-        self.exists_vis(oid, Vis::At(lsn))
-    }
-
-    /// Whether the object exists as seen by `txn` (own writes included).
-    #[cfg(test)]
-    pub fn exists_for(&self, oid: Oid, txn: u64) -> bool {
-        self.exists_vis(oid, Vis::For(txn, u64::MAX))
     }
 
     /// Whether `vis` resolves to a live version of the object.
@@ -1686,7 +1650,7 @@ mod tests {
         h.release_parked();
         assert_eq!(seg_free_pages(&h, 0), vec![first]);
         assert!(meta == dump(&h), "the flip had already recorded the parked page free");
-        assert_eq!(h.read(long).unwrap(), vec![9u8; 5000]);
+        assert_eq!(h.read_vis(long, Vis::Latest).unwrap(), vec![9u8; 5000]);
         assert_placement_sound(&h);
 
         // The next page the segment opens is the recycled one.
@@ -1695,10 +1659,10 @@ mod tests {
         assert_eq!(h.file.page_count(), before, "a free page is taken before the file grows");
         assert!(more.iter().any(|&o| page_of(&h, o) == first));
         for (i, &oid) in more.iter().enumerate() {
-            assert_eq!(h.read(oid).unwrap(), vec![i as u8; 900]);
+            assert_eq!(h.read_vis(oid, Vis::Latest).unwrap(), vec![i as u8; 900]);
         }
         for (i, &oid) in oids.iter().enumerate().skip(4) {
-            assert_eq!(h.read(oid).unwrap(), vec![i as u8; 900]);
+            assert_eq!(h.read_vis(oid, Vis::Latest).unwrap(), vec![i as u8; 900]);
         }
         assert_placement_sound(&h);
     }
@@ -1739,7 +1703,7 @@ mod tests {
         }
         gc_and_flip(&h);
         assert!(seg_free_pages(&h, 0).is_empty(), "a quarantined page must not be recycled");
-        assert_eq!(h.read(oids[4]).unwrap(), vec![4u8; 900]);
+        assert_eq!(h.read_vis(oids[4], Vis::Latest).unwrap(), vec![4u8; 900]);
     }
 
     #[test]
@@ -1769,11 +1733,11 @@ mod tests {
         assert_eq!(page_of(&h, refill[1]), page_of(&h, oids[1]));
         assert_eq!(page_of(&h, refill[6]), page_of(&h, oids[9]));
         for (i, &oid) in refill.iter().enumerate() {
-            assert_eq!(h.read(oid).unwrap(), vec![i as u8; 900]);
+            assert_eq!(h.read_vis(oid, Vis::Latest).unwrap(), vec![i as u8; 900]);
         }
         for (i, &oid) in oids.iter().enumerate() {
             if !holes.contains(&oid) {
-                assert_eq!(h.read(oid).unwrap(), vec![i as u8; 900]);
+                assert_eq!(h.read_vis(oid, Vis::Latest).unwrap(), vec![i as u8; 900]);
             }
         }
         assert_placement_sound(&h);
@@ -1803,7 +1767,7 @@ mod tests {
             h.update(oid, &[i; 2800], 7).unwrap();
         }
         h.commit_version(oid, 7, 1, u64::MAX);
-        assert_eq!(h.read(oid).unwrap(), vec![50u8; 2800]);
+        assert_eq!(h.read_vis(oid, Vis::Latest).unwrap(), vec![50u8; 2800]);
         assert!(
             h.file.page_count() <= pages + 1,
             "50 rewrites of one 2.8 KB record took {} pages",
@@ -1831,7 +1795,7 @@ mod tests {
         assert_eq!(free_after, free);
         assert_placement_sound(&h);
         for (i, &oid) in a.iter().enumerate().skip(8) {
-            assert_eq!(h.read(oid).unwrap(), vec![i as u8; 900]);
+            assert_eq!(h.read_vis(oid, Vis::Latest).unwrap(), vec![i as u8; 900]);
         }
         // The loaded free list is what new pages come from.
         let before = h.file.page_count();
@@ -1860,11 +1824,11 @@ mod tests {
                 for (i, &oid) in oids.iter().enumerate() {
                     if (i + round) % 3 == 0 {
                         h.update(oid, &vec![round as u8; 150 + 41 * ((i + round) % 19)], 0).unwrap();
-                    } else if (i + round) % 7 == 0 && h.exists(oid) {
+                    } else if (i + round) % 7 == 0 && h.exists_vis(oid, Vis::Latest) {
                         h.free(oid, 0).unwrap();
                     }
                 }
-                oids.retain(|&o| h.exists(o));
+                oids.retain(|&o| h.exists_vis(o, Vis::Latest));
                 gc_and_flip(&h);
                 assert_placement_sound(&h);
             }
@@ -1926,7 +1890,7 @@ mod tests {
         gc_and_flip(&h);
         for (i, &oid) in oids.iter().enumerate() {
             let len = 300 + 50 * ((119 + i % PER) % 9);
-            assert_eq!(h.read(oid).unwrap(), vec![119u8; len]);
+            assert_eq!(h.read_vis(oid, Vis::Latest).unwrap(), vec![119u8; len]);
         }
         assert_eq!(h.object_count(), oids.len());
         assert_placement_sound(&h);
@@ -1960,7 +1924,7 @@ mod tests {
         assert_eq!(report[1].live_bytes, 3 * h.stored_len(100) as u64 + OVERFLOW_HDR as u64);
         let accounted: u64 = report.iter().map(|s| s.pages + s.overflow_pages + s.free_pages).sum();
         assert_eq!(accounted, u64::from(h.file.page_count()));
-        assert_eq!(h.read(big).unwrap(), vec![1u8; 10_000]);
+        assert_eq!(h.read_vis(big, Vis::Latest).unwrap(), vec![1u8; 10_000]);
     }
 
     #[test]
@@ -1968,13 +1932,13 @@ mod tests {
         let (h, _) = heap("cycle", Placement::Segments, 2, 16);
         let a = h.alloc(SegmentId(0), ClusterHint::NONE, b"first", 0).unwrap();
         let b = h.alloc(SegmentId(1), ClusterHint::NONE, b"second", 0).unwrap();
-        assert_eq!(h.read(a).unwrap(), b"first");
-        assert_eq!(h.read(b).unwrap(), b"second");
+        assert_eq!(h.read_vis(a, Vis::Latest).unwrap(), b"first");
+        assert_eq!(h.read_vis(b, Vis::Latest).unwrap(), b"second");
         h.update(a, b"first, updated to a longer value", 0).unwrap();
-        assert_eq!(h.read(a).unwrap(), b"first, updated to a longer value");
+        assert_eq!(h.read_vis(a, Vis::Latest).unwrap(), b"first, updated to a longer value");
         h.free(a, 0).unwrap();
-        assert!(matches!(h.read(a), Err(StorageError::UnknownObject(_))));
-        assert!(h.exists(b));
+        assert!(matches!(h.read_vis(a, Vis::Latest), Err(StorageError::UnknownObject(_))));
+        assert!(h.exists_vis(b, Vis::Latest));
         assert_eq!(h.object_count(), 1);
     }
 
@@ -2021,7 +1985,7 @@ mod tests {
         // Reading the hot type touches very few pages: 40 × 45B ≈ 1 page.
         let before = stats.snapshot();
         for &oid in &hot {
-            h.read(oid).unwrap();
+            h.read_vis(oid, Vis::Latest).unwrap();
         }
         let after = stats.snapshot();
         assert!(
@@ -2040,7 +2004,7 @@ mod tests {
         h2.pool.clear().unwrap();
         let before = stats2.snapshot();
         for &oid in &hot2 {
-            h2.read(oid).unwrap();
+            h2.read_vis(oid, Vis::Latest).unwrap();
         }
         let after = stats2.snapshot();
         assert!(
@@ -2055,23 +2019,23 @@ mod tests {
         let (h, _) = heap("ovfl", Placement::Segments, 1, 32);
         let big: Vec<u8> = (0..20_000u32).map(|i| (i % 251) as u8).collect();
         let oid = h.alloc(SegmentId(0), ClusterHint::NONE, &big, 0).unwrap();
-        assert_eq!(h.read(oid).unwrap(), big);
+        assert_eq!(h.read_vis(oid, Vis::Latest).unwrap(), big);
 
         // Update overflow -> still overflow.
         let bigger: Vec<u8> = (0..30_000u32).map(|i| (i % 13) as u8).collect();
         h.update(oid, &bigger, 0).unwrap();
-        assert_eq!(h.read(oid).unwrap(), bigger);
+        assert_eq!(h.read_vis(oid, Vis::Latest).unwrap(), bigger);
 
         // Update overflow -> inline.
         h.update(oid, b"now small", 0).unwrap();
-        assert_eq!(h.read(oid).unwrap(), b"now small");
+        assert_eq!(h.read_vis(oid, Vis::Latest).unwrap(), b"now small");
 
         // Update inline -> overflow.
         h.update(oid, &big, 0).unwrap();
-        assert_eq!(h.read(oid).unwrap(), big);
+        assert_eq!(h.read_vis(oid, Vis::Latest).unwrap(), big);
 
         h.free(oid, 0).unwrap();
-        assert!(!h.exists(oid));
+        assert!(!h.exists_vis(oid, Vis::Latest));
     }
 
     #[test]
@@ -2086,7 +2050,7 @@ mod tests {
         let freed = seg_free_pages(&h, 0).len();
         assert!(freed >= 2, "freeing a multi-chunk overflow should reclaim pages");
         let b = h.alloc(SegmentId(0), ClusterHint::NONE, &big, 0).unwrap();
-        assert_eq!(h.read(b).unwrap(), big);
+        assert_eq!(h.read_vis(b, Vis::Latest).unwrap(), big);
         // New chain should have drawn from the free list, not grown the file.
         assert!(
             seg_free_pages(&h, 0).len() < freed,
@@ -2105,7 +2069,7 @@ mod tests {
         let fat = Heap::new(pool, file, stats, Placement::AddressOrder, 1, 24, 16);
         assert_eq!(fat.stored_len(100), 144); // 5+24+100=129, aligned up to 144
         let oid = fat.alloc(SegmentId(0), ClusterHint::NONE, &[9u8; 100], 0).unwrap();
-        assert_eq!(fat.read(oid).unwrap(), vec![9u8; 100]);
+        assert_eq!(fat.read_vis(oid, Vis::Latest).unwrap(), vec![9u8; 100]);
     }
 
     #[test]
@@ -2120,12 +2084,12 @@ mod tests {
 
         let at = vec![0xABu8; max_inline];
         let a = h.alloc(SegmentId(0), ClusterHint::NONE, &at, 0).unwrap();
-        assert_eq!(h.read(a).unwrap(), at);
+        assert_eq!(h.read_vis(a, Vis::Latest).unwrap(), at);
         assert_eq!(stored_of(&h, a)[0], TAG_INLINE, "boundary payload stays inline");
 
         let over = vec![0xCDu8; max_inline + 1];
         let b = h.alloc(SegmentId(0), ClusterHint::NONE, &over, 0).unwrap();
-        assert_eq!(h.read(b).unwrap(), over);
+        assert_eq!(h.read_vis(b, Vis::Latest).unwrap(), over);
         assert_eq!(stored_of(&h, b)[0], TAG_OVERFLOW, "one byte more overflows");
         assert_eq!(stored_of(&h, b).len(), OVERFLOW_HDR);
     }
@@ -2140,7 +2104,7 @@ mod tests {
         let (h, _) = heap("marker", Placement::Segments, 1, 16);
         let tricky = [0xFFu8, 0xFF, 0xFF, 0xFF, 0x2E, 0x1D, 0x00];
         let oid = h.alloc(SegmentId(0), ClusterHint::NONE, &tricky, 0).unwrap();
-        assert_eq!(h.read(oid).unwrap(), tricky);
+        assert_eq!(h.read_vis(oid, Vis::Latest).unwrap(), tricky);
         let stored = stored_of(&h, oid);
         assert_eq!(stored[0], TAG_INLINE);
         assert!(!Heap::is_overflow(&stored));
@@ -2199,7 +2163,7 @@ mod tests {
 
         h.free(oid, 0).unwrap();
         h.collect_garbage(u64::MAX);
-        assert!(!h.exists(oid));
+        assert!(!h.exists_vis(oid, Vis::Latest));
         let free = seg_free_pages(&h, 0);
         assert!(free.contains(&PageId(first)), "healthy prefix is reclaimed");
         assert!(
@@ -2222,9 +2186,9 @@ mod tests {
         reload(&h);
         for (i, &oid) in oids.iter().enumerate() {
             if i == 7 {
-                assert!(!h.exists(oid));
+                assert!(!h.exists_vis(oid, Vis::Latest));
             } else {
-                assert_eq!(h.read(oid).unwrap(), (i as u32).to_le_bytes());
+                assert_eq!(h.read_vis(oid, Vis::Latest).unwrap(), (i as u32).to_le_bytes());
             }
         }
         // Oid counter restored: new allocations do not collide.
@@ -2256,10 +2220,10 @@ mod tests {
         reload(&h);
 
         for &(oid, i) in &live {
-            assert_eq!(h.read(oid).unwrap(), i.to_le_bytes());
+            assert_eq!(h.read_vis(oid, Vis::Latest).unwrap(), i.to_le_bytes());
         }
-        assert_eq!(h.read(big_oid).unwrap(), big);
-        assert!(!h.exists(doomed));
+        assert_eq!(h.read_vis(big_oid, Vis::Latest).unwrap(), big);
+        assert!(!h.exists_vis(doomed, Vis::Latest));
         assert_eq!(h.object_count(), live.len() + 1);
         let free_after: usize = (0..4).map(|i| seg_free_pages(&h, i).len()).sum();
         assert_eq!(free_after, free_before, "free pages survive the round trip");
@@ -2274,7 +2238,7 @@ mod tests {
         let oid = h.alloc(SegmentId(0), ClusterHint::NONE, b"x", 0).unwrap();
         let err = h.load(Places::default(), dump(&h).1).unwrap_err();
         assert!(matches!(err, StorageError::Corrupt(_)));
-        assert_eq!(h.read(oid).unwrap(), b"x", "a refused load changes nothing");
+        assert_eq!(h.read_vis(oid, Vis::Latest).unwrap(), b"x", "a refused load changes nothing");
     }
 
     #[test]
@@ -2311,7 +2275,7 @@ mod tests {
             for _ in 0..3 {
                 readers.push(scope.spawn(|| {
                     for _ in 0..2_000 {
-                        let got = h.read(oid).unwrap();
+                        let got = h.read_vis(oid, Vis::Latest).unwrap();
                         assert!(
                             got == small || got == large,
                             "reader saw a torn/foreign payload of {} bytes",
@@ -2358,7 +2322,7 @@ mod tests {
                     for round in 0..20u32 {
                         for &oid in oids {
                             h.update(oid, &(round + t as u32).to_le_bytes(), 0).unwrap();
-                            h.read(oid).unwrap();
+                            h.read_vis(oid, Vis::Latest).unwrap();
                         }
                     }
                     crate::waits::snapshot().delta(&before).heap_wait_nanos
@@ -2402,7 +2366,7 @@ mod tests {
                         for (j, &oid) in mine.iter().enumerate() {
                             let val = (t as u32) << 24 | round << 8 | j as u32;
                             h.update(oid, &val.to_le_bytes(), 0).unwrap();
-                            assert_eq!(h.read(oid).unwrap(), val.to_le_bytes());
+                            assert_eq!(h.read_vis(oid, Vis::Latest).unwrap(), val.to_le_bytes());
                             // Churn the segment's placement state too.
                             let extra =
                                 h.alloc(SegmentId(0), ClusterHint::NONE, &[t as u8; 64], 0).unwrap();
@@ -2417,7 +2381,7 @@ mod tests {
             let t = i / PER;
             let j = i % PER;
             let want = (t as u32) << 24 | 29 << 8 | j as u32;
-            assert_eq!(h.read(oid).unwrap(), want.to_le_bytes());
+            assert_eq!(h.read_vis(oid, Vis::Latest).unwrap(), want.to_le_bytes());
         }
         assert_eq!(h.object_count(), oids.len());
     }
@@ -2427,24 +2391,25 @@ mod tests {
         let (h, _) = heap("mvcc-pend", Placement::Segments, 1, 16);
         let oid = h.alloc(SegmentId(0), ClusterHint::NONE, b"v1", 7).unwrap();
         // Pending: invisible to plain reads, visible to its owner.
-        assert!(matches!(h.read(oid), Err(StorageError::UnknownObject(_))));
-        assert!(!h.exists(oid));
-        assert_eq!(h.read_for(oid, 7).unwrap(), b"v1");
-        assert!(h.exists_for(oid, 7));
+        assert!(matches!(h.read_vis(oid, Vis::Latest), Err(StorageError::UnknownObject(_))));
+        assert!(!h.exists_vis(oid, Vis::Latest));
+        assert_eq!(h.read_vis(oid, Vis::For(7, u64::MAX)).unwrap(), b"v1");
+        assert!(h.exists_vis(oid, Vis::For(7, u64::MAX)));
         h.commit_version(oid, 7, 1, u64::MAX);
-        assert_eq!(h.read(oid).unwrap(), b"v1");
+        assert_eq!(h.read_vis(oid, Vis::Latest).unwrap(), b"v1");
 
         // A pending update supersedes for the owner only.
         h.update(oid, b"v2", 8).unwrap();
-        assert_eq!(h.read(oid).unwrap(), b"v1");
-        assert_eq!(h.read_for(oid, 8).unwrap(), b"v2");
-        assert_eq!(h.read_for(oid, 9).unwrap(), b"v1", "foreign txn sees committed");
+        assert_eq!(h.read_vis(oid, Vis::Latest).unwrap(), b"v1");
+        assert_eq!(h.read_vis(oid, Vis::For(8, u64::MAX)).unwrap(), b"v2");
+        let foreign = h.read_vis(oid, Vis::For(9, u64::MAX)).unwrap();
+        assert_eq!(foreign, b"v1", "foreign txn sees committed");
         h.commit_version(oid, 8, 2, u64::MAX);
-        assert_eq!(h.read(oid).unwrap(), b"v2");
+        assert_eq!(h.read_vis(oid, Vis::Latest).unwrap(), b"v2");
         // Snapshot reads resolve by commit LSN.
-        assert_eq!(h.read_at(oid, 1).unwrap(), b"v1");
-        assert_eq!(h.read_at(oid, 2).unwrap(), b"v2");
-        assert!(matches!(h.read_at(oid, 0), Err(StorageError::UnknownObject(_))));
+        assert_eq!(h.read_vis(oid, Vis::At(1)).unwrap(), b"v1");
+        assert_eq!(h.read_vis(oid, Vis::At(2)).unwrap(), b"v2");
+        assert!(matches!(h.read_vis(oid, Vis::At(0)), Err(StorageError::UnknownObject(_))));
     }
 
     #[test]
@@ -2454,17 +2419,17 @@ mod tests {
         h.update(oid, b"doomed", 5).unwrap();
         h.update(oid, b"doomed again", 5).unwrap(); // replaces own pending in place
         h.discard_txn(oid, 5);
-        assert_eq!(h.read(oid).unwrap(), b"base");
+        assert_eq!(h.read_vis(oid, Vis::Latest).unwrap(), b"base");
         // An aborted allocation vanishes entirely.
         let fresh = h.alloc(SegmentId(0), ClusterHint::NONE, b"never", 6).unwrap();
         h.discard_txn(fresh, 6);
-        assert!(!h.exists(fresh));
-        assert!(!h.exists_for(fresh, 6));
+        assert!(!h.exists_vis(fresh, Vis::Latest));
+        assert!(!h.exists_vis(fresh, Vis::For(6, u64::MAX)));
         // A pending tombstone discards back to visible.
         h.free(oid, 9).unwrap();
-        assert!(!h.exists_for(oid, 9));
+        assert!(!h.exists_vis(oid, Vis::For(9, u64::MAX)));
         h.discard_txn(oid, 9);
-        assert_eq!(h.read(oid).unwrap(), b"base");
+        assert_eq!(h.read_vis(oid, Vis::Latest).unwrap(), b"base");
     }
 
     #[test]
@@ -2480,31 +2445,31 @@ mod tests {
         // A snapshot pinned at LSN 1 keeps v1 — and conservatively
         // everything newer (a higher-LSN snapshot could still open).
         h.collect_garbage(1);
-        assert_eq!(h.read_at(oid, 1).unwrap(), b"v1", "pinned version survives GC");
-        assert_eq!(h.read_at(oid, 2).unwrap(), b"v2");
-        assert_eq!(h.read(oid).unwrap(), b"v3");
+        assert_eq!(h.read_vis(oid, Vis::At(1)).unwrap(), b"v1", "pinned version survives GC");
+        assert_eq!(h.read_vis(oid, Vis::At(2)).unwrap(), b"v2");
+        assert_eq!(h.read_vis(oid, Vis::Latest).unwrap(), b"v3");
 
         // With a floor of 2, v1 is older than the floor-visible version
         // (v2) and must be reclaimed; v2 itself stays. Reading below
         // the floor afterwards is an illegal snapshot (no such snapshot
         // can be open) and reports the object as unknown.
         h.collect_garbage(2);
-        assert_eq!(h.read_at(oid, 2).unwrap(), b"v2", "floor-visible version survives");
-        assert!(h.read_at(oid, 1).is_err(), "v1 reclaimed");
+        assert_eq!(h.read_vis(oid, Vis::At(2)).unwrap(), b"v2", "floor-visible version survives");
+        assert!(h.read_vis(oid, Vis::At(1)).is_err(), "v1 reclaimed");
 
         // Snapshot released: everything below latest goes.
         h.collect_garbage(u64::MAX);
-        assert!(h.read_at(oid, 2).is_err(), "floor gone, only latest survives");
-        assert_eq!(h.read_at(oid, 3).unwrap(), b"v3");
-        assert_eq!(h.read(oid).unwrap(), b"v3");
+        assert!(h.read_vis(oid, Vis::At(2)).is_err(), "floor gone, only latest survives");
+        assert_eq!(h.read_vis(oid, Vis::At(3)).unwrap(), b"v3");
+        assert_eq!(h.read_vis(oid, Vis::Latest).unwrap(), b"v3");
         assert!(stats.snapshot().versions_gced >= 2);
 
         // A committed tombstone is itself collectable once unpinned.
         h.free(oid, 4).unwrap();
         h.commit_version(oid, 4, 4, u64::MAX);
-        assert!(!h.exists(oid));
+        assert!(!h.exists_vis(oid, Vis::Latest));
         h.collect_garbage(u64::MAX);
-        assert!(!h.exists(oid));
+        assert!(!h.exists_vis(oid, Vis::Latest));
         assert_eq!(h.object_count(), 0);
     }
 
@@ -2643,7 +2608,7 @@ mod tests {
             h2.update(o2, format!("v{i}").as_bytes(), i).unwrap();
             h2.commit_version(o2, i, i, 0);
         }
-        assert_eq!(h2.read_at(o2, 1).unwrap(), b"v0", "floor 0 pins the whole history");
+        assert_eq!(h2.read_vis(o2, Vis::At(1)).unwrap(), b"v0", "floor 0 pins the whole history");
     }
 
     /// Regression for the commit/begin_snapshot race: the engine samples
@@ -2668,7 +2633,7 @@ mod tests {
             h.update(oid, format!("v{i}").as_bytes(), i).unwrap();
             h.commit_version(oid, i, i, u64::MAX);
             let pre_flip = i - 1;
-            let owed = h.read_at(oid, pre_flip).unwrap_or_else(|e| {
+            let owed = h.read_vis(oid, Vis::At(pre_flip)).unwrap_or_else(|e| {
                 panic!("commit {i}'s trim took the version a snapshot at {pre_flip} is owed: {e}")
             });
             assert_eq!(owed, format!("v{pre_flip}").as_bytes());
@@ -2678,9 +2643,9 @@ mod tests {
             shard.chains.get(&oid.raw()).unwrap().len()
         };
         assert_eq!(len, 2, "the final commit must have trimmed the chain");
-        assert_eq!(h.read_at(oid, last).unwrap(), format!("v{last}").as_bytes());
+        assert_eq!(h.read_vis(oid, Vis::At(last)).unwrap(), format!("v{last}").as_bytes());
         assert!(
-            h.read_at(oid, last - 2).is_err(),
+            h.read_vis(oid, Vis::At(last - 2)).is_err(),
             "versions below the pre-flip head are still reclaimed"
         );
     }
@@ -2713,7 +2678,7 @@ mod tests {
             for _ in 0..3 {
                 readers.push(scope.spawn(|| {
                     for _ in 0..2_000 {
-                        let got = h.read(oid).unwrap();
+                        let got = h.read_vis(oid, Vis::Latest).unwrap();
                         assert!(
                             got == small || got == large || got == chained,
                             "reader saw a torn/freed payload of {} bytes",
@@ -2745,7 +2710,7 @@ mod tests {
                     resolved.send(()).unwrap();
                     released.recv().unwrap();
                 })));
-                h.read(oid)
+                h.read_vis(oid, Vis::Latest)
             });
             parked.recv().unwrap();
             let shard = &h.table[(oid.raw() % TABLE_SHARDS as u64) as usize].map;
@@ -2787,7 +2752,7 @@ mod tests {
                 scanners.push(scope.spawn(|| {
                     for _ in 0..1_500 {
                         assert_eq!(
-                            h.read_at(oid, 1).unwrap(),
+                            h.read_vis(oid, Vis::At(1)).unwrap(),
                             base,
                             "snapshot read must see its pinned version"
                         );
@@ -2801,7 +2766,7 @@ mod tests {
         });
         // Snapshot gone: GC with no floor leaves only the newest.
         h.collect_garbage(u64::MAX);
-        assert_eq!(h.read(oid).unwrap(), vec![(299u64 % 251) as u8; 700]);
+        assert_eq!(h.read_vis(oid, Vis::Latest).unwrap(), vec![(299u64 % 251) as u8; 700]);
     }
 
     #[test]
@@ -2812,7 +2777,7 @@ mod tests {
             oids.push(h.alloc(SegmentId(0), ClusterHint::NONE, &i.to_le_bytes(), 0).unwrap());
         }
         for (i, &oid) in oids.iter().enumerate() {
-            assert_eq!(h.read(oid).unwrap(), (i as u32).to_le_bytes());
+            assert_eq!(h.read_vis(oid, Vis::Latest).unwrap(), (i as u32).to_le_bytes());
         }
     }
 }

@@ -84,7 +84,7 @@ pub use memstore::MemStore;
 pub use pagefile::{PageRead, PAGE_HDR};
 pub use scrub::{scrub_store, space_report, ScrubReport, SpaceReport};
 pub use stats::{StatsSnapshot, StorageStats};
-pub use traits::{SegmentInfo, Snapshot, StorageManager};
+pub use traits::{SegmentInfo, Snapshot, StorageManager, Visibility};
 pub use vfs::{FaultPlan, OpenMode, RealVfs, SimVfs, Vfs, VfsFile};
 pub use wal::{decode_shipped, WalChunk, WalRecord};
 pub use waits::{add_name_index_wait, snapshot as wait_snapshot, WaitSnapshot};

@@ -23,7 +23,7 @@ use crate::error::{Result, StorageError};
 use crate::ids::{ClusterHint, Oid, SegmentId, TxnId};
 use crate::lock::LockManager;
 use crate::stats::{StatsSnapshot, StorageStats};
-use crate::traits::{SegmentInfo, Snapshot, StorageManager};
+use crate::traits::{SegmentInfo, Snapshot, StorageManager, Visibility};
 
 /// Soft bound on committed versions kept per chain (matching the heap).
 const MAX_CHAIN: usize = 8;
@@ -54,12 +54,14 @@ struct Inner {
 }
 
 impl Inner {
-    fn committed_at(chain: &[MemVersion], lsn: u64) -> Option<&MemVersion> {
-        chain.iter().find(|v| v.txn == 0 && v.lsn <= lsn)
-    }
-
-    fn seen_by(chain: &[MemVersion], txn: u64) -> Option<&MemVersion> {
-        chain.iter().find(|v| v.txn == txn || v.txn == 0)
+    /// The version of `chain` visible under `vis` (newest-first scan);
+    /// it may be a tombstone.
+    fn resolve(chain: &[MemVersion], vis: Visibility) -> Option<&MemVersion> {
+        chain.iter().find(|v| match vis {
+            Visibility::Latest => v.txn == 0,
+            Visibility::In(txn) => v.txn == txn.raw() || v.txn == 0,
+            Visibility::At(snap) => v.txn == 0 && v.lsn <= snap.lsn,
+        })
     }
 
     fn snapshot_floor(&self) -> u64 {
@@ -140,7 +142,7 @@ impl MemStore {
         inner
             .chains
             .values()
-            .filter_map(|c| Inner::committed_at(c, u64::MAX))
+            .filter_map(|c| Inner::resolve(c, Visibility::Latest))
             .filter_map(|v| v.data.as_ref())
             .map(|d| d.len() as u64)
             .sum()
@@ -254,15 +256,27 @@ impl StorageManager for MemStore {
         Ok(oid)
     }
 
-    fn read(&self, oid: Oid) -> Result<Vec<u8>> {
+    fn read_vis(&self, vis: Visibility, oid: Oid) -> Result<Vec<u8>> {
+        if let Visibility::At(_) = vis {
+            StorageStats::bump(&self.stats.snapshot_reads, 1);
+        }
         StorageStats::bump(&self.stats.reads, 1);
         let inner = self.inner.lock();
         inner
             .chains
             .get(&oid.raw())
-            .and_then(|c| Inner::committed_at(c, u64::MAX))
+            .and_then(|c| Inner::resolve(c, vis))
             .and_then(|v| v.data.clone())
             .ok_or(StorageError::UnknownObject(oid))
+    }
+
+    fn exists_vis(&self, vis: Visibility, oid: Oid) -> bool {
+        let inner = self.inner.lock();
+        inner
+            .chains
+            .get(&oid.raw())
+            .and_then(|c| Inner::resolve(c, vis))
+            .is_some_and(|v| v.data.is_some())
     }
 
     fn update(&self, txn: TxnId, oid: Oid, data: &[u8]) -> Result<()> {
@@ -274,7 +288,7 @@ impl StorageManager for MemStore {
         let chain = inner
             .chains
             .get_mut(&oid.raw())
-            .filter(|c| Inner::seen_by(c, txn.raw()).is_some_and(|v| v.data.is_some()))
+            .filter(|c| Inner::resolve(c, Visibility::In(txn)).is_some_and(|v| v.data.is_some()))
             .ok_or(StorageError::UnknownObject(oid))?;
         match chain.first_mut() {
             Some(head) if head.txn == txn.raw() => head.data = Some(data.to_vec()),
@@ -296,7 +310,7 @@ impl StorageManager for MemStore {
         let chain = inner
             .chains
             .get_mut(&oid.raw())
-            .filter(|c| Inner::seen_by(c, txn.raw()).is_some_and(|v| v.data.is_some()))
+            .filter(|c| Inner::resolve(c, Visibility::In(txn)).is_some_and(|v| v.data.is_some()))
             .ok_or(StorageError::UnknownObject(oid))?;
         match chain.first_mut() {
             Some(head) if head.txn == txn.raw() => head.data = None,
@@ -308,15 +322,6 @@ impl StorageManager for MemStore {
             touched.push(oid.raw());
         }
         Ok(())
-    }
-
-    fn exists(&self, oid: Oid) -> bool {
-        let inner = self.inner.lock();
-        inner
-            .chains
-            .get(&oid.raw())
-            .and_then(|c| Inner::committed_at(c, u64::MAX))
-            .is_some_and(|v| v.data.is_some())
     }
 
     fn begin_snapshot(&self) -> Result<Snapshot> {
@@ -335,47 +340,6 @@ impl StorageManager for MemStore {
 
     fn open_snapshots(&self) -> usize {
         self.inner.lock().snapshots.len()
-    }
-
-    fn read_at(&self, snap: &Snapshot, oid: Oid) -> Result<Vec<u8>> {
-        StorageStats::bump(&self.stats.snapshot_reads, 1);
-        StorageStats::bump(&self.stats.reads, 1);
-        let inner = self.inner.lock();
-        inner
-            .chains
-            .get(&oid.raw())
-            .and_then(|c| Inner::committed_at(c, snap.lsn))
-            .and_then(|v| v.data.clone())
-            .ok_or(StorageError::UnknownObject(oid))
-    }
-
-    fn exists_at(&self, snap: &Snapshot, oid: Oid) -> bool {
-        let inner = self.inner.lock();
-        inner
-            .chains
-            .get(&oid.raw())
-            .and_then(|c| Inner::committed_at(c, snap.lsn))
-            .is_some_and(|v| v.data.is_some())
-    }
-
-    fn read_for(&self, txn: TxnId, oid: Oid) -> Result<Vec<u8>> {
-        StorageStats::bump(&self.stats.reads, 1);
-        let inner = self.inner.lock();
-        inner
-            .chains
-            .get(&oid.raw())
-            .and_then(|c| Inner::seen_by(c, txn.raw()))
-            .and_then(|v| v.data.clone())
-            .ok_or(StorageError::UnknownObject(oid))
-    }
-
-    fn exists_for(&self, txn: TxnId, oid: Oid) -> bool {
-        let inner = self.inner.lock();
-        inner
-            .chains
-            .get(&oid.raw())
-            .and_then(|c| Inner::seen_by(c, txn.raw()))
-            .is_some_and(|v| v.data.is_some())
     }
 
     fn checkpoint(&self) -> Result<()> {
@@ -406,7 +370,7 @@ impl StorageManager for MemStore {
         inner
             .chains
             .values()
-            .filter_map(|c| Inner::committed_at(c, u64::MAX))
+            .filter_map(|c| Inner::resolve(c, Visibility::Latest))
             .filter(|v| v.data.is_some())
             .count()
     }
@@ -457,7 +421,7 @@ mod tests {
         let t2 = s.begin().unwrap();
         s.free(t2, oid).unwrap();
         s.commit(t2).unwrap();
-        assert!(!s.exists(oid));
+        assert!(!s.exists_vis(Visibility::Latest, oid));
     }
 
     #[test]
@@ -465,9 +429,12 @@ mod tests {
         let s = MemStore::ostore_mm();
         let t = s.begin().unwrap();
         let oid = s.allocate(t, SegmentId(0), ClusterHint::NONE, b"pending").unwrap();
-        assert!(!s.exists(oid), "pending alloc must not be committed-visible");
-        assert!(s.exists_for(t, oid));
-        assert_eq!(s.read_for(t, oid).unwrap(), b"pending");
+        assert!(
+            !s.exists_vis(Visibility::Latest, oid),
+            "pending alloc must not be committed-visible"
+        );
+        assert!(s.exists_vis(Visibility::In(t), oid));
+        assert_eq!(s.read_vis(Visibility::In(t), oid).unwrap(), b"pending");
         s.commit(t).unwrap();
         assert_eq!(s.read(oid).unwrap(), b"pending");
     }
@@ -483,7 +450,7 @@ mod tests {
         s.update(t, keep, b"mutated").unwrap();
         s.free(t, keep).unwrap();
         s.abort(t).unwrap();
-        assert!(!s.exists(tmp));
+        assert!(!s.exists_vis(Visibility::Latest, tmp));
         assert_eq!(s.read(keep).unwrap(), b"keep");
     }
 
@@ -503,10 +470,10 @@ mod tests {
         s.commit(t2).unwrap();
 
         s.checkpoint().unwrap();
-        assert_eq!(s.read_at(&snap, b).unwrap(), b"b1");
+        assert_eq!(s.read_vis(Visibility::At(snap), b).unwrap(), b"b1");
         s.release_snapshot(snap);
         s.checkpoint().unwrap();
-        assert!(!s.exists(b));
+        assert!(!s.exists_vis(Visibility::Latest, b));
         assert!(s.stats().versions_gced > 0);
     }
 
@@ -558,7 +525,7 @@ mod tests {
     /// transactions on a shared object can both read the same base
     /// version, and the one that chains onto an aborted sibling commits
     /// a lost (or dangling) update. With the lock-first discipline —
-    /// `lock_exclusive`, then `read_for`, then `update`, exactly what
+    /// `lock_exclusive`, then `read_vis` at `In`, then `update`, exactly what
     /// `LabBase::create_material` does to the catalog — every increment
     /// must survive, aborts included.
     #[test]
@@ -580,8 +547,9 @@ mod tests {
                                 s.abort(t).unwrap();
                                 continue;
                             }
-                            let v =
-                                u64::from_le_bytes(s.read_for(t, oid).unwrap().try_into().unwrap());
+                            let v = u64::from_le_bytes(
+                                s.read_vis(Visibility::In(t), oid).unwrap().try_into().unwrap(),
+                            );
                             s.update(t, oid, &(v + 1).to_le_bytes()).unwrap();
                             // A third of the attempts abort after writing;
                             // their increment must vanish cleanly.
@@ -590,7 +558,7 @@ mod tests {
                                 let t2 = s.begin().unwrap();
                                 s.lock_exclusive(t2, oid).unwrap();
                                 let w = u64::from_le_bytes(
-                                    s.read_for(t2, oid).unwrap().try_into().unwrap(),
+                                    s.read_vis(Visibility::In(t2), oid).unwrap().try_into().unwrap(),
                                 );
                                 s.update(t2, oid, &(w + 1).to_le_bytes()).unwrap();
                                 s.commit(t2).unwrap();
@@ -616,7 +584,7 @@ mod tests {
         let t = s.begin().unwrap();
         for i in 0..100u32 {
             let oid = s.allocate(t, SegmentId(0), ClusterHint::NONE, &i.to_le_bytes()).unwrap();
-            s.read_for(t, oid).unwrap();
+            s.read_vis(Visibility::In(t), oid).unwrap();
         }
         s.commit(t).unwrap();
         let snap = s.stats();

@@ -32,6 +32,25 @@ pub struct Snapshot {
     pub token: u64,
 }
 
+/// The visibility rule a read resolves an object's versions under. Every
+/// read on the trait takes one, so the same traversal code in the layers
+/// above serves the live committed state, an open transaction and a
+/// pinned snapshot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Visibility {
+    /// The latest committed state. No lock is held afterwards.
+    Latest,
+    /// Through an open transaction: its own uncommitted write if it has
+    /// one, else the latest committed state. It acquires no lock — it is
+    /// the read-your-own-writes path for traversals inside a
+    /// transaction; a read-modify-write takes
+    /// [`lock_exclusive`](StorageManager::lock_exclusive) first.
+    In(TxnId),
+    /// As of a snapshot: the newest version committed at or before the
+    /// snapshot's LSN, whatever commits concurrently.
+    At(Snapshot),
+}
+
 /// The uniform storage-manager interface.
 ///
 /// All object data is opaque bytes; LabBase performs its own encoding.
@@ -58,8 +77,18 @@ pub trait StorageManager: Send + Sync {
     fn allocate(&self, txn: TxnId, seg: SegmentId, hint: ClusterHint, data: &[u8])
         -> Result<Oid>;
 
-    /// Read an object (committed state; no lock held afterwards).
-    fn read(&self, oid: Oid) -> Result<Vec<u8>>;
+    /// Read an object under `vis`. `UnknownObject` if no version is
+    /// visible, or the visible one is a deletion.
+    fn read_vis(&self, vis: Visibility, oid: Oid) -> Result<Vec<u8>>;
+
+    /// Whether [`read_vis`](Self::read_vis) under `vis` would find the
+    /// object.
+    fn exists_vis(&self, vis: Visibility, oid: Oid) -> bool;
+
+    /// Read an object's latest committed state.
+    fn read(&self, oid: Oid) -> Result<Vec<u8>> {
+        self.read_vis(Visibility::Latest, oid)
+    }
 
     /// Acquire `txn`'s exclusive lock on `oid` without reading or
     /// writing it, blocking up to the backend's lock timeout. Callers
@@ -79,13 +108,10 @@ pub trait StorageManager: Send + Sync {
     /// Delete an object.
     fn free(&self, txn: TxnId, oid: Oid) -> Result<()>;
 
-    /// Whether the object exists (committed state).
-    fn exists(&self, oid: Oid) -> bool;
-
-    /// Open a stable snapshot of the committed state. Every
-    /// [`read_at`](Self::read_at) against it sees exactly the
-    /// transactions committed when it was opened — concurrent writers
-    /// neither block it nor appear in it.
+    /// Open a stable snapshot of the committed state. Every read at
+    /// [`Visibility::At`] of it sees exactly the transactions committed
+    /// when it was opened — concurrent writers neither block it nor
+    /// appear in it.
     fn begin_snapshot(&self) -> Result<Snapshot>;
 
     /// Release a snapshot, allowing version GC to reclaim the versions
@@ -97,24 +123,6 @@ pub trait StorageManager: Send + Sync {
     /// released). The network front end asserts this drains to zero on
     /// graceful shutdown.
     fn open_snapshots(&self) -> usize;
-
-    /// Read an object as of `snap`: the newest version committed at or
-    /// before the snapshot's LSN. `UnknownObject` if the object did not
-    /// exist (or was already deleted) at that point.
-    fn read_at(&self, snap: &Snapshot, oid: Oid) -> Result<Vec<u8>>;
-
-    /// Whether the object existed as of `snap`.
-    fn exists_at(&self, snap: &Snapshot, oid: Oid) -> bool;
-
-    /// Read an object as seen by `txn`: its own uncommitted write if it
-    /// has one, else latest-committed. It acquires no lock — it is the
-    /// read-your-own-writes path for traversals inside an open
-    /// transaction; a read-modify-write takes
-    /// [`lock_exclusive`](Self::lock_exclusive) first.
-    fn read_for(&self, txn: TxnId, oid: Oid) -> Result<Vec<u8>>;
-
-    /// Whether the object exists as seen by `txn` (own writes included).
-    fn exists_for(&self, txn: TxnId, oid: Oid) -> bool;
 
     /// Flush all state to stable storage and truncate the log.
     fn checkpoint(&self) -> Result<()>;

@@ -12,7 +12,7 @@ use std::time::Duration;
 
 use labflow_storage::{
     ClusterHint, Engine, FaultPlan, Oid, Options, Profile, Result, SegmentId, SimVfs,
-    StorageError, StorageManager,
+    StorageError, StorageManager, Visibility,
 };
 
 fn opts() -> Options {
@@ -130,7 +130,10 @@ fn recovery_survives_power_loss_during_later_work() {
 
     let store = open(sim.clone_durable(), &dir, Profile::ostore()).unwrap();
     assert_eq!(store.object_count(), 3 + 5, "checkpointed and WAL-replayed work both present");
-    assert!(!store.exists(keep[3]), "checkpointed free must not be resurrected by the log");
+    assert!(
+        !store.exists_vis(Visibility::Latest, keep[3]),
+        "checkpointed free must not be resurrected by the log"
+    );
 }
 
 /// Texas has no WAL: a crash rolls the store back to its last
@@ -359,7 +362,7 @@ fn failed_commit_force_publishes_nothing() {
     // the pre-transaction state.
     assert_eq!(store.read(oid).unwrap(), before, "failed commit must not be visible");
     let snap = store.begin_snapshot().unwrap();
-    assert_eq!(store.read_at(&snap, oid).unwrap(), before);
+    assert_eq!(store.read_vis(Visibility::At(snap), oid).unwrap(), before);
     store.release_snapshot(snap);
 
     // The engine is not stuck: a later transaction on the same object
@@ -401,7 +404,7 @@ fn a_repeat_touch_logs_no_before_image() {
     let refused = logged(&|| assert!(store.update(txn, a, b"late").is_err()));
     assert_eq!(refused, 0);
     store.commit(txn).unwrap();
-    assert!(!store.exists(a) && !store.exists(b));
+    assert!(!store.exists_vis(Visibility::Latest, a) && !store.exists_vis(Visibility::Latest, b));
 }
 
 /// A loser that updates an oid twice and then frees it, with its dirty

@@ -8,7 +8,7 @@ use std::path::PathBuf;
 use proptest::prelude::*;
 
 use labflow_storage::{
-    ClusterHint, Engine, Options, Oid, Profile, SegmentId, StorageManager,
+    ClusterHint, Engine, Options, Oid, Profile, SegmentId, StorageManager, Visibility,
 };
 
 #[derive(Debug, Clone)]
@@ -184,7 +184,10 @@ proptest! {
             prop_assert_eq!(&engine.read(*oid).unwrap(), data);
         }
         for oid in &uncommitted {
-            prop_assert!(!engine.exists(*oid), "uncommitted {oid} survived the crash");
+            prop_assert!(
+                !engine.exists_vis(Visibility::Latest, *oid),
+                "uncommitted {oid} survived the crash"
+            );
         }
         std::fs::remove_dir_all(&dir).ok();
     }

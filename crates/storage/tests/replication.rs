@@ -11,7 +11,7 @@ use std::time::Duration;
 
 use labflow_storage::{
     decode_shipped, ClusterHint, Engine, Oid, Options, Profile, SegmentId, SimVfs, StorageManager,
-    Vfs, WalRecord,
+    Visibility, Vfs, WalRecord,
 };
 
 fn opts() -> Options {
@@ -105,12 +105,12 @@ fn shipped_commits_reproduce_primary_state_and_survive_follower_crash() {
 
     // The follower's committed state mirrors the primary's.
     assert_eq!(follower.read(a).unwrap(), b"alpha-2");
-    assert!(!follower.exists(b));
+    assert!(!follower.exists_vis(Visibility::Latest, b));
     assert_eq!(follower.read(c).unwrap(), b"gamma");
 
     // Snapshot reads on the follower see a stable LSN.
     let snap = follower.begin_snapshot().unwrap();
-    assert_eq!(follower.read_at(&snap, a).unwrap(), b"alpha-2");
+    assert_eq!(follower.read_vis(Visibility::At(snap), a).unwrap(), b"alpha-2");
     follower.release_snapshot(snap);
 
     // Applied transactions are durable on the follower in their own

@@ -7,6 +7,7 @@ use std::time::Duration;
 
 use labflow_storage::{
     ClusterHint, Engine, MemStore, Options, Profile, SegmentId, StorageError, StorageManager,
+    Visibility,
 };
 
 fn scratch(tag: &str) -> PathBuf {
@@ -49,7 +50,7 @@ fn empty_and_huge_payloads_round_trip_everywhere() {
 }
 
 /// A read that must stay valid to commit takes `lock_exclusive` before
-/// `read_for`: the lock, not the read, is what a rival writer waits on,
+/// its read at `Visibility::In`: the lock, not the read, is what a rival writer waits on,
 /// and it is held until the reader commits.
 #[test]
 fn read_in_holds_a_shared_lock_until_commit() {
@@ -62,7 +63,7 @@ fn read_in_holds_a_shared_lock_until_commit() {
 
     let reader = store.begin().unwrap();
     store.lock_exclusive(reader, oid).unwrap();
-    assert_eq!(store.read_for(reader, oid).unwrap(), b"locked");
+    assert_eq!(store.read_vis(Visibility::In(reader), oid).unwrap(), b"locked");
     // A writer cannot update while the reader's lock is held.
     let writer = store.begin().unwrap();
     let err = store.update(writer, oid, b"nope").unwrap_err();
@@ -129,8 +130,8 @@ fn lock_exclusive_blocks_a_second_writer_until_resolution() {
     }
 }
 
-/// `read_for` and `exists_for` see the transaction's own pending
-/// writes; `read` and `exists` see committed state only.
+/// Reads at `Visibility::In` see the transaction's own pending writes;
+/// reads at `Visibility::Latest` see committed state only.
 #[test]
 fn own_pending_writes_are_seen_only_through_the_txn_view() {
     for store in all_backends("ownview") {
@@ -144,21 +145,22 @@ fn own_pending_writes_are_seen_only_through_the_txn_view() {
         store.update(t, kept, b"v2").unwrap();
         store.free(t, doomed).unwrap();
         let fresh = store.allocate(t, SegmentId(0), ClusterHint::NONE, b"new").unwrap();
-        assert_eq!(store.read_for(t, kept).unwrap(), b"v2", "{name}");
+        assert_eq!(store.read_vis(Visibility::In(t), kept).unwrap(), b"v2", "{name}");
         assert_eq!(store.read(kept).unwrap(), b"v1", "{name}");
-        assert!(!store.exists_for(t, doomed), "{name}");
-        assert!(store.exists(doomed), "{name}");
-        assert_eq!(store.read_for(t, fresh).unwrap(), b"new", "{name}");
-        assert!(store.exists_for(t, fresh), "{name}");
-        assert!(!store.exists(fresh), "{name}");
+        assert!(!store.exists_vis(Visibility::In(t), doomed), "{name}");
+        assert!(store.exists_vis(Visibility::Latest, doomed), "{name}");
+        assert_eq!(store.read_vis(Visibility::In(t), fresh).unwrap(), b"new", "{name}");
+        assert!(store.exists_vis(Visibility::In(t), fresh), "{name}");
+        assert!(!store.exists_vis(Visibility::Latest, fresh), "{name}");
         assert!(matches!(store.read(fresh), Err(StorageError::UnknownObject(_))), "{name}");
         store.commit(t).unwrap();
         assert_eq!(store.read(kept).unwrap(), b"v2", "{name}");
-        assert!(!store.exists(doomed) && store.exists(fresh), "{name}");
+        assert!(!store.exists_vis(Visibility::Latest, doomed), "{name}");
+        assert!(store.exists_vis(Visibility::Latest, fresh), "{name}");
     }
 }
 
-/// `read_at` on an open snapshot reads a stable cut across a later
+/// A read at an open snapshot reads a stable cut across a later
 /// commit, and `open_snapshots` drains to 0 once every snapshot is
 /// released.
 #[test]
@@ -180,19 +182,81 @@ fn snapshots_read_a_stable_cut_and_drain_on_release() {
         let later = store.begin_snapshot().unwrap();
         assert_eq!(store.open_snapshots(), 2, "{name}");
 
-        assert_eq!(store.read_at(&snap, a).unwrap(), b"a1", "{name}");
-        assert_eq!(store.read_at(&snap, b).unwrap(), b"b1", "{name}");
-        assert!(store.exists_at(&snap, b) && !store.exists_at(&snap, c), "{name}");
-        assert_eq!(store.read_at(&later, a).unwrap(), b"a2", "{name}");
-        assert!(!store.exists_at(&later, b) && store.exists_at(&later, c), "{name}");
+        assert_eq!(store.read_vis(Visibility::At(snap), a).unwrap(), b"a1", "{name}");
+        assert_eq!(store.read_vis(Visibility::At(snap), b).unwrap(), b"b1", "{name}");
+        assert!(store.exists_vis(Visibility::At(snap), b), "{name}");
+        assert!(!store.exists_vis(Visibility::At(snap), c), "{name}");
+        assert_eq!(store.read_vis(Visibility::At(later), a).unwrap(), b"a2", "{name}");
+        assert!(!store.exists_vis(Visibility::At(later), b), "{name}");
+        assert!(store.exists_vis(Visibility::At(later), c), "{name}");
         // Checkpoint GC honours the pin.
         store.checkpoint().unwrap();
-        assert_eq!(store.read_at(&snap, b).unwrap(), b"b1", "{name} after checkpoint");
+        let pinned = store.read_vis(Visibility::At(snap), b).unwrap();
+        assert_eq!(pinned, b"b1", "{name} after checkpoint");
 
         store.release_snapshot(snap);
         assert_eq!(store.open_snapshots(), 1, "{name}");
         store.release_snapshot(later);
         assert_eq!(store.open_snapshots(), 0, "{name}");
+    }
+}
+
+/// `read_vis` and `exists_vis` agree under every visibility rule along
+/// one history: a committed object, a snapshot taken before the next
+/// commit, an update pending in an open transaction, a free in that
+/// transaction, and its commit. Only reads at a snapshot count as
+/// snapshot reads.
+#[test]
+fn every_visibility_rule_reads_and_tests_existence_alike() {
+    for store in all_backends("visrules") {
+        let name = store.name();
+        let t = store.begin().unwrap();
+        let o = store.allocate(t, SegmentId(0), ClusterHint::NONE, b"v1").unwrap();
+        let d = store.allocate(t, SegmentId(0), ClusterHint::NONE, b"d1").unwrap();
+        store.commit(t).unwrap();
+        let snap = store.begin_snapshot().unwrap();
+        let before = store.stats();
+        let mut at_reads = 0;
+        let mut check = |vis: Visibility, oid, want: Option<&[u8]>| {
+            let got = store.read_vis(vis, oid);
+            assert_eq!(got.is_ok(), store.exists_vis(vis, oid), "{name} {vis:?} {oid}");
+            match want {
+                Some(bytes) => assert_eq!(got.unwrap(), bytes, "{name} {vis:?} {oid}"),
+                None => assert!(
+                    matches!(got, Err(StorageError::UnknownObject(_))),
+                    "{name} {vis:?} {oid}"
+                ),
+            }
+            at_reads += matches!(vis, Visibility::At(_)) as u64;
+        };
+        let (latest, at) = (Visibility::Latest, Visibility::At(snap));
+
+        for vis in [latest, at] {
+            check(vis, o, Some(b"v1"));
+            check(vis, d, Some(b"d1"));
+        }
+        let t = store.begin().unwrap();
+        let own = Visibility::In(t);
+        store.update(t, o, b"v2").unwrap();
+        check(own, o, Some(b"v2"));
+        for vis in [latest, at] {
+            check(vis, o, Some(b"v1"));
+        }
+        store.free(t, d).unwrap();
+        check(own, d, None);
+        check(own, o, Some(b"v2"));
+        for vis in [latest, at] {
+            check(vis, d, Some(b"d1"));
+        }
+        store.commit(t).unwrap();
+        check(latest, o, Some(b"v2"));
+        check(latest, d, None);
+        check(at, o, Some(b"v1"));
+        check(at, d, Some(b"d1"));
+
+        let snapshot_reads = store.stats().delta(&before).snapshot_reads;
+        assert_eq!(snapshot_reads, at_reads, "{name}");
+        store.release_snapshot(snap);
     }
 }
 
@@ -234,7 +298,7 @@ fn stats_deltas_are_consistent_everywhere() {
             let oid = store.allocate(t, SegmentId(0), ClusterHint::NONE, &i.to_le_bytes()).unwrap();
             // The allocation is pending until commit: committed-state
             // `read` cannot see it, the transaction's own view can.
-            store.read_for(t, oid).unwrap();
+            store.read_vis(Visibility::In(t), oid).unwrap();
         }
         store.commit(t).unwrap();
         let d = store.stats().delta(&before);
@@ -318,7 +382,7 @@ fn unknown_object_errors_are_uniform() {
             store.read(ghost),
             Err(StorageError::UnknownObject(_))
         ));
-        assert!(!store.exists(ghost));
+        assert!(!store.exists_vis(Visibility::Latest, ghost));
         let t = store.begin().unwrap();
         assert!(matches!(
             store.update(t, ghost, b"x"),
@@ -369,7 +433,7 @@ fn latest_reads_never_see_a_half_committed_transaction() {
         };
         for i in 0..400u32 {
             let t = store.begin().unwrap();
-            let old = store.read_for(t, head).unwrap();
+            let old = store.read_vis(Visibility::In(t), head).unwrap();
             store.update(t, head, &old).unwrap();
             for _ in 0..16 {
                 store.allocate(t, SegmentId(1), ClusterHint::NONE, &i.to_le_bytes()).unwrap();

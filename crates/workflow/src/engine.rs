@@ -179,7 +179,7 @@ impl<'g> WorkflowEngine<'g> {
         for &m in materials {
             // Prior transitions inside this same transaction (e.g. from
             // `inject`) are still pending, so check through the txn view.
-            let actual = db.state_of_in(txn, m)?;
+            let actual = db.view_in(txn).state_of(m)?;
             if actual.as_deref() != Some(def.from.as_str()) {
                 return Err(WorkflowError::WrongState {
                     material: m,

@@ -78,7 +78,7 @@ proptest! {
                     // Accepted: tc must now be in the declared outcome
                     // state. All of this is uncommitted, so read the
                     // transaction's own view.
-                    let now = db.state_of_in(t, tc).unwrap().unwrap();
+                    let now = db.view_in(t).state_of(tc).unwrap().unwrap();
                     let declared = step.outcomes.iter().find(|o| o.label == outcome).unwrap();
                     prop_assert_eq!(&now, &declared.to);
                     prop_assert!(graph.state(&now).is_some());
@@ -86,7 +86,7 @@ proptest! {
                 }
                 Err(WorkflowError::WrongState { expected, actual, .. }) => {
                     // Rejected: the engine must be telling the truth.
-                    prop_assert_eq!(actual, db.state_of_in(t, tc).unwrap());
+                    prop_assert_eq!(actual, db.view_in(t).state_of(tc).unwrap());
                     prop_assert_eq!(&expected, &step.from);
                 }
                 Err(other) => return Err(TestCaseError::fail(format!("unexpected: {other}"))),

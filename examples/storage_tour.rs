@@ -8,7 +8,9 @@
 
 use std::sync::Arc;
 
-use labflow_storage::{ClusterHint, Engine, MemStore, Options, Profile, SegmentId, StorageManager};
+use labflow_storage::{
+    ClusterHint, Engine, MemStore, Options, Profile, SegmentId, StorageManager, Visibility,
+};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let base = std::env::temp_dir().join(format!("labflow-tour-{}", std::process::id()));
@@ -91,7 +93,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         oid_committed,
         String::from_utf8_lossy(&store.read(oid_committed)?),
         oid_tail,
-        store.exists(oid_tail)
+        store.exists_vis(Visibility::Latest, oid_tail)
     );
 
     {
@@ -115,7 +117,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             kept,
             String::from_utf8_lossy(&store.read(kept)?),
             lost,
-            store.exists(lost)
+            store.exists_vis(Visibility::Latest, lost)
         );
     }
 

@@ -4,11 +4,9 @@
 // in one synthetic crate, so per-crate receiver aggregation works the
 // same way it does in the workspace.
 
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 struct Fixture {
-    // Pointer-typed receiver: any Relaxed access to it is flagged.
-    head: AtomicPtr<u8>,
     // Integer atomic accessed with mixed orderings below.
     seq: AtomicU64,
     // Deliberately-Relaxed statistics counter: never flagged.
@@ -16,12 +14,6 @@ struct Fixture {
 }
 
 impl Fixture {
-    // Flagged: Relaxed load of a pointer-typed atomic — the pointee's
-    // initialisation is not ordered before this read.
-    fn flagged_ptr_load(&self) -> *mut u8 {
-        self.head.load(Ordering::Relaxed)
-    }
-
     // Flagged: Relaxed store on `seq`, which is read with Acquire in
     // `reader` — the lone Relaxed site opts out of the protocol.
     fn flagged_mixed_store(&self) {

@@ -1,29 +1,21 @@
 //! Atomic-ordering lint.
 //!
 //! Memory-ordering bugs don't crash in tests — they surface years
-//! later on weaker hardware. This pass flags the two `Relaxed` shapes
-//! that are almost never right in this codebase:
-//!
-//! * **relaxed pointer**: `Ordering::Relaxed` on a pointer-typed
-//!   atomic (`AtomicPtr`). A Relaxed pointer load carries no
-//!   publication ordering, so the pointee's initialisation is not
-//!   guaranteed visible to the loading thread.
-//! * **mixed orderings**: a `Relaxed` access to an atomic that the
-//!   same crate elsewhere accesses with Acquire/Release/AcqRel/SeqCst.
-//!   A deliberately-Relaxed counter is all-Relaxed; one stray Relaxed
-//!   among stronger accesses usually means a site quietly opted out of
-//!   the protocol's synchronisation.
+//! later on weaker hardware. This pass flags the `Relaxed` shape that
+//! is almost never right in this codebase: a `Relaxed` access to an
+//! atomic that the same crate elsewhere accesses with
+//! Acquire/Release/AcqRel/SeqCst. A deliberately-Relaxed counter is
+//! all-Relaxed; one stray Relaxed among stronger accesses usually means
+//! a site quietly opted out of the protocol's synchronisation.
 //!
 //! Surviving sites carry `// analyzer: allow(ordering, "why this
 //! Relaxed access is safe")`. The pass is token-level, not type-aware:
 //! the *receiver* of `expr.load(..)` is the last identifier before the
 //! dot (walking back over `?`, `[..]`, and `(..)` groups), aggregated
-//! per crate by name; pointer-typed names come from declaration
-//! patterns (`name: ..AtomicPtr..` and `name = AtomicPtr::new`). That
-//! is deliberately coarse — same-named fields in one crate merge — but
-//! every real mixed-ordering bug this was built against is in reach of
-//! exactly this shape (`xtask/fixtures/atomic_orderings.rs` seeds one
-//! of each).
+//! per crate by name. That is deliberately coarse — same-named fields
+//! in one crate merge — but every real mixed-ordering bug this was
+//! built against is in reach of exactly this shape
+//! (`xtask/fixtures/atomic_orderings.rs` seeds one).
 
 use std::collections::{HashMap, HashSet};
 
@@ -61,11 +53,7 @@ struct Use {
 
 pub fn analyze(files: &[SourceFile]) -> Vec<Finding> {
     let mut uses: Vec<Use> = Vec::new();
-    // (crate, receiver-name) pairs declared with a pointer-typed atomic.
-    let mut ptr_typed: HashSet<(String, String)> = HashSet::new();
-
     for (fi, file) in files.iter().enumerate() {
-        collect_ptr_decls(file, &mut ptr_typed);
         collect_uses(fi, file, &mut uses);
     }
 
@@ -85,21 +73,6 @@ pub fn analyze(files: &[SourceFile]) -> Vec<Finding> {
             continue;
         }
         let key = (u.krate.clone(), u.receiver.clone());
-        if ptr_typed.contains(&key) {
-            findings.push(Finding {
-                file: file.rel.clone(),
-                line: u.line,
-                pass: "atomic-ordering",
-                msg: format!(
-                    "Relaxed `{}` on pointer-typed atomic `{}` — a Relaxed pointer \
-                     access carries no publication ordering for the pointee; use \
-                     Acquire/Release/SeqCst, or waive with \
-                     `// analyzer: allow(ordering, \"..\")`",
-                    u.method, u.receiver
-                ),
-            });
-            continue;
-        }
         let stronger: Vec<&str> = ORDERINGS
             .iter()
             .copied()
@@ -123,35 +96,6 @@ pub fn analyze(files: &[SourceFile]) -> Vec<Finding> {
         }
     }
     findings
-}
-
-/// Record receiver names declared with a pointer-typed atomic:
-/// `name: ..AtomicPtr..` (field / binding annotation, scanning forward
-/// a bounded window that stops at list/expression boundaries) and
-/// `name = AtomicPtr::new(..)`.
-fn collect_ptr_decls(file: &SourceFile, out: &mut HashSet<(String, String)>) {
-    let toks = &file.tokens;
-    for i in 0..toks.len() {
-        let Some(name) = toks[i].ident() else { continue };
-        if crate::locks::is_keyword(name) {
-            continue;
-        }
-        let Some(next) = toks.get(i + 1) else { continue };
-        if next.is_punct(':') {
-            // `name: Box<[AtomicPtr<T>]>` — bounded forward scan.
-            for t in toks.iter().skip(i + 2).take(16) {
-                if [',', ')', ';', '=', '{', '}'].iter().any(|c| t.is_punct(*c)) {
-                    break;
-                }
-                if t.is_ident("AtomicPtr") {
-                    out.insert((file.crate_dir.clone(), name.to_string()));
-                    break;
-                }
-            }
-        } else if next.is_punct('=') && toks.get(i + 2).is_some_and(|t| t.is_ident("AtomicPtr")) {
-            out.insert((file.crate_dir.clone(), name.to_string()));
-        }
-    }
 }
 
 /// Record every `Ordering::X` inside the argument list of an atomic
@@ -270,20 +214,6 @@ mod tests {
             "k",
         );
         assert!(analyze(&[f]).is_empty());
-    }
-
-    #[test]
-    fn relaxed_on_atomic_ptr_is_flagged_without_a_mix() {
-        let f = file(
-            "struct S { head: AtomicPtr<Node> }\n\
-             fn f(s: &S) {\n\
-             let p = s.head.load(Ordering::Relaxed);\n\
-             }\n",
-            "k",
-        );
-        let findings = analyze(&[f]);
-        assert_eq!(findings.len(), 1);
-        assert!(findings[0].msg.contains("pointer-typed"));
     }
 
     #[test]

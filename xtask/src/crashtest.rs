@@ -48,7 +48,7 @@ use std::time::Duration;
 use labflow_storage::wal_testing::{Wal, FILL};
 use labflow_storage::{
     scrub_store, ClusterHint, Engine, FaultPlan, Oid, Options, Profile, SegmentId, SimVfs,
-    StorageError, StorageManager, Vfs,
+    StorageError, StorageManager, Visibility, Vfs,
 };
 
 const CLIENTS: usize = 4;
@@ -206,12 +206,12 @@ fn reader_loop(store: &Engine, seed: u64, stop: &AtomicBool) -> Result<(), Strin
                 .map(|_| live[(rng.next() as usize) % live.len()])
                 .collect();
             let first: Vec<Option<Vec<u8>>> =
-                picks.iter().map(|&oid| store.read_at(&snap, oid).ok()).collect();
+                picks.iter().map(|&oid| store.read_vis(Visibility::At(snap), oid).ok()).collect();
             for (i, &oid) in picks.iter().enumerate() {
                 if first[i].is_none() {
                     continue;
                 }
-                match store.read_at(&snap, oid) {
+                match store.read_vis(Visibility::At(snap), oid) {
                     Ok(again) if Some(&again) == first[i].as_ref() => {}
                     Ok(_) => {
                         store.release_snapshot(snap);

@@ -10,9 +10,8 @@
 //!   placed in the declared rank table (`ranks.rs`), nesting must
 //!   strictly increase rank, the observed acquisition graph must be
 //!   acyclic, and no guard may be held across a blocking call.
-//! * **atomic orderings** (`atomics.rs`): no `Relaxed` on
-//!   pointer-typed atomics, and no lone `Relaxed` access to an atomic
-//!   a crate otherwise accesses with stronger orderings.
+//! * **atomic orderings** (`atomics.rs`): no lone `Relaxed` access to
+//!   an atomic a crate otherwise accesses with stronger orderings.
 //! * **rank drift** (`drift.rs`): the runtime rank table in
 //!   `crates/storage/src/lock_order.rs` and the analyzer's `ranks.rs`
 //!   must agree constant-for-constant, rank-for-rank.
